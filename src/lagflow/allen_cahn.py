@@ -18,8 +18,11 @@ principle exact.  The per-midpoint equation combines
 Node residuals are the hat-function weighted averages of the two adjacent
 midpoint equations, so testing the residual against node increments
 reproduces the midpoint quadrature identities behind the energy estimate.
-The Newton iteration uses a banded Jacobian assembled by complex-step
-differentiation with stride-5 coloring (the stencil couples five nodes).
+The Newton iteration uses the analytic Jacobian of that residual.  It is
+pentadiagonal: the inertia and history terms of a midpoint equation couple
+its two end nodes, which fills the three centre bands, and the log
+regularization and the energy force act through d_h x at node j, which
+couples nodes j-1 and j+1 and so adds the two outer bands.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import AdmissibilityError, NewtonError
-from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product
+from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product, node_diff
 from .initial import InitialCondition1D
 from .models import GinzburgLandau, ac_discrete_energy, check_mobility_positive, double_well
 
@@ -41,7 +44,6 @@ log = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
-_CSTEP = 1e-150
 
 
 @dataclass(frozen=True)
@@ -81,15 +83,6 @@ class AcProblem:
         return self.model.eps
 
 
-def _node_diff_any(x, h):
-    # d_h x at every node, one-sided ends; complex-safe
-    out = np.empty_like(x)
-    out[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
-    out[0] = (x[1] - x[0]) / h
-    out[-1] = (x[-1] - x[-2]) / h
-    return out
-
-
 def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r, first):
     """Inertia, log-regularization and history terms of the scheme, per midpoint."""
     h = p.grid.h
@@ -106,7 +99,7 @@ def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r, first):
     eq = c1 * w * (1.0 / slope_next + 1.0 / slope_curr) * (xm_next - xm_curr)
 
     if p.eta > 0.0:
-        logdiff = np.log(_node_diff_any(x_next, h)) - np.log(_node_diff_any(x_curr, h))
+        logdiff = np.log(node_diff(x_next, p.grid)) - np.log(node_diff(x_curr, p.grid))
         eq = eq - p.eta * tau * np.diff(logdiff) / h
 
     if not first:
@@ -131,7 +124,7 @@ def _energy_force(p: AcProblem, x):
     accuracy and makes the dissipation estimate exact.
     """
     h = p.grid.h
-    dh = _node_diff_any(x, h)
+    dh = node_diff(x, p.grid)
     # dE/d(d_h x)_j per quadrature weight: -(eps^2/2) (rho0')^2 / dh^2 + F(rho0)
     q = -(0.5 * p.eps ** 2) * (p.rho0_prime_nodes / dh) ** 2 + double_well(p.rho0_nodes)
     t = np.full_like(x, h)
@@ -156,29 +149,68 @@ def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float,
     discrete energy.
     """
     x_next = np.asarray(x_next)
-    if np.any(np.real(np.diff(x_next)) <= 0.0):
+    if np.any(np.diff(x_next) <= 0.0):
         raise AdmissibilityError("candidate trajectory is not strictly increasing")
-    return _residual_kernel(p, np.asarray(x_prev), np.asarray(x_curr), x_next, tau, r, first)
-
-
-def _residual_kernel(p, x_prev, x_curr, x_next, tau, r, first):
-    eq = _midpoint_equation(p, x_prev, x_curr, x_next, tau, r, first)
+    eq = _midpoint_equation(p, np.asarray(x_prev), np.asarray(x_curr), x_next, tau, r, first)
     force = _energy_force(p, x_next)
     return 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + force[1:-1]
 
 
 def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, first):
+    """Jacobian of ``ac_residual`` in x_next, in ``solve_banded((2, 2), ...)`` layout.
+
+    Midpoint equation c depends on x_next only through its end nodes c and
+    c + 1.  With ``left``/``right`` its derivatives in them (times h/2), row k
+    gets left_{k-1}, right_{k-1} + left_k and right_k in columns k-1, k, k+1.
+
+    The energy force and the log regularization enter row k as
+    Phi_{k-1} - Phi_{k+1}, where Phi_j is a function of (d_h x)_j alone and
+    (d_h x)_j = c_j (x_{j+1} - x_{j-1}), with c_j = 1/(2h) inside and the
+    one-sided 1/h at the two ends.  With sigma_j = c_j dPhi_j/d(d_h x)_j, row k
+    gets sigma_{k-1} + sigma_{k+1} on the diagonal and -sigma_{k-1},
+    -sigma_{k+1} in columns k-2, k+2.
+    """
+    h = p.grid.h
+    slope_next = np.diff(x_next) / h
+    slope_curr = np.diff(x_curr) / h
+    xm_next = 0.5 * (x_next[:-1] + x_next[1:])
+    xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
+    w = p.rho0_prime_mid ** 2 / p.mobility_mid
+
+    c1 = 1.0 / (2.0 * tau) if first else (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
+    # the midpoint term of eq_c is even in its end nodes, the slope term odd
+    even = 0.5 * c1 * w * (1.0 / slope_next + 1.0 / slope_curr)
+    odd = -c1 * w * (xm_next - xm_curr) / (h * slope_next ** 2)
+    if not first:
+        slope_prev = np.diff(x_prev) / h
+        xm_prev = 0.5 * (x_prev[:-1] + x_prev[1:])
+        if p.history_form == "averaged":
+            hist = slope_prev ** -0.5 + slope_curr ** -0.5
+        else:
+            hist = slope_prev ** -0.5 - slope_curr ** -0.5
+        # only the slope_next**-0.5 part of ``lead`` depends on x_next
+        odd = odd - r / (8.0 * tau * (r + 1.0)) * w * hist * (xm_curr - xm_prev) \
+            * slope_next ** -1.5 / h
+    half = 0.5 * h
+    left = half * (even - odd)
+    right = half * (even + odd)
+
+    dh = node_diff(x_next, p.grid)
+    # dPhi_j/d(d_h x)_j; c_j times the quadrature weight of node j is 1/2
+    dphi = 0.5 * p.eps ** 2 * p.rho0_prime_nodes ** 2 / dh ** 3
+    if p.eta > 0.0:
+        dphi = dphi + 0.5 * p.eta * tau / dh
+    c = np.full_like(dh, 0.5 / h)
+    c[0] = c[-1] = 1.0 / h
+    sigma = c * dphi
+
     n = p.grid.m_x - 1
     ab = np.zeros((5, n))
-    for color in range(5):
-        idx = np.arange(color, n, 5)
-        xz = x_next.astype(complex)
-        xz[1 + idx] += 1j * _CSTEP
-        col = _residual_kernel(p, x_prev, x_curr, xz, tau, r, first).imag / _CSTEP
-        for off in (-2, -1, 0, 1, 2):
-            rows = idx + off
-            ok = (rows >= 0) & (rows < n)
-            ab[2 + off, idx[ok]] = col[rows[ok]]
+    ab[0, 2:] = -sigma[2:-2]
+    ab[1, 1:] = right[1:-1]
+    ab[2] = right[:-1] + left[1:] + sigma[:-2] + sigma[2:]
+    ab[3, :-1] = left[1:-1]
+    ab[4, :-2] = -sigma[2:-2]
     return ab
 
 

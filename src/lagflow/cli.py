@@ -17,15 +17,12 @@ from pathlib import Path
 
 from .config import parse_config, validate_config
 from .errors import ConfigError, LagflowError
-from .experiments import run_experiment, sweep_experiment
+from .experiments import STALL_PRESETS, run_experiment, sweep_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
-
-# presets for which stopping early (step collapse) is the documented outcome
-_ABORT_EXPECTED = {"ks-blowup-1d"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,7 +72,7 @@ def _cmd_run(args) -> int:
         print(f"{key}: {value}")
     if record.aborted:
         print(f"run stopped early: {record.result.abort_reason}")
-        if config.preset not in _ABORT_EXPECTED:
+        if config.preset not in STALL_PRESETS:
             return EXIT_SOLVER
     return EXIT_OK
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from lagflow.allen_cahn import (AcProblem, ac_energy, ac_first_step, ac_modified_energy,
-                                ac_residual, ac_step)
+from lagflow.allen_cahn import (AcProblem, _banded_jacobian, ac_energy, ac_first_step,
+                                ac_modified_energy, ac_residual, ac_step)
 from lagflow.errors import AdmissibilityError
 from lagflow.grids import Grid1D
 from lagflow.initial import InitialCondition1D, ac_parabola
@@ -194,3 +196,52 @@ def test_regularization_keeps_energy_dissipating():
         e = ac_energy(p, traj.curr)
         assert e <= e_prev + 1e-10
         e_prev = e
+
+
+def complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r, first, step=1e-150):
+    """Oracle: the banded Jacobian of ``ac_residual`` by complex-step differentiation.
+
+    Im R(x + i*step*e_j) / step is dR/dx_j to rounding, with no cancellation
+    (Squire & Trapp 1998).  The stencil couples five nodes, so perturbing
+    every fifth node at once gives five columns that share no residual row.
+    """
+    n = p.grid.m_x - 1
+    ab = np.zeros((5, n))
+    for color in range(5):
+        idx = np.arange(color, n, 5)
+        xz = x_next.astype(complex)
+        xz[1 + idx] += 1j * step
+        col = ac_residual(p, x_prev, x_curr, xz, tau, r, first).imag / step
+        for off in (-2, -1, 0, 1, 2):
+            rows = idx + off
+            ok = (rows >= 0) & (rows < n)
+            ab[2 + off, idx[ok]] = col[rows[ok]]
+    return ab
+
+
+# 0.8 (1 - X^2) keeps the degenerate mobility 1 - rho^2 positive on odd grids,
+# where a midpoint sits on the crest of the plain parabola
+_SHALLOW_PARABOLA = InitialCondition1D(lambda x: 0.8 * (1.0 - np.asarray(x) ** 2),
+                                       lambda x: -1.6 * np.asarray(x))
+
+
+@pytest.mark.parametrize("mx", [15, 16, 17])
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("mobility", [ConstantMobility(), DegenerateMobility()],
+                         ids=["constant", "degenerate"])
+@pytest.mark.parametrize("history", ["averaged", "literal"])
+@pytest.mark.parametrize("eta", [0.0, 0.5])
+@settings(max_examples=10, deadline=None)
+@given(r=st.floats(min_value=1e-6, max_value=1.5),
+       tau=st.floats(min_value=1e-4, max_value=1e-1),
+       shifts=arrays(np.float64, (3, 18), elements=st.floats(-0.3, 0.3)))
+def test_jacobian_matches_complex_step(mx, first, mobility, history, eta, r, tau, shifts):
+    p = make_problem(mx=mx, eps=0.05, eta=eta, mobility=mobility,
+                     initial=_SHALLOW_PARABOLA, history=history)
+    # interior nodes move by at most 0.3 h, which keeps every cell positive
+    x_prev, x_curr, x_next = (p.grid.nodes + p.grid.h * s[:mx + 1] for s in shifts)
+    for x in (x_prev, x_curr, x_next):
+        x[0], x[-1] = -1.0, 1.0
+    want = complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r, first)
+    got = _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, first)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -4,10 +4,12 @@ import sys
 import numpy as np
 import pytest
 
+from lagflow import cli
+from lagflow.adaptive import AdaptiveRunResult
 from lagflow.cli import main
 from lagflow.config import parse_config, preset_defaults, serialize_config
 from lagflow.errors import ConfigError
-from lagflow.experiments import random_step_sequence, run_experiment
+from lagflow.experiments import RunRecord, random_step_sequence, run_experiment
 
 
 def test_minimal_config_fills_preset_defaults():
@@ -126,6 +128,21 @@ def test_cli_run_and_exit_codes(tmp_path):
 
     missing = tmp_path / "missing.cfg"
     assert main(["run", str(missing)]) == 2
+
+
+@pytest.mark.parametrize("preset, expected", [("ks-2d", 0), ("ks-blowup-1d", 0),
+                                              ("barenblatt-2d", 3)])
+def test_cli_exit_code_for_tau_collapse(tmp_path, monkeypatch, preset, expected):
+    # a step collapse is the documented end of the Keller-Segel presets only
+    def collapsed(config):
+        result = AdaptiveRunResult(aborted=True, abort_reason="tau collapsed to tau_min "
+                                                              "for 20 consecutive steps")
+        return RunRecord(config, result, sim=None)
+
+    monkeypatch.setattr(cli, "run_experiment", collapsed)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = {preset}\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--no-plots"]) == expected
 
 
 def test_cli_flag_overrides(tmp_path):
