@@ -18,29 +18,28 @@ principle exact.  The per-midpoint equation combines
 Node residuals are the hat-function weighted averages of the two adjacent
 midpoint equations, so testing the residual against node increments
 reproduces the midpoint quadrature identities behind the energy estimate.
-The Newton iteration uses the analytic Jacobian of that residual.  It is
-pentadiagonal: the inertia and history terms of a midpoint equation couple
-its two end nodes, which fills the three centre bands, and the log
+The shared damped-Newton core (``newton``) solves it with ||F||_2 as the
+merit and the analytic Jacobian, which is pentadiagonal: the inertia and
+history terms of a midpoint equation couple its two end nodes, which fills
+the three centre bands, and the log
 regularization and the energy force act through d_h x at node j, which
 couples nodes j-1 and j+1 and so adds the two outer bands.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import AdmissibilityError, NewtonError
+from .errors import AdmissibilityError
 from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product, node_diff
 from .initial import InitialCondition1D
 from .models import GinzburgLandau, ac_discrete_energy, check_mobility_positive, double_well
+from .newton import fraction_to_boundary, newton_solve
 
 __all__ = ["AcProblem", "ac_residual", "ac_step", "ac_first_step", "ac_modified_energy", "ac_energy"]
-
-log = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
@@ -48,7 +47,11 @@ NEWTON_MAX_ITER = 50
 
 @dataclass(frozen=True)
 class AcProblem:
-    """Grid, initial data and scheme parameters for one phase-field run."""
+    """Grid, initial data and scheme parameters for one phase-field run.
+
+    Density values ride with the nodes, so the friction weight (rho0')^2 / M
+    per midpoint and the double well F(rho0) per node are fixed for the run.
+    """
 
     grid: Grid1D
     model: GinzburgLandau
@@ -57,6 +60,8 @@ class AcProblem:
     rho0_nodes: np.ndarray = field(init=False, repr=False)
     rho0_prime_nodes: np.ndarray = field(init=False, repr=False)
     mobility_mid: np.ndarray = field(init=False, repr=False)
+    friction_mid: np.ndarray = field(init=False, repr=False)
+    well_nodes: np.ndarray = field(init=False, repr=False)
     initial: InitialCondition1D = None
     eta: float = 0.0
     history_form: str = "averaged"
@@ -77,10 +82,27 @@ class AcProblem:
         object.__setattr__(self, "rho0_prime_mid", self.initial.derivative_on(mids, self.grid))
         object.__setattr__(self, "rho0_prime_nodes", self.initial.derivative_on(nodes, self.grid))
         object.__setattr__(self, "mobility_mid", np.asarray(mob, dtype=float))
+        object.__setattr__(self, "friction_mid", self.rho0_prime_mid ** 2 / self.mobility_mid)
+        object.__setattr__(self, "well_nodes", double_well(rho0_nodes))
 
     @property
     def eps(self) -> float:
         return self.model.eps
+
+
+def _inertia_coeff(tau, r, first):
+    """Inertia coefficient: backward Euler for the first step, else BDF2 with ratio r."""
+    return 1.0 / (2.0 * tau) if first else (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
+
+
+def _history(p: AcProblem, x_prev, slope_curr):
+    """Slope factor of the BDF2 history term and the midpoints of x^{n-1}."""
+    slope_prev = np.diff(x_prev) / p.grid.h
+    if p.history_form == "averaged":
+        hist = slope_prev ** -0.5 + slope_curr ** -0.5
+    else:
+        hist = slope_prev ** -0.5 - slope_curr ** -0.5
+    return hist, 0.5 * (x_prev[:-1] + x_prev[1:])
 
 
 def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r, first):
@@ -90,12 +112,8 @@ def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r, first):
     slope_curr = np.diff(x_curr) / h
     xm_next = 0.5 * (x_next[:-1] + x_next[1:])
     xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
-    w = p.rho0_prime_mid ** 2 / p.mobility_mid
-
-    if first:
-        c1 = 1.0 / (2.0 * tau)
-    else:
-        c1 = (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
+    w = p.friction_mid
+    c1 = _inertia_coeff(tau, r, first)
     eq = c1 * w * (1.0 / slope_next + 1.0 / slope_curr) * (xm_next - xm_curr)
 
     if p.eta > 0.0:
@@ -103,13 +121,8 @@ def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r, first):
         eq = eq - p.eta * tau * np.diff(logdiff) / h
 
     if not first:
-        slope_prev = np.diff(x_prev) / h
-        xm_prev = 0.5 * (x_prev[:-1] + x_prev[1:])
+        hist, xm_prev = _history(p, x_prev, slope_curr)
         lead = (1.0 + 0.5 / r) * slope_curr ** -0.5 - (0.5 / r) * slope_next ** -0.5
-        if p.history_form == "averaged":
-            hist = slope_prev ** -0.5 + slope_curr ** -0.5
-        else:
-            hist = slope_prev ** -0.5 - slope_curr ** -0.5
         eq = eq - (r * r) * w / (2.0 * tau * (r + 1.0)) * lead * hist * (xm_curr - xm_prev)
     return eq
 
@@ -126,7 +139,7 @@ def _energy_force(p: AcProblem, x):
     h = p.grid.h
     dh = node_diff(x, p.grid)
     # dE/d(d_h x)_j per quadrature weight: -(eps^2/2) (rho0')^2 / dh^2 + F(rho0)
-    q = -(0.5 * p.eps ** 2) * (p.rho0_prime_nodes / dh) ** 2 + double_well(p.rho0_nodes)
+    q = -(0.5 * p.eps ** 2) * (p.rho0_prime_nodes / dh) ** 2 + p.well_nodes
     t = np.full_like(x, h)
     t[0] = t[-1] = 0.5 * h
     t = t * q
@@ -175,19 +188,14 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, first):
     slope_curr = np.diff(x_curr) / h
     xm_next = 0.5 * (x_next[:-1] + x_next[1:])
     xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
-    w = p.rho0_prime_mid ** 2 / p.mobility_mid
+    w = p.friction_mid
 
-    c1 = 1.0 / (2.0 * tau) if first else (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
+    c1 = _inertia_coeff(tau, r, first)
     # the midpoint term of eq_c is even in its end nodes, the slope term odd
     even = 0.5 * c1 * w * (1.0 / slope_next + 1.0 / slope_curr)
     odd = -c1 * w * (xm_next - xm_curr) / (h * slope_next ** 2)
     if not first:
-        slope_prev = np.diff(x_prev) / h
-        xm_prev = 0.5 * (x_prev[:-1] + x_prev[1:])
-        if p.history_form == "averaged":
-            hist = slope_prev ** -0.5 + slope_curr ** -0.5
-        else:
-            hist = slope_prev ** -0.5 - slope_curr ** -0.5
+        hist, xm_prev = _history(p, x_prev, slope_curr)
         # only the slope_next**-0.5 part of ``lead`` depends on x_next
         odd = odd - r / (8.0 * tau * (r + 1.0)) * w * hist * (xm_curr - xm_prev) \
             * slope_next ** -1.5 / h
@@ -221,69 +229,30 @@ def _residual_floor(p: AcProblem, x_curr, tau, r, first):
     convergence tolerance cannot sit below what cancellation leaves behind.
     """
     h = p.grid.h
-    w = p.rho0_prime_mid ** 2 / p.mobility_mid
+    w = p.friction_mid
     slope = np.diff(x_curr) / h
     xmag = max(1.0, np.max(np.abs(x_curr)))
-    c1 = 1.0 / (2.0 * tau) if first else (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
-    mag = c1 * np.max(w) * 2.0 / slope.min() * xmag
+    mag = _inertia_coeff(tau, r, first) * np.max(w) * 2.0 / slope.min() * xmag
     if not first:
         c3 = r * r / (2.0 * tau * (r + 1.0)) * (1.0 + 1.0 / r) * 2.0 / slope.min()
         mag += c3 * np.max(w) * xmag
     return 64.0 * np.finfo(float).eps * 0.5 * h * mag
 
 
-def _newton_solve(p: AcProblem, x_prev, x_curr, tau, r, first):
-    x = x_curr.copy()
-    res = ac_residual(p, x_prev, x_curr, x, tau, r, first)
-    norm = np.max(np.abs(res))
-    tol = max(NEWTON_TOL, _residual_floor(p, x_curr, tau, r, first))
-    norms = [norm]
-    for _ in range(NEWTON_MAX_ITER):
-        if norm <= tol:
-            if log.isEnabledFor(logging.DEBUG):
-                log.debug("newton tail: %s", ["%.3e" % v for v in norms[-4:]])
-            return x
+def _solve_step(p: AcProblem, x_prev, x_curr, tau, r, first):
+    """Newton solve of the step equations from x_curr (see ``newton``)."""
+    def residual(x):
+        return ac_residual(p, x_prev, x_curr, x, tau, r, first)
+
+    def linearize(x):
         ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, first)
-        try:
-            step_int = solve_banded((2, 2), ab, -res)
-        except np.linalg.LinAlgError as exc:
-            raise NewtonError(f"singular Jacobian: {exc}") from exc
-        step = np.zeros_like(x)
-        step[1:-1] = step_int
+        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), 0.0
 
-        widths = np.diff(x)
-        dwidths = np.diff(step)
-        floor = 0.1 * widths.min()
-        shrink = dwidths < 0.0
-        alpha = 1.0
-        if np.any(shrink):
-            alpha = min(1.0, 0.99 * np.min((widths[shrink] - floor) / -dwidths[shrink]))
-        if alpha <= 0.0:
-            raise NewtonError("line search cannot keep the mesh admissible")
-
-        accepted = False
-        l2 = np.linalg.norm(res)
-        noise = 32.0 * np.finfo(float).eps * (1.0 + l2)
-        for _ in range(40):
-            trial = x + alpha * step
-            try:
-                res_t = ac_residual(p, x_prev, x_curr, trial, tau, r, first)
-            except AdmissibilityError:
-                alpha *= 0.5
-                continue
-            l2_t = np.linalg.norm(res_t)
-            if np.isfinite(l2_t) and l2_t <= (1.0 - 1e-4 * alpha) * l2 + noise:
-                x, res = trial, res_t
-                norm = np.max(np.abs(res))
-                norms.append(norm)
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if norm <= 1e2 * tol:
-                return x
-            raise NewtonError(f"line search stalled at residual {norm:.3e}")
-    raise NewtonError(f"no convergence in {NEWTON_MAX_ITER} iterations (residual {norm:.3e})")
+    tol = max(NEWTON_TOL, _residual_floor(p, x_curr, tau, r, first))
+    # one unshifted solve: a shifted Jacobian does not make ||F|| descend
+    return newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=tol,
+                        stall_tol=1e2 * tol, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
+                        step_bound=fraction_to_boundary, shift_tries=1)
 
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
@@ -291,7 +260,7 @@ def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     r = tau_next / traj.tau_prev
-    x_new = _newton_solve(p, traj.prev, traj.curr, tau_next, r, first=False)
+    x_new = _solve_step(p, traj.prev, traj.curr, tau_next, r, first=False)
     new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
                             traj.step_index + 1, p.grid, pinned=True)
     return new_traj, DensityField1D(p.rho0_mid.copy(), p.grid)
@@ -302,7 +271,7 @@ def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
     if tau1 <= 0.0:
         raise ValueError("tau1 must be positive")
     x0 = p.grid.nodes.copy()
-    x1 = _newton_solve(p, x0, x0, tau1, 1.0, first=True)
+    x1 = _solve_step(p, x0, x0, tau1, 1.0, first=True)
     return Trajectory1D(x0, x1, tau1, tau1, 1, p.grid, pinned=True)
 
 
@@ -318,6 +287,6 @@ def ac_modified_energy(p: AcProblem, x_prev, x_curr, tau: float,
     if np.any(slope_curr <= 0.0) or np.any(slope_prev <= 0.0):
         raise AdmissibilityError("trajectories must be admissible")
     dxm = 0.5 * ((x_curr[:-1] + x_curr[1:]) - (x_prev[:-1] + x_prev[1:]))
-    w = p.rho0_prime_mid ** 2 / p.mobility_mid
-    inertia = inner_product("midpoint", w * (1.0 / slope_curr + 1.0 / slope_prev) * dxm, dxm, p.grid)
+    inertia = inner_product("midpoint", p.friction_mid * (1.0 / slope_curr + 1.0 / slope_prev)
+                            * dxm, dxm, p.grid)
     return ac_energy(p, x_curr) + r_max / (2.0 * tau * (r_max + 1.0)) * inertia

@@ -58,9 +58,17 @@ def random_step_sequence(n: int, t_final: float, seed: int) -> np.ndarray:
 # --- simulation adapters ----------------------------------------------------
 
 class _SimBase:
-    """Common bookkeeping: energies, rates, and the accepted-step info dict."""
+    """Common bookkeeping: state, energies, rates, and the accepted-step info dict.
 
-    def __init__(self):
+    Subclasses supply ``_first`` and ``_step`` (new trajectory and density),
+    ``_energy_ref`` (reference map), ``_energy`` (a trajectory's current
+    level), ``trajectory_rate`` and ``_info``.
+    """
+
+    def __init__(self, problem):
+        self.problem = problem
+        self.traj = None
+        self.density = None
         self.time = 0.0
         self.tau_prev = 0.0
         self.energy = math.nan
@@ -73,61 +81,29 @@ class _SimBase:
         return abs(self.energy - self._energy_prev) / self.tau_prev
 
     def start(self, tau1: float, tau2: float):
-        info1 = self._first_step(tau1)
-        info2 = self.bdf2_step(tau2)
-        return info1, info2
-
-
-class AcSim(_SimBase):
-    def __init__(self, problem: AcProblem):
-        super().__init__()
-        self.problem = problem
-        self.traj = None
-        self.density = None
-
-    @property
-    def trajectory_rate(self) -> float:
-        u = (self.traj.curr - self.traj.prev) / self.traj.tau_prev
-        return math.sqrt(inner_product("node", u, u, self.problem.grid))
-
-    def _info(self):
-        x = self.traj.curr
-        return {
-            "time": self.time,
-            "energy": self.energy,
-            "mass": float(np.sum(self.problem.rho0_mid * np.diff(x))),
-            "min_density": float(np.min(self.problem.rho0_mid)),
-            "max_density": float(np.max(self.problem.rho0_mid)),
-            "boundary_lo": float(x[0]),
-            "boundary_hi": float(x[-1]),
-        }
-
-    def _first_step(self, tau1):
-        self.traj = ac_first_step(self.problem, tau1)
-        self.density = self.problem.rho0_mid
-        self._energy_prev = ac_energy(self.problem, self.traj.prev)
-        self.energy = ac_energy(self.problem, self.traj.curr)
-        self.time = self.traj.time
-        self.tau_prev = tau1
-        return self._info()
+        """The first step, then one BDF2 step; returns both info dicts."""
+        traj, density = self._first(tau1)
+        self.energy = self._energy_ref()
+        self._commit(traj, density, tau1)
+        info1 = self._info()
+        return info1, self.bdf2_step(tau2)
 
     def bdf2_step(self, tau):
-        traj, density = ac_step(self.problem, self.traj, tau)
-        self.traj = traj
-        self.density = density.values
-        self._energy_prev = self.energy
-        self.energy = ac_energy(self.problem, traj.curr)
-        self.time = traj.time
-        self.tau_prev = tau
+        traj, density = self._step(tau)
+        self._commit(traj, density, tau)
         return self._info()
 
+    def _commit(self, traj, density, tau):
+        self.traj = traj
+        self.density = density
+        self._energy_prev = self.energy
+        self.energy = self._energy(traj)
+        self.time = traj.time
+        self.tau_prev = tau
 
-class Wgf1dSim(_SimBase):
-    def __init__(self, problem: Wgf1dProblem):
-        super().__init__()
-        self.problem = problem
-        self.traj = None
-        self.density = None
+
+class _Sim1D(_SimBase):
+    """1D adapters: a node trajectory with cell densities, energy ``_energy_of(x)``."""
 
     @property
     def trajectory_rate(self) -> float:
@@ -146,35 +122,45 @@ class Wgf1dSim(_SimBase):
             "boundary_hi": float(x[-1]),
         }
 
-    def _commit(self, traj, density, tau):
-        self.traj = traj
-        self.density = density.values
-        self._energy_prev = self.energy
-        self.energy = wgf1d_energy(self.problem, traj.curr)
-        self.time = traj.time
-        self.tau_prev = tau
+    def _energy_ref(self):
+        return self._energy_of(self.problem.grid.nodes)
 
-    def _first_step(self, tau1):
+    def _energy(self, traj):
+        return self._energy_of(traj.curr)
+
+
+class AcSim(_Sim1D):
+    def _energy_of(self, x):
+        return ac_energy(self.problem, x)
+
+    def _first(self, tau1):
+        # the phase-field density values never change; they ride with the nodes
+        return ac_first_step(self.problem, tau1), self.problem.rho0_mid
+
+    def _step(self, tau):
+        traj, density = ac_step(self.problem, self.traj, tau)
+        return traj, density.values
+
+
+class Wgf1dSim(_Sim1D):
+    def _energy_of(self, x):
+        return wgf1d_energy(self.problem, x)
+
+    def _first(self, tau1):
         traj, density = wgf1d_first_step(self.problem, tau1)
-        self.energy = wgf1d_energy(self.problem, self.problem.grid.nodes)
-        self._commit(traj, density, tau1)
-        return self._info()
+        return traj, density.values
 
-    def bdf2_step(self, tau):
+    def _step(self, tau):
         traj, density = wgf1d_step(self.problem, self.traj, tau)
-        self._commit(traj, density, tau)
-        return self._info()
+        return traj, density.values
 
 
 class Wgf2dSim(_SimBase):
     def __init__(self, problem: Wgf2dProblem, scheme: str = "explicit"):
-        super().__init__()
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown 2D scheme {scheme!r}")
-        self.problem = problem
+        super().__init__(problem)
         self.scheme = scheme
-        self.traj = None
-        self.density = None
 
     @property
     def trajectory_rate(self) -> float:
@@ -192,27 +178,20 @@ class Wgf2dSim(_SimBase):
             "max_density": float(np.max(self.density.values)),
         }
 
-    def _commit(self, traj, density, tau):
-        self.traj = traj
-        self.density = density
-        self._energy_prev = self.energy
-        self.energy = wgf2d_energy(self.problem, traj.curr_x, traj.curr_y)
-        self.time = traj.time
-        self.tau_prev = tau
+    def _energy_ref(self):
+        return wgf2d_energy(self.problem, self.problem.grid.ref_x, self.problem.grid.ref_y)
 
-    def _first_step(self, tau1):
+    def _energy(self, traj):
+        return wgf2d_energy(self.problem, traj.curr_x, traj.curr_y)
+
+    def _first(self, tau1):
         first = (wgf2d_first_step_explicit if self.scheme == "explicit"
                  else wgf2d_first_step_implicit)
-        traj, density = first(self.problem, tau1)
-        self.energy = wgf2d_energy(self.problem, self.problem.grid.ref_x, self.problem.grid.ref_y)
-        self._commit(traj, density, tau1)
-        return self._info()
+        return first(self.problem, tau1)
 
-    def bdf2_step(self, tau):
+    def _step(self, tau):
         step = wgf2d_step_explicit if self.scheme == "explicit" else wgf2d_step_implicit
-        traj, density = step(self.problem, self.traj, tau)
-        self._commit(traj, density, tau)
-        return self._info()
+        return step(self.problem, self.traj, tau)
 
 
 # --- problem construction ---------------------------------------------------
@@ -223,8 +202,14 @@ def build_sim(config: ExperimentConfig):
     if preset == "ac-interface":
         grid = Grid1D(-1.0, 1.0, config.mx)
         mobility = ConstantMobility() if config.mobility == "constant" else DegenerateMobility()
+        initial = ac_parabola()
+        if np.any(mobility(initial.density(grid.midpoints)) <= 0.0):
+            # an odd grid.mx puts a midpoint on the crest rho0 = 1, where 1 - rho^2 = 0
+            raise ConfigError(f"preset ac-interface: model.mobility = {config.mobility} is not "
+                              f"positive on the initial profile at grid.mx = {config.mx}; "
+                              "choose an even grid.mx")
         model = GinzburgLandau(config.eps_interface, mobility)
-        return AcSim(AcProblem(grid, model, initial=ac_parabola(), eta=config.eta))
+        return AcSim(AcProblem(grid, model, initial=initial, eta=config.eta))
     if preset == "pme-convergence":
         grid = Grid1D(-1.0, 1.0, config.mx)
         rho0 = pme_cosine().density(grid.midpoints)
@@ -263,11 +248,17 @@ def build_sim(config: ExperimentConfig):
 
 # --- run drivers --------------------------------------------------------------
 
-def run_fixed_steps(sim, tau: float, t_final: float) -> AdaptiveRunResult:
+def _started(sim, tau1: float, tau2: float) -> AdaptiveRunResult:
+    """The two start-up steps of a run, recorded."""
     result = AdaptiveRunResult()
-    info1, info2 = sim.start(tau, tau)
-    result.append(info1, tau, 1.0, 0)
-    result.append(info2, tau, 1.0, 0)
+    info1, info2 = sim.start(tau1, tau2)
+    result.append(info1, tau1, 1.0, 0)
+    result.append(info2, tau2, tau2 / tau1, 0)
+    return result
+
+
+def run_fixed_steps(sim, tau: float, t_final: float) -> AdaptiveRunResult:
+    result = _started(sim, tau, tau)
     while sim.time < t_final - 0.5 * tau:
         info = sim.bdf2_step(tau)
         result.append(info, tau, 1.0, 0)
@@ -276,10 +267,7 @@ def run_fixed_steps(sim, tau: float, t_final: float) -> AdaptiveRunResult:
 
 def run_step_sequence(sim, taus) -> AdaptiveRunResult:
     taus = np.asarray(taus, dtype=float)
-    result = AdaptiveRunResult()
-    info1, info2 = sim.start(taus[0], taus[1])
-    result.append(info1, taus[0], 1.0, 0)
-    result.append(info2, taus[1], taus[1] / taus[0], 0)
+    result = _started(sim, taus[0], taus[1])
     for k in range(2, taus.shape[0]):
         info = sim.bdf2_step(taus[k])
         result.append(info, taus[k], taus[k] / taus[k - 1], 0)
@@ -328,10 +316,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
         result = run_step_sequence(sim, taus)
     else:
         controller = _controller_from_config(config)
-        partial = AdaptiveRunResult()
-        info1, info2 = sim.start(tau1, tau2)
-        partial.append(info1, tau1, 1.0, 0)
-        partial.append(info2, tau2, tau2 / tau1, 0)
+        partial = _started(sim, tau1, tau2)
         stall = 20 if config.preset in STALL_PRESETS else 0
         rest = run_adaptive(sim, controller, config.t_final, stall_taus=stall)
         for name in ("times", "taus", "ratios", "energies", "masses",
@@ -396,7 +381,7 @@ def write_artifacts(record: RunRecord, target: Path) -> None:
                 "max_density", "rejections", "boundary_lo", "boundary_hi"], rows)
 
     sim = record.sim
-    if isinstance(sim, (AcSim, Wgf1dSim)):
+    if isinstance(sim, _Sim1D):
         grid = sim.problem.grid
         x = sim.traj.curr
         xm = 0.5 * (x[:-1] + x[1:])
@@ -433,7 +418,7 @@ def write_artifacts(record: RunRecord, target: Path) -> None:
     if record.config.plots:
         plots.energy_plot(target / "energy.svg", result.times, result.energies)
         plots.timestep_plot(target / "timestep.svg", result.times, result.taus, result.ratios)
-        if isinstance(sim, (AcSim, Wgf1dSim)):
+        if isinstance(sim, _Sim1D):
             x = sim.traj.curr
             xm = 0.5 * (x[:-1] + x[1:])
             plots.density_plot(target / "density.svg", xm, sim.density)

@@ -37,6 +37,7 @@ __all__ = [
     "midpoint_diff",
     "node_diff",
     "inner_product",
+    "deformation_stencil",
     "jacobian_det_2d",
     "jacobian_det_interior",
     "pushforward_density_1d",
@@ -262,18 +263,25 @@ class DensityField2D:
             raise ValueError("density values must be nonnegative")
 
 
-def jacobian_det_interior(x, y, grid: Grid2D) -> np.ndarray:
-    """Central-difference deformation determinant at all interior nodes.
-
-    Returns an array of shape (m_y-1, m_x-1); entry (i-1, j-1) is the
-    determinant at node (i, j).
-    """
+def deformation_stencil(x, y, grid: Grid2D):
+    """Central differences (x_X, x_Y, y_X, y_Y) of the node map at interior
+    nodes, each of shape (m_y-1, m_x-1) like ``jacobian_det_interior``."""
     x = np.asarray(x)
     y = np.asarray(y)
     x_x = (x[1:-1, 2:] - x[1:-1, :-2]) / (2.0 * grid.h_x)
     x_y = (x[2:, 1:-1] - x[:-2, 1:-1]) / (2.0 * grid.h_y)
     y_x = (y[1:-1, 2:] - y[1:-1, :-2]) / (2.0 * grid.h_x)
     y_y = (y[2:, 1:-1] - y[:-2, 1:-1]) / (2.0 * grid.h_y)
+    return x_x, x_y, y_x, y_y
+
+
+def jacobian_det_interior(x, y, grid: Grid2D) -> np.ndarray:
+    """Central-difference deformation determinant at all interior nodes.
+
+    Returns an array of shape (m_y-1, m_x-1); entry (i-1, j-1) is the
+    determinant at node (i, j).
+    """
+    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
     return x_x * y_y - y_x * x_y
 
 
@@ -285,13 +293,7 @@ def jacobian_det_2d(x, y, grid: Grid2D, i: int, j: int) -> float:
     """
     if not (1 <= i <= grid.m_y - 1 and 1 <= j <= grid.m_x - 1):
         raise ValueError(f"determinant stencil undefined at boundary node ({i}, {j})")
-    x = np.asarray(x)
-    y = np.asarray(y)
-    x_x = (x[i, j + 1] - x[i, j - 1]) / (2.0 * grid.h_x)
-    x_y = (x[i + 1, j] - x[i - 1, j]) / (2.0 * grid.h_y)
-    y_x = (y[i, j + 1] - y[i, j - 1]) / (2.0 * grid.h_x)
-    y_y = (y[i + 1, j] - y[i - 1, j]) / (2.0 * grid.h_y)
-    return float(x_x * y_y - y_x * x_y)
+    return float(jacobian_det_interior(x, y, grid)[i - 1, j - 1])
 
 
 def pushforward_density_1d(rho0, x, grid: Grid1D) -> DensityField1D:

@@ -31,7 +31,8 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import AdmissibilityError
-from .grids import Grid1D, Grid2D, inner_product, jacobian_det_interior, node_diff
+from .grids import (Grid1D, Grid2D, deformation_stencil, inner_product, jacobian_det_interior,
+                    node_diff)
 
 __all__ = [
     "ConstantMobility",
@@ -482,10 +483,7 @@ def deformation_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D):
     det, s = _deformation_state(x, y, rho0, grid)
     p = _pressure(model, s)
     hx, hy = grid.h_x, grid.h_y
-    x_x = (x[1:-1, 2:] - x[1:-1, :-2]) / (2.0 * hx)
-    x_y = (x[2:, 1:-1] - x[:-2, 1:-1]) / (2.0 * hy)
-    y_x = (y[1:-1, 2:] - y[1:-1, :-2]) / (2.0 * hx)
-    y_y = (y[2:, 1:-1] - y[:-2, 1:-1]) / (2.0 * hy)
+    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
 
     def pad(q):
         full = np.zeros_like(x)
@@ -527,8 +525,6 @@ def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps
     _check_2d_model(model)
     if isinstance(model, KellerSegel2D):
         raise ValueError("implicit Hessian is only available for interaction-free models")
-    x = np.asarray(x)
-    y = np.asarray(y)
     det, s = _deformation_state(x, y, rho0, grid)
     p = _pressure(model, s)
     # d/d(det) of G(rho0/det) = -G'(s) s / det
@@ -536,11 +532,7 @@ def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps
     hx, hy = grid.h_x, grid.h_y
     my1, mx1 = det.shape  # (m_y - 1, m_x - 1)
     n_int = my1 * mx1
-
-    x_x = (x[1:-1, 2:] - x[1:-1, :-2]) / (2.0 * hx)
-    x_y = (x[2:, 1:-1] - x[:-2, 1:-1]) / (2.0 * hy)
-    y_x = (y[1:-1, 2:] - y[1:-1, :-2]) / (2.0 * hx)
-    y_y = (y[2:, 1:-1] - y[:-2, 1:-1]) / (2.0 * hy)
+    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
 
     ii, jj = np.meshgrid(np.arange(1, my1 + 1), np.arange(1, mx1 + 1), indexing="ij")
 

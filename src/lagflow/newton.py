@@ -1,0 +1,123 @@
+"""Damped Newton iteration shared by the implicit solvers.
+
+``allen_cahn``, ``wgf1d`` and ``wgf2d`` each need one globalized Newton
+solve per time step that only ever accepts admissible iterates.  This module
+owns that globalization (Nocedal & Wright, *Numerical Optimization*, 2006,
+ch. 3 and 19): the max|g| <= tol convergence test, shifted-system retries
+until the direction descends, an optional step bound such as the 1D
+fraction-to-the-boundary rule, Armijo backtracking that halves on
+inadmissible trials and allows for rounding noise, and acceptance of a
+stalled iterate within ``stall_tol``.  The merit is the step objective when
+there is one; otherwise it is ||F||_2, whose derivative along the Newton
+step is -||F||_2.  Assembly, tolerance floors and linear solves stay with
+the solvers.
+"""
+
+from __future__ import annotations
+
+import logging
+
+import numpy as np
+
+from .errors import AdmissibilityError, NewtonError
+
+__all__ = ["newton_solve", "fraction_to_boundary", "ARMIJO"]
+
+log = logging.getLogger(__name__)
+
+ARMIJO = 1e-4
+# below the merit's rounding noise the Armijo test is meaningless; the
+# allowance keeps full steps usable
+_NOISE = 32.0 * np.finfo(float).eps
+
+
+def fraction_to_boundary(x, step) -> float:
+    """Largest alpha <= 1 (times 0.99) keeping every cell of the 1D node array
+    x + alpha step at least 10% of the currently narrowest one."""
+    widths = np.diff(x)
+    dw = np.diff(step)
+    shrink = dw < 0.0
+    if not np.any(shrink):
+        return 1.0
+    return min(1.0, 0.99 * np.min((widths[shrink] - 0.1 * widths.min()) / -dw[shrink]))
+
+
+def _descent_step(solve, g, shift_floor, tries, check_descent):
+    """Solve (A + shift I) s = -g with shift 0, then with growing shifts."""
+    shift = 0.0
+    rhs = -g
+    for attempt in range(tries):
+        try:
+            step = solve(rhs, shift)
+            snorm = np.linalg.norm(step)
+        except (np.linalg.LinAlgError, RuntimeError):
+            snorm = np.inf
+        # a finite norm means a finite step; rounding-level inner products
+        # count as descent
+        if np.isfinite(snorm) and (
+                not check_descent or np.dot(step, g) < 1e-10 * snorm * np.linalg.norm(g)):
+            if shift > 0.0:
+                log.debug("descent direction needed a diagonal shift of %.2e", shift)
+            return step
+        shift = max(shift_floor, 4.0 * shift) * 10.0 ** attempt
+    raise NewtonError(f"no descent direction from the linear system ({tries} tries)")
+
+
+def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), tol, stall_tol,
+                 max_iter, max_backtracks, step_bound=None, shift_tries=8):
+    """Damped Newton iteration from the flat array ``x``; returns the accepted iterate.
+
+    ``residual(x)`` is the vector over ``x[free]`` whose max-norm must reach
+    ``tol`` (a number or a function of the iterate): the gradient of
+    ``objective`` if one is given, else the equations, with ||residual||_2
+    as the merit and no descent test.  ``linearize(x)`` returns ``(solve,
+    shift_floor)``, where ``solve(rhs, shift)`` solves the linear system plus
+    ``shift`` times the identity; it is tried at most ``shift_tries`` times,
+    first unshifted.
+    ``step_bound(x, step)`` caps the initial step length.
+    """
+    tol_at = tol if callable(tol) else (lambda _: tol)
+    minimize = objective is not None
+    x = np.array(x, dtype=float)
+    g = None if minimize else residual(x)
+    fx = objective(x) if minimize else np.linalg.norm(g)
+    for _ in range(max_iter):
+        if g is None:
+            g = residual(x)
+        gnorm = np.max(np.abs(g))
+        if gnorm <= tol_at(x):
+            return x
+        solve, shift_floor = linearize(x)
+        step = _descent_step(solve, g, shift_floor, shift_tries, minimize)
+        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(x))):
+            log.debug("step below machine scale at max|g|=%.2e; accepting iterate", gnorm)
+            return x
+        full = np.zeros_like(x)
+        full[free] = step
+        alpha = 1.0 if step_bound is None else step_bound(x, full)
+        if alpha <= 0.0:
+            raise NewtonError("line search cannot keep the iterate admissible")
+        slope = np.dot(g, step) if minimize else -fx
+        noise = _NOISE * (abs(fx) + 1.0)
+        for _ in range(max_backtracks):
+            trial = x + alpha * full
+            try:
+                if minimize:
+                    f_trial = objective(trial)
+                else:
+                    g_trial = residual(trial)
+                    f_trial = np.linalg.norm(g_trial)
+            except (AdmissibilityError, ValueError):
+                alpha *= 0.5
+                continue
+            if np.isfinite(f_trial) and f_trial <= fx + ARMIJO * alpha * slope + noise:
+                x, fx = trial, f_trial
+                g = None if minimize else g_trial
+                break
+            alpha *= 0.5
+        else:
+            if gnorm <= stall_tol:
+                log.debug("stopping on a stalled but nearly converged step (max|g|=%.2e)", gnorm)
+                return x
+            raise NewtonError(f"line search stalled at max|g|={gnorm:.3e}")
+    raise NewtonError(f"no convergence in {max_iter} iterations (max|g|={gnorm:.3e})")

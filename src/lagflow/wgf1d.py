@@ -7,11 +7,11 @@ Each step minimizes
 
 over strictly increasing trajectories, where xhat is the ratio-weighted
 extrapolation of the two history levels.  The density is then recovered by
-pushforward, which conserves mass identically.  Damped Newton with the
-analytic tridiagonal Hessian does the minimization; a fraction-to-the-
-boundary rule keeps every cell at least 10% of the currently narrowest one,
-and backtracking only ever accepts objective decreases, which is exactly the
-property the discrete energy estimate needs.
+pushforward, which conserves mass identically.  The shared damped-Newton
+core (``newton``) does the minimization with the analytic tridiagonal
+Hessian; its fraction-to-the-boundary rule keeps every cell at least 10% of
+the currently narrowest one, and backtracking only ever accepts objective
+decreases, which is exactly the property the discrete energy estimate needs.
 
 Dirichlet runs pin both endpoints to the reference.  Free-boundary runs
 (moving support, e.g. waiting-time experiments) treat the endpoint positions
@@ -26,21 +26,19 @@ Newton direction falls back to a shifted system (logged, never asserted).
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import AdmissibilityError, NewtonError
+from .errors import AdmissibilityError
 from .grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
 from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
                      discrete_energy_grad_1d, discrete_energy_hess_1d)
+from .newton import fraction_to_boundary, newton_solve
 
 __all__ = ["Wgf1dProblem", "extrapolate_hat", "wgf1d_residual", "wgf1d_step",
            "wgf1d_first_step", "wgf1d_augmented_energy", "wgf1d_energy", "RATIO_BOUND_1D"]
-
-log = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
@@ -132,83 +130,32 @@ def wgf1d_residual(p: Wgf1dProblem, traj: Trajectory1D, x_candidate, tau: float)
     return g[1:-1] if p.pinned else g
 
 
-def _newton_minimize(p: Wgf1dProblem, x_start, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
-    dof = slice(1, -1) if p.pinned else slice(None)
-    x = x_start.copy()
-    jval = _objective(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau)
-    shifted = False
-    for iteration in range(NEWTON_MAX_ITER):
-        g_full = _gradient(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau)
-        g = g_full[dof]
-        gnorm = np.max(np.abs(g))
-        if gnorm <= NEWTON_TOL:
-            if shifted:
-                log.debug("accepted step after Hessian shift (lagged interaction curvature)")
-            return x
+def _minimize(p: Wgf1dProblem, x_start, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
+    """Newton minimization of the step objective from x_start (see ``newton``)."""
+    free = slice(1, -1) if p.pinned else slice(None)
+
+    def objective(x):
+        return _objective(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau)
+
+    def gradient(x):
+        return _gradient(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau)[free]
+
+    def linearize(x):
         diag, off = _hessian_tridiag(p, x, lag_x, lag_rho, coeff, tau)
-        d = diag[dof]
-        if p.pinned:
-            o = off[1:-1]
-        else:
-            o = off
-        n = d.shape[0]
-        shift = 0.0
-        for attempt in range(8):
-            ab = np.zeros((3, n))
+        d = diag[free]
+        o = off[free]
+
+        def solve(rhs, shift):
+            ab = np.zeros((3, d.shape[0]))
             ab[0, 1:] = o
             ab[1] = d + shift
             ab[2, :-1] = o
-            try:
-                step = solve_banded((1, 1), ab, -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None:
-                # treat rounding-level inner products as descent
-                tol_dir = 1e-10 * np.linalg.norm(step) * np.linalg.norm(g)
-                if np.dot(step, g) < tol_dir:
-                    break
-            shift = max(1e-8, 4.0 * shift, np.abs(d).max() * 1e-8) * (10.0 ** attempt)
-            shifted = True
-        else:
-            raise NewtonError("could not produce a descent direction")
-        if np.max(np.abs(step)) <= 4.0 * np.finfo(float).eps * max(1.0, np.max(np.abs(x))):
-            log.debug("step below machine scale at |g|=%.2e; accepting iterate", gnorm)
-            return x
+            return solve_banded((1, 1), ab, rhs)
+        return solve, max(1e-8, np.abs(d).max() * 1e-8)
 
-        full_step = np.zeros_like(x)
-        full_step[dof] = step
-        widths = np.diff(x)
-        dw = np.diff(full_step)
-        floor = 0.1 * widths.min()
-        shrink = dw < 0.0
-        alpha = 1.0
-        if np.any(shrink):
-            alpha = min(1.0, 0.99 * np.min((widths[shrink] - floor) / -dw[shrink]))
-        if alpha <= 0.0:
-            raise NewtonError("line search cannot keep the mesh admissible")
-        accepted = False
-        slope = np.dot(g, step)
-        # once predicted decreases fall below objective rounding noise the
-        # Armijo test is meaningless; the allowance keeps full steps usable
-        noise = 32.0 * np.finfo(float).eps * (abs(jval) + 1.0)
-        for _ in range(50):
-            trial = x + alpha * full_step
-            try:
-                jtrial = _objective(p, trial, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau)
-            except (AdmissibilityError, ValueError):
-                alpha *= 0.5
-                continue
-            if np.isfinite(jtrial) and jtrial <= jval + 1e-4 * alpha * slope + noise:
-                x, jval = trial, jtrial
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if gnorm <= 1e2 * NEWTON_TOL:
-                log.debug("stopping on a stalled but nearly converged step (|g|=%.2e)", gnorm)
-                return x
-            raise NewtonError(f"line search stalled (|g|={gnorm:.3e})")
-    raise NewtonError(f"no convergence in {NEWTON_MAX_ITER} iterations (|g|={gnorm:.3e})")
+    return newton_solve(x_start, gradient, linearize, objective=objective, free=free,
+                        tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+                        max_backtracks=50, step_bound=fraction_to_boundary)
 
 
 def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
@@ -219,7 +166,7 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
     x_hat = extrapolate_hat(traj.curr, traj.prev, r)
     coeff = (1.0 + 2.0 * r) / (2.0 * tau_next * (1.0 + r))
     lag_x, lag_rho = p.lag_state(traj.curr)
-    x_new = _newton_minimize(p, traj.curr, x_hat, traj.curr, lag_x, lag_rho, coeff, tau_next)
+    x_new = _minimize(p, traj.curr, x_hat, traj.curr, lag_x, lag_rho, coeff, tau_next)
     new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
                             traj.step_index + 1, p.grid, pinned=p.pinned)
     return new_traj, pushforward_density_1d(p.rho0, x_new, p.grid)
@@ -231,7 +178,7 @@ def wgf1d_first_step(p: Wgf1dProblem, tau1: float):
         raise ValueError("tau1 must be positive")
     x0 = p.grid.nodes.copy()
     lag_x, lag_rho = p.lag_state(x0)
-    x1 = _newton_minimize(p, x0, x0, x0, lag_x, lag_rho, 1.0 / (2.0 * tau1), tau1)
+    x1 = _minimize(p, x0, x0, x0, lag_x, lag_rho, 1.0 / (2.0 * tau1), tau1)
     traj = Trajectory1D(x0, x1, tau1, tau1, 1, p.grid, pinned=p.pinned)
     return traj, pushforward_density_1d(p.rho0, x1, p.grid)
 

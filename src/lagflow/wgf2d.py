@@ -10,8 +10,9 @@ implicit scheme minimizes the step functional
     J(x) = E_{h,2}(x) + (1+2r)/(2 tau (1+r)) sum rho0 |x - xhat|^2 hx hy
          + (viscosity quadratic)
 
-by damped Newton with a determinant-positivity line search, warm started
-from the explicit output whenever that does not increase J.
+with the shared damped-Newton core (``newton``), whose backtracking halves
+any trial with a non-positive determinant, warm started from the explicit
+output whenever that does not increase J.
 
 The artificial viscosity supports the two scalings that appear in
 practice: eps * tau applied to the increment x^{n+1} - x^n (the scheme
@@ -25,7 +26,6 @@ the step and halve.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,14 +36,13 @@ from .errors import AdmissibilityError, NewtonError, SolverError
 from .grids import DensityField2D, Grid2D, Trajectory2D, jacobian_det_interior
 from .models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
                      discrete_energy_2d, discrete_energy_hess_2d, ks2d_interaction_force)
+from .newton import newton_solve
 
 __all__ = ["Wgf2dProblem", "VISC_TAU_INCREMENT", "VISC_TAU_SQ_ABSOLUTE",
            "d2_operator", "wgf2d_step_explicit", "wgf2d_step_implicit",
            "wgf2d_first_step_explicit", "wgf2d_first_step_implicit",
            "recover_density_2d", "wgf2d_energy", "wgf2d_augmented_energy",
            "RATIO_BOUND_2D"]
-
-log = logging.getLogger(__name__)
 
 VISC_TAU_INCREMENT = "tau-increment"
 VISC_TAU_SQ_ABSOLUTE = "tau-sq-absolute"
@@ -80,7 +79,6 @@ class Wgf2dProblem:
         if self.visc_scaling == VISC_TAU_INCREMENT:
             return self.eps_visc * tau
         return self.eps_visc * tau * tau
-
 
 def d2_operator(a_next, a_curr, a_prev, tau: float, r: float):
     """Variable-step BDF2 difference ((1+2r) a^{n+1} - (1+r)^2 a^n + r^2 a^{n-1}) / (tau (1+r))."""
@@ -248,65 +246,56 @@ def _gradient_2d(p: Wgf2dProblem, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s):
     return gx[1:-1, 1:-1].ravel(), gy[1:-1, 1:-1].ravel()
 
 
-def _newton_implicit(p: Wgf2dProblem, x_start, y_start, x_hat, y_hat, x_ref, y_ref,
-                     coeff, s, j_cap):
+def _visc_ref(p: Wgf2dProblem, x, y):
+    """Map the implicit viscosity is measured from: x^n, or 0 for the absolute form."""
+    if p.visc_scaling == VISC_TAU_INCREMENT:
+        return x, y
+    return np.zeros_like(x), np.zeros_like(y)
+
+
+def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_hat,
+                    x_ref, y_ref, coeff, s):
+    """Newton minimization (see ``newton``) of the step functional from a start
+    no higher than ``j_ref``, its value at x^n.  The iterate stacks the full
+    x and y node arrays; the interior nodes of both are the unknowns."""
+    if j_start > j_ref * (1.0 + 1e-12) + 1e-300:
+        raise NewtonError("warm start above the feasibility cap")
     grid = p.grid
     area = grid.h_x * grid.h_y
-    n = (grid.m_y - 1) * (grid.m_x - 1)
+    shape = grid.node_shape
+    size = shape[0] * shape[1]
     lap = _neg_lap_matrix(grid) * (s * area) if s > 0.0 else None
     inert = sps.diags(np.tile((2.0 * coeff * p.rho0[1:-1, 1:-1] * area).ravel(), 2))
+    interior = np.arange(size).reshape(shape)[1:-1, 1:-1].ravel()
 
-    x, y = x_start.copy(), y_start.copy()
-    jval = _objective_2d(p, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s)
-    if jval > j_cap:
-        raise NewtonError("warm start above the feasibility cap")
-    for _ in range(NEWTON_MAX_ITER):
-        gx, gy = _gradient_2d(p, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s)
-        g = np.concatenate([gx, gy])
-        gnorm = np.max(np.abs(g))
-        floor = 64.0 * np.finfo(float).eps * area * (
-            2.0 * coeff * np.max(p.rho0) * max(1.0, np.max(np.abs(x)), np.max(np.abs(y))) + 1.0)
-        if gnorm <= max(NEWTON_TOL, floor):
-            return x, y
-        hess = discrete_energy_hess_2d(p.model, x, y, p.rho0, grid) * area + inert
+    def split(z):
+        return z[:size].reshape(shape), z[size:].reshape(shape)
+
+    def objective(z):
+        return _objective_2d(p, *split(z), x_hat, y_hat, x_ref, y_ref, coeff, s)
+
+    def gradient(z):
+        return np.concatenate(_gradient_2d(p, *split(z), x_hat, y_hat, x_ref, y_ref, coeff, s))
+
+    def linearize(z):
+        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area + inert
         if lap is not None:
             hess = hess + sps.block_diag([lap, lap])
-        shift = 0.0
-        for attempt in range(8):
-            try:
-                step = spla.spsolve((hess + shift * sps.eye(2 * n)).tocsc(), -g)
-            except RuntimeError:
-                step = None
-            if step is not None and np.all(np.isfinite(step)):
-                if np.dot(step, g) < 1e-10 * np.linalg.norm(step) * np.linalg.norm(g):
-                    break
-            shift = max(1e-8, 4.0 * shift) * (10.0 ** attempt)
-        else:
-            raise NewtonError("could not produce a descent direction")
-        sx = _embed(step[:n].reshape(grid.m_y - 1, grid.m_x - 1), grid)
-        sy = _embed(step[n:].reshape(grid.m_y - 1, grid.m_x - 1), grid)
-        alpha = 1.0
-        slope = np.dot(g, step)
-        noise = 32.0 * np.finfo(float).eps * (abs(jval) + 1.0)
-        accepted = False
-        for _ in range(50):
-            xt = x + alpha * sx
-            yt = y + alpha * sy
-            det = jacobian_det_interior(xt, yt, grid)
-            if np.any(det <= 0.0):
-                alpha *= 0.5
-                continue
-            jt = _objective_2d(p, xt, yt, x_hat, y_hat, x_ref, y_ref, coeff, s)
-            if np.isfinite(jt) and jt <= jval + 1e-4 * alpha * slope + noise:
-                x, y, jval = xt, yt, jt
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            if gnorm <= 1e3 * NEWTON_TOL:
-                return x, y
-            raise NewtonError(f"line search stalled (|g|={gnorm:.3e})")
-    raise NewtonError(f"no convergence in {NEWTON_MAX_ITER} iterations (|g|={gnorm:.3e})")
+
+        def solve(rhs, shift):
+            return spla.spsolve((hess + shift * sps.eye(2 * interior.size)).tocsc(), rhs)
+        return solve, 1e-8
+
+    def tol(z):
+        floor = 64.0 * np.finfo(float).eps * area * (
+            2.0 * coeff * np.max(p.rho0) * max(1.0, np.max(np.abs(z))) + 1.0)
+        return max(NEWTON_TOL, floor)
+
+    z = np.concatenate([x_start.ravel(), y_start.ravel()])
+    z = newton_solve(z, gradient, linearize, objective=objective,
+                     free=np.concatenate([interior, size + interior]), tol=tol,
+                     stall_tol=1e3 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50)
+    return split(z)
 
 
 def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
@@ -318,23 +307,19 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
     y_hat = ((1.0 + r) ** 2 * traj.curr_y - r * r * traj.prev_y) / (1.0 + 2.0 * r)
     coeff = (1.0 + 2.0 * r) / (2.0 * tau_next * (1.0 + r))
     s = p.visc_strength(tau_next)
-    if p.visc_scaling == VISC_TAU_INCREMENT:
-        x_ref, y_ref = traj.curr_x, traj.curr_y
-    else:
-        x_ref = np.zeros_like(traj.curr_x)
-        y_ref = np.zeros_like(traj.curr_y)
+    x_ref, y_ref = _visc_ref(p, traj.curr_x, traj.curr_y)
     j_at_curr = _objective_2d(p, traj.curr_x, traj.curr_y, x_hat, y_hat, x_ref, y_ref, coeff, s)
     # warm start from the explicit output when it does not increase J
-    x0, y0 = traj.curr_x, traj.curr_y
+    x0, y0, j0 = traj.curr_x, traj.curr_y, j_at_curr
     try:
         warm, _ = wgf2d_step_explicit(p, traj, tau_next)
         jw = _objective_2d(p, warm.curr_x, warm.curr_y, x_hat, y_hat, x_ref, y_ref, coeff, s)
         if jw <= j_at_curr:
-            x0, y0 = warm.curr_x, warm.curr_y
+            x0, y0, j0 = warm.curr_x, warm.curr_y, jw
     except (SolverError, AdmissibilityError):
         pass
-    x_new, y_new = _newton_implicit(p, x0, y0, x_hat, y_hat, x_ref, y_ref, coeff, s,
-                                    j_cap=j_at_curr * (1.0 + 1e-12) + 1e-300)
+    x_new, y_new = _implicit_solve(p, x0, y0, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref,
+                                   coeff, s)
     new_traj = Trajectory2D(traj.curr_x, traj.curr_y, x_new, y_new, tau_next,
                             traj.time + tau_next, traj.step_index + 1, p.grid)
     return new_traj, recover_density_2d(x_new, y_new, p.rho0, p.grid)
@@ -347,14 +332,9 @@ def wgf2d_first_step_implicit(p: Wgf2dProblem, tau1: float):
     x0 = p.grid.ref_x.copy()
     y0 = p.grid.ref_y.copy()
     s = p.visc_strength(tau1)
-    if p.visc_scaling == VISC_TAU_INCREMENT:
-        x_ref, y_ref = x0, y0
-    else:
-        x_ref = np.zeros_like(x0)
-        y_ref = np.zeros_like(y0)
+    x_ref, y_ref = _visc_ref(p, x0, y0)
     j0 = _objective_2d(p, x0, y0, x0, y0, x_ref, y_ref, 0.5 / tau1, s)
-    x_new, y_new = _newton_implicit(p, x0, y0, x0, y0, x_ref, y_ref, 0.5 / tau1, s,
-                                    j_cap=j0 * (1.0 + 1e-12) + 1e-300)
+    x_new, y_new = _implicit_solve(p, x0, y0, j0, j0, x0, y0, x_ref, y_ref, 0.5 / tau1, s)
     traj = Trajectory2D(x0, y0, x_new, y_new, tau1, tau1, 1, p.grid)
     return traj, recover_density_2d(x_new, y_new, p.rho0, p.grid)
 

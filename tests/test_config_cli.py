@@ -145,6 +145,17 @@ def test_cli_exit_code_for_tau_collapse(tmp_path, monkeypatch, preset, expected)
     assert main(["run", str(cfg), "--no-plots"]) == expected
 
 
+def test_cli_rejects_vanishing_mobility_as_config_error(tmp_path, capsys):
+    # with an odd mx a midpoint sits on the crest rho0 = 1 of the initial profile
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = ac-interface\nmodel.mobility = degenerate\ngrid.mx = 101\n",
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "model.mobility = degenerate" in err and "grid.mx = 101" in err
+
+
 def test_cli_flag_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = pme-convergence\ngrid.mx = 16\ntime.tau = 0.01\n"

@@ -1,0 +1,194 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from lagflow.errors import AdmissibilityError, NewtonError
+from lagflow.newton import ARMIJO, fraction_to_boundary, newton_solve
+
+NOISE = 32.0 * np.finfo(float).eps
+
+
+@st.composite
+def spd_quadratics(draw, c_min=-3.0, c_max=3.0):
+    """(A, c): a random symmetric positive definite A and a target c."""
+    n = draw(st.integers(2, 8))
+    m = draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
+    c = draw(arrays(np.float64, (n,), elements=st.floats(c_min, c_max)))
+    return m @ m.T + 0.1 * np.eye(n), c
+
+
+def dense_linearize(hessian):
+    def linearize(x):
+        h = hessian(x)
+        return (lambda rhs, shift: np.linalg.solve(h + shift * np.eye(len(rhs)), rhs)), 1e-8
+    return linearize
+
+
+def barrier_problem(a, c, mu):
+    """J(x) = 0.5 (u - c)^T A (u - c) - mu sum log(widths) on nodes 0 < u < 1.
+
+    ``x`` holds the pinned end nodes 0 and 1 around the unknowns u.
+    """
+    def widths(x):
+        w = np.diff(x)
+        if np.any(w <= 0.0):
+            raise AdmissibilityError("nodes out of order")
+        return w
+
+    def objective(x):
+        d = x[1:-1] - c
+        return 0.5 * d @ a @ d - mu * np.sum(np.log(widths(x)))
+
+    def gradient(x):
+        inv = 1.0 / widths(x)
+        return a @ (x[1:-1] - c) + mu * (inv[1:] - inv[:-1])
+
+    def hessian(x):
+        inv2 = 1.0 / widths(x) ** 2
+        h = a + mu * np.diag(inv2[1:] + inv2[:-1])
+        off = -mu * inv2[1:-1]
+        return h + np.diag(off, 1) + np.diag(off, -1)
+
+    return objective, gradient, hessian
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=spd_quadratics(-1.0, 2.0), mu=st.floats(0.1, 1.0))
+def test_converges_inside_the_fraction_to_boundary_bound(problem, mu):
+    # targets outside (0, 1) press the nodes against the barrier
+    a, c = problem
+    objective, gradient, hessian = barrier_problem(a, c, mu)
+    x0 = np.linspace(0.0, 1.0, len(c) + 2)
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return objective(x)
+
+    x = newton_solve(x0, gradient, dense_linearize(hessian), objective=recorded,
+                     free=slice(1, -1), tol=1e-9, stall_tol=1e-7, max_iter=100,
+                     max_backtracks=50, step_bound=fraction_to_boundary)
+    assert x[0] == 0.0 and x[-1] == 1.0
+    assert np.all(np.diff(x) > 0.0)
+    assert np.max(np.abs(gradient(x))) <= 1e-7
+    assert objective(x) <= objective(x0)
+    # the bound keeps every trial admissible
+    assert all(np.diff(t).min() > 0.0 for t in seen)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0))
+def test_accepted_iterates_satisfy_armijo(problem, weight):
+    # J(u) = 0.5 (u - c)^T A (u - c) + w sum sqrt(1 + u^2): full Newton steps
+    # from far away overshoot, so backtracking has to act
+    a, c = problem
+
+    def objective(u):
+        return 0.5 * (u - c) @ a @ (u - c) + weight * np.sum(np.sqrt(1.0 + u * u))
+
+    def gradient(u):
+        return a @ (u - c) + weight * u / np.sqrt(1.0 + u * u)
+
+    def hessian(u):
+        return a + weight * np.diag((1.0 + u * u) ** -1.5)
+
+    accepted = []
+
+    def recorded_gradient(u):
+        accepted.append(u)
+        return gradient(u)
+
+    u0 = np.full(len(c), 40.0)
+    try:
+        newton_solve(u0, recorded_gradient, dense_linearize(hessian), objective=objective,
+                     tol=1e-9, stall_tol=1e-7, max_iter=100, max_backtracks=50)
+    finally:
+        # the gradient is evaluated once at every accepted iterate
+        assert len(accepted) >= 2
+        for prev, new in zip(accepted, accepted[1:]):
+            f = objective(prev)
+            bound = f + ARMIJO * gradient(prev) @ (new - prev) + NOISE * (abs(f) + 1.0)
+            assert objective(new) <= bound
+
+
+@st.composite
+def stalled_problems(draw):
+    """An SPD system whose every trial step is inadmissible, and its g."""
+    a, _ = draw(spd_quadratics())
+    g = draw(arrays(np.float64, (len(a),), elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.max(np.abs(v)) > 0.1))
+    return a, g
+
+
+def _stalling_solve(a, g, gscale, stall_tol):
+    x0 = np.zeros(len(g))
+
+    def objective(x):
+        if np.any(x != x0):
+            raise AdmissibilityError("every trial leaves the admissible set")
+        return 0.0
+
+    return newton_solve(x0, lambda x: gscale * g, dense_linearize(lambda x: a),
+                        objective=objective, tol=1e-12, stall_tol=stall_tol,
+                        max_iter=10, max_backtracks=20)
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=stalled_problems())
+def test_stalled_iterate_within_stall_tolerance_is_returned(problem):
+    a, g = problem
+    x = _stalling_solve(a, g, 1e-6, stall_tol=1e-5)
+    assert np.array_equal(x, np.zeros(len(g)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=stalled_problems())
+def test_stall_above_tolerance_raises(problem):
+    a, g = problem
+    with pytest.raises(NewtonError, match="stalled"):
+        _stalling_solve(a, g, 1e-3, stall_tol=1e-5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=spd_quadratics())
+def test_no_descent_direction_raises(problem):
+    # a strongly concave model: no shift in the schedule makes it descend
+    a, c = problem
+
+    def objective(u):
+        return -1e30 * 0.5 * (u - c) @ a @ (u - c)
+
+    with pytest.raises(NewtonError, match="descent direction"):
+        newton_solve(c + 1.0, lambda u: -1e30 * a @ (u - c),
+                     dense_linearize(lambda u: -1e30 * a), objective=objective,
+                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=50)
+
+
+def test_singular_system_without_shifts_raises():
+    def singular(x):
+        def solve(rhs, shift):
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve, 0.0
+
+    with pytest.raises(NewtonError, match="descent direction"):
+        newton_solve(np.zeros(3), lambda x: np.ones(3), singular, tol=1e-9, stall_tol=1e-7,
+                     max_iter=10, max_backtracks=40, shift_tries=1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(problem=spd_quadratics())
+def test_residual_mode_solves_a_linear_system(problem):
+    # without an objective the merit is ||F||_2 and F(u) = A u - A c is solved
+    a, c = problem
+    u = newton_solve(np.zeros(len(c)), lambda u: a @ (u - c), dense_linearize(lambda u: a),
+                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40, shift_tries=1)
+    assert np.max(np.abs(a @ (u - c))) <= 1e-9
+
+
+def test_fraction_to_boundary_keeps_a_tenth_of_the_narrowest_cell():
+    x = np.array([0.0, 0.5, 1.0, 2.0])
+    step = np.array([0.0, 1.0, -1.0, 0.0])
+    alpha = fraction_to_boundary(x, step)
+    assert np.diff(x + alpha * step).min() == pytest.approx(0.1 * 0.5 + 0.01 * (0.5 - 0.05))
+    assert fraction_to_boundary(x, np.array([0.0, -0.1, 0.0, 0.0])) == 1.0
