@@ -8,7 +8,7 @@ The proposal follows the literal composition
 with q the trajectory change rate (strategy 1, weight gamma) or the energy
 change rate (strategy 2, weight beta).  Note the outer min: when
 r_user * tau_n < tau_min the cap wins and the proposal drops below the
-floor; this is logged, not corrected.
+floor; this is not corrected, but counted per run (``ratio_cap_events``).
 
 A solver that cannot complete a step (determinant loss, Newton failure)
 raises SolverError; the run loop halves the step and retries, aborting only
@@ -77,6 +77,11 @@ class StepHistory:
             raise ValueError("tau must be positive")
 
 
+def _ratio_cap_undercuts(controller: StepController, history: StepHistory) -> bool:
+    """Whether the ratio cap r_user * tau_n puts the proposal below tau_min."""
+    return controller.r_user * history.tau < controller.tau_min
+
+
 def propose_dt(controller: StepController, history: StepHistory) -> float:
     if controller.strategy == STRATEGY_TRAJECTORY:
         q2 = controller.gamma * history.trajectory_rate ** 2
@@ -85,9 +90,9 @@ def propose_dt(controller: StepController, history: StepHistory) -> float:
     base = controller.tau_max / np.sqrt(1.0 + q2)
     cap = controller.r_user * history.tau
     proposal = min(max(controller.tau_min, base), cap)
-    if proposal < controller.tau_min:
-        log.warning("ratio cap pushed the proposal below tau_min (%.3e < %.3e)",
-                    proposal, controller.tau_min)
+    if _ratio_cap_undercuts(controller, history):
+        log.debug("ratio cap pushed the proposal below tau_min (%.3e < %.3e)",
+                  proposal, controller.tau_min)
     if controller.enforce_theory:
         proposal = min(proposal, controller.r_max_theory * history.tau)
     return float(proposal)
@@ -109,6 +114,7 @@ class AdaptiveRunResult:
     boundary_hi: list = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
+    ratio_cap_events: int = 0  # proposals the ratio cap put below tau_min
 
     def append(self, info, tau, ratio, rejections):
         self.times.append(info["time"])
@@ -148,6 +154,7 @@ def run_adaptive(sim, controller: StepController, t_final: float,
             return result
         history = StepHistory(sim.tau_prev, sim.trajectory_rate, sim.energy_rate)
         tau = propose_dt(controller, history)
+        result.ratio_cap_events += int(_ratio_cap_undercuts(controller, history))
         remaining = t_final - sim.time
         # land exactly on t_final without leaving a sliver the schemes cannot
         # integrate: either finish now or split the tail into two even steps

@@ -199,6 +199,8 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"preset {p}: model.theta must lie in [0, 0.25], got {config.theta}")
     if p == "ac-interface" and config.eps_interface <= 0.0:
         raise ConfigError("preset ac-interface: model.eps must be positive")
+    if p == "ac-interface" and config.eta < 0.0:
+        raise ConfigError(f"preset ac-interface: model.eta must be nonnegative, got {config.eta}")
     if p == "ks-2d" and config.m < 1.0:
         raise ConfigError("preset ks-2d: model.m must be at least 1")
     if p in ("ks-blowup-1d", "ks-2d") and config.amplitude <= 0.0:

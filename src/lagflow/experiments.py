@@ -325,6 +325,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
             getattr(partial, name).extend(getattr(rest, name))
         partial.aborted = rest.aborted
         partial.abort_reason = rest.abort_reason
+        partial.ratio_cap_events = rest.ratio_cap_events
         result = partial
 
     record = RunRecord(config, result, sim)
@@ -404,6 +405,7 @@ def write_artifacts(record: RunRecord, target: Path) -> None:
     summary = [f"preset: {record.config.preset}",
                f"accepted steps: {len(result.times)}",
                f"rejections: {result.total_rejections}",
+               f"ratio-cap events: {result.ratio_cap_events}",
                f"final time: {_fmt(result.times[-1] if result.times else 0.0)}",
                f"final energy: {_fmt(result.energies[-1] if result.energies else math.nan)}",
                f"mass drift: {_fmt(record.mass_drift())}",

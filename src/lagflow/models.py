@@ -20,6 +20,11 @@ over partner cells via the antiderivative a log|a| - a, so the kernel
 singularity never needs ad-hoc smoothing; partner positions are lagged one
 time level inside the per-step objective (scheme form) and evaluated
 self-consistently with weight 1/2 when reporting the energy of a state.
+All three orders of that sum (energy, gradient, Hessian) derive from one
+pair matrix a = c - y and its log|a|, taken once per evaluation point: a
+one-entry memo keyed by the values of (midpoints, partner nodes) serves the
+gradient and Hessian that Newton evaluates at the iterate its line search
+just accepted.
 """
 
 from __future__ import annotations
@@ -231,23 +236,52 @@ def _ks_node_weights(rho_cells):
     return w
 
 
-def _ks_kernel(points, nodes, order):
-    """Matrix of antiderivative values a log|a| - a (order 0), log|a| (1) or 1/a (2)."""
-    a = np.asarray(points)[:, None] - np.asarray(nodes)[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if order == 0:
-            out = np.where(a == 0.0, 0.0, a * np.log(np.abs(np.where(a == 0.0, 1.0, a))) - a)
-        elif order == 1:
-            out = np.log(np.abs(a))
-        else:
-            out = 1.0 / a
-    return out
+# (midpoints, partner nodes, a, log|a|) of the last evaluation point; one
+# tuple, so a reader never sees a key with another key's matrices
+_pair_memo = None
+
+
+def _ks_pairs(points, nodes):
+    """a = points_i - nodes_j and log|a| (-inf where a == 0), memoized.
+
+    Keys are compared by value and stored as copies, so an array changed in
+    place after a call is never answered from the memo.
+    """
+    global _pair_memo
+    memo = _pair_memo
+    if memo is not None and np.array_equal(points, memo[0]) and np.array_equal(nodes, memo[1]):
+        return memo[2], memo[3]
+    a = points[:, None] - nodes[None, :]
+    log_abs = np.abs(a)
+    with np.errstate(divide="ignore"):
+        np.log(log_abs, out=log_abs)
+    a.flags.writeable = log_abs.flags.writeable = False  # shared by later callers
+    _pair_memo = (points.copy(), nodes.copy(), a, log_abs)
+    return a, log_abs
 
 
 def _ks1d_sums(points, partner_x, partner_rho, order):
-    """sum_j rho_j * d^order/dc^order int_{cell j} log|c - y| dy at each point c."""
+    """sum_j rho_j * d^order/dc^order int_{cell j} log|c - y| dy at each point c.
+
+    Order 0 sums the antiderivative a log|a| - a (0 at a = 0), order 1
+    log|a| and order 2 1/a, all from one memoized (a, log|a|).
+    """
+    points = np.asarray(points, dtype=float)
     w = _ks_node_weights(np.asarray(partner_rho, dtype=float))
-    return _ks_kernel(points, partner_x, order) @ w
+    a, log_abs = _ks_pairs(points, np.asarray(partner_x, dtype=float))
+    if order == 1:
+        return log_abs @ w
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order == 2:
+            return (1.0 / a) @ w
+        anti = a * log_abs
+    anti -= a
+    out = anti @ w
+    if np.isnan(out).any():
+        # 0 * log 0 at a point that sits on a partner node
+        anti[a == 0.0] = 0.0
+        out = anti @ w
+    return out
 
 
 def ks1d_interaction_energy(x, rho0, grid: Grid1D, partner_x=None, partner_rho=None,

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -125,6 +126,21 @@ def test_run_adaptive_stall_rule():
     assert result.aborted
     assert "collapsed" in result.abort_reason
     assert len(result.taus) == 5
+
+
+def test_ratio_cap_events_counted_not_warned(caplog):
+    # r_user * tau_n < tau_min on every step after the first rejection cascade
+    c = controller(tau_min=1e-3, tau_max=1e-2, r_user=1.5)
+    sim = SyntheticSim(tau_star=2e-4, tau0=1e-3)
+    with caplog.at_level(logging.DEBUG, logger="lagflow"):
+        result = run_adaptive(sim, c, t_final=5e-3)
+    assert not result.aborted
+    previous = [1e-3] + result.taus[:-1]
+    expected = sum(1.5 * tau < 1e-3 for tau in previous)
+    assert expected == len(result.taus) - 1 > 10
+    assert result.ratio_cap_events == expected
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert sum("ratio cap" in r.getMessage() for r in caplog.records) == expected
 
 
 def test_stability_margin_identities():

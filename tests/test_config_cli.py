@@ -156,6 +156,14 @@ def test_cli_rejects_vanishing_mobility_as_config_error(tmp_path, capsys):
     assert "model.mobility = degenerate" in err and "grid.mx = 101" in err
 
 
+def test_cli_rejects_negative_eta_as_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = ac-interface\nmodel.eta = -0.1\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "model.eta" in err
+
+
 def test_cli_flag_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = pme-convergence\ngrid.mx = 16\ntime.tau = 0.01\n"

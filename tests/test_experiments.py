@@ -28,6 +28,22 @@ def test_ac_interface_adaptive_smoke(tmp_path):
     assert (tmp_path / "ac-interface" / "timestep.svg").exists()
 
 
+def test_ratio_cap_events_in_summary(tmp_path):
+    # start ten times below tau_min: the ratio cap binds until r_user tau_n >= tau_min
+    config = preset_defaults("ac-interface")
+    config.mx = 32
+    config.t_final = 0.02
+    config.tau1 = config.tau2 = 1e-4
+    config.plots = False
+    record = run_experiment(config, out_dir=str(tmp_path))
+    taus = record.result.taus
+    expected = sum(config.r_user * taus[k - 1] < config.tau_min for k in range(2, len(taus)))
+    assert expected == 5
+    assert record.result.ratio_cap_events == expected
+    summary = (tmp_path / "ac-interface" / "summary.txt").read_text(encoding="utf-8")
+    assert f"ratio-cap events: {expected}\n" in summary
+
+
 def test_waiting_time_adaptive_steps_grow():
     # the trajectory-change strategy lets the step grow once the free
     # boundary is moving and the bulk rearrangement slows

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+import lagflow.models as models
 from lagflow.grids import Grid1D, Grid2D
 from lagflow.models import (ConstantMobility, DegenerateMobility, FokkerPlanck,
                             GinzburgLandau, KellerSegel1D, KellerSegel2D, PorousMedium,
@@ -166,6 +171,103 @@ def test_ks_interaction_matches_bracket_transcription():
     bracket_form = entropy - g.h / (2.0 * np.pi) * bracket
     mass = float(np.sum(rho0 * g.h))
     assert mine == pytest.approx(bracket_form - mass ** 2 / (2.0 * np.pi), rel=1e-12)
+
+
+def _ks_kernel(points, nodes, order):
+    """Dense matrix of a log|a| - a (order 0), log|a| (1) or 1/a (2), a = c_i - y_j:
+    the kernel as it was built before the memo, kept as the oracle."""
+    a = np.asarray(points)[:, None] - np.asarray(nodes)[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if order == 0:
+            out = np.where(a == 0.0, 0.0, a * np.log(np.abs(np.where(a == 0.0, 1.0, a))) - a)
+        elif order == 1:
+            out = np.log(np.abs(a))
+        else:
+            out = 1.0 / a
+    return out
+
+
+def _oracle_sums(points, partner_x, partner_rho, order):
+    w = models._ks_node_weights(np.asarray(partner_rho, dtype=float))
+    return _ks_kernel(points, partner_x, order) @ w
+
+
+def _ks_quantities(x, rho0, g, lag_x, lag_rho):
+    """Orders 0/1/2 of the sums, then energy, gradient and Hessian bands."""
+    model = KellerSegel1D()
+    mids = 0.5 * (x[:-1] + x[1:])
+    partner_x = x if lag_x is None else lag_x
+    partner_rho = rho0 * g.h / np.diff(x) if lag_x is None else lag_rho
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ([models._ks1d_sums(mids, partner_x, partner_rho, k) for k in (0, 1, 2)]
+                + [discrete_energy_1d(model, x, rho0, g, lag_x, lag_rho),
+                   discrete_energy_grad_1d(model, x, rho0, g, lagged_x=lag_x,
+                                           lagged_rho=lag_rho),
+                   *discrete_energy_hess_1d(model, x, rho0, g, lag_x, lag_rho)])
+
+
+def _assert_ks_matches_oracle(x, rho0, g, lag_x=None, lag_rho=None):
+    got = _ks_quantities(x, rho0, g, lag_x, lag_rho)
+    with mock.patch.object(models, "_ks1d_sums", _oracle_sums):
+        want = _ks_quantities(x, rho0, g, lag_x, lag_rho)
+    for value, ref in zip(got, want):
+        ref = np.atleast_1d(ref)
+        # infinities (a point on a partner node) must sit in the same places
+        scale = np.max(np.abs(ref[np.isfinite(ref)]), initial=0.0) or 1.0
+        np.testing.assert_allclose(value, ref, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mx=st.sampled_from([7, 8, 33]), partner=st.sampled_from(["lagged", "x", "self"]),
+       coincide=st.booleans(),
+       shifts=arrays(np.float64, (3, 34), elements=st.floats(-0.3, 0.3)))
+def test_ks1d_sums_match_dense_kernel(mx, partner, coincide, shifts):
+    g = Grid1D(-1.0, 1.0, mx)
+    x = g.nodes + g.h * shifts[0, : mx + 1]
+    x[0], x[-1] = g.x_min, g.x_max
+    rho0 = 1.0 + shifts[1, :mx]
+    lag_x = lag_rho = None
+    if partner == "x":
+        lag_x = x.copy()
+    elif partner == "lagged":
+        lag_x = g.nodes + g.h * shifts[2, : mx + 1]
+        lag_x[0], lag_x[-1] = g.x_min, g.x_max
+        if coincide:
+            # one midpoint of x sits exactly on a partner node
+            k = mx // 2
+            lag_x[k] = 0.5 * (x[k] + x[k + 1])
+            assume(np.all(np.diff(lag_x) > 0.0))
+    if lag_x is not None:
+        lag_rho = rho0 * g.h / np.diff(lag_x)
+    _assert_ks_matches_oracle(x, rho0, g, lag_x, lag_rho)
+
+
+def test_ks1d_memo_never_answers_for_a_changed_array():
+    g = Grid1D(-1.0, 1.0, 8)
+    x1, rng = random_admissible_1d(g, 21)
+    x2, _ = random_admissible_1d(g, 22)
+    rho0 = rng.uniform(0.4, 1.4, 8)
+    # self-consistent: x1 is both the evaluation point and the partner
+    _assert_ks_matches_oracle(x1, rho0, g)
+    _assert_ks_matches_oracle(x2, rho0, g)
+    _assert_ks_matches_oracle(x1, rho0, g)
+    x1[1:-1] += 0.1 * g.h
+    _assert_ks_matches_oracle(x1, rho0, g)
+    # a lagged partner changed in place after a call
+    lag_x = x2.copy()
+    lag_rho = rho0 * g.h / np.diff(lag_x)
+    _assert_ks_matches_oracle(x1, rho0, g, lag_x, lag_rho)
+    lag_x[1:-1] -= 0.1 * g.h
+    _assert_ks_matches_oracle(x1, rho0, g, lag_x, lag_rho)
+    # the sums themselves, with both key arrays changed in place
+    points = 0.5 * (x1[:-1] + x1[1:])
+    for order in (0, 1, 2):
+        models._ks1d_sums(points, lag_x, lag_rho, order)
+        points += 0.01 * g.h
+        lag_x[1:-1] += 0.01 * g.h
+        np.testing.assert_allclose(models._ks1d_sums(points, lag_x, lag_rho, order),
+                                   _oracle_sums(points, lag_x, lag_rho, order),
+                                   rtol=1e-12, atol=0.0)
 
 
 def test_mobility_positivity_check():
