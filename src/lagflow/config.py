@@ -126,7 +126,11 @@ def preset_defaults(preset: str) -> ExperimentConfig:
 
 def _coerce(field: dataclasses.Field, raw: str):
     if field.type in ("float", float):
-        return float(raw)
+        value = float(raw)
+        if not math.isfinite(value):
+            # nan compares False with every bound, so it would slip past validation
+            raise ValueError(f"not a finite number: {raw.strip()!r}")
+        return value
     if field.type in ("int", int):
         return int(raw)
     if field.type in ("bool", bool):
@@ -203,6 +207,12 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError(f"preset ac-interface: model.eta must be nonnegative, got {config.eta}")
     if p == "ks-2d" and config.m < 1.0:
         raise ConfigError("preset ks-2d: model.m must be at least 1")
+    if p == "ks-2d" and config.nu < 0.0:
+        raise ConfigError(f"preset ks-2d: model.nu must be nonnegative, got {config.nu}")
+    if p == "ks-2d" and config.scheme == "implicit":
+        # the interaction Hessian is dense, so the 2D schemes treat it explicitly only
+        raise ConfigError("preset ks-2d: scheme = implicit is not supported for the "
+                          "Keller-Segel interaction; use scheme = explicit")
     if p in ("ks-blowup-1d", "ks-2d") and config.amplitude <= 0.0:
         raise ConfigError(f"preset {p}: model.amplitude must be positive")
     if config.eps_visc < 0.0:

@@ -25,6 +25,13 @@ pair matrix a = c - y and its log|a|, taken once per evaluation point: a
 one-entry memo keyed by the values of (midpoints, partner nodes) serves the
 gradient and Hessian that Newton evaluates at the iterate its line search
 just accepted.
+
+The 2D interaction is an exact direct sum over the N nodes that carry mass.
+Its pair matrix r2_ij = |p_i - p_j|^2 is symmetric, so the energy and the
+force walk only its upper block strips (``_STRIP`` rows each, sized for the
+L2 cache): the energy counts the columns right of each strip's diagonal
+block twice, and the antisymmetric force adds each strip's transpose to the
+rows below it.
 """
 
 from __future__ import annotations
@@ -437,60 +444,88 @@ def _deformation_state(x, y, rho0, grid: Grid2D):
     return det, s
 
 
-def _interaction_state_2d(model, rho0, grid: Grid2D):
+def _interaction_nodes(x, y, rho0, grid: Grid2D):
+    """Mask of the nodes that carry mass, and their positions and masses."""
     masses = (np.asarray(rho0) * grid.h_x * grid.h_y).ravel()
     keep = masses > 0.0
-    return masses, keep
+    return keep, np.asarray(x).ravel()[keep], np.asarray(y).ravel()[keep], masses[keep]
 
 
-_PAIR_CHUNK = 512  # rows of the pairwise kernel evaluated at a time
+_STRIP = 32  # rows per block strip of the 2D pair matrix: 1.1 MB of float64 at 64^2
+
+
+def _upper_strips(px, py, diagonal: float):
+    """Walk the upper block strips of the symmetric matrix r2_ij = |p_i - p_j|^2.
+
+    Yields (lo, hi, r2) with r2[k, j] = r2 of rows lo + k and columns lo + j,
+    for the rows lo:hi and the columns lo:, so every pair appears once in
+    exactly one strip except those inside the diagonal block rows lo:hi x
+    columns lo:hi, which appear in both orders.  The diagonal r2_ii is set to
+    ``diagonal``.  ``r2`` is a view of a buffer reused by the next strip; the
+    caller may overwrite it.
+    """
+    n = px.size
+    r2_buf = np.empty(min(_STRIP, n) * n)
+    d_buf = np.empty_like(r2_buf)
+    for lo in range(0, n, _STRIP):
+        hi = min(lo + _STRIP, n)
+        rows = hi - lo
+        r2 = r2_buf[:rows * (n - lo)].reshape(rows, n - lo)
+        d = d_buf[:r2.size].reshape(r2.shape)
+        np.subtract(px[lo:hi, None], px[None, lo:], out=d)
+        np.multiply(d, d, out=r2)
+        np.subtract(py[lo:hi, None], py[None, lo:], out=d)
+        d *= d
+        r2 += d
+        np.fill_diagonal(r2, diagonal)
+        yield lo, hi, r2
 
 
 def ks2d_interaction_energy(model: KellerSegel2D, x, y, rho0, grid: Grid2D) -> float:
     """Pairwise log-kernel energy over nodes; the self term integrates the
-    kernel over a disk of one reference cell's area."""
-    masses, keep = _interaction_state_2d(model, rho0, grid)
-    px = np.asarray(x).ravel()[keep]
-    py = np.asarray(y).ravel()[keep]
-    m = masses[keep]
-    n = m.size
+    kernel over a disk of one reference cell's area.
+
+    The double sum sum_ij m_i m_j log r2_ij runs over the upper block strips
+    of the symmetric pair matrix: each strip counts its diagonal block once
+    and the columns right of it twice.
+    """
+    _, px, py, m = _interaction_nodes(x, y, rho0, grid)
     total = 0.0
-    for lo in range(0, n, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n)
-        dx = px[lo:hi, None] - px[None, :]
-        dy = py[lo:hi, None] - py[None, :]
-        r2 = dx * dx + dy * dy
-        r2[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 1.0
-        total += float(m[lo:hi] @ (0.5 * np.log(r2)) @ m)
-    total *= 0.25 / np.pi
+    for lo, hi, r2 in _upper_strips(px, py, 1.0):
+        log_r2 = np.log(r2, out=r2)
+        rows = hi - lo
+        row_sums = log_r2[:, :rows] @ m[lo:hi] + 2.0 * (log_r2[:, rows:] @ m[hi:])
+        total += float(m[lo:hi] @ row_sums)
+    total *= 0.125 / np.pi
     a_eq = np.sqrt(grid.h_x * grid.h_y / np.pi)
     total += 0.25 / np.pi * float(np.sum(m * m)) * (np.log(a_eq) - 0.5)
     return total
 
 
 def ks2d_interaction_force(model: KellerSegel2D, x, y, rho0, grid: Grid2D):
-    """Scheme-scaled interaction gradient rho0 * sum_j m_j W'(x_i - x_j)."""
-    masses, keep = _interaction_state_2d(model, rho0, grid)
+    """Scheme-scaled interaction gradient rho0 * sum_j m_j W'(x_i - x_j).
+
+    With w_ij = 1 / r2_ij (w_ii = 0) the sum is
+    a_i = x_i sum_j m_j w_ij - sum_j m_j x_j w_ij, and likewise in y, so each
+    upper block strip of w makes one matrix product with the stacked moments
+    [m, m x, m y] for its own rows and one with its transpose for the rows
+    below it.  Positions are taken relative to the centre of mass, which
+    keeps the cancellation in a_i independent of where the cloud sits.
+    """
+    keep, px, py, m = _interaction_nodes(x, y, rho0, grid)
+    cx = px - float(m @ px) / float(np.sum(m))
+    cy = py - float(m @ py) / float(np.sum(m))
+    moments = np.stack([m, m * cx, m * cy], axis=1)
+    sums = np.zeros_like(moments)
+    for lo, hi, r2 in _upper_strips(px, py, np.inf):
+        w = np.divide(1.0, r2, out=r2)
+        sums[lo:hi] += w @ moments[lo:]
+        sums[hi:] += w[:, hi - lo:].T @ moments[lo:hi]
     shape = np.asarray(x).shape
-    px = np.asarray(x).ravel()[keep]
-    py = np.asarray(y).ravel()[keep]
-    m = masses[keep]
-    n = m.size
-    ax = np.empty(n)
-    ay = np.empty(n)
-    for lo in range(0, n, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n)
-        dx = px[lo:hi, None] - px[None, :]
-        dy = py[lo:hi, None] - py[None, :]
-        r2 = dx * dx + dy * dy
-        r2[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 1.0
-        inv = m / r2
-        ax[lo:hi] = np.einsum("ij,ij->i", dx, inv)
-        ay[lo:hi] = np.einsum("ij,ij->i", dy, inv)
     fx = np.zeros(shape[0] * shape[1])
     fy = np.zeros_like(fx)
-    fx[keep] = ax * m / (2.0 * np.pi)
-    fy[keep] = ay * m / (2.0 * np.pi)
+    fx[keep] = (cx * sums[:, 0] - sums[:, 1]) * m / (2.0 * np.pi)
+    fy[keep] = (cy * sums[:, 0] - sums[:, 2]) * m / (2.0 * np.pi)
     scale = grid.h_x * grid.h_y
     return fx.reshape(shape) / scale, fy.reshape(shape) / scale
 

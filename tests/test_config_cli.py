@@ -164,6 +164,39 @@ def test_cli_rejects_negative_eta_as_config_error(tmp_path, capsys):
     assert "configuration error" in err and "model.eta" in err
 
 
+def test_cli_rejects_negative_nu_as_config_error(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = ks-2d\nmodel.nu = -1\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "model.nu" in err
+
+
+def test_cli_rejects_implicit_scheme_on_ks2d(tmp_path, capsys):
+    # the 2D Hessian leaves out the dense interaction, so only the explicit scheme applies
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = ks-2d\nscheme = implicit\ngrid.mx = 16\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert "ks-2d" in err and "scheme = implicit" in err
+
+
+@pytest.mark.parametrize("key", ["time.t_final", "time.tau", "model.m", "controller.tau_max"])
+@pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity"])
+def test_non_finite_floats_rejected(key, raw):
+    with pytest.raises(ConfigError, match=f"key '{key}'.*finite"):
+        parse_config(f"preset = pme-convergence\n{key} = {raw}")
+
+
+def test_cli_rejects_nan_t_final(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("preset = pme-convergence\ntime.t_final = nan\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    assert "time.t_final" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_flag_overrides(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("preset = pme-convergence\ngrid.mx = 16\ntime.tau = 0.01\n"

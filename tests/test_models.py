@@ -388,3 +388,135 @@ def test_hessian_2d_matches_fd():
         fm[comp][i + 1, j + 1] -= eps
         h_fd[:, k] = (grad_vec(*fp) - grad_vec(*fm)) / (2 * eps)
     assert np.allclose(h, h_fd, rtol=1e-5, atol=1e-6)
+
+
+def _ks2d_chunked_energy(model, x, y, rho0, grid):
+    """Both halves of the pair matrix, 512 rows at a time: the 2D interaction
+    energy as it was summed before the symmetric strips, kept as the oracle."""
+    masses = (np.asarray(rho0) * grid.h_x * grid.h_y).ravel()
+    keep = masses > 0.0
+    px = np.asarray(x).ravel()[keep]
+    py = np.asarray(y).ravel()[keep]
+    m = masses[keep]
+    n = m.size
+    total = 0.0
+    for lo in range(0, n, 512):
+        hi = min(lo + 512, n)
+        dx = px[lo:hi, None] - px[None, :]
+        dy = py[lo:hi, None] - py[None, :]
+        r2 = dx * dx + dy * dy
+        r2[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 1.0
+        total += float(m[lo:hi] @ (0.5 * np.log(r2)) @ m)
+    total *= 0.25 / np.pi
+    a_eq = np.sqrt(grid.h_x * grid.h_y / np.pi)
+    total += 0.25 / np.pi * float(np.sum(m * m)) * (np.log(a_eq) - 0.5)
+    return total
+
+
+def _ks2d_chunked_force(model, x, y, rho0, grid):
+    """The 2D interaction force from elementwise row sums, kept as the oracle."""
+    masses = (np.asarray(rho0) * grid.h_x * grid.h_y).ravel()
+    keep = masses > 0.0
+    shape = np.asarray(x).shape
+    px = np.asarray(x).ravel()[keep]
+    py = np.asarray(y).ravel()[keep]
+    m = masses[keep]
+    n = m.size
+    ax = np.empty(n)
+    ay = np.empty(n)
+    for lo in range(0, n, 512):
+        hi = min(lo + 512, n)
+        dx = px[lo:hi, None] - px[None, :]
+        dy = py[lo:hi, None] - py[None, :]
+        r2 = dx * dx + dy * dy
+        r2[np.arange(lo, hi) - lo, np.arange(lo, hi)] = 1.0
+        inv = m / r2
+        ax[lo:hi] = np.einsum("ij,ij->i", dx, inv)
+        ay[lo:hi] = np.einsum("ij,ij->i", dy, inv)
+    fx = np.zeros(shape[0] * shape[1])
+    fy = np.zeros_like(fx)
+    fx[keep] = ax * m / (2.0 * np.pi)
+    fy[keep] = ay * m / (2.0 * np.pi)
+    scale = grid.h_x * grid.h_y
+    return fx.reshape(shape) / scale, fy.reshape(shape) / scale
+
+
+# strip counts of the mass-carrying nodes: inside one strip, whole strips, a remainder
+_KS2D_NODE_COUNTS = [models._STRIP // 2 + 1, models._STRIP, 3 * models._STRIP,
+                     2 * models._STRIP + models._STRIP // 3 + 1]
+_KS2D_SIDE = int(np.ceil(np.sqrt(3 * models._STRIP + 9)))  # nodes per grid side
+
+
+def _assert_ks2d_matches_oracle(x, y, rho0, g):
+    model = KellerSegel2D()
+    energy = models.ks2d_interaction_energy(model, x, y, rho0, g)
+    want = _ks2d_chunked_energy(model, x, y, rho0, g)
+    assert energy == pytest.approx(want, rel=1e-12, abs=0.0)
+    got = models.ks2d_interaction_force(model, x, y, rho0, g)
+    ref = _ks2d_chunked_force(model, x, y, rho0, g)
+    scale = max(np.max(np.abs(ref[0])), np.max(np.abs(ref[1])))
+    for value, oracle in zip(got, ref):
+        np.testing.assert_allclose(value, oracle, rtol=0.0, atol=1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(count=st.sampled_from(_KS2D_NODE_COUNTS),
+       order=st.permutations(range(_KS2D_SIDE ** 2)),
+       density=arrays(np.float64, (_KS2D_SIDE, _KS2D_SIDE), elements=st.floats(0.1, 2.0)),
+       shifts=arrays(np.float64, (2, _KS2D_SIDE, _KS2D_SIDE), elements=st.floats(-0.25, 0.25)))
+def test_ks2d_strip_sums_match_chunked_oracle(count, order, density, shifts):
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, _KS2D_SIDE - 1, _KS2D_SIDE - 1)
+    rho0 = density.copy()
+    # zero-mass nodes drop out through the keep mask, wherever they sit
+    rho0.ravel()[np.asarray(order[count:], dtype=int)] = 0.0
+    x = g.ref_x + g.h_x * shifts[0]
+    y = g.ref_y + g.h_y * shifts[1]
+    for a, ref in ((x, g.ref_x), (y, g.ref_y)):
+        a[0, :], a[-1, :], a[:, 0], a[:, -1] = ref[0, :], ref[-1, :], ref[:, 0], ref[:, -1]
+    assert np.count_nonzero(rho0) == count
+    _assert_ks2d_matches_oracle(x, y, rho0, g)
+
+
+def _ks2d_cloud(seed):
+    # more than one strip of mass-carrying nodes, a few without mass
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 10)
+    x, y, rng = random_admissible_2d(g, seed)
+    rho0 = rng.uniform(0.3, 1.2, g.node_shape)
+    rho0[rng.random(g.node_shape) < 0.1] = 0.0
+    assert np.count_nonzero(rho0) > 2 * models._STRIP
+    return g, x, y, rho0
+
+
+def test_ks2d_forces_obey_newtons_third_law():
+    g, x, y, rho0 = _ks2d_cloud(31)
+    for f in models.ks2d_interaction_force(KellerSegel2D(), x, y, rho0, g):
+        # the pair forces cancel: sum_i m_i a_i = 0 up to rounding
+        assert abs(np.sum(f)) <= 1e-13 * np.sum(np.abs(f))
+
+
+def test_ks2d_interaction_invariant_under_translation():
+    g, x, y, rho0 = _ks2d_cloud(32)
+    model = KellerSegel2D()
+    energy = models.ks2d_interaction_energy(model, x, y, rho0, g)
+    force = models.ks2d_interaction_force(model, x, y, rho0, g)
+    scale = max(np.max(np.abs(force[0])), np.max(np.abs(force[1])))
+    for shift in ((0.37, -1.3), (-25.0, 8.0)):
+        xs, ys = x + shift[0], y + shift[1]
+        assert models.ks2d_interaction_energy(model, xs, ys, rho0, g) == pytest.approx(
+            energy, rel=1e-12, abs=0.0)
+        for value, ref in zip(models.ks2d_interaction_force(model, xs, ys, rho0, g), force):
+            np.testing.assert_allclose(value, ref, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_ks2d_interaction_swap_symmetry():
+    g, x, y, rho0 = _ks2d_cloud(33)
+    g_swap = Grid2D(g.y_min, g.y_max, g.x_min, g.x_max, g.m_y, g.m_x)
+    model = KellerSegel2D()
+    energy = models.ks2d_interaction_energy(model, x, y, rho0, g)
+    assert models.ks2d_interaction_energy(model, y.T, x.T, rho0.T, g_swap) == pytest.approx(
+        energy, rel=1e-12, abs=0.0)
+    fx, fy = models.ks2d_interaction_force(model, x, y, rho0, g)
+    fx2, fy2 = models.ks2d_interaction_force(model, y.T, x.T, rho0.T, g_swap)
+    scale = max(np.max(np.abs(fx)), np.max(np.abs(fy)))
+    np.testing.assert_allclose(fx2, fy.T, rtol=0.0, atol=1e-12 * scale)
+    np.testing.assert_allclose(fy2, fx.T, rtol=0.0, atol=1e-12 * scale)
