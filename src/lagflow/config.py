@@ -104,14 +104,14 @@ PRESETS = {
     "ks-blowup-1d": dict(amplitude=5.0 * math.pi, mx=800, t_final=6.0, mode="adaptive",
                          strategy=2, beta=1e-2, tau_min=1e-4, tau_max=1e-2, r_user=3.5,
                          tau1=1e-4, tau2=1e-4, seed=9),
-    "barenblatt-2d": dict(m=2.0, mx=64, my=64, eps_visc=0.5, t_final=2.0, mode="adaptive",
+    "barenblatt-2d": dict(m=2.0, mx=64, eps_visc=0.5, t_final=2.0, mode="adaptive",
                           strategy=2, beta=1e-2, tau_min=1e-4, tau_max=1e-2, r_user=1.25,
                           tau1=1e-2, tau2=1e-2, scheme="explicit",
                           visc_scaling="tau-sq-absolute", seed=11),
-    "pme-nonradial-2d": dict(m=3.0, mx=64, my=64, eps_visc=100.0, t_final=0.6,
+    "pme-nonradial-2d": dict(m=3.0, mx=64, eps_visc=100.0, t_final=0.6,
                              mode="fixed", tau=4e-3, scheme="explicit",
                              visc_scaling="tau-sq-absolute", seed=13),
-    "ks-2d": dict(amplitude=1.0, nu=1.0, m=1.0, mx=64, my=64, eps_visc=0.1,
+    "ks-2d": dict(amplitude=1.0, nu=1.0, m=1.0, mx=64, eps_visc=0.1,
                   t_final=0.2, mode="adaptive", strategy=2, beta=1e-2,
                   tau_min=1e-4, tau_max=1e-2, r_user=1.5, tau1=1e-4, tau2=1e-4,
                   scheme="explicit", visc_scaling="tau-sq-absolute", seed=17),

@@ -37,7 +37,8 @@ rows below it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from functools import lru_cache
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 import scipy.sparse as sps
@@ -585,68 +586,91 @@ def discrete_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D):
     return gx, gy
 
 
-def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps.csr_matrix:
-    """Sparse Hessian of sum F(rho0/det) det over stacked interior unknowns [x; y].
+# second derivatives of the bilinear determinant, in units of 1/(4 hx hy), as
+# (stencil slot, stencil slot, sign): (x_X, y_Y) pairs carry +1, (y_X, x_Y) pairs -1
+_DET_PAIRS = ((0, 7, -1.0), (0, 6, 1.0), (1, 7, 1.0), (1, 6, -1.0),
+              (4, 3, 1.0), (4, 2, -1.0), (5, 3, -1.0), (5, 2, 1.0))
 
-    Interaction models are excluded: their Hessian is dense, and the 2D
-    schemes only ever treat the interaction explicitly.
+
+class _HessPattern(NamedTuple):
+    gather: np.ndarray   # positions in the per-node value list, in CSR order
+    starts: np.ndarray   # reduceat offsets: first gathered entry of each stored entry
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+@lru_cache(maxsize=8)
+def _hess_2d_pattern(my1: int, mx1: int) -> _HessPattern:
+    """Sparsity of ``discrete_energy_hess_2d`` on an (my1, mx1) interior.
+
+    Each interior node contributes 80 entries: the 64 products of its eight
+    stencil unknowns, then the 16 determinant second derivatives of
+    ``_DET_PAIRS``, each pair in both orders.  Entries that touch the
+    boundary ring are dropped; the rest are put in CSR order (stable, so
+    duplicates are summed in value-list order).  The arrays are read-only.
     """
-    _check_2d_model(model)
-    if isinstance(model, KellerSegel2D):
-        raise ValueError("implicit Hessian is only available for interaction-free models")
-    det, s = _deformation_state(x, y, rho0, grid)
-    p = _pressure(model, s)
-    # d/d(det) of G(rho0/det) = -G'(s) s / det
-    pp = -_pressure_deriv(model, s) * s / det
-    hx, hy = grid.h_x, grid.h_y
-    my1, mx1 = det.shape  # (m_y - 1, m_x - 1)
     n_int = my1 * mx1
-    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
-
+    size = 2 * n_int
     ii, jj = np.meshgrid(np.arange(1, my1 + 1), np.arange(1, mx1 + 1), indexing="ij")
 
     def dof(i, j, comp):
         # interior unknown index or -1 for boundary ring
         inside = (i >= 1) & (i <= my1) & (j >= 1) & (j <= mx1)
-        idx = (i - 1) * mx1 + (j - 1) + comp * n_int
-        return np.where(inside, idx, -1).ravel()
+        return np.where(inside, (i - 1) * mx1 + (j - 1) + comp * n_int, -1).ravel()
 
     # stencil order: xW xE xS xN yW yE yS yN
     cols = np.stack([
         dof(ii, jj - 1, 0), dof(ii, jj + 1, 0), dof(ii - 1, jj, 0), dof(ii + 1, jj, 0),
         dof(ii, jj - 1, 1), dof(ii, jj + 1, 1), dof(ii - 1, jj, 1), dof(ii + 1, jj, 1),
     ])
+    slots = [(a, b) for a in range(8) for b in range(8)]
+    slots += [pair for a, b, _ in _DET_PAIRS for pair in ((a, b), (b, a))]
+    rows = np.concatenate([cols[a] for a, _ in slots])
+    colsc = np.concatenate([cols[b] for _, b in slots])
+    gather = np.flatnonzero((rows >= 0) & (colsc >= 0))
+    keys = rows[gather] * size + colsc[gather]
+    order = np.argsort(keys, kind="stable")
+    gather, keys = gather[order], keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(keys[starts] // size, minlength=size))])
+    pattern = _HessPattern(gather, starts, keys[starts] % size, indptr)
+    for arr in pattern:
+        arr.flags.writeable = False
+    return pattern
+
+
+def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps.csr_matrix:
+    """Sparse Hessian of sum F(rho0/det) det over stacked interior unknowns [x; y].
+
+    Interaction models are excluded: their Hessian is dense, and the 2D
+    schemes only ever treat the interaction explicitly.  The sparsity
+    pattern is built once per interior shape (``_hess_2d_pattern``); each
+    call computes the values only.
+    """
+    _check_2d_model(model)
+    if isinstance(model, KellerSegel2D):
+        raise ValueError("implicit Hessian is only available for interaction-free models")
+    det, s = _deformation_state(x, y, rho0, grid)
+    p = _pressure(model, s).ravel()
+    # d/d(det) of G(rho0/det) = -G'(s) s / det
+    pp = (-_pressure_deriv(model, s) * s / det).ravel()
+    hx, hy = grid.h_x, grid.h_y
+    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
+    pattern = _hess_2d_pattern(*det.shape)
+    # d(det)/d(stencil unknown), in stencil order
     grad = np.stack([
         (-y_y / (2.0 * hx)).ravel(), (y_y / (2.0 * hx)).ravel(),
         (y_x / (2.0 * hy)).ravel(), (-y_x / (2.0 * hy)).ravel(),
         (x_y / (2.0 * hx)).ravel(), (-x_y / (2.0 * hx)).ravel(),
         (-x_x / (2.0 * hy)).ravel(), (x_x / (2.0 * hy)).ravel(),
     ])
-
-    rows_o = np.repeat(cols, 8, axis=0).ravel()
-    cols_o = np.tile(cols, (8, 1)).ravel()
-    vals_o = (pp.ravel()[None, :] * np.einsum("ik,jk->ijk", grad, grad).reshape(64, -1)).ravel()
-
+    outer = (grad[:, None, :] * grad[None, :, :]).reshape(64, -1) * pp
     k = 1.0 / (4.0 * hx * hy)
-    # second derivatives of the bilinear determinant: (x_X, y_Y) pairs carry +1,
-    # (y_X, x_Y) pairs carry -1
-    pair_idx = [(0, 7, -k), (0, 6, k), (1, 7, k), (1, 6, -k),
-                (4, 3, k), (4, 2, -k), (5, 3, -k), (5, 2, k)]
-    rows_b, cols_b, vals_b = [], [], []
-    pflat = p.ravel()
-    for a, b, w in pair_idx:
-        rows_b.append(cols[a])
-        cols_b.append(cols[b])
-        vals_b.append(np.full(n_int, w) * pflat)
-        rows_b.append(cols[b])
-        cols_b.append(cols[a])
-        vals_b.append(np.full(n_int, w) * pflat)
-    rows = np.concatenate([rows_o, np.concatenate(rows_b)])
-    colsc = np.concatenate([cols_o, np.concatenate(cols_b)])
-    vals = np.concatenate([vals_o, np.concatenate(vals_b)])
-    keep = (rows >= 0) & (colsc >= 0)
-    h = sps.coo_matrix((vals[keep], (rows[keep], colsc[keep])), shape=(2 * n_int, 2 * n_int))
-    return h.tocsr()
+    signs = np.repeat([sign * k for _, _, sign in _DET_PAIRS], 2)
+    vals = np.concatenate([outer.ravel(), (signs[:, None] * p).ravel()])
+    data = np.add.reduceat(vals[pattern.gather], pattern.starts)
+    size = 2 * p.size
+    return sps.csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size), copy=True)
 
 
 # --- phase-field energy ----------------------------------------------------

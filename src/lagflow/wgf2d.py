@@ -14,6 +14,15 @@ with the shared damped-Newton core (``newton``), whose backtracking halves
 any trial with a non-positive determinant, warm started from the explicit
 output whenever that does not increase J.
 
+Every linear system is solved directly.  The explicit matrix
+diag(c rho0) + s (-Lap_h) is factored once per step and the factors serve
+both the x and the y right-hand side; a Newton iteration factors its
+Hessian once per diagonal shift it tries.  Both matrices are symmetric, so one sparse LU with a
+minimum-degree order on A^T + A and diagonal pivots (SuperLU's symmetric
+mode) does the work of a Cholesky factorization.  Massless nodes make the
+explicit matrix badly scaled (its diagonal spans c rho0 ~ 1/tau down to the
+viscosity alone), which a direct solve does not mind.
+
 The artificial viscosity supports the two scalings that appear in
 practice: eps * tau applied to the increment x^{n+1} - x^n (the scheme
 statement) and eps * tau^2 applied to x^{n+1} itself (the form the
@@ -27,6 +36,7 @@ the step and halve.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.sparse as sps
@@ -49,7 +59,6 @@ VISC_TAU_SQ_ABSOLUTE = "tau-sq-absolute"
 
 RATIO_BOUND_2D = 1.25
 
-CG_RTOL = 1e-12
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 60
 
@@ -116,47 +125,32 @@ def _scheme_gradient(p: Wgf2dProblem, x, y):
     return gx, gy
 
 
-def _solve_spd(p: Wgf2dProblem, coeff_interior, s, rhs_interior):
-    """Jacobi-preconditioned CG solve of (diag(coeff) + s (-Lap)) u = rhs.
-
-    The diagonal split between massive nodes (coeff ~ rho0/tau) and massless
-    ones (pure viscosity) makes plain CG stall, so the preconditioner is not
-    optional; a direct sparse factorization backs it up.
-    """
-    grid = p.grid
-    shape = (grid.m_y - 1, grid.m_x - 1)
-    n = shape[0] * shape[1]
-
-    def matvec(v):
-        vi = v.reshape(shape)
-        out = coeff_interior * vi + s * _neg_lap_interior(_embed(vi, grid), grid)
-        return out.ravel()
-
-    diag = (coeff_interior + s * (2.0 / grid.h_x ** 2 + 2.0 / grid.h_y ** 2)).ravel()
-    if np.any(diag <= 0.0):
-        raise SolverError("linear system is singular (zero mass and zero viscosity)")
-    op = spla.LinearOperator((n, n), matvec=matvec)
-    pre = spla.LinearOperator((n, n), matvec=lambda v: v / diag)
-    sol, info = spla.cg(op, rhs_interior.ravel(), rtol=CG_RTOL, atol=0.0,
-                        maxiter=100 * max(shape), M=pre)
-    if info != 0:
-        mat = sps.diags(coeff_interior.ravel()) + s * _neg_lap_matrix(grid)
-        try:
-            sol = spla.spsolve(mat.tocsc(), rhs_interior.ravel())
-        except RuntimeError as exc:
-            raise SolverError(f"linear solve failed after CG stall (info={info})") from exc
-        if not np.all(np.isfinite(sol)):
-            raise SolverError(f"linear solve produced non-finite values (info={info})")
-    return sol.reshape(shape)
+def _factor(mat: sps.csc_matrix):
+    """Solve function of a sparse LU of a symmetric matrix, with a
+    minimum-degree order on A^T + A and diagonal pivots.  The explicit
+    matrix is SPD; a Newton Hessian that is not fails with a RuntimeError
+    or non-finite solutions, which the Newton core answers with a shift."""
+    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                     options=dict(SymmetricMode=True)).solve
 
 
 def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, cmass, s):
-    coeff = cmass[1:-1, 1:-1]
-    dx = _solve_spd(p, coeff, s, rhs_x)
-    dy = _solve_spd(p, coeff, s, rhs_y)
-    x_new = x_curr + _embed(dx, p.grid)
-    y_new = y_curr + _embed(dy, p.grid)
-    det = jacobian_det_interior(x_new, y_new, p.grid)
+    """Solve (diag(cmass) + s (-Lap)) [dx dy] = [rhs_x rhs_y] on the interior
+    with one factorization, and add the increments to the current map."""
+    grid = p.grid
+    coeff = cmass[1:-1, 1:-1].ravel()
+    if np.any(coeff + s * (2.0 / grid.h_x ** 2 + 2.0 / grid.h_y ** 2) <= 0.0):
+        raise SolverError("linear system is singular (zero mass and zero viscosity)")
+    mat = sps.diags(coeff, format="csc") + s * _neg_lap_matrix(grid)
+    try:
+        sol = _factor(mat)(np.column_stack([rhs_x.ravel(), rhs_y.ravel()]))
+    except RuntimeError as exc:
+        raise SolverError(f"sparse factorization failed: {exc}") from exc
+    if not np.all(np.isfinite(sol)):
+        raise SolverError("linear solve produced non-finite values")
+    x_new = x_curr + _embed(sol[:, 0].reshape(rhs_x.shape), grid)
+    y_new = y_curr + _embed(sol[:, 1].reshape(rhs_y.shape), grid)
+    det = jacobian_det_interior(x_new, y_new, grid)
     if np.any(det <= 0.0):
         raise AdmissibilityError("explicit step produced a non-positive determinant")
     return x_new, y_new
@@ -209,14 +203,21 @@ def wgf2d_first_step_explicit(p: Wgf2dProblem, tau1: float):
 
 # --- implicit minimization --------------------------------------------------
 
-def _neg_lap_matrix(grid: Grid2D) -> sps.csr_matrix:
-    nx = grid.m_x - 1
-    ny = grid.m_y - 1
+def _neg_lap_matrix(grid: Grid2D) -> sps.csc_matrix:
+    """5-point -Laplacian on the interior nodes (Dirichlet ring), built once per grid."""
+    return _neg_lap_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
+
+
+@lru_cache(maxsize=8)
+def _neg_lap_cached(nx: int, ny: int, h_x: float, h_y: float) -> sps.csc_matrix:
     ex = np.ones(nx)
     ey = np.ones(ny)
-    lx = sps.diags([2.0 * ex, -ex[:-1], -ex[:-1]], [0, 1, -1]) / grid.h_x ** 2
-    ly = sps.diags([2.0 * ey, -ey[:-1], -ey[:-1]], [0, 1, -1]) / grid.h_y ** 2
-    return (sps.kron(sps.eye(ny), lx) + sps.kron(ly, sps.eye(nx))).tocsr()
+    lx = sps.diags([2.0 * ex, -ex[:-1], -ex[:-1]], [0, 1, -1]) / h_x ** 2
+    ly = sps.diags([2.0 * ey, -ey[:-1], -ey[:-1]], [0, 1, -1]) / h_y ** 2
+    lap = (sps.kron(sps.eye(ny), lx) + sps.kron(ly, sps.eye(nx))).tocsc()
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.flags.writeable = False
+    return lap
 
 
 def _objective_2d(p: Wgf2dProblem, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s):
@@ -264,8 +265,12 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
     area = grid.h_x * grid.h_y
     shape = grid.node_shape
     size = shape[0] * shape[1]
-    lap = _neg_lap_matrix(grid) * (s * area) if s > 0.0 else None
-    inert = sps.diags(np.tile((2.0 * coeff * p.rho0[1:-1, 1:-1] * area).ravel(), 2))
+    # the inertia and viscosity terms of the Hessian do not depend on the iterate
+    fixed = sps.diags(np.tile((2.0 * coeff * p.rho0[1:-1, 1:-1] * area).ravel(), 2),
+                      format="csr")
+    if s > 0.0:
+        lap = _neg_lap_matrix(grid) * (s * area)
+        fixed = fixed + sps.block_diag([lap, lap], format="csr")
     interior = np.arange(size).reshape(shape)[1:-1, 1:-1].ravel()
 
     def split(z):
@@ -278,12 +283,10 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
         return np.concatenate(_gradient_2d(p, *split(z), x_hat, y_hat, x_ref, y_ref, coeff, s))
 
     def linearize(z):
-        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area + inert
-        if lap is not None:
-            hess = hess + sps.block_diag([lap, lap])
+        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area + fixed
 
         def solve(rhs, shift):
-            return spla.spsolve((hess + shift * sps.eye(2 * interior.size)).tocsc(), rhs)
+            return _factor((hess + shift * sps.eye(2 * interior.size)).tocsc())(rhs)
         return solve, 1e-8
 
     def tol(z):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from lagflow.config import preset_defaults
+from lagflow.config import parse_config, preset_defaults
 from lagflow.experiments import (build_sim, run_experiment, run_fixed_steps,
                                  sweep_experiment)
 from lagflow.errors import ConfigError
@@ -12,6 +12,16 @@ def test_build_sim_covers_every_preset():
                    "ks-blowup-1d", "barenblatt-2d", "pme-nonradial-2d", "ks-2d"):
         sim = build_sim(preset_defaults(preset))
         assert hasattr(sim, "bdf2_step")
+
+
+@pytest.mark.parametrize("preset", ["barenblatt-2d", "pme-nonradial-2d", "ks-2d"])
+def test_2d_grid_my_follows_mx_unless_set(preset):
+    def node_shape(text):
+        return build_sim(parse_config(f"preset = {preset}\n" + text)).problem.grid.node_shape
+
+    assert node_shape("") == (65, 65)
+    assert node_shape("grid.mx = 32") == (33, 33)
+    assert node_shape("grid.mx = 32\ngrid.my = 24") == (25, 33)
 
 
 def test_ac_interface_adaptive_smoke(tmp_path):

@@ -2,6 +2,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -388,6 +389,89 @@ def test_hessian_2d_matches_fd():
         fm[comp][i + 1, j + 1] -= eps
         h_fd[:, k] = (grad_vec(*fp) - grad_vec(*fm)) / (2 * eps)
     assert np.allclose(h, h_fd, rtol=1e-5, atol=1e-6)
+
+
+def _hess_2d_coo(model, x, y, rho0, grid):
+    """The 2D Hessian from a COO list rebuilt on every call, as it was
+    assembled before the cached pattern, kept as the oracle."""
+    det, s = models._deformation_state(x, y, rho0, grid)
+    p = models._pressure(model, s)
+    pp = -models._pressure_deriv(model, s) * s / det
+    hx, hy = grid.h_x, grid.h_y
+    my1, mx1 = det.shape
+    n_int = my1 * mx1
+    x_x, x_y, y_x, y_y = models.deformation_stencil(x, y, grid)
+    ii, jj = np.meshgrid(np.arange(1, my1 + 1), np.arange(1, mx1 + 1), indexing="ij")
+
+    def dof(i, j, comp):
+        inside = (i >= 1) & (i <= my1) & (j >= 1) & (j <= mx1)
+        idx = (i - 1) * mx1 + (j - 1) + comp * n_int
+        return np.where(inside, idx, -1).ravel()
+
+    cols = np.stack([
+        dof(ii, jj - 1, 0), dof(ii, jj + 1, 0), dof(ii - 1, jj, 0), dof(ii + 1, jj, 0),
+        dof(ii, jj - 1, 1), dof(ii, jj + 1, 1), dof(ii - 1, jj, 1), dof(ii + 1, jj, 1),
+    ])
+    grad = np.stack([
+        (-y_y / (2.0 * hx)).ravel(), (y_y / (2.0 * hx)).ravel(),
+        (y_x / (2.0 * hy)).ravel(), (-y_x / (2.0 * hy)).ravel(),
+        (x_y / (2.0 * hx)).ravel(), (-x_y / (2.0 * hx)).ravel(),
+        (-x_x / (2.0 * hy)).ravel(), (x_x / (2.0 * hy)).ravel(),
+    ])
+    rows_o = np.repeat(cols, 8, axis=0).ravel()
+    cols_o = np.tile(cols, (8, 1)).ravel()
+    vals_o = (pp.ravel()[None, :] * np.einsum("ik,jk->ijk", grad, grad).reshape(64, -1)).ravel()
+    k = 1.0 / (4.0 * hx * hy)
+    pair_idx = [(0, 7, -k), (0, 6, k), (1, 7, k), (1, 6, -k),
+                (4, 3, k), (4, 2, -k), (5, 3, -k), (5, 2, k)]
+    rows_b, cols_b, vals_b = [], [], []
+    pflat = p.ravel()
+    for a, b, w in pair_idx:
+        rows_b += [cols[a], cols[b]]
+        cols_b += [cols[b], cols[a]]
+        vals_b += [np.full(n_int, w) * pflat] * 2
+    rows = np.concatenate([rows_o, np.concatenate(rows_b)])
+    colsc = np.concatenate([cols_o, np.concatenate(cols_b)])
+    vals = np.concatenate([vals_o, np.concatenate(vals_b)])
+    keep = (rows >= 0) & (colsc >= 0)
+    h = sps.coo_matrix((vals[keep], (rows[keep], colsc[keep])), shape=(2 * n_int, 2 * n_int))
+    return h.tocsr()
+
+
+def _assert_hess_2d_matches_oracle(model, grid, seed):
+    x, y, rng = random_admissible_2d(grid, seed)
+    rho0 = rng.uniform(0.2, 1.5, grid.node_shape)
+    got = discrete_energy_hess_2d(model, x, y, rho0, grid)
+    want = _hess_2d_coo(model, x, y, rho0, grid)
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_allclose(got.data, want.data, rtol=0.0,
+                               atol=1e-14 * np.max(np.abs(want.data), initial=0.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(interior=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       model=st.sampled_from([PorousMedium(2.0), PorousMedium(3.0), PorousMedium(1.5)]),
+       seed=st.integers(0, 2 ** 16))
+def test_hess_2d_cached_pattern_matches_coo_oracle(interior, model, seed):
+    # shapes called alternately, two of them with one node count: one shape's
+    # cached pattern never serves another
+    for my1, mx1 in (interior, (2, 3), (3, 2), interior, (2, 3)):
+        grid = Grid2D(-1.0, 1.0, -0.5, 0.5, mx1 + 1, my1 + 1)
+        _assert_hess_2d_matches_oracle(model, grid, seed)
+
+
+def test_hess_2d_cached_pattern_is_read_only():
+    pattern = models._hess_2d_pattern(2, 3)
+    assert pattern is models._hess_2d_pattern(2, 3)
+    for arr in pattern:
+        with pytest.raises(ValueError):
+            arr[0] = arr[0]
+    # the returned matrix owns its index arrays
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 4, 3)
+    h = discrete_energy_hess_2d(PorousMedium(2.0), g.ref_x, g.ref_y, np.ones(g.node_shape), g)
+    h.indices[0] = h.indices[0]
+    assert not np.shares_memory(h.indices, pattern.indices)
 
 
 def _ks2d_chunked_energy(model, x, y, rho0, grid):

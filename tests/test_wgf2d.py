@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import lagflow.wgf2d as wgf2d
 from lagflow.diagnostics import barenblatt_2d, total_mass_2d
-from lagflow.errors import AdmissibilityError
+from lagflow.errors import AdmissibilityError, SolverError
 from lagflow.grids import Grid2D, Trajectory2D, jacobian_det_interior
 from lagflow.models import PorousMedium
 from lagflow.wgf2d import (RATIO_BOUND_2D, VISC_TAU_INCREMENT, VISC_TAU_SQ_ABSOLUTE,
@@ -63,6 +64,52 @@ def test_explicit_mass_conserved():
         mass = total_mass_2d(dens, traj.curr_x, traj.curr_y)
         assert mass == pytest.approx(mass0, rel=1e-12)
         assert np.all(jacobian_det_interior(traj.curr_x, traj.curr_y, p.grid) > 0.0)
+
+
+def _dense_explicit_matrix(coeff, s, grid):
+    """diag(coeff) + s (-Lap_h) on the interior nodes, entry by entry."""
+    ny, nx = coeff.shape
+    a = np.diag(coeff.ravel() + s * (2.0 / grid.h_x ** 2 + 2.0 / grid.h_y ** 2))
+    for i in range(ny):
+        for j in range(nx):
+            k = i * nx + j
+            for di, dj, h in ((0, 1, grid.h_x), (0, -1, grid.h_x),
+                              (1, 0, grid.h_y), (-1, 0, grid.h_y)):
+                if 0 <= i + di < ny and 0 <= j + dj < nx:
+                    a[k, (i + di) * nx + j + dj] = -s / h ** 2
+    return a
+
+
+def test_explicit_solve_matches_dense_oracle():
+    # near-massless nodes and a weak viscosity: the diagonal spans six decades
+    g = Grid2D(-1.0, 1.0, -0.6, 0.6, 9, 6)
+    rng = np.random.default_rng(11)
+    rho0 = rng.uniform(0.2, 1.5, g.node_shape)
+    rho0[rng.random(g.node_shape) < 0.3] = 1e-10
+    p = Wgf2dProblem(g, PorousMedium(2.0), rho0, eps_visc=1e-4, visc_scaling=VISC_TAU_INCREMENT)
+    tau = 1e-2
+    s = p.visc_strength(tau)
+    cmass = 1.3 / tau * p.rho0
+    a = _dense_explicit_matrix(cmass[1:-1, 1:-1], s, g)
+    shape = (g.m_y - 1, g.m_x - 1)
+    # right-hand sides whose solutions stay well inside a cell, so the step is admissible
+    rhs = [(a @ (0.05 * h * rng.uniform(-1.0, 1.0, a.shape[0]))).reshape(shape)
+           for h in (g.h_x, g.h_y)]
+    x_new, y_new = wgf2d._explicit_solve(p, g.ref_x, g.ref_y, *rhs, cmass, s)
+    for new, ref, b in ((x_new, g.ref_x, rhs[0]), (y_new, g.ref_y, rhs[1])):
+        want = np.linalg.solve(a, b.ravel())
+        got = (new - ref)[1:-1, 1:-1].ravel()
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+        assert np.all(new[0] == ref[0]) and np.all(new[:, -1] == ref[:, -1])
+
+
+def test_explicit_solve_without_mass_or_viscosity_is_singular():
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 5, 4)
+    rho0 = np.zeros(g.node_shape)
+    rho0[0, :] = 1.0  # mass on the pinned ring only
+    p = Wgf2dProblem(g, PorousMedium(2.0), rho0, eps_visc=0.0)
+    with pytest.raises(SolverError, match="zero mass and zero viscosity"):
+        wgf2d_first_step_explicit(p, 1e-3)
 
 
 def test_implicit_explicit_agree_to_second_order():
