@@ -246,7 +246,7 @@ def _solve_step(p: AcProblem, x_prev, x_curr, tau, r, first):
 
     def linearize(x):
         ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, first)
-        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), 0.0
+        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), (lambda: 0.0)
 
     tol = max(NEWTON_TOL, _residual_floor(p, x_curr, tau, r, first))
     # one unshifted solve: a shifted Jacobian does not make ||F|| descend

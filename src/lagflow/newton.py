@@ -11,6 +11,12 @@ stalled iterate within ``stall_tol``.  The merit is the step objective when
 there is one; otherwise it is ||F||_2, whose derivative along the Newton
 step is -||F||_2.  Assembly, tolerance floors and linear solves stay with
 the solvers.
+
+The first shift comes from the solver's ``shift_floor()``, which is called
+only once the unshifted direction has failed, so a solver may size it from
+an eigenvalue estimate without paying for it on every iteration.  A line
+search that accepts a trial equal to the iterate ends the solve at once:
+every later iteration would repeat it exactly.
 """
 
 from __future__ import annotations
@@ -43,8 +49,9 @@ def fraction_to_boundary(x, step) -> float:
 
 
 def _descent_step(solve, g, shift_floor, tries, check_descent):
-    """Solve (A + shift I) s = -g with shift 0, then with growing shifts."""
-    shift = 0.0
+    """Solve (A + shift I) s = -g with shift 0, then with growing shifts from
+    ``shift_floor()``."""
+    shift = floor = 0.0
     rhs = -g
     for attempt in range(tries):
         try:
@@ -59,7 +66,9 @@ def _descent_step(solve, g, shift_floor, tries, check_descent):
             if shift > 0.0:
                 log.debug("descent direction needed a diagonal shift of %.2e", shift)
             return step
-        shift = max(shift_floor, 4.0 * shift) * 10.0 ** attempt
+        if attempt == 0:
+            floor = shift_floor()
+        shift = max(floor, 4.0 * shift) * 10.0 ** attempt
     raise NewtonError(f"no descent direction from the linear system ({tries} tries)")
 
 
@@ -73,7 +82,7 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
     as the merit and no descent test.  ``linearize(x)`` returns ``(solve,
     shift_floor)``, where ``solve(rhs, shift)`` solves the linear system plus
     ``shift`` times the identity; it is tried at most ``shift_tries`` times,
-    first unshifted.
+    first unshifted, then from the shift ``shift_floor()`` upward.
     ``step_bound(x, step)`` caps the initial step length.
     """
     tol_at = tol if callable(tol) else (lambda _: tol)
@@ -111,6 +120,10 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
                 alpha *= 0.5
                 continue
             if np.isfinite(f_trial) and f_trial <= fx + ARMIJO * alpha * slope + noise:
+                # the merit is a function of the iterate, so a trial equal to x
+                # has an equal merit; the cheap test guards the array compare
+                if f_trial == fx and np.array_equal(trial, x):
+                    raise NewtonError(f"line search made no progress at max|g|={gnorm:.3e}")
                 x, fx = trial, f_trial
                 g = None if minimize else g_trial
                 break

@@ -20,8 +20,12 @@ emerges from the variation.
 
 Keller-Segel runs lag the interaction partner at the previous level, so the
 per-step objective keeps the entropy's convexity; the Hessian of the lagged
-interaction is still tridiagonal and can change sign, in which case the
-Newton direction falls back to a shifted system (logged, never asserted).
+interaction is still tridiagonal and can be indefinite.  When the unshifted
+Newton direction then fails to descend, the system is shifted by the
+smallest eigenvalue of the tridiagonal Hessian plus a tenth of its size
+(a modified Newton step, Nocedal & Wright, *Numerical Optimization*, 2006,
+sec. 3.4), so one shifted solve gives a descent direction; the core's
+growing shifts remain the fallback.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import AdmissibilityError
 from .grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
@@ -130,6 +134,16 @@ def wgf1d_residual(p: Wgf1dProblem, traj: Trajectory1D, x_candidate, tau: float)
     return g[1:-1] if p.pinned else g
 
 
+def _eigen_shift(d, o) -> float:
+    """First diagonal shift for the symmetric tridiagonal (diagonal d,
+    off-diagonal o): the floor max(1e-8, 1e-8 max|d|) if its smallest
+    eigenvalue lam is nonnegative, else -lam + max(floor, |lam|/10), which
+    leaves the shifted matrix positive definite."""
+    floor = max(1e-8, np.abs(d).max() * 1e-8)
+    lam = eigvalsh_tridiagonal(d, o, select="i", select_range=(0, 0))[0]
+    return floor if lam >= 0.0 else -lam + max(floor, -0.1 * lam)
+
+
 def _minimize(p: Wgf1dProblem, x_start, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
     """Newton minimization of the step objective from x_start (see ``newton``)."""
     free = slice(1, -1) if p.pinned else slice(None)
@@ -151,7 +165,7 @@ def _minimize(p: Wgf1dProblem, x_start, x_hat, x_visc_ref, lag_x, lag_rho, coeff
             ab[1] = d + shift
             ab[2, :-1] = o
             return solve_banded((1, 1), ab, rhs)
-        return solve, max(1e-8, np.abs(d).max() * 1e-8)
+        return solve, lambda: _eigen_shift(d, o)
 
     return newton_solve(x_start, gradient, linearize, objective=objective, free=free,
                         tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,

@@ -287,7 +287,7 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
 
         def solve(rhs, shift):
             return _factor((hess + shift * sps.eye(2 * interior.size)).tocsc())(rhs)
-        return solve, 1e-8
+        return solve, lambda: 1e-8
 
     def tol(z):
         floor = 64.0 * np.finfo(float).eps * area * (

@@ -6,10 +6,12 @@ next to each assertion.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from lagflow import wgf1d
 from lagflow.adaptive import THEORY_RATIO_BOUNDS, stability_margin
 from lagflow.allen_cahn import AcProblem, ac_first_step, ac_modified_energy, ac_step
 from lagflow.config import preset_defaults
@@ -291,16 +293,22 @@ def test_criterion_12_gradient_oracles():
                f"admissible configurations (rel. err <= 1e-6)")
 
 
-def test_criterion_13_keller_segel_blowup(ks_blowup_record):
-    record = ks_blowup_record
-    config = record.config
-    # supercritical mass: the controller collapses to tau_min and the run stops early
+def _assert_supercritical_stop(record):
+    """The controller collapses to tau_min and the run stops early, with the
+    peak density rising over the last 20 steps; returns the peak densities."""
     assert record.aborted
     assert "tau" in record.result.abort_reason
     taus = np.asarray(record.result.taus)
-    assert np.all(taus[-20:] <= config.tau_min * (1.0 + 1e-9))
+    assert np.all(taus[-20:] <= record.config.tau_min * (1.0 + 1e-9))
     max_rho = np.asarray(record.result.max_densities)
     assert np.all(np.diff(max_rho[-20:]) > 0.0)
+    return max_rho
+
+
+def test_criterion_13_keller_segel_blowup(ks_blowup_record):
+    record = ks_blowup_record
+    # supercritical mass: the controller collapses to tau_min and the run stops early
+    max_rho = _assert_supercritical_stop(record)
 
     # subcritical mass: reaches the final time with bounded density
     small = preset_defaults("ks-blowup-1d")
@@ -316,3 +324,25 @@ def test_criterion_13_keller_segel_blowup(ks_blowup_record):
                f"{record.result.times[-1]:.3f} with max density rising "
                f"(last {max_rho[-1]:.1f}); subcritical run reaches T with "
                f"bounded density {diffusive.result.max_densities[-1]:.3f}")
+
+
+@pytest.mark.parametrize("mx", [200, 300])
+def test_criterion_13_supercritical_stop_at_nearby_resolutions(mx, monkeypatch):
+    # the blow-up stop does not depend on the resolution, and Newton iterations
+    # (one Hessian assembly each) average at most one shifted banded solve
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("solve_banded", "discrete_energy_hess_1d"):
+        monkeypatch.setattr(wgf1d, name, counted(name, getattr(wgf1d, name)))
+    config = preset_defaults("ks-blowup-1d")
+    config.mx = mx
+    config.t_final = 4.0
+    config.plots = False
+    _assert_supercritical_stop(run_experiment(config, write_files=False))
+    assert calls["solve_banded"] <= 2 * calls["discrete_energy_hess_1d"]

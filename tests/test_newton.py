@@ -21,7 +21,7 @@ def spd_quadratics(draw, c_min=-3.0, c_max=3.0):
 def dense_linearize(hessian):
     def linearize(x):
         h = hessian(x)
-        return (lambda rhs, shift: np.linalg.solve(h + shift * np.eye(len(rhs)), rhs)), 1e-8
+        return (lambda rhs, shift: np.linalg.solve(h + shift * np.eye(len(rhs)), rhs)), (lambda: 1e-8)
     return linearize
 
 
@@ -151,6 +151,27 @@ def test_stall_above_tolerance_raises(problem):
 
 
 @settings(max_examples=20, deadline=None)
+@given(problem=stalled_problems())
+def test_line_search_ending_on_the_iterate_raises_at_once(problem):
+    # J is 0 only at the start, so the halvings run until x + alpha s rounds
+    # back to x and that trial passes the test; every later iteration would
+    # repeat it exactly
+    a, g = problem
+    x0 = np.ones(len(g))
+    linearized = []
+
+    def linearize(x):
+        linearized.append(x)
+        return dense_linearize(lambda x: a)(x)
+
+    with pytest.raises(NewtonError, match="no progress"):
+        newton_solve(x0, lambda x: g, linearize,
+                     objective=lambda x: 0.0 if np.array_equal(x, x0) else 1.0,
+                     tol=1e-12, stall_tol=1e-12, max_iter=10, max_backtracks=80)
+    assert len(linearized) == 1
+
+
+@settings(max_examples=20, deadline=None)
 @given(problem=spd_quadratics())
 def test_no_descent_direction_raises(problem):
     # a strongly concave model: no shift in the schedule makes it descend
@@ -169,7 +190,7 @@ def test_singular_system_without_shifts_raises():
     def singular(x):
         def solve(rhs, shift):
             raise np.linalg.LinAlgError("singular matrix")
-        return solve, 0.0
+        return solve, lambda: 0.0
 
     with pytest.raises(NewtonError, match="descent direction"):
         newton_solve(np.zeros(3), lambda x: np.ones(3), singular, tol=1e-9, stall_tol=1e-7,

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg.lapack import dpttrf
 
+from lagflow import wgf1d
+from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
+from lagflow.experiments import run_experiment
 from lagflow.grids import Grid1D, Trajectory1D
 from lagflow.initial import pme_cosine
 from lagflow.models import FokkerPlanck, KellerSegel1D, PorousMedium
@@ -180,3 +187,55 @@ def test_positive_density_required():
     grid = Grid1D(-1.0, 1.0, 8)
     with pytest.raises(ValueError):
         Wgf1dProblem(grid, PorousMedium(2.0), np.zeros(8))
+
+
+@st.composite
+def indefinite_tridiagonals(draw):
+    """(d, o, g): a symmetric tridiagonal with a negative eigenvalue and a
+    nonzero gradient."""
+    n = draw(st.integers(2, 40))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    d = scale * draw(arrays(np.float64, (n,), elements=st.floats(-10.0, 10.0)))
+    o = scale * draw(arrays(np.float64, (n - 1,), elements=st.floats(-10.0, 10.0)))
+    g = draw(arrays(np.float64, (n,), elements=st.floats(-1.0, 1.0)).filter(
+        lambda v: np.max(np.abs(v)) > 1e-3))
+    return d, o, g
+
+
+@settings(max_examples=100, deadline=None)
+@given(problem=indefinite_tridiagonals())
+def test_eigen_shift_gives_a_positive_definite_descent_system(problem):
+    d, o, g = problem
+    assume(eigvalsh_tridiagonal(d, o)[0] < 0.0)
+    shift = wgf1d._eigen_shift(d, o)
+    # dpttrf factors L D L^T and reports info 0 only for a positive definite matrix
+    assert dpttrf(d + shift, o)[2] == 0
+    ab = np.zeros((3, len(d)))
+    ab[0, 1:] = o
+    ab[1] = d + shift
+    ab[2, :-1] = o
+    step = solve_banded((1, 1), ab, -g)
+    assert np.dot(step, g) < 0.0
+
+
+def test_eigen_shift_is_the_floor_for_a_positive_definite_matrix():
+    d = np.array([2.0, 3.0, 2.0])
+    o = np.array([-1.0, -1.0])
+    # the floor is max(1e-8, 1e-8 max|d|)
+    assert wgf1d._eigen_shift(d, o) == pytest.approx(3e-8, rel=1e-12)
+    assert wgf1d._eigen_shift(1e-3 * d, 1e-3 * o) == 1e-8
+
+
+def test_eigenvalue_is_computed_only_after_an_unshifted_failure(monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return eigvalsh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(wgf1d, "eigvalsh_tridiagonal", counted)
+    config = preset_defaults("pme-convergence")
+    config.plots = False
+    record = run_experiment(config, write_files=False)
+    assert not record.aborted
+    assert calls == []
