@@ -121,6 +121,12 @@ def _check_node(x, grid: Grid1D, name: str = "x"):
     return x
 
 
+def _pinned_close(c: float, r: float) -> bool:
+    """|c - r| <= 1e-8 + 1e-5 |r| (numpy.isclose's default test, on two floats;
+    false for nan)."""
+    return abs(c - r) <= 1e-8 + 1e-5 * abs(r)
+
+
 def _check_mid(u, grid: Grid1D, name: str = "u"):
     u = np.asarray(u)
     if u.shape != (grid.m_x,):
@@ -197,7 +203,8 @@ class Trajectory1D:
             raise AdmissibilityError("trajectory nodes are not strictly increasing")
         if self.pinned:
             ref = self.grid.nodes
-            if not (np.isclose(curr[0], ref[0]) and np.isclose(curr[-1], ref[-1])):
+            if not (_pinned_close(float(curr[0]), float(ref[0]))
+                    and _pinned_close(float(curr[-1]), float(ref[-1]))):
                 raise ValueError("pinned trajectory must keep boundary nodes on the reference")
 
 

@@ -355,14 +355,16 @@ def _cell_state(x, rho0, grid: Grid1D):
 
 
 def discrete_energy_1d(model: EnergyModel, x, rho0, grid: Grid1D,
-                       lagged_x=None, lagged_rho=None) -> float:
+                       lagged_x=None, lagged_rho=None, cells=None) -> float:
     """E_h(x) = (F(rho0 / D_h x), D_h x)_h plus drift/interaction terms.
 
     For Keller-Segel, passing a lagged partner state selects the per-step
     scheme energy; without it the reported self-consistent energy is
-    returned.
+    returned.  ``cells = (widths, s)`` is the already checked cell state of
+    ``x`` (widths and s = rho0 h / width), which a caller that evaluates
+    the same iterate several times computes once.
     """
-    widths, s = _cell_state(x, rho0, grid)
+    widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     total = float(np.sum(_internal_density(model, s) * widths))
     if isinstance(model, FokkerPlanck):
         mids = 0.5 * (np.asarray(x)[:-1] + np.asarray(x)[1:])
@@ -374,14 +376,15 @@ def discrete_energy_1d(model: EnergyModel, x, rho0, grid: Grid1D,
 
 
 def discrete_energy_grad_1d(model: EnergyModel, x, rho0, grid: Grid1D,
-                            pinned: bool = True, lagged_x=None, lagged_rho=None) -> np.ndarray:
-    """Analytic node gradient of ``discrete_energy_1d``.
+                            pinned: bool = True, lagged_x=None, lagged_rho=None,
+                            cells=None) -> np.ndarray:
+    """Analytic node gradient of ``discrete_energy_1d`` (``cells`` as there).
 
     Returns a full node-length array; with ``pinned`` the two boundary
     entries are zeroed (those degrees of freedom do not exist).
     """
     x = np.asarray(x)
-    widths, s = _cell_state(x, rho0, grid)
+    widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     gcell = _pressure(model, s)
     g = np.zeros_like(x)
     g[1:] += gcell
@@ -403,10 +406,11 @@ def discrete_energy_grad_1d(model: EnergyModel, x, rho0, grid: Grid1D,
 
 
 def discrete_energy_hess_1d(model: EnergyModel, x, rho0, grid: Grid1D,
-                            lagged_x=None, lagged_rho=None):
-    """Tridiagonal Hessian of the 1D energy as (diag, off) over all nodes."""
+                            lagged_x=None, lagged_rho=None, cells=None):
+    """Tridiagonal Hessian of the 1D energy as (diag, off) over all nodes
+    (``cells`` as in ``discrete_energy_1d``)."""
     x = np.asarray(x)
-    widths, s = _cell_state(x, rho0, grid)
+    widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     # d/dw of G(rho0 h / w) = -G'(s) s / w, the per-cell curvature
     hcell = -_pressure_deriv(model, s) * s / widths
     diag = np.zeros_like(x)

@@ -11,7 +11,22 @@ pushforward, which conserves mass identically.  The shared damped-Newton
 core (``newton``) does the minimization with the analytic tridiagonal
 Hessian; its fraction-to-the-boundary rule keeps every cell at least 10% of
 the currently narrowest one, and backtracking only ever accepts objective
-decreases, which is exactly the property the discrete energy estimate needs.
+decreases (up to the core's rounding allowance).
+
+The terms of J that do not depend on the iterate (xhat's midpoints, the
+cell inertia weights, the viscosity reference and the constant part of the
+Hessian) are built once per step, and the cell state of an iterate (widths,
+densities, admissibility) is computed once and shared by its objective,
+gradient and Hessian.  Newton starts from the linear predictor
+x^n + r (x^n - x^{n-1}) when it is admissible and J there is no larger than
+J(x^n), and from x^n otherwise.  Since backtracking only lowers J,
+J(x^{n+1}) <= J(start) <= J(x^n) for any step ratio, which is exactly the
+property the discrete energy estimate needs.  Keller-Segel steps always
+start from x^n: the lagged interaction makes J nonconvex, so the start
+chooses among local minima, and on ``ks-blowup-1d`` at mx = 400 the
+predictor reached a higher one and brought the collapse forward.  The
+porous-medium and Fokker-Planck objectives are convex (for a convex
+potential), so there the start changes the cost of a step, not its result.
 
 Dirichlet runs pin both endpoints to the reference.  Free-boundary runs
 (moving support, e.g. waiting-time experiments) treat the endpoint positions
@@ -81,56 +96,110 @@ def extrapolate_hat(x_curr, x_prev, r: float) -> np.ndarray:
     return ((1.0 + r) ** 2 * x_curr - r * r * x_prev) / (1.0 + 2.0 * r)
 
 
-def _objective(p: Wgf1dProblem, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
-    xm = 0.5 * (x[:-1] + x[1:])
-    hm = 0.5 * (x_hat[:-1] + x_hat[1:])
-    inertia = coeff * inner_product("midpoint", p.rho0 * (xm - hm), xm - hm, p.grid)
-    delta = np.diff(x - x_visc_ref)
-    visc = 0.5 * p.visc_weight * tau / p.grid.h * float(np.dot(delta, delta))
-    energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, lag_x, lag_rho)
-    return inertia + visc + energy
+@dataclass(slots=True)
+class _Cells:
+    """Cell state of one iterate (``key`` is its bytes), and J there once computed."""
+
+    key: bytes
+    widths: np.ndarray
+    s: np.ndarray        # rho0 h / widths
+    offset: np.ndarray   # midpoints minus xhat's midpoints
+    incr: np.ndarray     # widths of x - x_visc_ref
+    value: float | None = None
 
 
-def _gradient(p: Wgf1dProblem, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
-    xm = 0.5 * (x[:-1] + x[1:])
-    hm = 0.5 * (x_hat[:-1] + x_hat[1:])
-    cell = coeff * p.grid.h * p.rho0 * (xm - hm)
+class _StepTerms:
+    """The step objective's constants, and a one-entry memo of the cell state.
+
+    The constants (xhat's midpoints and the inertia and viscosity weights)
+    are built once per step.  ``at(x)`` returns the cell state of x,
+    computed (with the admissibility check) only for a new iterate: the memo
+    is keyed by the bytes of x, so an array changed in place is never
+    answered from it.  Every term keeps the operation order of the textbook
+    formulas, so a run gives the same bits as evaluating them afresh.
+    """
+
+    def __init__(self, p: Wgf1dProblem, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
+        h = p.grid.h
+        self.p = p
+        self.lag_x = lag_x
+        self.lag_rho = lag_rho
+        self.coeff = coeff
+        self.x_visc_ref = x_visc_ref
+        self.masses = p.rho0 * h
+        self.hat_mid = 0.5 * (x_hat[:-1] + x_hat[1:])
+        self.inertia_w = coeff * h * p.rho0
+        self.inertia_curv = 0.5 * coeff * h * p.rho0
+        self.visc_half = 0.5 * p.visc_weight * tau / h
+        self.visc_w = p.visc_weight * tau / h
+        self.last = None
+
+    def at(self, x) -> _Cells:
+        key = x.tobytes()
+        last = self.last
+        if last is not None and last.key == key:
+            return last
+        widths = x[1:] - x[:-1]
+        if widths.min() <= 0.0:
+            raise AdmissibilityError("trajectory nodes are not strictly increasing")
+        moved = x - self.x_visc_ref
+        self.last = _Cells(key, widths, self.masses / widths,
+                           0.5 * (x[:-1] + x[1:]) - self.hat_mid, moved[1:] - moved[:-1])
+        return self.last
+
+
+def _bdf2_terms(p: Wgf1dProblem, traj: Trajectory1D, tau: float) -> _StepTerms:
+    r = tau / traj.tau_prev
+    x_hat = extrapolate_hat(traj.curr, traj.prev, r)
+    coeff = (1.0 + 2.0 * r) / (2.0 * tau * (1.0 + r))
+    lag_x, lag_rho = p.lag_state(traj.curr)
+    return _StepTerms(p, x_hat, traj.curr, lag_x, lag_rho, coeff, tau)
+
+
+def _objective(t: _StepTerms, x) -> float:
+    c = t.at(x)
+    p = t.p
+    inertia = t.coeff * float(p.grid.h * np.dot(p.rho0 * c.offset, c.offset))
+    visc = t.visc_half * float(np.dot(c.incr, c.incr))
+    energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
+                                cells=(c.widths, c.s))
+    c.value = inertia + visc + energy
+    return c.value
+
+
+def _gradient(t: _StepTerms, x) -> np.ndarray:
+    c = t.at(x)
+    p = t.p
+    cell = t.inertia_w * c.offset
+    visc = t.visc_w * c.incr
     g = np.zeros_like(x)
     g[:-1] += cell
     g[1:] += cell
-    delta = np.diff(x - x_visc_ref)
-    wv = p.visc_weight * tau / p.grid.h
-    g[:-1] -= wv * delta
-    g[1:] += wv * delta
-    g += discrete_energy_grad_1d(p.model, x, p.rho0, p.grid, pinned=False,
-                                 lagged_x=lag_x, lagged_rho=lag_rho)
+    g[:-1] -= visc
+    g[1:] += visc
+    g += discrete_energy_grad_1d(p.model, x, p.rho0, p.grid, pinned=False, lagged_x=t.lag_x,
+                                 lagged_rho=t.lag_rho, cells=(c.widths, c.s))
     return g
 
 
-def _hessian_tridiag(p: Wgf1dProblem, x, lag_x, lag_rho, coeff, tau):
-    diag, off = discrete_energy_hess_1d(p.model, x, p.rho0, p.grid, lag_x, lag_rho)
-    cell = 0.5 * coeff * p.grid.h * p.rho0
-    diag = diag.copy()
-    diag[:-1] += cell
-    diag[1:] += cell
-    off = off + cell
-    wv = p.visc_weight * tau / p.grid.h
-    diag[:-1] += wv
-    diag[1:] += wv
-    off = off - wv
+def _hessian_tridiag(t: _StepTerms, x):
+    c = t.at(x)
+    p = t.p
+    diag, off = discrete_energy_hess_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
+                                        cells=(c.widths, c.s))
+    # both arrays are fresh, so they are updated in place
+    diag[:-1] += t.inertia_curv
+    diag[1:] += t.inertia_curv
+    off += t.inertia_curv
+    diag[:-1] += t.visc_w
+    diag[1:] += t.visc_w
+    off -= t.visc_w
     return diag, off
 
 
 def wgf1d_residual(p: Wgf1dProblem, traj: Trajectory1D, x_candidate, tau: float) -> np.ndarray:
     """First-order-condition residual of the step objective at the free nodes."""
-    r = tau / traj.tau_prev
-    x_hat = extrapolate_hat(traj.curr, traj.prev, r)
-    coeff = (1.0 + 2.0 * r) / (2.0 * tau * (1.0 + r))
-    lag_x, lag_rho = p.lag_state(traj.curr)
-    x_candidate = np.asarray(x_candidate, dtype=float)
-    if np.any(np.diff(x_candidate) <= 0.0):
-        raise AdmissibilityError("candidate trajectory is not strictly increasing")
-    g = _gradient(p, x_candidate, x_hat, traj.curr, lag_x, lag_rho, coeff, tau)
+    g = _gradient(_bdf2_terms(p, traj, tau), np.asarray(x_candidate, dtype=float))
     return g[1:-1] if p.pinned else g
 
 
@@ -144,27 +213,46 @@ def _eigen_shift(d, o) -> float:
     return floor if lam >= 0.0 else -lam + max(floor, -0.1 * lam)
 
 
-def _minimize(p: Wgf1dProblem, x_start, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
+def _start(t: _StepTerms, x_curr, x_pred):
+    """x_pred if it is admissible and J(x_pred) <= J(x_curr), else x_curr.
+
+    The chosen start's cell state and value are left in the memo, so the
+    Newton solve does not evaluate J there again.
+    """
+    j_curr = _objective(t, x_curr)
+    at_curr = t.last
+    try:
+        if _objective(t, x_pred) <= j_curr:
+            return x_pred
+    except AdmissibilityError:
+        pass
+    t.last = at_curr
+    return x_curr
+
+
+def _minimize(t: _StepTerms, x_start):
     """Newton minimization of the step objective from x_start (see ``newton``)."""
-    free = slice(1, -1) if p.pinned else slice(None)
+    free = slice(1, -1) if t.p.pinned else slice(None)
 
     def objective(x):
-        return _objective(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau)
+        value = t.at(x).value
+        return _objective(t, x) if value is None else value
 
     def gradient(x):
-        return _gradient(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau)[free]
+        return _gradient(t, x)[free]
 
     def linearize(x):
-        diag, off = _hessian_tridiag(p, x, lag_x, lag_rho, coeff, tau)
+        diag, off = _hessian_tridiag(t, x)
         d = diag[free]
         o = off[free]
 
         def solve(rhs, shift):
-            ab = np.zeros((3, d.shape[0]))
+            ab = np.empty((3, d.shape[0]))
+            ab[0, 0] = ab[2, -1] = 0.0
             ab[0, 1:] = o
-            ab[1] = d + shift
+            np.add(d, shift, out=ab[1])
             ab[2, :-1] = o
-            return solve_banded((1, 1), ab, rhs)
+            return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
         return solve, lambda: _eigen_shift(d, o)
 
     return newton_solve(x_start, gradient, linearize, objective=objective, free=free,
@@ -176,11 +264,13 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
     """One adaptive BDF2 step; returns the new trajectory and recovered density."""
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
-    r = tau_next / traj.tau_prev
-    x_hat = extrapolate_hat(traj.curr, traj.prev, r)
-    coeff = (1.0 + 2.0 * r) / (2.0 * tau_next * (1.0 + r))
-    lag_x, lag_rho = p.lag_state(traj.curr)
-    x_new = _minimize(p, traj.curr, x_hat, traj.curr, lag_x, lag_rho, coeff, tau_next)
+    t = _bdf2_terms(p, traj, tau_next)
+    if isinstance(p.model, KellerSegel1D):
+        x_start = traj.curr  # nonconvex J: the start would choose the local minimum
+    else:
+        r = tau_next / traj.tau_prev
+        x_start = _start(t, traj.curr, traj.curr + r * (traj.curr - traj.prev))
+    x_new = _minimize(t, x_start)
     new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
                             traj.step_index + 1, p.grid, pinned=p.pinned)
     return new_traj, pushforward_density_1d(p.rho0, x_new, p.grid)
@@ -192,7 +282,7 @@ def wgf1d_first_step(p: Wgf1dProblem, tau1: float):
         raise ValueError("tau1 must be positive")
     x0 = p.grid.nodes.copy()
     lag_x, lag_rho = p.lag_state(x0)
-    x1 = _minimize(p, x0, x0, x0, lag_x, lag_rho, 1.0 / (2.0 * tau1), tau1)
+    x1 = _minimize(_StepTerms(p, x0, x0, lag_x, lag_rho, 1.0 / (2.0 * tau1), tau1), x0)
     traj = Trajectory1D(x0, x1, tau1, tau1, 1, p.grid, pinned=p.pinned)
     return traj, pushforward_density_1d(p.rho0, x1, p.grid)
 

@@ -160,3 +160,19 @@ def test_trajectory2d_validation():
 def test_density_rejects_negative(grid8):
     with pytest.raises(ValueError):
         DensityField1D(np.array([1.0] * 7 + [-0.1]), grid8)
+
+
+def test_trajectory_pinned_endpoint_tolerance():
+    # the pinned test is |c - r| <= 1e-8 + 1e-5 |r| at each endpoint (r = 2 here)
+    grid = Grid1D(-1.0, 2.0, 6)
+    x = grid.nodes
+    allowed = 1e-8 + 1e-5 * 2.0
+    for offset, ok in ((0.99 * allowed, True), (1.01 * allowed, False), (np.nan, False)):
+        moved = x.copy()
+        moved[-1] += offset
+        assert np.isclose(moved[-1], x[-1]) == ok
+        if ok:
+            Trajectory1D(x, moved, 1e-2, 0.0, 0, grid)
+        else:
+            with pytest.raises(ValueError, match="pinned"):
+                Trajectory1D(x, moved, 1e-2, 0.0, 0, grid)

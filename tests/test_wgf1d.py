@@ -9,9 +9,11 @@ from lagflow import wgf1d
 from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
 from lagflow.experiments import run_experiment
-from lagflow.grids import Grid1D, Trajectory1D
+from lagflow.grids import Grid1D, Trajectory1D, inner_product
 from lagflow.initial import pme_cosine
-from lagflow.models import FokkerPlanck, KellerSegel1D, PorousMedium
+from lagflow.models import (FokkerPlanck, KellerSegel1D, PorousMedium, discrete_energy_1d,
+                            discrete_energy_grad_1d, discrete_energy_hess_1d)
+from lagflow.newton import _NOISE
 from lagflow.wgf1d import (RATIO_BOUND_1D, Wgf1dProblem, extrapolate_hat,
                            wgf1d_augmented_energy, wgf1d_energy, wgf1d_first_step,
                            wgf1d_residual, wgf1d_step)
@@ -156,6 +158,212 @@ def test_augmented_energy_monotone_under_ratio_bound():
         if previous is not None:
             assert value <= previous + 1e-10
         previous = value
+
+
+def step_objective(p, traj, tau, x):
+    """J(x) of the BDF2 step from ``traj`` with step ``tau``."""
+    return wgf1d._objective(wgf1d._bdf2_terms(p, traj, tau), np.asarray(x, dtype=float))
+
+
+def check_steps(p, traj, ratios, augmented=True):
+    """Step through ``ratios`` (tau clamped to [1e-6, 2e-2]); every step must not
+    raise its objective, keep widths positive and mass to 1e-12, and with
+    ``augmented`` not raise the augmented energy."""
+    mass0 = np.sum(p.rho0 * p.grid.h)
+    previous = wgf1d_augmented_energy(p, traj.prev, traj.curr, traj.tau_prev)
+    for ratio in ratios:
+        tau = min(max(traj.tau_prev * ratio, 1e-6), 2e-2)
+        new, dens = wgf1d_step(p, traj, tau)
+        j_curr = step_objective(p, traj, tau, traj.curr)
+        # each accepted Newton trial may exceed its merit by the core's rounding allowance
+        allowance = wgf1d.NEWTON_MAX_ITER * _NOISE * (abs(j_curr) + 1.0)
+        assert step_objective(p, traj, tau, new.curr) <= j_curr + allowance
+        assert np.all(np.diff(new.curr) > 0.0)
+        assert np.sum(dens.values * np.diff(new.curr)) == pytest.approx(mass0, rel=1e-12)
+        if augmented:
+            value = wgf1d_augmented_energy(p, new.prev, new.curr, new.tau_prev)
+            assert value <= previous + 1e-10
+            previous = value
+        traj = new
+
+
+@settings(max_examples=15, deadline=None)
+@given(ratios=st.lists(st.floats(1e-3, RATIO_BOUND_1D), min_size=1, max_size=25))
+def test_drawn_ratios_keep_the_energy_estimate(ratios):
+    p = pme_problem(mx=32)
+    traj, _ = wgf1d_first_step(p, 1e-3)
+    check_steps(p, traj, ratios)
+
+
+def test_ratios_above_the_bound_still_decrease_each_step_objective():
+    # the augmented energy needs r <= RATIO_BOUND_1D; J(x^{n+1}) <= J(x^n) does not
+    p = pme_problem(mx=32)
+    traj, _ = wgf1d_first_step(p, 1e-4)
+    check_steps(p, traj, [8.0, 0.05, 30.0, 0.1, 12.0, 1.0, 50.0], augmented=False)
+
+
+def record_starts(monkeypatch):
+    starts = []
+    solve = wgf1d.newton_solve
+
+    def recorded(x, *args, **kwargs):
+        starts.append(np.array(x))
+        return solve(x, *args, **kwargs)
+
+    monkeypatch.setattr(wgf1d, "newton_solve", recorded)
+    return starts
+
+
+def test_newton_starts_from_the_predictor_when_it_lowers_the_objective(monkeypatch):
+    p = pme_problem(mx=32)
+    traj, _ = wgf1d_first_step(p, 1e-3)
+    starts = record_starts(monkeypatch)
+    wgf1d_step(p, traj, 1.5e-3)
+    predictor = traj.curr + 1.5 * (traj.curr - traj.prev)
+    assert step_objective(p, traj, 1.5e-3, predictor) < step_objective(p, traj, 1.5e-3, traj.curr)
+    assert np.array_equal(starts[0], predictor)
+
+
+def backward_history(p):
+    """Two PME states in reverse order, so the predictor moves against the flow."""
+    first, _ = wgf1d_first_step(p, 1e-3)
+    second, _ = wgf1d_step(p, first, 1e-3)
+    return Trajectory1D(second.curr, first.curr, 1e-3, 2e-3, 2, p.grid)
+
+
+def test_newton_starts_from_the_current_state_after_a_worse_predictor(monkeypatch):
+    p = pme_problem(mx=32)
+    traj = backward_history(p)
+    predictor = 2.0 * traj.curr - traj.prev
+    assert step_objective(p, traj, 1e-3, predictor) > step_objective(p, traj, 1e-3, traj.curr)
+    starts = record_starts(monkeypatch)
+    wgf1d_step(p, traj, 1e-3)
+    assert np.array_equal(starts[0], traj.curr)
+
+
+def test_newton_starts_from_the_current_state_after_an_inadmissible_predictor(monkeypatch):
+    p = pme_problem(mx=16)
+    x = p.grid.nodes.copy()
+    x[5] += 0.4 * p.grid.h
+    traj = Trajectory1D(p.grid.nodes, x, 1e-3, 1e-3, 1, p.grid)
+    # r = 2 carries node 5 past node 6
+    predictor = traj.curr + 2.0 * (traj.curr - traj.prev)
+    assert predictor[5] > predictor[6]
+    starts = record_starts(monkeypatch)
+    wgf1d_step(p, traj, 2e-3)
+    assert np.array_equal(starts[0], traj.curr)
+
+
+def test_keller_segel_newton_starts_from_the_current_state(monkeypatch):
+    # the lagged interaction makes J nonconvex: the start would choose the local minimum
+    grid = Grid1D(-5.0, 5.0, 48)
+    rho0 = 8.0 * np.exp(-0.5 * grid.midpoints ** 2) + 1e-8
+    p = Wgf1dProblem(grid, KellerSegel1D(), rho0)
+    traj, _ = wgf1d_first_step(p, 1e-3)
+    predictor = 2.0 * traj.curr - traj.prev
+    assert step_objective(p, traj, 1e-3, predictor) < step_objective(p, traj, 1e-3, traj.curr)
+    starts = record_starts(monkeypatch)
+    wgf1d_step(p, traj, 1e-3)
+    assert np.array_equal(starts[0], traj.curr)
+
+
+@pytest.mark.parametrize("backward", [False, True])
+def test_each_iterate_is_evaluated_once_per_step(monkeypatch, backward):
+    # forward history starts Newton from the predictor, backward from x^n
+    p = pme_problem(mx=32)
+    traj = backward_history(p) if backward else wgf1d_first_step(p, 1e-3)[0]
+    seen = []
+    objective = wgf1d._objective
+
+    def recorded(t, x):
+        seen.append(x.tobytes())
+        return objective(t, x)
+
+    monkeypatch.setattr(wgf1d, "_objective", recorded)
+    wgf1d_step(p, traj, 1.5e-3)
+    assert len(seen) >= 2
+    assert len(set(seen)) == len(seen)
+
+
+# --- oracle: the step objective's terms as written before the per-step terms
+
+def oracle_objective(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
+    xm = 0.5 * (x[:-1] + x[1:])
+    hm = 0.5 * (x_hat[:-1] + x_hat[1:])
+    inertia = coeff * inner_product("midpoint", p.rho0 * (xm - hm), xm - hm, p.grid)
+    delta = np.diff(x - x_visc_ref)
+    visc = 0.5 * p.visc_weight * tau / p.grid.h * float(np.dot(delta, delta))
+    energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, lag_x, lag_rho)
+    return inertia + visc + energy
+
+
+def oracle_gradient(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
+    xm = 0.5 * (x[:-1] + x[1:])
+    hm = 0.5 * (x_hat[:-1] + x_hat[1:])
+    cell = coeff * p.grid.h * p.rho0 * (xm - hm)
+    g = np.zeros_like(x)
+    g[:-1] += cell
+    g[1:] += cell
+    delta = np.diff(x - x_visc_ref)
+    wv = p.visc_weight * tau / p.grid.h
+    g[:-1] -= wv * delta
+    g[1:] += wv * delta
+    g += discrete_energy_grad_1d(p.model, x, p.rho0, p.grid, pinned=False,
+                                 lagged_x=lag_x, lagged_rho=lag_rho)
+    return g
+
+
+def oracle_hessian_tridiag(p, x, lag_x, lag_rho, coeff, tau):
+    diag, off = discrete_energy_hess_1d(p.model, x, p.rho0, p.grid, lag_x, lag_rho)
+    cell = 0.5 * coeff * p.grid.h * p.rho0
+    diag = diag.copy()
+    diag[:-1] += cell
+    diag[1:] += cell
+    off = off + cell
+    wv = p.visc_weight * tau / p.grid.h
+    diag[:-1] += wv
+    diag[1:] += wv
+    off = off - wv
+    return diag, off
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+@pytest.mark.parametrize("model", [PorousMedium(2.0), PorousMedium(3.5), FokkerPlanck(),
+                                   KellerSegel1D()], ids=repr)
+def test_step_terms_match_the_oracle(model, pinned):
+    # the per-step terms keep the oracle's operation order, so they match bit for bit
+    grid = Grid1D(-2.0, 2.0, 20)
+    rho0 = 1.0 + 0.5 * np.cos(0.5 * np.pi * grid.midpoints)
+    p = Wgf1dProblem(grid, model, rho0, visc_weight=0.7, pinned=pinned)
+    rng = np.random.default_rng(3)
+
+    def admissible():
+        x = grid.nodes + 0.3 * grid.h * rng.uniform(-1.0, 1.0, grid.m_x + 1)
+        if pinned:
+            x[0], x[-1] = grid.nodes[0], grid.nodes[-1]
+        return x
+
+    for _ in range(5):
+        x_hat, x_ref = admissible(), admissible()
+        lag_x, lag_rho = p.lag_state(admissible())
+        coeff, tau = rng.uniform(10.0, 500.0), rng.uniform(1e-4, 1e-1)
+        args = (x_hat, x_ref, lag_x, lag_rho, coeff, tau)
+        terms = wgf1d._StepTerms(p, *args)
+        for x in (admissible(), admissible()):
+            assert np.array_equal(wgf1d._objective(terms, x), oracle_objective(p, x, *args))
+            assert np.array_equal(wgf1d._gradient(terms, x), oracle_gradient(p, x, *args))
+            diag, off = wgf1d._hessian_tridiag(terms, x)
+            want_diag, want_off = oracle_hessian_tridiag(p, x, lag_x, lag_rho, coeff, tau)
+            assert np.array_equal(diag, want_diag) and np.array_equal(off, want_off)
+        # an iterate changed in place after an evaluation is evaluated afresh
+        x[grid.m_x // 2] += 0.2 * grid.h
+        assert np.array_equal(wgf1d._objective(terms, x), oracle_objective(p, x, *args))
+        assert np.array_equal(wgf1d._gradient(terms, x), oracle_gradient(p, x, *args))
+        diag, _ = wgf1d._hessian_tridiag(terms, x)
+        assert np.array_equal(diag, oracle_hessian_tridiag(p, x, lag_x, lag_rho, coeff, tau)[0])
+        x[grid.m_x // 2] = x[grid.m_x // 2 + 1] + grid.h
+        with pytest.raises(AdmissibilityError):
+            wgf1d._gradient(terms, x)
 
 
 def test_keller_segel_step_runs_and_conserves():
