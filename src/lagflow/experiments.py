@@ -228,22 +228,27 @@ def build_sim(config: ExperimentConfig):
     if preset == "barenblatt-2d":
         grid = Grid2D(-2.5, 2.5, -2.5, 2.5, config.mx, config.my or config.mx)
         rho0 = barenblatt_initial_2d(config.m)(grid.ref_x, grid.ref_y)
-        problem = Wgf2dProblem(grid, PorousMedium(config.m), rho0,
-                               eps_visc=config.eps_visc, visc_scaling=config.visc_scaling)
-        return Wgf2dSim(problem, config.scheme)
+        return _wgf2d_sim(config, grid, PorousMedium(config.m), rho0)
     if preset == "pme-nonradial-2d":
         grid = Grid2D(-2.0, 2.0, -2.0, 2.0, config.mx, config.my or config.mx)
         rho0 = nonradial_pme_2d()(grid.ref_x, grid.ref_y)
-        problem = Wgf2dProblem(grid, PorousMedium(config.m), rho0,
-                               eps_visc=config.eps_visc, visc_scaling=config.visc_scaling)
-        return Wgf2dSim(problem, config.scheme)
+        return _wgf2d_sim(config, grid, PorousMedium(config.m), rho0)
     if preset == "ks-2d":
         grid = Grid2D(-5.0, 5.0, -5.0, 5.0, config.mx, config.my or config.mx)
         rho0 = ks_gaussian_2d(config.amplitude)(grid.ref_x, grid.ref_y)
-        problem = Wgf2dProblem(grid, KellerSegel2D(config.m, config.nu), rho0,
-                               eps_visc=config.eps_visc, visc_scaling=config.visc_scaling)
-        return Wgf2dSim(problem, config.scheme)
+        return _wgf2d_sim(config, grid, KellerSegel2D(config.m, config.nu), rho0)
     raise ConfigError(f"unknown preset {preset!r}")
+
+
+def _wgf2d_sim(config: ExperimentConfig, grid: Grid2D, model, rho0) -> Wgf2dSim:
+    if config.eps_visc == 0.0 and np.any(rho0[1:-1, 1:-1] == 0.0):
+        # only the viscosity moves a massless node, so without it the linear systems are singular
+        raise ConfigError(f"preset {config.preset}: model.eps_visc = 0 leaves the massless "
+                          f"interior nodes undetermined at grid.mx = {config.mx}; "
+                          "choose model.eps_visc > 0")
+    problem = Wgf2dProblem(grid, model, rho0, eps_visc=config.eps_visc,
+                           visc_scaling=config.visc_scaling)
+    return Wgf2dSim(problem, config.scheme)
 
 
 # --- run drivers --------------------------------------------------------------

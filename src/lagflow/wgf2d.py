@@ -19,9 +19,23 @@ diag(c rho0) + s (-Lap_h) is factored once per step and the factors serve
 both the x and the y right-hand side; a Newton iteration factors its
 Hessian once per diagonal shift it tries.  Both matrices are symmetric, so one sparse LU with a
 minimum-degree order on A^T + A and diagonal pivots (SuperLU's symmetric
-mode) does the work of a Cholesky factorization.  Massless nodes make the
-explicit matrix badly scaled (its diagonal spans c rho0 ~ 1/tau down to the
-viscosity alone), which a direct solve does not mind.
+mode) does the work of a Cholesky factorization.
+
+Compactly supported data leave most interior nodes massless, and there both
+matrices are only the viscosity: sigma (-Lap_h), with sigma = s for the
+explicit matrix and s hx hy for the Newton Hessian (per component).  Call
+an interior node active if it or one of its four interior neighbours
+carries mass, and the rest F.  ``_condensed_solver`` removes F from every
+solve: -Lap_h restricted to F is factored once per grid and mass mask, with
+the interface term G = L_af L_ff^{-1} L_fa (nonzero only on the active nodes
+that touch F), and each step factors only the Schur complement
+A_aa - sigma G on the active unknowns, then recovers F by back
+substitution.  A mask without massless nodes factors the whole matrix in
+the same routine.  A Newton shift is added on the active unknowns only;
+for s > 0 the block sigma L_ff is positive definite, so the full system is
+positive definite exactly when the shifted Schur complement is.  With
+s = 0 the massless nodes are undetermined, and the solve raises
+SolverError.
 
 The artificial viscosity supports the two scalings that appear in
 practice: eps * tau applied to the increment x^{n+1} - x^n (the scheme
@@ -134,6 +148,121 @@ def _factor(mat: sps.csc_matrix):
                      options=dict(SymmetricMode=True)).solve
 
 
+def _neg_lap_matrix(grid: Grid2D) -> sps.csc_matrix:
+    """5-point -Laplacian on the interior nodes (Dirichlet ring), built once per grid."""
+    return _neg_lap_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
+
+
+@lru_cache(maxsize=8)
+def _neg_lap_cached(nx: int, ny: int, h_x: float, h_y: float) -> sps.csc_matrix:
+    ex = np.ones(nx)
+    ey = np.ones(ny)
+    lx = sps.diags([2.0 * ex, -ex[:-1], -ex[:-1]], [0, 1, -1]) / h_x ** 2
+    ly = sps.diags([2.0 * ey, -ey[:-1], -ey[:-1]], [0, 1, -1]) / h_y ** 2
+    lap = (sps.kron(sps.eye(ny), lx) + sps.kron(ly, sps.eye(nx))).tocsc()
+    for arr in (lap.data, lap.indices, lap.indptr):
+        arr.flags.writeable = False
+    return lap
+
+
+@dataclass(frozen=True)
+class _Condensation:
+    """-Lap_h on the interior split into active nodes and the massless rest F."""
+    active: np.ndarray          # flat interior indices, ascending
+    inactive: np.ndarray        # F, flat interior indices, ascending
+    lap_af: sps.csr_matrix      # -Lap_h, rows active, columns F
+    lap_fa: sps.csr_matrix      # its transpose
+    solve_ff: object            # solve function of the LU of -Lap_h on F (None if F is empty)
+    g: sps.csc_matrix           # L_af L_ff^{-1} L_fa on the active nodes
+
+
+def _condensation(grid: Grid2D, rho0) -> _Condensation:
+    massive = np.asarray(rho0)[1:-1, 1:-1] > 0.0
+    return _condensation_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y,
+                                massive.tobytes())
+
+
+@lru_cache(maxsize=8)
+def _condensation_cached(nx: int, ny: int, h_x: float, h_y: float,
+                         mask: bytes) -> _Condensation:
+    massive = np.frombuffer(mask, dtype=bool).reshape(ny, nx)
+    active = massive.copy()
+    active[1:, :] |= massive[:-1, :]
+    active[:-1, :] |= massive[1:, :]
+    active[:, 1:] |= massive[:, :-1]
+    active[:, :-1] |= massive[:, 1:]
+    a = np.flatnonzero(active)
+    f = np.flatnonzero(~active)
+    lap = _neg_lap_cached(nx, ny, h_x, h_y).tocsr()
+    lap_af = lap[a][:, f]
+    lap_fa = lap_af.T.tocsr()
+    solve_ff = None
+    g = sps.csc_matrix((a.size, a.size))
+    if f.size:
+        solve_ff = _factor(lap[f][:, f].tocsc())
+        # only the active nodes next to F see the interface term
+        edge = np.flatnonzero(lap_af.getnnz(axis=1))
+        if edge.size:
+            block = lap_af[edge] @ solve_ff(lap_fa[:, edge].toarray())
+            block = 0.5 * (block + block.T)
+            rows, cols = np.meshgrid(edge, edge, indexing="ij")
+            g = sps.csc_matrix((block.ravel(), (rows.ravel(), cols.ravel())),
+                               shape=(a.size, a.size))
+    cond = _Condensation(a, f, lap_af, lap_fa, solve_ff, g)
+    for arr in (a, f, lap_af.data, lap_af.indices, lap_af.indptr, lap_fa.data,
+                lap_fa.indices, lap_fa.indptr, g.data, g.indices, g.indptr):
+        arr.flags.writeable = False
+    return cond
+
+
+def _condensed_solver(grid: Grid2D, rho0, mat, sigma: float):
+    """``solve(rhs, shift)`` for the interior system ``mat`` plus ``shift`` on
+    the active unknowns, with the massless nodes F condensed out.
+
+    ``mat`` stacks one or more components of the interior nodes; on F each
+    component's rows must be ``sigma`` (-Lap_h) (see the module docstring).
+    ``rhs`` is a vector or has one column per right-hand side.
+    """
+    cond = _condensation(grid, rho0)
+    n = (grid.m_x - 1) * (grid.m_y - 1)
+    ncomp = mat.shape[0] // n
+    if cond.inactive.size == 0:
+        def solve_full(rhs, shift=0.0):
+            shifted = mat if shift == 0.0 else mat + shift * sps.eye(mat.shape[0])
+            return _factor(shifted.tocsc())(rhs)
+        return solve_full
+    if sigma <= 0.0:
+        raise SolverError("linear system is singular (zero mass and zero viscosity)")
+    a, f = cond.active, cond.inactive
+    idx = np.concatenate([a + c * n for c in range(ncomp)])
+    schur = (mat[idx][:, idx] - sigma * sps.block_diag([cond.g] * ncomp)).tocsc()
+
+    def solve(rhs, shift=0.0):
+        b = rhs.reshape(ncomp, n, -1)
+        k = b.shape[2]
+
+        def by_node(u, rows):
+            # (ncomp, rows, k) -> (rows, ncomp k): one column per component and rhs
+            return u.transpose(1, 0, 2).reshape(rows, ncomp * k)
+
+        def by_component(u, rows):
+            return u.reshape(rows, ncomp, k).transpose(1, 0, 2)
+
+        b_f = by_node(b[:, f, :], f.size)
+        b_a = b[:, a, :] - by_component(cond.lap_af @ cond.solve_ff(b_f), a.size)
+        u_a = b_a.reshape(ncomp * a.size, k)
+        if a.size:
+            shifted = schur if shift == 0.0 else (schur + shift * sps.eye(idx.size)).tocsc()
+            u_a = _factor(shifted)(u_a)
+        u_a = u_a.reshape(ncomp, a.size, k)
+        u_f = cond.solve_ff(b_f / sigma - cond.lap_fa @ by_node(u_a, a.size))
+        out = np.empty_like(b)
+        out[:, a, :] = u_a
+        out[:, f, :] = by_component(u_f, f.size)
+        return out.reshape(rhs.shape)
+    return solve
+
+
 def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, cmass, s):
     """Solve (diag(cmass) + s (-Lap)) [dx dy] = [rhs_x rhs_y] on the interior
     with one factorization, and add the increments to the current map."""
@@ -143,7 +272,8 @@ def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, cmass, s):
         raise SolverError("linear system is singular (zero mass and zero viscosity)")
     mat = sps.diags(coeff, format="csc") + s * _neg_lap_matrix(grid)
     try:
-        sol = _factor(mat)(np.column_stack([rhs_x.ravel(), rhs_y.ravel()]))
+        sol = _condensed_solver(grid, p.rho0, mat, s)(
+            np.column_stack([rhs_x.ravel(), rhs_y.ravel()]))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
@@ -202,23 +332,6 @@ def wgf2d_first_step_explicit(p: Wgf2dProblem, tau1: float):
 
 
 # --- implicit minimization --------------------------------------------------
-
-def _neg_lap_matrix(grid: Grid2D) -> sps.csc_matrix:
-    """5-point -Laplacian on the interior nodes (Dirichlet ring), built once per grid."""
-    return _neg_lap_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
-
-
-@lru_cache(maxsize=8)
-def _neg_lap_cached(nx: int, ny: int, h_x: float, h_y: float) -> sps.csc_matrix:
-    ex = np.ones(nx)
-    ey = np.ones(ny)
-    lx = sps.diags([2.0 * ex, -ex[:-1], -ex[:-1]], [0, 1, -1]) / h_x ** 2
-    ly = sps.diags([2.0 * ey, -ey[:-1], -ey[:-1]], [0, 1, -1]) / h_y ** 2
-    lap = (sps.kron(sps.eye(ny), lx) + sps.kron(ly, sps.eye(nx))).tocsc()
-    for arr in (lap.data, lap.indices, lap.indptr):
-        arr.flags.writeable = False
-    return lap
-
 
 def _objective_2d(p: Wgf2dProblem, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s):
     area = p.grid.h_x * p.grid.h_y
@@ -284,10 +397,7 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
 
     def linearize(z):
         hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area + fixed
-
-        def solve(rhs, shift):
-            return _factor((hess + shift * sps.eye(2 * interior.size)).tocsc())(rhs)
-        return solve, lambda: 1e-8
+        return _condensed_solver(grid, p.rho0, hess, s * area), lambda: 1e-8
 
     def tol(z):
         floor = 64.0 * np.finfo(float).eps * area * (

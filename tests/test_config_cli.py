@@ -9,7 +9,7 @@ from lagflow.adaptive import AdaptiveRunResult
 from lagflow.cli import main
 from lagflow.config import parse_config, preset_defaults, serialize_config
 from lagflow.errors import ConfigError
-from lagflow.experiments import RunRecord, random_step_sequence, run_experiment
+from lagflow.experiments import RunRecord, build_sim, random_step_sequence, run_experiment
 
 
 def test_minimal_config_fills_preset_defaults():
@@ -154,6 +154,26 @@ def test_cli_rejects_vanishing_mobility_as_config_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error" in err
     assert "model.mobility = degenerate" in err and "grid.mx = 101" in err
+
+
+@pytest.mark.parametrize("preset, scheme", [("barenblatt-2d", "explicit"),
+                                            ("barenblatt-2d", "implicit"),
+                                            ("pme-nonradial-2d", "explicit")])
+def test_cli_rejects_zero_viscosity_with_massless_nodes(tmp_path, capsys, preset, scheme):
+    # only the viscosity determines a massless node, so both schemes' systems are singular
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"preset = {preset}\nscheme = {scheme}\nmodel.eps_visc = 0\ngrid.mx = 16\n",
+                   encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err
+    assert preset in err and "model.eps_visc = 0" in err
+
+
+def test_zero_viscosity_without_massless_nodes_is_accepted():
+    # the Keller-Segel Gaussian is positive on every node
+    config = parse_config("preset = ks-2d\nmodel.eps_visc = 0\ngrid.mx = 16\n")
+    assert build_sim(config).problem.eps_visc == 0.0
 
 
 def test_cli_rejects_negative_eta_as_config_error(tmp_path, capsys):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
+from hypothesis import given, settings, strategies as st
 
 import lagflow.wgf2d as wgf2d
 from lagflow.diagnostics import barenblatt_2d, total_mass_2d
 from lagflow.errors import AdmissibilityError, SolverError
 from lagflow.grids import Grid2D, Trajectory2D, jacobian_det_interior
-from lagflow.models import PorousMedium
+from lagflow.models import PorousMedium, discrete_energy_hess_2d
 from lagflow.wgf2d import (RATIO_BOUND_2D, VISC_TAU_INCREMENT, VISC_TAU_SQ_ABSOLUTE,
                            Wgf2dProblem, d2_operator, recover_density_2d,
                            wgf2d_augmented_energy, wgf2d_first_step_explicit,
@@ -210,3 +212,159 @@ def test_visc_scaling_validation():
     p2 = Wgf2dProblem(g, PorousMedium(2.0), np.ones(g.node_shape), eps_visc=2.0,
                       visc_scaling=VISC_TAU_INCREMENT)
     assert p2.visc_strength(1e-2) == pytest.approx(2e-2)
+
+
+# --- the massless nodes condensed out of the linear solves -------------------
+
+MASK_KINDS = ("disk", "ring", "boundary", "single", "full", "empty")
+
+
+def masked_rho0(grid, kind, seed):
+    """A positive random density on one of the mask shapes, zero elsewhere."""
+    rng = np.random.default_rng(seed)
+    ny, nx = grid.node_shape
+    ii, jj = np.mgrid[0:ny, 0:nx]
+    radius = np.hypot((ii - ny / 2.0) / ny, (jj - nx / 2.0) / nx)
+    mask = {
+        "disk": radius < 0.25,
+        "ring": (radius > 0.15) & (radius < 0.35),
+        # mass on the pinned ring and on the interior nodes next to it
+        "boundary": (ii <= 1) | (jj >= nx - 2),
+        "single": (ii == ny // 2) & (jj == nx // 2),
+        "full": np.ones((ny, nx), dtype=bool),
+        "empty": np.zeros((ny, nx), dtype=bool),
+    }[kind]
+    return np.where(mask, rng.uniform(0.2, 1.5, (ny, nx)), 0.0)
+
+
+def active_nodes(rho0):
+    """Interior nodes with mass or with an interior 4-neighbour that has mass."""
+    massive = rho0[1:-1, 1:-1] > 0.0
+    padded = np.pad(massive, 1)
+    return (massive | padded[:-2, 1:-1] | padded[2:, 1:-1]
+            | padded[1:-1, :-2] | padded[1:-1, 2:]).ravel()
+
+
+def newton_matrix(p, tau, seed):
+    """Hessian of an implicit step functional at a perturbed map, assembled as
+    ``_implicit_solve`` does, and its viscosity weight sigma."""
+    g = p.grid
+    rng = np.random.default_rng(seed)
+    x = g.ref_x.copy()
+    y = g.ref_y.copy()
+    x[1:-1, 1:-1] += 0.1 * g.h_x * rng.uniform(-1.0, 1.0, (g.m_y - 1, g.m_x - 1))
+    y[1:-1, 1:-1] += 0.1 * g.h_y * rng.uniform(-1.0, 1.0, (g.m_y - 1, g.m_x - 1))
+    area = g.h_x * g.h_y
+    sigma = p.visc_strength(tau) * area
+    lap = wgf2d._neg_lap_matrix(g)
+    inertia = np.tile((p.rho0[1:-1, 1:-1] / tau * area).ravel(), 2)
+    return (discrete_energy_hess_2d(p.model, x, y, p.rho0, g) * area + sps.diags(inertia)
+            + sps.block_diag([sigma * lap, sigma * lap])).tocsr(), sigma
+
+
+def explicit_matrix(p, tau):
+    s = p.visc_strength(tau)
+    coeff = (1.5 / tau * p.rho0[1:-1, 1:-1]).ravel()
+    return (sps.diags(coeff) + s * wgf2d._neg_lap_matrix(p.grid)).tocsc(), s
+
+
+def check_against_dense(p, mat, sigma, rhs, shift):
+    solve = wgf2d._condensed_solver(p.grid, p.rho0, mat, sigma)
+    ncomp = mat.shape[0] // active_nodes(p.rho0).size
+    diag = np.tile(active_nodes(p.rho0), ncomp).astype(float)
+    want = np.linalg.solve(mat.toarray() + shift * np.diag(diag), rhs)
+    got = solve(rhs, shift)
+    assert got.shape == rhs.shape
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mx=st.integers(4, 9), my=st.integers(4, 9), kind=st.sampled_from(MASK_KINDS),
+       seed=st.integers(0, 2 ** 16), columns=st.sampled_from([None, 2]),
+       shift=st.sampled_from([0.0, 0.7]))
+def test_condensed_solve_matches_dense_solve(mx, my, kind, seed, columns, shift):
+    g = Grid2D(-1.0, 1.0, -0.8, 0.8, mx, my)
+    p = Wgf2dProblem(g, PorousMedium(2.0), masked_rho0(g, kind, seed), eps_visc=0.5,
+                     visc_scaling=VISC_TAU_INCREMENT)
+    rng = np.random.default_rng(seed)
+    tau = 1e-2
+    for mat, sigma in (newton_matrix(p, tau, seed), explicit_matrix(p, tau)):
+        size = (mat.shape[0],) if columns is None else (mat.shape[0], columns)
+        check_against_dense(p, mat, sigma, rng.standard_normal(size), shift)
+
+
+def compact_problem(eps_visc=0.5):
+    """Barenblatt data on a 16 x 16 grid of [-2, 2]^2: 112 of the 225 interior
+    nodes have no mass and no massive neighbour."""
+    g = Grid2D(-2.0, 2.0, -2.0, 2.0, 16, 16)
+    return Wgf2dProblem(g, PorousMedium(2.0), barenblatt_2d(g.ref_x, g.ref_y, 0.0, 2.0),
+                        eps_visc=eps_visc, visc_scaling=VISC_TAU_INCREMENT)
+
+
+def test_inactive_rows_are_the_viscosity_alone(monkeypatch):
+    # rho0 = 0 must leave no energy or inertia term on a node without massive neighbours
+    p = compact_problem()
+    inactive = ~active_nodes(p.rho0)
+    assert 0 < np.count_nonzero(inactive) < inactive.size
+    seen = []
+    solver = wgf2d._condensed_solver
+
+    def recorded(grid, rho0, mat, sigma):
+        seen.append((mat, sigma))
+        return solver(grid, rho0, mat, sigma)
+
+    monkeypatch.setattr(wgf2d, "_condensed_solver", recorded)
+    wgf2d_step_implicit(p, equal_history(p, 2e-3), 2e-3)
+    assert {m.shape[0] // inactive.size for m, _ in seen} == {1, 2}
+    lap = wgf2d._neg_lap_matrix(p.grid).toarray()
+    for mat, sigma in seen:
+        ncomp = mat.shape[0] // inactive.size
+        rows = mat.toarray()[np.tile(inactive, ncomp)]
+        want = np.kron(np.eye(ncomp), sigma * lap)[np.tile(inactive, ncomp)]
+        assert np.array_equal(rows, want)
+
+
+def test_condensation_is_cached_per_grid_and_mask():
+    grids = [Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 7), Grid2D(-3.0, 3.0, -2.0, 2.0, 8, 7)]
+    problems = [Wgf2dProblem(g, PorousMedium(2.0), masked_rho0(g, kind, 3), eps_visc=0.5)
+                for g in grids for kind in ("disk", "ring")]
+    rng = np.random.default_rng(4)
+    rhs = rng.standard_normal((grids[0].m_x - 1) * (grids[0].m_y - 1))
+    for p in problems * 2:
+        cond = wgf2d._condensation(p.grid, p.rho0)
+        assert np.array_equal(cond.active, np.flatnonzero(active_nodes(p.rho0)))
+        mat, s = explicit_matrix(p, 1e-2)
+        check_against_dense(p, mat, s, rhs, 0.0)
+        assert wgf2d._condensation(p.grid, p.rho0) is cond
+        for arr in (cond.active, cond.inactive, cond.lap_af.data, cond.lap_fa.indices,
+                    cond.g.data, cond.g.indptr):
+            assert not arr.flags.writeable
+    assert len({id(wgf2d._condensation(p.grid, p.rho0)) for p in problems}) == 4
+
+
+@pytest.mark.parametrize("first_step", [wgf2d_first_step_explicit, wgf2d_first_step_implicit])
+def test_massless_nodes_without_viscosity_are_singular(first_step):
+    with pytest.raises(SolverError, match="zero mass and zero viscosity"):
+        first_step(compact_problem(eps_visc=0.0), 1e-2)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratios=st.lists(st.floats(0.0, RATIO_BOUND_2D, exclude_min=True), min_size=1,
+                       max_size=15))
+def test_drawn_ratios_keep_the_implicit_energy_estimate(ratios):
+    # compact support: most interior nodes are massless and condensed out
+    p = compact_problem()
+    assert 0 < wgf2d._condensation(p.grid, p.rho0).inactive.size
+    traj, dens = wgf2d_first_step_implicit(p, 2e-3)
+    mass0 = total_mass_2d(dens, traj.curr_x, traj.curr_y)
+    previous = wgf2d_augmented_energy(p, traj)
+    for ratio in ratios:
+        # below tau = 1e-3 the increment viscosity no longer keeps the massless cells
+        # next to the support from folding, and the Newton solve stalls (ROADMAP item 4)
+        tau = min(max(traj.tau_prev * ratio, 1e-3), 1e-2)
+        traj, dens = wgf2d_step_implicit(p, traj, tau)
+        assert np.all(jacobian_det_interior(traj.curr_x, traj.curr_y, p.grid) > 0.0)
+        assert total_mass_2d(dens, traj.curr_x, traj.curr_y) == pytest.approx(mass0, rel=1e-12)
+        value = wgf2d_augmented_energy(p, traj)
+        assert value <= previous + 1e-10
+        previous = value
