@@ -65,6 +65,8 @@ __all__ = [
     "discrete_energy_2d",
     "discrete_energy_grad_2d",
     "discrete_energy_hess_2d",
+    "hess_2d_structure",
+    "mass_mask",
     "ac_discrete_energy",
     "ks1d_pair_energy",
     "check_mobility_positive",
@@ -597,30 +599,43 @@ _DET_PAIRS = ((0, 7, -1.0), (0, 6, 1.0), (1, 7, 1.0), (1, 6, -1.0),
 
 
 class _HessPattern(NamedTuple):
+    nodes: np.ndarray    # flat interior indices of the nodes that carry mass, ascending
     gather: np.ndarray   # positions in the per-node value list, in CSR order
     starts: np.ndarray   # reduceat offsets: first gathered entry of each stored entry
     indices: np.ndarray
     indptr: np.ndarray
 
 
-@lru_cache(maxsize=8)
-def _hess_2d_pattern(my1: int, mx1: int) -> _HessPattern:
-    """Sparsity of ``discrete_energy_hess_2d`` on an (my1, mx1) interior.
+def mass_mask(rho0) -> Union[bytes, None]:
+    """Cache key of the interior nodes that carry mass (row-major bool bytes),
+    or None when every interior node does."""
+    massive = np.asarray(rho0)[1:-1, 1:-1] > 0.0
+    return None if massive.all() else massive.tobytes()
 
-    Each interior node contributes 80 entries: the 64 products of its eight
+
+@lru_cache(maxsize=8)
+def _hess_2d_pattern(my1: int, mx1: int, mask: Union[bytes, None] = None) -> _HessPattern:
+    """Sparsity of ``discrete_energy_hess_2d`` on an (my1, mx1) interior whose
+    nodes with mass are ``mask`` (see ``mass_mask``; None: all of them).
+
+    Each node with mass contributes 80 entries: the 64 products of its eight
     stencil unknowns, then the 16 determinant second derivatives of
-    ``_DET_PAIRS``, each pair in both orders.  Entries that touch the
-    boundary ring are dropped; the rest are put in CSR order (stable, so
-    duplicates are summed in value-list order).  The arrays are read-only.
+    ``_DET_PAIRS``, each pair in both orders.  A massless node contributes
+    exact zeros (rho0 = 0 gives G = G' s = 0) and is left out.  Entries that
+    touch the boundary ring are dropped; the rest are put in CSR order
+    (stable, so duplicates are summed in value-list order).  The arrays are
+    read-only.
     """
     n_int = my1 * mx1
     size = 2 * n_int
-    ii, jj = np.meshgrid(np.arange(1, my1 + 1), np.arange(1, mx1 + 1), indexing="ij")
+    nodes = np.arange(n_int) if mask is None else np.flatnonzero(np.frombuffer(mask, dtype=bool))
+    ii, jj = np.divmod(nodes, mx1)
+    ii, jj = ii + 1, jj + 1
 
     def dof(i, j, comp):
         # interior unknown index or -1 for boundary ring
         inside = (i >= 1) & (i <= my1) & (j >= 1) & (j <= mx1)
-        return np.where(inside, (i - 1) * mx1 + (j - 1) + comp * n_int, -1).ravel()
+        return np.where(inside, (i - 1) * mx1 + (j - 1) + comp * n_int, -1)
 
     # stencil order: xW xE xS xN yW yE yS yN
     cols = np.stack([
@@ -637,43 +652,55 @@ def _hess_2d_pattern(my1: int, mx1: int) -> _HessPattern:
     gather, keys = gather[order], keys[order]
     starts = np.flatnonzero(np.diff(keys, prepend=-1))
     indptr = np.concatenate([[0], np.cumsum(np.bincount(keys[starts] // size, minlength=size))])
-    pattern = _HessPattern(gather, starts, keys[starts] % size, indptr)
+    pattern = _HessPattern(nodes, gather, starts, keys[starts] % size, indptr)
     for arr in pattern:
         arr.flags.writeable = False
     return pattern
+
+
+def hess_2d_structure(my1: int, mx1: int, mask: Union[bytes, None] = None):
+    """CSR ``indptr`` and ``indices`` of every matrix ``discrete_energy_hess_2d``
+    returns on an (my1, mx1) interior whose nodes with mass are ``mask`` (see
+    ``mass_mask``).  Its ``data`` is stored in this order, duplicates summed
+    and nothing pruned.  The arrays are cached and read-only."""
+    pattern = _hess_2d_pattern(my1, mx1, mask)
+    return pattern.indptr, pattern.indices
 
 
 def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps.csr_matrix:
     """Sparse Hessian of sum F(rho0/det) det over stacked interior unknowns [x; y].
 
     Interaction models are excluded: their Hessian is dense, and the 2D
-    schemes only ever treat the interaction explicitly.  The sparsity
-    pattern is built once per interior shape (``_hess_2d_pattern``); each
-    call computes the values only.
+    schemes only ever treat the interaction explicitly.  Only the nodes with
+    mass contribute: the sparsity pattern is built once per interior shape
+    and mass mask (``_hess_2d_pattern``), so an entry that only massless
+    nodes touch is not stored, and each call computes the values on the
+    nodes with mass only.
     """
     _check_2d_model(model)
     if isinstance(model, KellerSegel2D):
         raise ValueError("implicit Hessian is only available for interaction-free models")
     det, s = _deformation_state(x, y, rho0, grid)
-    p = _pressure(model, s).ravel()
+    pattern = _hess_2d_pattern(*det.shape, mass_mask(rho0))
+    nodes = pattern.nodes
+    det = det.ravel()[nodes]
+    s = s.ravel()[nodes]
+    p = _pressure(model, s)
     # d/d(det) of G(rho0/det) = -G'(s) s / det
-    pp = (-_pressure_deriv(model, s) * s / det).ravel()
+    pp = -_pressure_deriv(model, s) * s / det
     hx, hy = grid.h_x, grid.h_y
-    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
-    pattern = _hess_2d_pattern(*det.shape)
+    x_x, x_y, y_x, y_y = (d.ravel()[nodes] for d in deformation_stencil(x, y, grid))
     # d(det)/d(stencil unknown), in stencil order
     grad = np.stack([
-        (-y_y / (2.0 * hx)).ravel(), (y_y / (2.0 * hx)).ravel(),
-        (y_x / (2.0 * hy)).ravel(), (-y_x / (2.0 * hy)).ravel(),
-        (x_y / (2.0 * hx)).ravel(), (-x_y / (2.0 * hx)).ravel(),
-        (-x_x / (2.0 * hy)).ravel(), (x_x / (2.0 * hy)).ravel(),
+        -y_y / (2.0 * hx), y_y / (2.0 * hx), y_x / (2.0 * hy), -y_x / (2.0 * hy),
+        x_y / (2.0 * hx), -x_y / (2.0 * hx), -x_x / (2.0 * hy), x_x / (2.0 * hy),
     ])
     outer = (grad[:, None, :] * grad[None, :, :]).reshape(64, -1) * pp
     k = 1.0 / (4.0 * hx * hy)
     signs = np.repeat([sign * k for _, _, sign in _DET_PAIRS], 2)
     vals = np.concatenate([outer.ravel(), (signs[:, None] * p).ravel()])
     data = np.add.reduceat(vals[pattern.gather], pattern.starts)
-    size = 2 * p.size
+    size = pattern.indptr.size - 1
     return sps.csr_matrix((data, pattern.indices, pattern.indptr), shape=(size, size), copy=True)
 
 

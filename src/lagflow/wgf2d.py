@@ -17,9 +17,9 @@ output whenever that does not increase J.
 Every linear system is solved directly.  The explicit matrix
 diag(c rho0) + s (-Lap_h) is factored once per step and the factors serve
 both the x and the y right-hand side; a Newton iteration factors its
-Hessian once per diagonal shift it tries.  Both matrices are symmetric, so one sparse LU with a
-minimum-degree order on A^T + A and diagonal pivots (SuperLU's symmetric
-mode) does the work of a Cholesky factorization.
+Hessian once per diagonal shift it tries.  Both matrices are symmetric, so
+one sparse LU with diagonal pivots (SuperLU's symmetric mode) does the work
+of a Cholesky factorization.
 
 Compactly supported data leave most interior nodes massless, and there both
 matrices are only the viscosity: sigma (-Lap_h), with sigma = s for the
@@ -30,12 +30,22 @@ solve: -Lap_h restricted to F is factored once per grid and mass mask, with
 the interface term G = L_af L_ff^{-1} L_fa (nonzero only on the active nodes
 that touch F), and each step factors only the Schur complement
 A_aa - sigma G on the active unknowns, then recovers F by back
-substitution.  A mask without massless nodes factors the whole matrix in
-the same routine.  A Newton shift is added on the active unknowns only;
-for s > 0 the block sigma L_ff is positive definite, so the full system is
-positive definite exactly when the shifted Schur complement is.  With
-s = 0 the massless nodes are undetermined, and the solve raises
+substitution.  A mask without massless nodes has no F and no G and goes
+through the same routine.  A Newton shift is added on the active unknowns
+only; for s > 0 the block sigma L_ff is positive definite, so the full
+system is positive definite exactly when the shifted Schur complement is.
+With s = 0 the massless nodes are undetermined, and the solve raises
 SolverError.
+
+The structure of that Schur complement is fixed per grid, mass mask and
+component count (one for the explicit matrix, two for the Newton Hessian),
+so ``_plan`` works it out once, from the structure alone: the union of the
+diagonal, -Lap_h, G and the Hessian's pattern, a minimum-degree order of it
+(George & Liu), and where each term lands in the data vector of the
+permuted CSC matrix.  A step only writes its values there and factors them
+in that order.  The Hessian itself (``models.discrete_energy_hess_2d``)
+stores only the entries that a node with mass touches, and those all lie
+in the active block.
 
 The artificial viscosity supports the two scalings that appear in
 practice: eps * tau applied to the increment x^{n+1} - x^n (the scheme
@@ -59,7 +69,8 @@ import scipy.sparse.linalg as spla
 from .errors import AdmissibilityError, NewtonError, SolverError
 from .grids import DensityField2D, Grid2D, Trajectory2D, jacobian_det_interior
 from .models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
-                     discrete_energy_2d, discrete_energy_hess_2d, ks2d_interaction_force)
+                     discrete_energy_2d, discrete_energy_hess_2d, hess_2d_structure,
+                     ks2d_interaction_force, mass_mask)
 from .newton import newton_solve
 
 __all__ = ["Wgf2dProblem", "VISC_TAU_INCREMENT", "VISC_TAU_SQ_ABSOLUTE",
@@ -139,27 +150,23 @@ def _scheme_gradient(p: Wgf2dProblem, x, y):
     return gx, gy
 
 
+_LU_OPTIONS = dict(diag_pivot_thresh=0.0, options=dict(SymmetricMode=True))
+
+
 def _factor(mat: sps.csc_matrix):
-    """Solve function of a sparse LU of a symmetric matrix, with a
-    minimum-degree order on A^T + A and diagonal pivots.  The explicit
-    matrix is SPD; a Newton Hessian that is not fails with a RuntimeError
-    or non-finite solutions, which the Newton core answers with a shift."""
-    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                     options=dict(SymmetricMode=True)).solve
-
-
-def _neg_lap_matrix(grid: Grid2D) -> sps.csc_matrix:
-    """5-point -Laplacian on the interior nodes (Dirichlet ring), built once per grid."""
-    return _neg_lap_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
+    """Sparse LU of a symmetric matrix, with a minimum-degree order on
+    A^T + A and diagonal pivots."""
+    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", **_LU_OPTIONS)
 
 
 @lru_cache(maxsize=8)
-def _neg_lap_cached(nx: int, ny: int, h_x: float, h_y: float) -> sps.csc_matrix:
+def _neg_lap_cached(nx: int, ny: int, h_x: float, h_y: float) -> sps.csr_matrix:
+    """5-point -Laplacian on the interior nodes (Dirichlet ring), built once per grid."""
     ex = np.ones(nx)
     ey = np.ones(ny)
     lx = sps.diags([2.0 * ex, -ex[:-1], -ex[:-1]], [0, 1, -1]) / h_x ** 2
     ly = sps.diags([2.0 * ey, -ey[:-1], -ey[:-1]], [0, 1, -1]) / h_y ** 2
-    lap = (sps.kron(sps.eye(ny), lx) + sps.kron(ly, sps.eye(nx))).tocsc()
+    lap = (sps.kron(sps.eye(ny), lx) + sps.kron(ly, sps.eye(nx))).tocsr()
     for arr in (lap.data, lap.indices, lap.indptr):
         arr.flags.writeable = False
     return lap
@@ -177,15 +184,17 @@ class _Condensation:
 
 
 def _condensation(grid: Grid2D, rho0) -> _Condensation:
-    massive = np.asarray(rho0)[1:-1, 1:-1] > 0.0
     return _condensation_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y,
-                                massive.tobytes())
+                                mass_mask(rho0))
 
 
 @lru_cache(maxsize=8)
 def _condensation_cached(nx: int, ny: int, h_x: float, h_y: float,
-                         mask: bytes) -> _Condensation:
-    massive = np.frombuffer(mask, dtype=bool).reshape(ny, nx)
+                         mask) -> _Condensation:
+    if mask is None:
+        massive = np.ones((ny, nx), dtype=bool)
+    else:
+        massive = np.frombuffer(mask, dtype=bool).reshape(ny, nx)
     active = massive.copy()
     active[1:, :] |= massive[:-1, :]
     active[:-1, :] |= massive[1:, :]
@@ -193,13 +202,13 @@ def _condensation_cached(nx: int, ny: int, h_x: float, h_y: float,
     active[:, :-1] |= massive[:, 1:]
     a = np.flatnonzero(active)
     f = np.flatnonzero(~active)
-    lap = _neg_lap_cached(nx, ny, h_x, h_y).tocsr()
+    lap = _neg_lap_cached(nx, ny, h_x, h_y)
     lap_af = lap[a][:, f]
     lap_fa = lap_af.T.tocsr()
     solve_ff = None
     g = sps.csc_matrix((a.size, a.size))
     if f.size:
-        solve_ff = _factor(lap[f][:, f].tocsc())
+        solve_ff = _factor(lap[f][:, f].tocsc()).solve
         # only the active nodes next to F see the interface term
         edge = np.flatnonzero(lap_af.getnnz(axis=1))
         if edge.size:
@@ -215,27 +224,144 @@ def _condensation_cached(nx: int, ny: int, h_x: float, h_y: float,
     return cond
 
 
-def _condensed_solver(grid: Grid2D, rho0, mat, sigma: float):
-    """``solve(rhs, shift)`` for the interior system ``mat`` plus ``shift`` on
-    the active unknowns, with the massless nodes F condensed out.
+@dataclass(frozen=True)
+class _Plan:
+    """The fixed structure of the condensed system of one grid, mass mask and
+    component count.  Its unknowns are the active nodes of each component in
+    turn (``cond.active`` ascending in each); ``order`` is a minimum-degree
+    order of them, ``indptr``/``indices`` the CSC pattern of the matrix
+    permuted by it, and the rest the positions in that pattern's data vector
+    where each term's values go."""
+    cond: _Condensation
+    order: np.ndarray       # condensed unknown at each position of the permuted system
+    indptr: np.ndarray
+    indices: np.ndarray
+    diag: np.ndarray        # data position of each unknown's diagonal entry
+    lap: np.ndarray         # data positions of -Lap_h on the active block, per component
+    lap_values: np.ndarray
+    g: np.ndarray           # data positions of the interface term G, per component
+    g_values: np.ndarray
+    hess: np.ndarray        # data position of each stored entry of the mass-masked
+                            # Hessian; empty for one component
+    hess_indptr: np.ndarray     # the Hessian's CSR pattern (``models.hess_2d_structure``)
+    hess_indices: np.ndarray    # that ``hess`` was built from; empty for one component
 
-    ``mat`` stacks one or more components of the interior nodes; on F each
-    component's rows must be ``sigma`` (-Lap_h) (see the module docstring).
-    ``rhs`` is a vector or has one column per right-hand side.
+
+def _plan(grid: Grid2D, rho0, ncomp: int) -> _Plan:
+    return _plan_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y, mass_mask(rho0),
+                        ncomp)
+
+
+@lru_cache(maxsize=8)
+def _plan_cached(nx: int, ny: int, h_x: float, h_y: float, mask, ncomp: int) -> _Plan:
+    """Build the plan from the structure alone: the pattern is the union of
+    the diagonal, -Lap_h and G on every component's active block and, for two
+    components, the Hessian's pattern, whatever values a step stores there.
+
+    The order is the one SuperLU's minimum-degree ordering on A^T + A (with
+    its elimination-tree postorder) picks for this pattern, read off one
+    incomplete factorization of a diagonally dominant matrix with it.  The
+    arrays are read-only.
     """
-    cond = _condensation(grid, rho0)
-    n = (grid.m_x - 1) * (grid.m_y - 1)
-    ncomp = mat.shape[0] // n
-    if cond.inactive.size == 0:
-        def solve_full(rhs, shift=0.0):
-            shifted = mat if shift == 0.0 else mat + shift * sps.eye(mat.shape[0])
-            return _factor(shifted.tocsc())(rhs)
-        return solve_full
-    if sigma <= 0.0:
-        raise SolverError("linear system is singular (zero mass and zero viscosity)")
+    cond = _condensation_cached(nx, ny, h_x, h_y, mask)
+    n = nx * ny
+    a = cond.active
+    size = ncomp * a.size
+    lap = _neg_lap_cached(nx, ny, h_x, h_y)[a][:, a].tocoo()
+    g = cond.g.tocoo()
+
+    def per_component(m):
+        # (row, column) of an active-block matrix on every component's diagonal block
+        shift = np.repeat(np.arange(ncomp) * a.size, m.nnz)
+        return np.tile(m.row, ncomp) + shift, np.tile(m.col, ncomp) + shift
+
+    terms = [(np.arange(size), np.arange(size)), per_component(lap), per_component(g)]
+    hess_indptr = hess_indices = np.empty(0, dtype=np.intc)
+    if ncomp == 2:
+        hess_indptr, hess_indices = hess_2d_structure(ny, nx, mask)
+        where = np.full(2 * n, -1)
+        where[np.concatenate([a, a + n])] = np.arange(size)
+        rows = np.repeat(np.arange(2 * n), np.diff(hess_indptr))
+        terms.append((where[rows], where[hess_indices]))
+    # one key per stored entry, column-major as CSC stores them
+    keys = [col * size + row for row, col in terms]
+    pattern = np.sort(np.concatenate(keys))
+    pattern = pattern[np.diff(pattern, prepend=-1) > 0]
+    col, row = np.divmod(pattern, size)
+    count = np.bincount(col, minlength=size)
+    perm = np.empty(0, dtype=np.intp)  # perm[i]: position of unknown i in the order
+    if size:
+        dominant = np.where(row == col, count[col].astype(float), -1.0)
+        indptr = np.concatenate([[0], np.cumsum(count)])
+        # an incomplete factorization that drops every fill entry runs the same
+        # ordering and postorder as ``_factor`` without holding full factors
+        perm = spla.spilu(sps.csc_matrix((dominant, row, indptr), shape=(size, size)),
+                          drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                          **_LU_OPTIONS).perm_c.astype(np.intp)
+    order = np.argsort(perm)
+    # the permuted entries in CSC order, and where each entry of ``pattern`` went;
+    # the keys reach size^2, past int32 from about 46,341 unknowns
+    storage = np.argsort(perm[col] * size + perm[row])
+    position = np.empty_like(storage)
+    position[storage] = np.arange(storage.size)
+    at = [position[np.searchsorted(pattern, k)] for k in keys]
+    plan = _Plan(cond, order,
+                 indptr=np.concatenate([[0], np.cumsum(count[order])]).astype(np.intc),
+                 indices=perm[row][storage].astype(np.intc),
+                 diag=at[0], lap=at[1], lap_values=np.tile(lap.data, ncomp),
+                 g=at[2], g_values=np.tile(g.data, ncomp),
+                 hess=at[3] if ncomp == 2 else np.empty(0, dtype=np.intp),
+                 hess_indptr=hess_indptr, hess_indices=hess_indices)
+    for value in vars(plan).values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return plan
+
+
+def _condensed_solver(grid: Grid2D, rho0, inertia, sigma: float, hess=None):
+    """``solve(rhs, shift)`` for the interior system
+
+        H + diag(inertia) + sigma (-Lap_h) on each component,
+
+    plus ``shift`` on the active unknowns, with the massless nodes F condensed
+    out.  ``inertia`` holds one value per interior node of each component,
+    zero on F.  ``hess`` is None for the one-component explicit matrix, or the
+    scaled mass-masked Hessian H of both components as
+    ``models.discrete_energy_hess_2d`` returns it, which must be stored in
+    the pattern of ``models.hess_2d_structure``.  ``rhs`` is a vector or has
+    one column per right-hand side.
+
+    The values are written into the plan's data vector in the order of the
+    sums (H + (inertia + sigma (-Lap_h))) - sigma G, and each ``solve``
+    factors it (plus the shift) in the plan's order.  The explicit matrix is
+    SPD; a Newton Hessian that is not fails with a RuntimeError or
+    non-finite solutions, which the Newton core answers with a shift.
+    """
+    ncomp = 1 if hess is None else 2
+    plan = _plan(grid, rho0, ncomp)
+    cond = plan.cond
     a, f = cond.active, cond.inactive
-    idx = np.concatenate([a + c * n for c in range(ncomp)])
-    schur = (mat[idx][:, idx] - sigma * sps.block_diag([cond.g] * ncomp)).tocsc()
+    n = (grid.m_x - 1) * (grid.m_y - 1)
+    size = ncomp * a.size
+    if f.size and sigma <= 0.0:
+        raise SolverError("linear system is singular (zero mass and zero viscosity)")
+    data = np.zeros(plan.indices.size)
+    data[plan.lap] = plan.lap_values * sigma
+    data[plan.diag] += inertia.reshape(ncomp, n)[:, a].ravel()
+    if hess is not None:
+        if not (np.array_equal(hess.indptr, plan.hess_indptr)
+                and np.array_equal(hess.indices, plan.hess_indices)):
+            raise ValueError("Hessian is not stored in the pattern of models.hess_2d_structure")
+        data[plan.hess] += hess.data
+    data[plan.g] -= sigma * plan.g_values
+
+    def factor(shift):
+        values = data
+        if shift != 0.0:
+            values = data.copy()
+            values[plan.diag] += shift
+        mat = sps.csc_matrix((values, plan.indices, plan.indptr), shape=(size, size))
+        return spla.splu(mat, permc_spec="NATURAL", **_LU_OPTIONS).solve
 
     def solve(rhs, shift=0.0):
         b = rhs.reshape(ncomp, n, -1)
@@ -248,17 +374,19 @@ def _condensed_solver(grid: Grid2D, rho0, mat, sigma: float):
         def by_component(u, rows):
             return u.reshape(rows, ncomp, k).transpose(1, 0, 2)
 
-        b_f = by_node(b[:, f, :], f.size)
-        b_a = b[:, a, :] - by_component(cond.lap_af @ cond.solve_ff(b_f), a.size)
-        u_a = b_a.reshape(ncomp * a.size, k)
-        if a.size:
-            shifted = schur if shift == 0.0 else (schur + shift * sps.eye(idx.size)).tocsc()
-            u_a = _factor(shifted)(u_a)
+        b_a = b[:, a, :]
+        if f.size:
+            b_f = by_node(b[:, f, :], f.size)
+            b_a = b_a - by_component(cond.lap_af @ cond.solve_ff(b_f), a.size)
+        u_a = b_a.reshape(size, k)
+        if size:
+            u_a[plan.order] = factor(shift)(u_a[plan.order])
         u_a = u_a.reshape(ncomp, a.size, k)
-        u_f = cond.solve_ff(b_f / sigma - cond.lap_fa @ by_node(u_a, a.size))
         out = np.empty_like(b)
         out[:, a, :] = u_a
-        out[:, f, :] = by_component(u_f, f.size)
+        if f.size:
+            u_f = cond.solve_ff(b_f / sigma - cond.lap_fa @ by_node(u_a, a.size))
+            out[:, f, :] = by_component(u_f, f.size)
         return out.reshape(rhs.shape)
     return solve
 
@@ -270,9 +398,8 @@ def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, cmass, s):
     coeff = cmass[1:-1, 1:-1].ravel()
     if np.any(coeff + s * (2.0 / grid.h_x ** 2 + 2.0 / grid.h_y ** 2) <= 0.0):
         raise SolverError("linear system is singular (zero mass and zero viscosity)")
-    mat = sps.diags(coeff, format="csc") + s * _neg_lap_matrix(grid)
     try:
-        sol = _condensed_solver(grid, p.rho0, mat, s)(
+        sol = _condensed_solver(grid, p.rho0, coeff, s)(
             np.column_stack([rhs_x.ravel(), rhs_y.ravel()]))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
@@ -378,12 +505,7 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
     area = grid.h_x * grid.h_y
     shape = grid.node_shape
     size = shape[0] * shape[1]
-    # the inertia and viscosity terms of the Hessian do not depend on the iterate
-    fixed = sps.diags(np.tile((2.0 * coeff * p.rho0[1:-1, 1:-1] * area).ravel(), 2),
-                      format="csr")
-    if s > 0.0:
-        lap = _neg_lap_matrix(grid) * (s * area)
-        fixed = fixed + sps.block_diag([lap, lap], format="csr")
+    inertia = np.tile((2.0 * coeff * p.rho0[1:-1, 1:-1] * area).ravel(), 2)
     interior = np.arange(size).reshape(shape)[1:-1, 1:-1].ravel()
 
     def split(z):
@@ -396,8 +518,8 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
         return np.concatenate(_gradient_2d(p, *split(z), x_hat, y_hat, x_ref, y_ref, coeff, s))
 
     def linearize(z):
-        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area + fixed
-        return _condensed_solver(grid, p.rho0, hess, s * area), lambda: 1e-8
+        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid)
+        return _condensed_solver(grid, p.rho0, inertia, s * area, hess * area), lambda: 1e-8
 
     def tol(z):
         floor = 64.0 * np.finfo(float).eps * area * (

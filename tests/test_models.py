@@ -14,6 +14,7 @@ from lagflow.models import (ConstantMobility, DegenerateMobility, FokkerPlanck,
                             discrete_energy_2d, discrete_energy_grad_1d,
                             discrete_energy_grad_2d, discrete_energy_hess_1d,
                             discrete_energy_hess_2d, energy_density, ks1d_pair_energy)
+from masks import MASK_KINDS, masked_rho0
 
 
 def random_admissible_1d(grid, seed, scale=0.05):
@@ -438,15 +439,34 @@ def _hess_2d_coo(model, x, y, rho0, grid):
     return h.tocsr()
 
 
-def _assert_hess_2d_matches_oracle(model, grid, seed):
+def _assert_hess_2d_matches_oracle(model, grid, seed, rho0=None):
     x, y, rng = random_admissible_2d(grid, seed)
-    rho0 = rng.uniform(0.2, 1.5, grid.node_shape)
+    if rho0 is None:
+        rho0 = rng.uniform(0.2, 1.5, grid.node_shape)
     got = discrete_energy_hess_2d(model, x, y, rho0, grid)
     want = _hess_2d_coo(model, x, y, rho0, grid)
-    np.testing.assert_array_equal(got.indptr, want.indptr)
-    np.testing.assert_array_equal(got.indices, want.indices)
-    np.testing.assert_allclose(got.data, want.data, rtol=0.0,
-                               atol=1e-14 * np.max(np.abs(want.data), initial=0.0))
+    atol = 1e-14 * np.max(np.abs(want.data), initial=0.0)
+    if np.all(rho0[1:-1, 1:-1] > 0.0):
+        np.testing.assert_array_equal(got.indptr, want.indptr)
+        np.testing.assert_array_equal(got.indices, want.indices)
+        np.testing.assert_allclose(got.data, want.data, rtol=0.0, atol=atol)
+    else:
+        np.testing.assert_allclose(got.toarray(), want.toarray(), rtol=0.0, atol=atol)
+    return got
+
+
+def _touched_by_massive_nodes(grid, rho0):
+    """(row, column) pairs of the stacked interior unknowns that share the
+    eight-unknown stencil of some interior node with mass."""
+    my1, mx1 = grid.m_y - 1, grid.m_x - 1
+    touched = set()
+    for i, j in zip(*np.nonzero(rho0[1:-1, 1:-1] > 0.0)):
+        stencil = [(comp, i + di, j + dj) for comp in (0, 1)
+                   for di, dj in ((0, -1), (0, 1), (-1, 0), (1, 0))]
+        dofs = [comp * my1 * mx1 + a * mx1 + b for comp, a, b in stencil
+                if 0 <= a < my1 and 0 <= b < mx1]
+        touched |= {(r, c) for r in dofs for c in dofs}
+    return touched
 
 
 @settings(max_examples=40, deadline=None)
@@ -461,9 +481,42 @@ def test_hess_2d_cached_pattern_matches_coo_oracle(interior, model, seed):
         _assert_hess_2d_matches_oracle(model, grid, seed)
 
 
+@settings(max_examples=40, deadline=None)
+@given(interior=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       kinds=st.lists(st.sampled_from(MASK_KINDS), min_size=2, max_size=4),
+       model=st.sampled_from([PorousMedium(2.0), PorousMedium(3.0), PorousMedium(1.5)]),
+       seed=st.integers(0, 2 ** 16))
+def test_hess_2d_on_massive_nodes_matches_coo_oracle(interior, kinds, model, seed):
+    # compactly supported rho0: masks called alternately on one shape, so one
+    # mask's cached pattern never serves another
+    my1, mx1 = interior
+    grid = Grid2D(-1.0, 1.0, -0.5, 0.5, mx1 + 1, my1 + 1)
+    for kind in kinds + kinds[:1]:
+        rho0 = masked_rho0(grid, kind, seed)
+        got = _assert_hess_2d_matches_oracle(model, grid, seed, rho0)
+        stored = got.tocoo()
+        assert set(zip(stored.row.tolist(), stored.col.tolist())) == \
+            _touched_by_massive_nodes(grid, rho0)
+        mask = models.mass_mask(rho0)
+        pattern = models._hess_2d_pattern(my1, mx1, mask)
+        assert pattern is models._hess_2d_pattern(my1, mx1, mask)
+        # the public structure is the one every returned matrix is stored in
+        indptr, indices = models.hess_2d_structure(my1, mx1, mask)
+        assert np.array_equal(got.indptr, indptr) and np.array_equal(got.indices, indices)
+        assert np.array_equal(pattern.nodes, np.flatnonzero(rho0[1:-1, 1:-1] > 0.0))
+        for arr in pattern:
+            assert not arr.flags.writeable
+
+
 def test_hess_2d_cached_pattern_is_read_only():
     pattern = models._hess_2d_pattern(2, 3)
     assert pattern is models._hess_2d_pattern(2, 3)
+    # all-massive data maps to the maskless key; another mask gets its own pattern
+    assert models.mass_mask(np.ones((4, 5))) is None
+    mask = np.array([[True, False, True], [True, True, False]]).tobytes()
+    masked = models._hess_2d_pattern(2, 3, mask)
+    assert masked is models._hess_2d_pattern(2, 3, mask) and masked is not pattern
+    assert masked.indices.size < pattern.indices.size
     for arr in pattern:
         with pytest.raises(ValueError):
             arr[0] = arr[0]

@@ -1,18 +1,23 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
+import lagflow.models as models
 import lagflow.wgf2d as wgf2d
+from lagflow.config import preset_defaults
 from lagflow.diagnostics import barenblatt_2d, total_mass_2d
 from lagflow.errors import AdmissibilityError, SolverError
 from lagflow.grids import Grid2D, Trajectory2D, jacobian_det_interior
+from lagflow.initial import barenblatt_initial_2d
 from lagflow.models import PorousMedium, discrete_energy_hess_2d
 from lagflow.wgf2d import (RATIO_BOUND_2D, VISC_TAU_INCREMENT, VISC_TAU_SQ_ABSOLUTE,
                            Wgf2dProblem, d2_operator, recover_density_2d,
                            wgf2d_augmented_energy, wgf2d_first_step_explicit,
                            wgf2d_first_step_implicit, wgf2d_step_explicit,
                            wgf2d_step_implicit)
+from masks import MASK_KINDS, masked_rho0
 
 
 def bump_problem(mx=7, visc=0.5, scaling=VISC_TAU_INCREMENT, lim=1.5):
@@ -216,27 +221,6 @@ def test_visc_scaling_validation():
 
 # --- the massless nodes condensed out of the linear solves -------------------
 
-MASK_KINDS = ("disk", "ring", "boundary", "single", "full", "empty")
-
-
-def masked_rho0(grid, kind, seed):
-    """A positive random density on one of the mask shapes, zero elsewhere."""
-    rng = np.random.default_rng(seed)
-    ny, nx = grid.node_shape
-    ii, jj = np.mgrid[0:ny, 0:nx]
-    radius = np.hypot((ii - ny / 2.0) / ny, (jj - nx / 2.0) / nx)
-    mask = {
-        "disk": radius < 0.25,
-        "ring": (radius > 0.15) & (radius < 0.35),
-        # mass on the pinned ring and on the interior nodes next to it
-        "boundary": (ii <= 1) | (jj >= nx - 2),
-        "single": (ii == ny // 2) & (jj == nx // 2),
-        "full": np.ones((ny, nx), dtype=bool),
-        "empty": np.zeros((ny, nx), dtype=bool),
-    }[kind]
-    return np.where(mask, rng.uniform(0.2, 1.5, (ny, nx)), 0.0)
-
-
 def active_nodes(rho0):
     """Interior nodes with mass or with an interior 4-neighbour that has mass."""
     massive = rho0[1:-1, 1:-1] > 0.0
@@ -245,9 +229,14 @@ def active_nodes(rho0):
             | padded[1:-1, :-2] | padded[1:-1, 2:]).ravel()
 
 
-def newton_matrix(p, tau, seed):
-    """Hessian of an implicit step functional at a perturbed map, assembled as
-    ``_implicit_solve`` does, and its viscosity weight sigma."""
+def neg_lap(grid):
+    """-Lap_h on the interior nodes, dense, entry by entry."""
+    return _dense_explicit_matrix(np.zeros((grid.m_y - 1, grid.m_x - 1)), 1.0, grid)
+
+
+def newton_terms(p, tau, seed):
+    """The terms ``_implicit_solve`` hands ``_condensed_solver`` for the Hessian
+    of an implicit step functional at a perturbed map: inertia, sigma, H area."""
     g = p.grid
     rng = np.random.default_rng(seed)
     x = g.ref_x.copy()
@@ -255,24 +244,33 @@ def newton_matrix(p, tau, seed):
     x[1:-1, 1:-1] += 0.1 * g.h_x * rng.uniform(-1.0, 1.0, (g.m_y - 1, g.m_x - 1))
     y[1:-1, 1:-1] += 0.1 * g.h_y * rng.uniform(-1.0, 1.0, (g.m_y - 1, g.m_x - 1))
     area = g.h_x * g.h_y
-    sigma = p.visc_strength(tau) * area
-    lap = wgf2d._neg_lap_matrix(g)
     inertia = np.tile((p.rho0[1:-1, 1:-1] / tau * area).ravel(), 2)
-    return (discrete_energy_hess_2d(p.model, x, y, p.rho0, g) * area + sps.diags(inertia)
-            + sps.block_diag([sigma * lap, sigma * lap])).tocsr(), sigma
+    return (inertia, p.visc_strength(tau) * area,
+            discrete_energy_hess_2d(p.model, x, y, p.rho0, g) * area)
 
 
-def explicit_matrix(p, tau):
-    s = p.visc_strength(tau)
-    coeff = (1.5 / tau * p.rho0[1:-1, 1:-1]).ravel()
-    return (sps.diags(coeff) + s * wgf2d._neg_lap_matrix(p.grid)).tocsc(), s
+def explicit_terms(p, tau):
+    return (1.5 / tau * p.rho0[1:-1, 1:-1]).ravel(), p.visc_strength(tau), None
 
 
-def check_against_dense(p, mat, sigma, rhs, shift):
-    solve = wgf2d._condensed_solver(p.grid, p.rho0, mat, sigma)
+def full_matrix(grid, inertia, sigma, hess):
+    """The whole interior matrix, built as before the condensation:
+    diag(inertia) + sigma (-Lap_h) on each component, plus H area."""
+    ncomp = 1 if hess is None else 2
+    mat = np.diag(inertia) + np.kron(np.eye(ncomp), sigma * neg_lap(grid))
+    return mat if hess is None else mat + hess.toarray()
+
+
+def condensed_solver(p, inertia, sigma, hess):
+    return wgf2d._condensed_solver(p.grid, p.rho0, inertia, sigma, hess)
+
+
+def check_against_dense(p, terms, rhs, shift):
+    solve = condensed_solver(p, *terms)
+    mat = full_matrix(p.grid, *terms)
     ncomp = mat.shape[0] // active_nodes(p.rho0).size
     diag = np.tile(active_nodes(p.rho0), ncomp).astype(float)
-    want = np.linalg.solve(mat.toarray() + shift * np.diag(diag), rhs)
+    want = np.linalg.solve(mat + shift * np.diag(diag), rhs)
     got = solve(rhs, shift)
     assert got.shape == rhs.shape
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
@@ -288,9 +286,10 @@ def test_condensed_solve_matches_dense_solve(mx, my, kind, seed, columns, shift)
                      visc_scaling=VISC_TAU_INCREMENT)
     rng = np.random.default_rng(seed)
     tau = 1e-2
-    for mat, sigma in (newton_matrix(p, tau, seed), explicit_matrix(p, tau)):
-        size = (mat.shape[0],) if columns is None else (mat.shape[0], columns)
-        check_against_dense(p, mat, sigma, rng.standard_normal(size), shift)
+    for terms in (newton_terms(p, tau, seed), explicit_terms(p, tau)):
+        rows = (1 if terms[2] is None else 2) * active_nodes(p.rho0).size
+        size = (rows,) if columns is None else (rows, columns)
+        check_against_dense(p, terms, rng.standard_normal(size), shift)
 
 
 def compact_problem(eps_visc=0.5):
@@ -309,19 +308,18 @@ def test_inactive_rows_are_the_viscosity_alone(monkeypatch):
     seen = []
     solver = wgf2d._condensed_solver
 
-    def recorded(grid, rho0, mat, sigma):
-        seen.append((mat, sigma))
-        return solver(grid, rho0, mat, sigma)
+    def recorded(grid, rho0, inertia, sigma, hess=None):
+        seen.append((inertia, sigma, hess))
+        return solver(grid, rho0, inertia, sigma, hess)
 
     monkeypatch.setattr(wgf2d, "_condensed_solver", recorded)
     wgf2d_step_implicit(p, equal_history(p, 2e-3), 2e-3)
-    assert {m.shape[0] // inactive.size for m, _ in seen} == {1, 2}
-    lap = wgf2d._neg_lap_matrix(p.grid).toarray()
-    for mat, sigma in seen:
+    assert {h is None for _, _, h in seen} == {True, False}
+    for inertia, sigma, hess in seen:
+        mat = full_matrix(p.grid, inertia, sigma, hess)
         ncomp = mat.shape[0] // inactive.size
-        rows = mat.toarray()[np.tile(inactive, ncomp)]
-        want = np.kron(np.eye(ncomp), sigma * lap)[np.tile(inactive, ncomp)]
-        assert np.array_equal(rows, want)
+        want = np.kron(np.eye(ncomp), sigma * neg_lap(p.grid))[np.tile(inactive, ncomp)]
+        assert np.array_equal(mat[np.tile(inactive, ncomp)], want)
 
 
 def test_condensation_is_cached_per_grid_and_mask():
@@ -333,13 +331,177 @@ def test_condensation_is_cached_per_grid_and_mask():
     for p in problems * 2:
         cond = wgf2d._condensation(p.grid, p.rho0)
         assert np.array_equal(cond.active, np.flatnonzero(active_nodes(p.rho0)))
-        mat, s = explicit_matrix(p, 1e-2)
-        check_against_dense(p, mat, s, rhs, 0.0)
+        check_against_dense(p, explicit_terms(p, 1e-2), rhs, 0.0)
         assert wgf2d._condensation(p.grid, p.rho0) is cond
         for arr in (cond.active, cond.inactive, cond.lap_af.data, cond.lap_fa.indices,
                     cond.g.data, cond.g.indptr):
             assert not arr.flags.writeable
     assert len({id(wgf2d._condensation(p.grid, p.rho0)) for p in problems}) == 4
+
+
+# --- one plan per grid, mass mask and component count -------------------------
+
+PLAN_ARRAYS = ("order", "indptr", "indices", "diag", "lap", "lap_values", "g", "g_values",
+               "hess")
+
+
+def test_plan_is_cached_per_grid_mask_and_component_count():
+    grids = [Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 7), Grid2D(-3.0, 3.0, -2.0, 2.0, 8, 7)]
+    problems = [Wgf2dProblem(g, PorousMedium(2.0), masked_rho0(g, kind, 5), eps_visc=0.5)
+                for g in grids for kind in ("disk", "full")]
+    plans = {}
+    for p in problems * 2:
+        for ncomp in (1, 2):
+            plan = wgf2d._plan(p.grid, p.rho0, ncomp)
+            assert plans.setdefault((id(p), ncomp), plan) is plan
+            assert plan.cond is wgf2d._condensation(p.grid, p.rho0)
+            assert plan.order.size == ncomp * plan.cond.active.size
+            assert plan.indptr[-1] == plan.indices.size
+            for name in PLAN_ARRAYS:
+                arr = getattr(plan, name)
+                with pytest.raises(ValueError):
+                    arr[:1] = arr[:1]
+            # a density with the same support shares the plan
+            same_mask = Wgf2dProblem(p.grid, p.model, 2.0 * p.rho0, eps_visc=0.5)
+            assert wgf2d._plan(same_mask.grid, same_mask.rho0, ncomp) is plan
+    assert len({id(plan) for plan in plans.values()}) == 8
+    for (pid, ncomp), plan in plans.items():
+        if ncomp == 1:
+            assert plan.hess.size == 0
+        else:
+            assert plan.hess.size > 0
+
+
+def plan_entries(plan):
+    """Row and column, in condensed numbering, of each slot of the plan's data vector."""
+    return plan.order[plan.indices], np.repeat(plan.order, np.diff(plan.indptr))
+
+
+def plan_pattern(plan):
+    """The plan's stored (row, column) pairs in condensed numbering."""
+    rows, cols = plan_entries(plan)
+    return set(zip(rows.tolist(), cols.tolist()))
+
+
+def check_positions(plan, hess_rows=None, hess_cols=None):
+    """Each unknown's diagonal slot holds (i, i), and the Hessian's k-th stored
+    entry, at (hess_rows[k], hess_cols[k]) in condensed numbering, goes to a
+    slot that holds that pair."""
+    rows, cols = plan_entries(plan)
+    size = plan.order.size
+    assert np.array_equal(rows[plan.diag], np.arange(size))
+    assert np.array_equal(cols[plan.diag], np.arange(size))
+    if hess_rows is not None:
+        assert np.array_equal(rows[plan.hess], hess_rows)
+        assert np.array_equal(cols[plan.hess], hess_cols)
+
+
+@pytest.mark.parametrize("kind", ["disk", "boundary", "full"])
+def test_plan_pattern_is_the_structural_union(kind):
+    # the diagonal, -Lap_h and G on each component's active block and the whole
+    # mass-masked Hessian, with no values looked at, in SuperLU's minimum-degree order
+    g = Grid2D(-1.0, 1.0, -0.8, 0.8, 9, 8)
+    p = Wgf2dProblem(g, PorousMedium(2.0), masked_rho0(g, kind, 7), eps_visc=0.5)
+    a = np.flatnonzero(active_nodes(p.rho0))
+    n = (g.m_x - 1) * (g.m_y - 1)
+    cond = wgf2d._condensation(g, p.rho0)
+    for ncomp in (1, 2):
+        plan = wgf2d._plan(g, p.rho0, ncomp)
+        assert np.array_equal(np.sort(plan.order), np.arange(ncomp * a.size))
+        block = (neg_lap(g)[np.ix_(a, a)] != 0.0) | np.eye(a.size, dtype=bool)
+        stored_g = cond.g.tocoo()
+        block[stored_g.row, stored_g.col] = True
+        rows, cols = np.nonzero(block)
+        want = {(r + c * a.size, q + c * a.size)
+                for c in range(ncomp) for r, q in zip(rows.tolist(), cols.tolist())}
+        if ncomp == 2:
+            where = np.full(2 * n, -1)
+            where[np.concatenate([a, a + n])] = np.arange(2 * a.size)
+            indptr, indices = models.hess_2d_structure(g.m_y - 1, g.m_x - 1,
+                                                       models.mass_mask(p.rho0))
+            rows = np.repeat(np.arange(2 * n), np.diff(indptr))
+            assert np.all(where[rows] >= 0) and np.all(where[indices] >= 0)
+            want |= set(zip(where[rows].tolist(), where[indices].tolist()))
+            check_positions(plan, where[rows], where[indices])
+        else:
+            check_positions(plan)
+        assert plan_pattern(plan) == want
+        # the order is the one a minimum-degree factorization picks for that pattern
+        rows, cols = np.array(sorted(want)).T
+        size = plan.order.size
+        structural = sps.csc_matrix((np.where(rows == cols, 2.0 * size, -1.0), (rows, cols)),
+                                    shape=(size, size))
+        lu = spla.splu(structural, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                       options=dict(SymmetricMode=True))
+        assert np.array_equal(np.argsort(plan.order), lu.perm_c)
+
+
+def test_plan_pattern_past_the_int32_key_range():
+    # 2 x 153^2 unknowns: a column-major key col * size + row passes 2^31 - 1
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 154, 154)
+    ny, nx = g.m_y - 1, g.m_x - 1
+    plan = wgf2d._plan(g, np.ones(g.node_shape), 2)
+    size = plan.order.size
+    assert size == 2 * nx * ny and (size - 1) * size > np.iinfo(np.int32).max
+    # all nodes active and no G: the diagonal, the 5-point stencil per
+    # component and the Hessian's pattern, all with positive values
+    stencil = sps.diags([1.0] * 3, [-1, 0, 1], shape=(nx, nx))
+    block = (sps.kron(sps.eye(ny), stencil)
+             + sps.kron(sps.diags([1.0, 1.0], [-1, 1], shape=(ny, ny)), sps.eye(nx)))
+    indptr, indices = models.hess_2d_structure(ny, nx)
+    hess = sps.csr_matrix((np.ones(indices.size), indices, indptr), shape=(size, size))
+    want = (sps.kron(sps.eye(2), block) + hess).tocoo()
+    rows, cols = plan_entries(plan)
+    got = np.sort(cols.astype(np.int64) * size + rows)
+    assert np.array_equal(got, np.sort(want.col.astype(np.int64) * size + want.row))
+    check_positions(plan, np.repeat(np.arange(size), np.diff(indptr)), indices)
+
+
+def test_solver_rejects_a_hessian_in_another_layout():
+    # pruning the exact zeros the reference map stores would move every later value
+    p = compact_problem()
+    g = p.grid
+    inertia, sigma, _ = newton_terms(p, 1e-2, 0)
+    hess = discrete_energy_hess_2d(p.model, g.ref_x, g.ref_y, p.rho0, g)
+    assert np.any(hess.data == 0.0)
+    pruned = hess.copy()
+    pruned.eliminate_zeros()
+    condensed_solver(p, inertia, sigma, hess)
+    with pytest.raises(ValueError, match="hess_2d_structure"):
+        condensed_solver(p, inertia, sigma, pruned)
+
+
+def test_plan_serves_the_reference_map_and_later_steps(monkeypatch):
+    # the benchmark's pme2d-implicit grid: at the reference map most stored
+    # Hessian entries are exact zeros, which a numeric sum would prune
+    config = preset_defaults("barenblatt-2d")
+    grid = Grid2D(-2.5, 2.5, -2.5, 2.5, config.mx, config.mx)
+    rho0 = barenblatt_initial_2d(config.m)(grid.ref_x, grid.ref_y)
+    p = Wgf2dProblem(grid, PorousMedium(config.m), rho0, eps_visc=config.eps_visc,
+                     visc_scaling=config.visc_scaling)
+    hess = discrete_energy_hess_2d(p.model, grid.ref_x, grid.ref_y, rho0, grid)
+    assert np.count_nonzero(hess.data == 0.0) > hess.nnz // 2
+    factored = []
+
+    class RecordingLinalg:
+        @staticmethod
+        def splu(mat, permc_spec, **kwargs):
+            factored.append((permc_spec, mat.indptr.copy(), mat.indices.copy()))
+            return spla.splu(mat, permc_spec=permc_spec, **kwargs)
+
+    plans = [wgf2d._plan(grid, rho0, ncomp) for ncomp in (1, 2)]
+    monkeypatch.setattr(wgf2d, "spla", RecordingLinalg)
+    traj, _ = wgf2d_first_step_implicit(p, config.tau1)
+    traj, _ = wgf2d_step_implicit(p, traj, config.tau2)
+    assert [wgf2d._plan(grid, rho0, ncomp) for ncomp in (1, 2)] == plans
+    assert {spec for spec, _, _ in factored} == {"NATURAL"}
+    sizes = {plan.indptr.size: plan for plan in plans}
+    assert len(sizes) == 2
+    for _, indptr, indices in factored:
+        plan = sizes[indptr.size]
+        assert np.array_equal(indptr, plan.indptr) and np.array_equal(indices, plan.indices)
+    # both schemes ran: the warm start and at least one Newton iteration per step
+    assert {indptr.size for _, indptr, _ in factored} == set(sizes)
 
 
 @pytest.mark.parametrize("first_step", [wgf2d_first_step_explicit, wgf2d_first_step_implicit])
