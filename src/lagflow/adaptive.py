@@ -13,12 +13,16 @@ floor; this is not corrected, but counted per run (``ratio_cap_events``).
 A solver that cannot complete a step (determinant loss, Newton failure)
 raises SolverError; the run loop halves the step and retries, aborting only
 when the step falls below tau_min / 2**max_halvings.
+
+Every accepted step leaves one ``StepRecord``, whose fields are the columns
+of ``steps.csv``; a run's ``AdaptiveRunResult`` is the list of them plus how
+the run ended.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import SolverError
 
 __all__ = ["StepController", "StepHistory", "propose_dt", "run_adaptive",
-           "stability_margin", "AdaptiveRunResult", "STRATEGY_TRAJECTORY",
+           "stability_margin", "AdaptiveRunResult", "StepRecord", "STRATEGY_TRAJECTORY",
            "STRATEGY_ENERGY", "THEORY_RATIO_BOUNDS"]
 
 log = logging.getLogger(__name__)
@@ -98,54 +102,54 @@ def propose_dt(controller: StepController, history: StepHistory) -> float:
     return float(proposal)
 
 
+@dataclass(frozen=True, slots=True)
+class StepRecord:
+    """One accepted step; the fields are the ``steps.csv`` columns, in order."""
+
+    t: float
+    tau: float
+    ratio: float  # tau / previous tau, 1 on the first step
+    energy: float
+    mass: float
+    min_density: float
+    max_density: float
+    rejections: int = 0  # halvings before the step was accepted
+    boundary_lo: float = np.nan  # 1D end nodes; NaN in 2D
+    boundary_hi: float = np.nan
+
+
 @dataclass
 class AdaptiveRunResult:
-    """Per-accepted-step log of an adaptive run."""
+    """The accepted steps of a run, and how it ended."""
 
-    times: list = field(default_factory=list)
-    taus: list = field(default_factory=list)
-    ratios: list = field(default_factory=list)
-    energies: list = field(default_factory=list)
-    masses: list = field(default_factory=list)
-    min_densities: list = field(default_factory=list)
-    max_densities: list = field(default_factory=list)
-    rejections: list = field(default_factory=list)
-    boundary_lo: list = field(default_factory=list)
-    boundary_hi: list = field(default_factory=list)
+    steps: list[StepRecord] = field(default_factory=list)
     aborted: bool = False
     abort_reason: str = ""
     ratio_cap_events: int = 0  # proposals the ratio cap put below tau_min
 
-    def append(self, info, tau, ratio, rejections):
-        self.times.append(info["time"])
-        self.taus.append(tau)
-        self.ratios.append(ratio)
-        self.energies.append(info["energy"])
-        self.masses.append(info["mass"])
-        self.min_densities.append(info["min_density"])
-        self.max_densities.append(info.get("max_density", np.nan))
-        self.rejections.append(rejections)
-        self.boundary_lo.append(info.get("boundary_lo", np.nan))
-        self.boundary_hi.append(info.get("boundary_hi", np.nan))
-
     @property
     def total_rejections(self) -> int:
-        return int(sum(self.rejections))
+        return sum(step.rejections for step in self.steps)
 
 
 def run_adaptive(sim, controller: StepController, t_final: float,
-                 max_steps: int = 2_000_000, stall_taus: int = 0) -> AdaptiveRunResult:
+                 max_steps: int = 2_000_000, stall_taus: int = 0,
+                 result: Optional[AdaptiveRunResult] = None) -> AdaptiveRunResult:
     """Drive a simulation adapter until t_final (or abort).
 
     ``sim`` provides: ``time``, ``tau_prev``, ``trajectory_rate``,
-    ``energy_rate``, and ``bdf2_step(tau) -> info dict`` that commits the
-    step or raises SolverError leaving the state untouched.
+    ``energy_rate``, and ``bdf2_step(tau) -> StepRecord`` that commits the
+    step and records it, or raises SolverError leaving the state untouched.
+    The accepted steps, with their rejection counts, are appended to
+    ``result`` (typically the run's start-up steps); without one the run
+    starts an empty result.
 
     ``stall_taus`` > 0 declares tau_min exhaustion once that many
     consecutive accepted steps sit at or below tau_min (blow-up runs would
     otherwise grind forever at rejection-halved steps).
     """
-    result = AdaptiveRunResult()
+    if result is None:
+        result = AdaptiveRunResult()
     floor = controller.tau_min / 2 ** controller.max_halvings
     at_floor = 0
     below_floor = 0
@@ -165,7 +169,7 @@ def run_adaptive(sim, controller: StepController, t_final: float,
         rejections = 0
         while True:
             try:
-                info = sim.bdf2_step(tau)
+                step = sim.bdf2_step(tau)
                 break
             except SolverError as exc:
                 rejections += 1
@@ -176,7 +180,7 @@ def run_adaptive(sim, controller: StepController, t_final: float,
                                            f"t={sim.time:.6f}: {exc}")
                     log.warning("adaptive run aborted: %s", result.abort_reason)
                     return result
-        result.append(info, tau, tau / history.tau, rejections)
+        result.steps.append(replace(step, rejections=rejections) if rejections else step)
         if stall_taus > 0:
             at_floor = at_floor + 1 if tau <= controller.tau_min * (1.0 + 1e-9) else 0
             if at_floor >= stall_taus:

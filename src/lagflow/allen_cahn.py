@@ -8,10 +8,9 @@ principle exact.  The per-midpoint equation combines
     (D_h x^{n+1})^{-1} + (D_h x^n)^{-1},
   * an optional logarithmic mesh regularization of strength eta that
     penalizes sign changes of d_h x,
-  * a BDF2 history term whose slope factor exists in two algebraically
-    inequivalent forms: the "averaged" one, for which the discrete energy
-    inequality goes through, and the "literal" signed one (kept behind a
-    switch for comparison),
+  * a BDF2 history term with the averaged slope factor
+    (D_h x^{n-1})^{-1/2} + (D_h x^n)^{-1/2}, the form for which the discrete
+    energy inequality goes through,
   * the phase-field force given by differences of the squared gradient
     reconstruction and of the double well.
 
@@ -64,11 +63,8 @@ class AcProblem:
     well_nodes: np.ndarray = field(init=False, repr=False)
     initial: InitialCondition1D = None
     eta: float = 0.0
-    history_form: str = "averaged"
 
     def __post_init__(self):
-        if self.history_form not in ("averaged", "literal"):
-            raise ValueError(f"unknown history form {self.history_form!r}")
         if self.eta < 0.0:
             raise ValueError("eta must be nonnegative")
         mids = self.grid.midpoints
@@ -98,10 +94,7 @@ def _inertia_coeff(tau, r, first):
 def _history(p: AcProblem, x_prev, slope_curr):
     """Slope factor of the BDF2 history term and the midpoints of x^{n-1}."""
     slope_prev = np.diff(x_prev) / p.grid.h
-    if p.history_form == "averaged":
-        hist = slope_prev ** -0.5 + slope_curr ** -0.5
-    else:
-        hist = slope_prev ** -0.5 - slope_curr ** -0.5
+    hist = slope_prev ** -0.5 + slope_curr ** -0.5
     return hist, 0.5 * (x_prev[:-1] + x_prev[1:])
 
 

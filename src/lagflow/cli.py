@@ -66,7 +66,7 @@ def _cmd_run(args) -> int:
     config = _load_config(args)
     record = run_experiment(config)
     target = Path(config.out_dir) / config.preset
-    print(f"wrote {target}/steps.csv ({len(record.result.times)} accepted steps, "
+    print(f"wrote {target}/steps.csv ({len(record.result.steps)} accepted steps, "
           f"{record.result.total_rejections} rejections)")
     for key, value in record.extras.items():
         print(f"{key}: {value}")

@@ -12,14 +12,16 @@ reproducible across platforms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import plots
-from .adaptive import StepController, AdaptiveRunResult, run_adaptive, THEORY_RATIO_BOUNDS
+from .adaptive import (StepController, AdaptiveRunResult, StepRecord, run_adaptive,
+                       THEORY_RATIO_BOUNDS)
 from .allen_cahn import AcProblem, ac_energy, ac_first_step, ac_step
 from .config import ExperimentConfig
 from .diagnostics import (aronson_waiting_time, barenblatt_support_radius, convergence_order,
@@ -58,11 +60,12 @@ def random_step_sequence(n: int, t_final: float, seed: int) -> np.ndarray:
 # --- simulation adapters ----------------------------------------------------
 
 class _SimBase:
-    """Common bookkeeping: state, energies, rates, and the accepted-step info dict.
+    """Common bookkeeping: state, energies, rates, and one StepRecord per accepted step.
 
     Subclasses supply ``_first`` and ``_step`` (new trajectory and density),
     ``_energy_ref`` (reference map), ``_energy`` (a trajectory's current
-    level), ``trajectory_rate`` and ``_info``.
+    level), ``trajectory_rate`` and ``_record(tau, ratio)`` (the StepRecord
+    of the state just committed).  The driver adds the rejection count.
     """
 
     def __init__(self, problem):
@@ -80,26 +83,25 @@ class _SimBase:
             return 0.0
         return abs(self.energy - self._energy_prev) / self.tau_prev
 
-    def start(self, tau1: float, tau2: float):
-        """The first step, then one BDF2 step; returns both info dicts."""
+    def start(self, tau1: float, tau2: float) -> list[StepRecord]:
+        """The first step, then one BDF2 step; returns both records."""
         traj, density = self._first(tau1)
         self.energy = self._energy_ref()
-        self._commit(traj, density, tau1)
-        info1 = self._info()
-        return info1, self.bdf2_step(tau2)
+        return [self._commit(traj, density, tau1), self.bdf2_step(tau2)]
 
-    def bdf2_step(self, tau):
+    def bdf2_step(self, tau) -> StepRecord:
         traj, density = self._step(tau)
-        self._commit(traj, density, tau)
-        return self._info()
+        return self._commit(traj, density, tau)
 
-    def _commit(self, traj, density, tau):
+    def _commit(self, traj, density, tau) -> StepRecord:
+        ratio = tau / self.tau_prev if self.tau_prev else 1.0
         self.traj = traj
         self.density = density
         self._energy_prev = self.energy
         self.energy = self._energy(traj)
         self.time = traj.time
         self.tau_prev = tau
+        return self._record(tau, ratio)
 
 
 class _Sim1D(_SimBase):
@@ -110,17 +112,13 @@ class _Sim1D(_SimBase):
         u = (self.traj.curr - self.traj.prev) / self.traj.tau_prev
         return math.sqrt(inner_product("node", u, u, self.problem.grid))
 
-    def _info(self):
+    def _record(self, tau, ratio) -> StepRecord:
         x = self.traj.curr
-        return {
-            "time": self.time,
-            "energy": self.energy,
-            "mass": float(np.sum(self.density * np.diff(x))),
-            "min_density": float(np.min(self.density)),
-            "max_density": float(np.max(self.density)),
-            "boundary_lo": float(x[0]),
-            "boundary_hi": float(x[-1]),
-        }
+        return StepRecord(t=self.time, tau=tau, ratio=ratio, energy=self.energy,
+                          mass=float(np.sum(self.density * np.diff(x))),
+                          min_density=float(np.min(self.density)),
+                          max_density=float(np.max(self.density)),
+                          boundary_lo=float(x[0]), boundary_hi=float(x[-1]))
 
     def _energy_ref(self):
         return self._energy_of(self.problem.grid.nodes)
@@ -169,14 +167,11 @@ class Wgf2dSim(_SimBase):
         area = self.problem.grid.h_x * self.problem.grid.h_y
         return math.sqrt(float(np.sum(dx * dx + dy * dy)) * area) / self.traj.tau_prev
 
-    def _info(self):
-        return {
-            "time": self.time,
-            "energy": self.energy,
-            "mass": total_mass_2d(self.density, self.traj.curr_x, self.traj.curr_y),
-            "min_density": float(np.min(self.density.values)),
-            "max_density": float(np.max(self.density.values)),
-        }
+    def _record(self, tau, ratio) -> StepRecord:
+        return StepRecord(t=self.time, tau=tau, ratio=ratio, energy=self.energy,
+                          mass=total_mass_2d(self.density, self.traj.curr_x, self.traj.curr_y),
+                          min_density=float(np.min(self.density.values)),
+                          max_density=float(np.max(self.density.values)))
 
     def _energy_ref(self):
         return wgf2d_energy(self.problem, self.problem.grid.ref_x, self.problem.grid.ref_y)
@@ -253,30 +248,18 @@ def _wgf2d_sim(config: ExperimentConfig, grid: Grid2D, model, rho0) -> Wgf2dSim:
 
 # --- run drivers --------------------------------------------------------------
 
-def _started(sim, tau1: float, tau2: float) -> AdaptiveRunResult:
-    """The two start-up steps of a run, recorded."""
-    result = AdaptiveRunResult()
-    info1, info2 = sim.start(tau1, tau2)
-    result.append(info1, tau1, 1.0, 0)
-    result.append(info2, tau2, tau2 / tau1, 0)
-    return result
-
-
 def run_fixed_steps(sim, tau: float, t_final: float) -> AdaptiveRunResult:
-    result = _started(sim, tau, tau)
+    steps = sim.start(tau, tau)
     while sim.time < t_final - 0.5 * tau:
-        info = sim.bdf2_step(tau)
-        result.append(info, tau, 1.0, 0)
-    return result
+        steps.append(sim.bdf2_step(tau))
+    return AdaptiveRunResult(steps)
 
 
 def run_step_sequence(sim, taus) -> AdaptiveRunResult:
     taus = np.asarray(taus, dtype=float)
-    result = _started(sim, taus[0], taus[1])
-    for k in range(2, taus.shape[0]):
-        info = sim.bdf2_step(taus[k])
-        result.append(info, taus[k], taus[k] / taus[k - 1], 0)
-    return result
+    steps = sim.start(taus[0], taus[1])
+    steps += [sim.bdf2_step(tau) for tau in taus[2:]]
+    return AdaptiveRunResult(steps)
 
 
 def _controller_from_config(config: ExperimentConfig) -> StepController:
@@ -301,7 +284,7 @@ class RunRecord:
         return self.result.aborted
 
     def mass_drift(self) -> float:
-        masses = np.asarray(self.result.masses)
+        masses = np.array([step.mass for step in self.result.steps])
         scale = max(abs(masses[0]), 1e-300)
         return float(np.max(np.abs(masses - masses[0])) / scale)
 
@@ -310,9 +293,6 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
                    write_files: bool = True) -> RunRecord:
     """Execute one preset run; optionally write CSV/SVG artifacts."""
     sim = build_sim(config)
-    tau1 = config.tau1 or (config.tau if config.mode == "fixed" else config.tau_min)
-    tau2 = config.tau2 or tau1
-
     if config.mode == "fixed":
         result = run_fixed_steps(sim, config.tau, config.t_final)
     elif config.mode == "random":
@@ -320,18 +300,11 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
         taus = random_step_sequence(n, config.t_final, config.seed)
         result = run_step_sequence(sim, taus)
     else:
-        controller = _controller_from_config(config)
-        partial = _started(sim, tau1, tau2)
+        tau1 = config.tau1 or config.tau_min
+        started = AdaptiveRunResult(sim.start(tau1, config.tau2 or tau1))
         stall = 20 if config.preset in STALL_PRESETS else 0
-        rest = run_adaptive(sim, controller, config.t_final, stall_taus=stall)
-        for name in ("times", "taus", "ratios", "energies", "masses",
-                     "min_densities", "max_densities", "rejections",
-                     "boundary_lo", "boundary_hi"):
-            getattr(partial, name).extend(getattr(rest, name))
-        partial.aborted = rest.aborted
-        partial.abort_reason = rest.abort_reason
-        partial.ratio_cap_events = rest.ratio_cap_events
-        result = partial
+        result = run_adaptive(sim, _controller_from_config(config), config.t_final,
+                              stall_taus=stall, result=started)
 
     record = RunRecord(config, result, sim)
     _collect_extras(record)
@@ -344,8 +317,8 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
 def _collect_extras(record: RunRecord) -> None:
     config, result, sim = record.config, record.result, record.sim
     if config.preset == "pme-waiting-time":
-        positions = np.column_stack([result.boundary_lo, result.boundary_hi])
-        detected = waiting_time_detect(result.times, positions, math.pi)
+        positions = [(step.boundary_lo, step.boundary_hi) for step in result.steps]
+        detected = waiting_time_detect([step.t for step in result.steps], positions, math.pi)
         record.extras["waiting_time"] = detected
         record.extras["waiting_time_exact"] = aronson_waiting_time(config.m, config.theta)
     if config.preset == "barenblatt-2d" and not result.aborted:
@@ -375,16 +348,12 @@ def _write_csv(path: Path, header, rows) -> None:
 def write_artifacts(record: RunRecord, target: Path) -> None:
     target.mkdir(parents=True, exist_ok=True)
     result = record.result
-    rows = [
-        (n, t, tau, ratio, e, mass, mind, maxd, rej, blo, bhi)
-        for n, (t, tau, ratio, e, mass, mind, maxd, rej, blo, bhi) in enumerate(
-            zip(result.times, result.taus, result.ratios, result.energies, result.masses,
-                result.min_densities, result.max_densities, result.rejections,
-                result.boundary_lo, result.boundary_hi), start=1)
-    ]
-    _write_csv(target / "steps.csv",
-               ["n", "t", "tau", "ratio", "energy", "mass", "min_density",
-                "max_density", "rejections", "boundary_lo", "boundary_hi"], rows)
+    steps = result.steps
+    columns = [f.name for f in fields(StepRecord)]
+    # attrgetter rather than dataclasses.astuple, which deep-copies every value
+    row = attrgetter(*columns)
+    _write_csv(target / "steps.csv", ["n", *columns],
+               ((n, *row(step)) for n, step in enumerate(steps, start=1)))
 
     sim = record.sim
     if isinstance(sim, _Sim1D):
@@ -408,13 +377,13 @@ def write_artifacts(record: RunRecord, target: Path) -> None:
                    list(zip(idx, labels_x, labels_y, xs, ys, rho)))
 
     summary = [f"preset: {record.config.preset}",
-               f"accepted steps: {len(result.times)}",
+               f"accepted steps: {len(steps)}",
                f"rejections: {result.total_rejections}",
                f"ratio-cap events: {result.ratio_cap_events}",
-               f"final time: {_fmt(result.times[-1] if result.times else 0.0)}",
-               f"final energy: {_fmt(result.energies[-1] if result.energies else math.nan)}",
+               f"final time: {_fmt(steps[-1].t if steps else 0.0)}",
+               f"final energy: {_fmt(steps[-1].energy if steps else math.nan)}",
                f"mass drift: {_fmt(record.mass_drift())}",
-               f"min density: {_fmt(min(result.min_densities) if result.min_densities else math.nan)}",
+               f"min density: {_fmt(min((s.min_density for s in steps), default=math.nan))}",
                f"aborted: {result.aborted}"]
     if result.aborted:
         summary.append(f"abort reason: {result.abort_reason}")
@@ -423,8 +392,10 @@ def write_artifacts(record: RunRecord, target: Path) -> None:
     (target / "summary.txt").write_text("\n".join(summary) + "\n", encoding="utf-8")
 
     if record.config.plots:
-        plots.energy_plot(target / "energy.svg", result.times, result.energies)
-        plots.timestep_plot(target / "timestep.svg", result.times, result.taus, result.ratios)
+        times = [s.t for s in steps]
+        plots.energy_plot(target / "energy.svg", times, [s.energy for s in steps])
+        plots.timestep_plot(target / "timestep.svg", times, [s.tau for s in steps],
+                            [s.ratio for s in steps])
         if isinstance(sim, _Sim1D):
             x = sim.traj.curr
             xm = 0.5 * (x[:-1] + x[1:])

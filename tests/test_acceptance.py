@@ -186,7 +186,7 @@ def test_criterion_08_positivity(barenblatt_explicit_record, barenblatt_implicit
                                  ks_blowup_record, waiting_records):
     # 1D: strictly increasing nodes and positive densities at every accepted step
     for record in (ks_blowup_record, waiting_records[2.0], waiting_records[2.5]):
-        assert min(record.result.min_densities) > 0.0
+        assert min(step.min_density for step in record.result.steps) > 0.0
         assert np.all(np.diff(record.sim.traj.curr) > 0.0)
     # 2D: positive determinant of the final states; the schemes raise on any
     # interior violation mid-run, so accepted steps are admissible throughout
@@ -298,9 +298,9 @@ def _assert_supercritical_stop(record):
     peak density rising over the last 20 steps; returns the peak densities."""
     assert record.aborted
     assert "tau" in record.result.abort_reason
-    taus = np.asarray(record.result.taus)
+    taus = np.array([step.tau for step in record.result.steps])
     assert np.all(taus[-20:] <= record.config.tau_min * (1.0 + 1e-9))
-    max_rho = np.asarray(record.result.max_densities)
+    max_rho = np.array([step.max_density for step in record.result.steps])
     assert np.all(np.diff(max_rho[-20:]) > 0.0)
     return max_rho
 
@@ -318,12 +318,13 @@ def test_criterion_13_keller_segel_blowup(ks_blowup_record):
     small.plots = False
     diffusive = run_experiment(small, write_files=False)
     assert not diffusive.aborted
-    assert diffusive.result.times[-1] >= small.t_final - 1e-9
-    assert max(diffusive.result.max_densities) <= diffusive.result.max_densities[0] * 1.05
+    steps = diffusive.result.steps
+    assert steps[-1].t >= small.t_final - 1e-9
+    assert max(step.max_density for step in steps) <= steps[0].max_density * 1.05
     report(13, f"supercritical run stops by tau_min exhaustion at t="
-               f"{record.result.times[-1]:.3f} with max density rising "
+               f"{record.result.steps[-1].t:.3f} with max density rising "
                f"(last {max_rho[-1]:.1f}); subcritical run reaches T with "
-               f"bounded density {diffusive.result.max_densities[-1]:.3f}")
+               f"bounded density {steps[-1].max_density:.3f}")
 
 
 @pytest.mark.parametrize("mx", [200, 300])

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lagflow.adaptive import (StepController, StepHistory, propose_dt, run_adaptive,
-                              stability_margin, THEORY_RATIO_BOUNDS)
+from lagflow.adaptive import (StepController, StepHistory, StepRecord, propose_dt,
+                              run_adaptive, stability_margin, THEORY_RATIO_BOUNDS)
 from lagflow.errors import SolverError
 
 
@@ -84,10 +84,11 @@ class SyntheticSim:
         self.attempts.append(tau)
         if tau > self.tau_star:
             raise SolverError("synthetic failure")
+        ratio = tau / self.tau_prev
         self.time += tau
         self.tau_prev = tau
-        return {"time": self.time, "energy": 0.0, "mass": 1.0,
-                "min_density": 1.0, "max_density": 1.0}
+        return StepRecord(t=self.time, tau=tau, ratio=ratio, energy=0.0, mass=1.0,
+                          min_density=1.0, max_density=1.0)
 
 
 def test_run_adaptive_counts_halvings_in_closed_form():
@@ -97,10 +98,10 @@ def test_run_adaptive_counts_halvings_in_closed_form():
     result = run_adaptive(sim, c, t_final=5e-2)
     # first proposal is tau_max = 1e-2; halvings until <= tau_star
     expected = math.ceil(math.log2(1e-2 / tau_star))
-    assert result.rejections[0] == expected
-    assert result.taus[0] == pytest.approx(1e-2 / 2 ** expected)
+    assert result.steps[0].rejections == expected
+    assert result.steps[0].tau == pytest.approx(1e-2 / 2 ** expected)
     assert not result.aborted
-    assert result.times[-1] >= 5e-3 - 1e-12
+    assert result.steps[-1].t >= 5e-3 - 1e-12
 
 
 def test_run_adaptive_success_keeps_ratios_capped():
@@ -108,7 +109,7 @@ def test_run_adaptive_success_keeps_ratios_capped():
     sim = SyntheticSim(tau_star=float("inf"), tau0=1e-4)
     result = run_adaptive(sim, c, t_final=3e-2)
     assert result.total_rejections == 0
-    assert max(result.ratios) <= 1.3 + 1e-12
+    assert max(step.ratio for step in result.steps) <= 1.3 + 1e-12
 
 
 def test_run_adaptive_aborts_below_floor():
@@ -125,7 +126,7 @@ def test_run_adaptive_stall_rule():
     result = run_adaptive(sim, c, t_final=1.0, stall_taus=5)
     assert result.aborted
     assert "collapsed" in result.abort_reason
-    assert len(result.taus) == 5
+    assert len(result.steps) == 5
 
 
 def test_ratio_cap_events_counted_not_warned(caplog):
@@ -135,9 +136,9 @@ def test_ratio_cap_events_counted_not_warned(caplog):
     with caplog.at_level(logging.DEBUG, logger="lagflow"):
         result = run_adaptive(sim, c, t_final=5e-3)
     assert not result.aborted
-    previous = [1e-3] + result.taus[:-1]
+    previous = [1e-3] + [step.tau for step in result.steps[:-1]]
     expected = sum(1.5 * tau < 1e-3 for tau in previous)
-    assert expected == len(result.taus) - 1 > 10
+    assert expected == len(result.steps) - 1 > 10
     assert result.ratio_cap_events == expected
     assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
     assert sum("ratio cap" in r.getMessage() for r in caplog.records) == expected

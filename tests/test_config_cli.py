@@ -63,7 +63,7 @@ def test_fixed_runs_ignore_seed(tmp_path):
     rec1 = run_experiment(base, out_dir=str(tmp_path / "a"))
     base.seed = 1234
     rec2 = run_experiment(base, out_dir=str(tmp_path / "b"))
-    assert rec1.result.energies == rec2.result.energies
+    assert rec1.result.steps == rec2.result.steps
     f1 = (tmp_path / "a" / "pme-convergence" / "steps.csv").read_text()
     f2 = (tmp_path / "b" / "pme-convergence" / "steps.csv").read_text()
     assert f1 == f2
@@ -78,10 +78,10 @@ def test_random_runs_depend_on_seed(tmp_path):
     base.plots = False
     rec1 = run_experiment(base, write_files=False)
     rec2 = run_experiment(base, write_files=False)
-    assert rec1.result.energies == rec2.result.energies  # same seed: identical
+    assert rec1.result.steps == rec2.result.steps  # same seed: identical
     base.seed = base.seed + 1
     rec3 = run_experiment(base, write_files=False)
-    assert rec1.result.energies != rec3.result.energies
+    assert rec1.result.steps != rec3.result.steps
 
 
 def test_csv_reruns_identical(tmp_path):
@@ -106,11 +106,11 @@ def test_step_rows_within_bounds(tmp_path):
     cfg.plots = False
     rec = run_experiment(cfg, write_files=False)
     assert not rec.aborted
-    taus = np.asarray(rec.result.taus)
+    taus = np.array([step.tau for step in rec.result.steps])
     floor = cfg.tau_min / 2 ** 40
     assert np.all(taus >= floor)
     assert np.all(taus <= cfg.tau_max + 1e-15)
-    assert np.all(np.diff(rec.result.times) > 0.0)
+    assert np.all(np.diff([step.t for step in rec.result.steps]) > 0.0)
 
 
 def test_cli_run_and_exit_codes(tmp_path):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from lagflow.adaptive import AdaptiveRunResult, StepRecord
 from lagflow.config import parse_config, preset_defaults
-from lagflow.experiments import (build_sim, run_experiment, run_fixed_steps,
-                                 sweep_experiment)
+from lagflow.experiments import (RunRecord, build_sim, run_experiment, run_fixed_steps,
+                                 sweep_experiment, write_artifacts)
 from lagflow.errors import ConfigError
 
 
@@ -31,10 +32,10 @@ def test_ac_interface_adaptive_smoke(tmp_path):
     config.plots = True
     record = run_experiment(config, out_dir=str(tmp_path))
     assert not record.aborted
-    result = record.result
+    first, last = record.result.steps[0], record.result.steps[-1]
     # energy decays; density values are transported unchanged
-    assert result.energies[-1] < result.energies[0]
-    assert result.min_densities[-1] == result.min_densities[0]
+    assert last.energy < first.energy
+    assert last.min_density == first.min_density
     assert (tmp_path / "ac-interface" / "timestep.svg").exists()
 
 
@@ -46,7 +47,7 @@ def test_ratio_cap_events_in_summary(tmp_path):
     config.tau1 = config.tau2 = 1e-4
     config.plots = False
     record = run_experiment(config, out_dir=str(tmp_path))
-    taus = record.result.taus
+    taus = [step.tau for step in record.result.steps]
     expected = sum(config.r_user * taus[k - 1] < config.tau_min for k in range(2, len(taus)))
     assert expected == 5
     assert record.result.ratio_cap_events == expected
@@ -64,8 +65,8 @@ def test_waiting_time_adaptive_steps_grow():
     config.plots = False
     record = run_experiment(config, write_files=False)
     assert not record.aborted
-    times = np.asarray(record.result.times)
-    taus = np.asarray(record.result.taus)
+    times = np.array([step.t for step in record.result.steps])
+    taus = np.array([step.tau for step in record.result.steps])
     waiting = taus[(times > 0.05) & (times < 0.2)]
     after = taus[times > 0.3]
     assert after.mean() > 1.05 * waiting.mean()
@@ -130,7 +131,7 @@ def test_ks2d_preset_small_scale():
     config2.t_final = 0.03
     config2.plots = False
     record2 = run_experiment(config2, write_files=False)
-    assert record2.result.max_densities[-1] > record2.result.max_densities[0]
+    assert record2.result.steps[-1].max_density > record2.result.steps[0].max_density
 
 
 def test_barenblatt_2d_support_plot(tmp_path):
@@ -152,5 +153,52 @@ def test_fixed_driver_step_count():
     config.t_final = 0.1
     sim = build_sim(config)
     result = run_fixed_steps(sim, config.tau, config.t_final)
-    assert len(result.times) == 10
-    assert result.times[-1] == pytest.approx(0.1)
+    assert len(result.steps) == 10
+    assert result.steps[-1].t == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "random", "adaptive"])
+@pytest.mark.parametrize("preset, overrides", [
+    ("pme-convergence", "grid.mx = 16\ntime.t_final = 0.05\ntime.tau = 0.005"),
+    ("ks-2d", "grid.mx = 12\ntime.t_final = 0.02\ntime.tau = 0.004"),
+], ids=["1d", "2d"])
+def test_step_records_chain_through_the_start_up_steps(tmp_path, preset, overrides, mode):
+    config = parse_config(f"preset = {preset}\n{overrides}\ntime.mode = {mode}\nplots = false\n")
+    record = run_experiment(config, out_dir=str(tmp_path))
+    steps = record.result.steps
+    assert len(steps) > 2
+    assert steps[0].ratio == 1.0
+    assert steps[0].t == steps[0].tau
+    for prev, step in zip(steps, steps[1:]):
+        assert step.ratio == step.tau / prev.tau
+        assert step.t == prev.t + step.tau
+    rows = (tmp_path / preset / "steps.csv").read_text(encoding="utf-8").splitlines()
+    assert len(rows) == 1 + len(steps)
+
+
+def test_steps_csv_and_summary_golden_text(tmp_path):
+    config = parse_config("preset = pme-convergence\ngrid.mx = 4\nplots = false\n")
+    sim = build_sim(config)
+    sim.start(1e-3, 1e-3)
+    steps = [StepRecord(t=0.1, tau=0.1, ratio=1.0, energy=1.0 / 3.0, mass=1.0,
+                        min_density=0.5, max_density=2.0, boundary_lo=-1.0, boundary_hi=1.0),
+             # a 2D step leaves the boundary columns at their NaN default
+             StepRecord(t=0.30000000000000004, tau=0.2, ratio=2.0, energy=-2.5e-17, mass=1.0,
+                        min_density=0.0, max_density=3.0, rejections=3)]
+    result = AdaptiveRunResult(steps, aborted=True, abort_reason="stopped", ratio_cap_events=4)
+    write_artifacts(RunRecord(config, result, sim), tmp_path)
+    assert (tmp_path / "steps.csv").read_text(encoding="utf-8") == (
+        "n,t,tau,ratio,energy,mass,min_density,max_density,rejections,boundary_lo,boundary_hi\n"
+        "1,0.10000000000000001,0.10000000000000001,1,0.33333333333333331,1,0.5,2,0,-1,1\n"
+        "2,0.30000000000000004,0.20000000000000001,2,-2.4999999999999999e-17,1,0,3,3,nan,nan\n")
+    assert (tmp_path / "summary.txt").read_text(encoding="utf-8") == (
+        "preset: pme-convergence\n"
+        "accepted steps: 2\n"
+        "rejections: 3\n"
+        "ratio-cap events: 4\n"
+        "final time: 0.30000000000000004\n"
+        "final energy: -2.4999999999999999e-17\n"
+        "mass drift: 0\n"
+        "min density: 0\n"
+        "aborted: True\n"
+        "abort reason: stopped\n")
