@@ -12,7 +12,7 @@ floor; this is not corrected, but counted per run (``ratio_cap_events``).
 
 A solver that cannot complete a step (determinant loss, Newton failure)
 raises SolverError; the run loop halves the step and retries, aborting only
-when the step falls below tau_min / 2**max_halvings.
+when the step falls below tau_min / 2**max_halvings, start-up steps included.
 
 Every accepted step leaves one ``StepRecord``, whose fields are the columns
 of ``steps.csv``; a run's ``AdaptiveRunResult`` is the list of them plus how
@@ -27,7 +27,10 @@ from typing import Optional
 
 import numpy as np
 
+from .allen_cahn import RATIO_BOUND_AC
 from .errors import SolverError
+from .wgf1d import RATIO_BOUND_1D
+from .wgf2d import RATIO_BOUND_2D
 
 __all__ = ["StepController", "StepHistory", "propose_dt", "run_adaptive",
            "stability_margin", "AdaptiveRunResult", "StepRecord", "STRATEGY_TRAJECTORY",
@@ -39,9 +42,9 @@ STRATEGY_TRAJECTORY = 1
 STRATEGY_ENERGY = 2
 
 THEORY_RATIO_BOUNDS = {
-    "allen-cahn": 1.5,
-    "wgf-1d": 0.5 * (3.0 + np.sqrt(17.0)),
-    "wgf-2d": 1.25,
+    "allen-cahn": RATIO_BOUND_AC,
+    "wgf-1d": RATIO_BOUND_1D,
+    "wgf-2d": RATIO_BOUND_2D,
 }
 
 
@@ -134,31 +137,33 @@ class AdaptiveRunResult:
 
 def run_adaptive(sim, controller: StepController, t_final: float,
                  max_steps: int = 2_000_000, stall_taus: int = 0,
-                 result: Optional[AdaptiveRunResult] = None) -> AdaptiveRunResult:
+                 start: tuple = ()) -> AdaptiveRunResult:
     """Drive a simulation adapter until t_final (or abort).
 
     ``sim`` provides: ``time``, ``tau_prev``, ``trajectory_rate``,
     ``energy_rate``, and ``bdf2_step(tau) -> StepRecord`` that commits the
     step and records it, or raises SolverError leaving the state untouched.
-    The accepted steps, with their rejection counts, are appended to
-    ``result`` (typically the run's start-up steps); without one the run
-    starts an empty result.
+    The first ``len(start)`` steps try the sizes in ``start`` instead of a
+    proposal (a sim at rest has no step to propose from); like every other
+    step they are halved and retried on failure.
 
     ``stall_taus`` > 0 declares tau_min exhaustion once that many
     consecutive accepted steps sit at or below tau_min (blow-up runs would
     otherwise grind forever at rejection-halved steps).
     """
-    if result is None:
-        result = AdaptiveRunResult()
+    result = AdaptiveRunResult()
     floor = controller.tau_min / 2 ** controller.max_halvings
     at_floor = 0
     below_floor = 0
-    for _ in range(max_steps):
+    for n in range(max_steps):
         if sim.time >= t_final - 1e-13:
             return result
-        history = StepHistory(sim.tau_prev, sim.trajectory_rate, sim.energy_rate)
-        tau = propose_dt(controller, history)
-        result.ratio_cap_events += int(_ratio_cap_undercuts(controller, history))
+        if n < len(start):
+            tau = start[n]
+        else:
+            history = StepHistory(sim.tau_prev, sim.trajectory_rate, sim.energy_rate)
+            tau = propose_dt(controller, history)
+            result.ratio_cap_events += int(_ratio_cap_undercuts(controller, history))
         remaining = t_final - sim.time
         # land exactly on t_final without leaving a sliver the schemes cannot
         # integrate: either finish now or split the tail into two even steps

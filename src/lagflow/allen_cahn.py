@@ -10,7 +10,7 @@ principle exact.  The per-midpoint equation combines
     penalizes sign changes of d_h x,
   * a BDF2 history term with the averaged slope factor
     (D_h x^{n-1})^{-1/2} + (D_h x^n)^{-1/2}, the form for which the discrete
-    energy inequality goes through,
+    energy inequality goes through; it vanishes at step ratio r = 0,
   * the phase-field force given by differences of the squared gradient
     reconstruction and of the double well.
 
@@ -22,7 +22,8 @@ merit and the analytic Jacobian, which is pentadiagonal: the inertia and
 history terms of a midpoint equation couple its two end nodes, which fills
 the three centre bands, and the log
 regularization and the energy force act through d_h x at node j, which
-couples nodes j-1 and j+1 and so adds the two outer bands.
+couples nodes j-1 and j+1 and so adds the two outer bands.  The first step
+is the step from the history at rest, where r = 0 makes it backward Euler.
 """
 
 from __future__ import annotations
@@ -38,10 +39,13 @@ from .initial import InitialCondition1D
 from .models import GinzburgLandau, ac_discrete_energy, check_mobility_positive, double_well
 from .newton import fraction_to_boundary, newton_solve
 
-__all__ = ["AcProblem", "ac_residual", "ac_step", "ac_first_step", "ac_modified_energy", "ac_energy"]
+__all__ = ["AcProblem", "ac_residual", "ac_step", "ac_first_step", "ac_modified_energy",
+           "ac_energy", "RATIO_BOUND_AC"]
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 50
+
+RATIO_BOUND_AC = 1.5  # step ratios up to which the modified energy decays
 
 
 @dataclass(frozen=True)
@@ -86,9 +90,9 @@ class AcProblem:
         return self.model.eps
 
 
-def _inertia_coeff(tau, r, first):
-    """Inertia coefficient: backward Euler for the first step, else BDF2 with ratio r."""
-    return 1.0 / (2.0 * tau) if first else (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
+def _inertia_coeff(tau, r):
+    """BDF2 inertia coefficient (2r+1)/(2 tau (r+1)); backward Euler's 1/(2 tau) at r = 0."""
+    return (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
 
 
 def _history(p: AcProblem, x_prev, slope_curr):
@@ -98,7 +102,7 @@ def _history(p: AcProblem, x_prev, slope_curr):
     return hist, 0.5 * (x_prev[:-1] + x_prev[1:])
 
 
-def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r, first):
+def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r):
     """Inertia, log-regularization and history terms of the scheme, per midpoint."""
     h = p.grid.h
     slope_next = np.diff(x_next) / h
@@ -106,14 +110,14 @@ def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r, first):
     xm_next = 0.5 * (x_next[:-1] + x_next[1:])
     xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
     w = p.friction_mid
-    c1 = _inertia_coeff(tau, r, first)
+    c1 = _inertia_coeff(tau, r)
     eq = c1 * w * (1.0 / slope_next + 1.0 / slope_curr) * (xm_next - xm_curr)
 
     if p.eta > 0.0:
         logdiff = np.log(node_diff(x_next, p.grid)) - np.log(node_diff(x_curr, p.grid))
         eq = eq - p.eta * tau * np.diff(logdiff) / h
 
-    if not first:
+    if r > 0.0:
         hist, xm_prev = _history(p, x_prev, slope_curr)
         lead = (1.0 + 0.5 / r) * slope_curr ** -0.5 - (0.5 / r) * slope_next ** -0.5
         eq = eq - (r * r) * w / (2.0 * tau * (r + 1.0)) * lead * hist * (xm_curr - xm_prev)
@@ -146,8 +150,7 @@ def _energy_force(p: AcProblem, x):
     return g
 
 
-def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float,
-                first: bool = False) -> np.ndarray:
+def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float) -> np.ndarray:
     """Weak-form residual at interior nodes.
 
     The inertia/history terms are hat-function tests of the per-midpoint
@@ -157,12 +160,12 @@ def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float,
     x_next = np.asarray(x_next)
     if np.any(np.diff(x_next) <= 0.0):
         raise AdmissibilityError("candidate trajectory is not strictly increasing")
-    eq = _midpoint_equation(p, np.asarray(x_prev), np.asarray(x_curr), x_next, tau, r, first)
+    eq = _midpoint_equation(p, np.asarray(x_prev), np.asarray(x_curr), x_next, tau, r)
     force = _energy_force(p, x_next)
     return 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + force[1:-1]
 
 
-def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, first):
+def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r):
     """Jacobian of ``ac_residual`` in x_next, in ``solve_banded((2, 2), ...)`` layout.
 
     Midpoint equation c depends on x_next only through its end nodes c and
@@ -183,11 +186,11 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, first):
     xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
     w = p.friction_mid
 
-    c1 = _inertia_coeff(tau, r, first)
+    c1 = _inertia_coeff(tau, r)
     # the midpoint term of eq_c is even in its end nodes, the slope term odd
     even = 0.5 * c1 * w * (1.0 / slope_next + 1.0 / slope_curr)
     odd = -c1 * w * (xm_next - xm_curr) / (h * slope_next ** 2)
-    if not first:
+    if r > 0.0:
         hist, xm_prev = _history(p, x_prev, slope_curr)
         # only the slope_next**-0.5 part of ``lead`` depends on x_next
         odd = odd - r / (8.0 * tau * (r + 1.0)) * w * hist * (xm_curr - xm_prev) \
@@ -215,7 +218,7 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, first):
     return ab
 
 
-def _residual_floor(p: AcProblem, x_curr, tau, r, first):
+def _residual_floor(p: AcProblem, x_curr, tau, r):
     """Rounding floor of the residual: eps times the largest assembled term.
 
     Extreme step ratios make the inertia/history coefficients huge, so the
@@ -225,23 +228,23 @@ def _residual_floor(p: AcProblem, x_curr, tau, r, first):
     w = p.friction_mid
     slope = np.diff(x_curr) / h
     xmag = max(1.0, np.max(np.abs(x_curr)))
-    mag = _inertia_coeff(tau, r, first) * np.max(w) * 2.0 / slope.min() * xmag
-    if not first:
+    mag = _inertia_coeff(tau, r) * np.max(w) * 2.0 / slope.min() * xmag
+    if r > 0.0:
         c3 = r * r / (2.0 * tau * (r + 1.0)) * (1.0 + 1.0 / r) * 2.0 / slope.min()
         mag += c3 * np.max(w) * xmag
     return 64.0 * np.finfo(float).eps * 0.5 * h * mag
 
 
-def _solve_step(p: AcProblem, x_prev, x_curr, tau, r, first):
+def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
     """Newton solve of the step equations from x_curr (see ``newton``)."""
     def residual(x):
-        return ac_residual(p, x_prev, x_curr, x, tau, r, first)
+        return ac_residual(p, x_prev, x_curr, x, tau, r)
 
     def linearize(x):
-        ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, first)
+        ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r)
         return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), (lambda: 0.0)
 
-    tol = max(NEWTON_TOL, _residual_floor(p, x_curr, tau, r, first))
+    tol = max(NEWTON_TOL, _residual_floor(p, x_curr, tau, r))
     # one unshifted solve: a shifted Jacobian does not make ||F|| descend
     return newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=tol,
                         stall_tol=1e2 * tol, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
@@ -253,19 +256,15 @@ def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     r = tau_next / traj.tau_prev
-    x_new = _solve_step(p, traj.prev, traj.curr, tau_next, r, first=False)
+    x_new = _solve_step(p, traj.prev, traj.curr, tau_next, r)
     new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
                             traj.step_index + 1, p.grid, pinned=True)
     return new_traj, DensityField1D(p.rho0_mid.copy(), p.grid)
 
 
 def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
-    """Backward-Euler startup from the reference configuration."""
-    if tau1 <= 0.0:
-        raise ValueError("tau1 must be positive")
-    x0 = p.grid.nodes.copy()
-    x1 = _solve_step(p, x0, x0, tau1, 1.0, first=True)
-    return Trajectory1D(x0, x1, tau1, tau1, 1, p.grid, pinned=True)
+    """Backward-Euler startup: the BDF2 step from the history at rest."""
+    return ac_step(p, Trajectory1D.at_rest(p.grid), tau1)[0]
 
 
 def ac_energy(p: AcProblem, x) -> float:
@@ -273,7 +272,7 @@ def ac_energy(p: AcProblem, x) -> float:
 
 
 def ac_modified_energy(p: AcProblem, x_prev, x_curr, tau: float,
-                       r_max: float = 1.5) -> float:
+                       r_max: float = RATIO_BOUND_AC) -> float:
     """Lyapunov value E_h plus the ratio-weighted inertia of the last step."""
     slope_curr = np.diff(x_curr) / p.grid.h
     slope_prev = np.diff(x_prev) / p.grid.h

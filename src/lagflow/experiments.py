@@ -22,19 +22,20 @@ import numpy as np
 from . import plots
 from .adaptive import (StepController, AdaptiveRunResult, StepRecord, run_adaptive,
                        THEORY_RATIO_BOUNDS)
-from .allen_cahn import AcProblem, ac_energy, ac_first_step, ac_step
+# the *_first_step names stay importable here: perfbench/tracer.py patches them by name
+from .allen_cahn import AcProblem, ac_energy, ac_first_step, ac_step  # noqa: F401
 from .config import ExperimentConfig
 from .diagnostics import (aronson_waiting_time, barenblatt_support_radius, convergence_order,
                           density_error_l2h, interface_radius, total_mass_2d,
                           trajectory_error_l2h, trajectory_error_linf, waiting_time_detect)
 from .errors import ConfigError
-from .grids import Grid1D, Grid2D, inner_product
+from .grids import DensityField2D, Grid1D, Grid2D, Trajectory1D, Trajectory2D, inner_product
 from .initial import (ac_parabola, barenblatt_initial_2d, ks_gaussian_1d, ks_gaussian_2d,
                       nonradial_pme_2d, pme_cosine, pme_waiting_profile)
 from .models import (ConstantMobility, DegenerateMobility, GinzburgLandau, KellerSegel1D,
                      KellerSegel2D, PorousMedium)
-from .wgf1d import Wgf1dProblem, wgf1d_energy, wgf1d_first_step, wgf1d_step
-from .wgf2d import (Wgf2dProblem, wgf2d_energy, wgf2d_first_step_explicit,
+from .wgf1d import Wgf1dProblem, wgf1d_energy, wgf1d_first_step, wgf1d_step  # noqa: F401
+from .wgf2d import (Wgf2dProblem, wgf2d_energy, wgf2d_first_step_explicit,  # noqa: F401
                     wgf2d_first_step_implicit, wgf2d_step_explicit, wgf2d_step_implicit)
 
 __all__ = ["random_step_sequence", "AcSim", "Wgf1dSim", "Wgf2dSim", "RunRecord",
@@ -62,18 +63,20 @@ def random_step_sequence(n: int, t_final: float, seed: int) -> np.ndarray:
 class _SimBase:
     """Common bookkeeping: state, energies, rates, and one StepRecord per accepted step.
 
-    Subclasses supply ``_first`` and ``_step`` (new trajectory and density),
-    ``_energy_ref`` (reference map), ``_energy`` (a trajectory's current
-    level), ``trajectory_rate`` and ``_record(tau, ratio)`` (the StepRecord
-    of the state just committed).  The driver adds the rejection count.
+    A sim starts from the history at rest, with the initial density, and
+    every step, the first included, is the scheme's BDF2 step from the
+    current history.  Subclasses supply ``_step`` (new trajectory and
+    density), ``_energy`` (a trajectory's current level), ``trajectory_rate``
+    and ``_record(tau, ratio)`` (the StepRecord of the state just
+    committed).  The driver adds the rejection count.
     """
 
-    def __init__(self, problem):
+    def __init__(self, problem, traj, density):
         self.problem = problem
-        self.traj = None
-        self.density = None
+        self.traj = traj
+        self.density = density
         self.time = 0.0
-        self.tau_prev = 0.0
+        self.tau_prev = 0.0  # no step taken yet
         self.energy = math.nan
         self._energy_prev = math.nan
 
@@ -84,20 +87,22 @@ class _SimBase:
         return abs(self.energy - self._energy_prev) / self.tau_prev
 
     def start(self, tau1: float, tau2: float) -> list[StepRecord]:
-        """The first step, then one BDF2 step; returns both records."""
-        traj, density = self._first(tau1)
-        self.energy = self._energy_ref()
-        return [self._commit(traj, density, tau1), self.bdf2_step(tau2)]
+        """The first two steps; returns both records."""
+        return [self.bdf2_step(tau1), self.bdf2_step(tau2)]
 
     def bdf2_step(self, tau) -> StepRecord:
         traj, density = self._step(tau)
         return self._commit(traj, density, tau)
 
     def _commit(self, traj, density, tau) -> StepRecord:
-        ratio = tau / self.tau_prev if self.tau_prev else 1.0
+        if self.tau_prev:
+            ratio = tau / self.tau_prev
+            self._energy_prev = self.energy
+        else:  # the first step: ratio 1, and the energy before it is that at rest
+            ratio = 1.0
+            self._energy_prev = self._energy(self.traj)
         self.traj = traj
         self.density = density
-        self._energy_prev = self.energy
         self.energy = self._energy(traj)
         self.time = traj.time
         self.tau_prev = tau
@@ -105,7 +110,10 @@ class _SimBase:
 
 
 class _Sim1D(_SimBase):
-    """1D adapters: a node trajectory with cell densities, energy ``_energy_of(x)``."""
+    """1D adapters: a node trajectory with cell densities."""
+
+    def __init__(self, problem, density, pinned: bool = True):
+        super().__init__(problem, Trajectory1D.at_rest(problem.grid, pinned), density)
 
     @property
     def trajectory_rate(self) -> float:
@@ -120,20 +128,13 @@ class _Sim1D(_SimBase):
                           max_density=float(np.max(self.density)),
                           boundary_lo=float(x[0]), boundary_hi=float(x[-1]))
 
-    def _energy_ref(self):
-        return self._energy_of(self.problem.grid.nodes)
+class AcSim(_Sim1D):
+    def __init__(self, problem: AcProblem):
+        # the phase-field density values never change; they ride with the nodes
+        super().__init__(problem, problem.rho0_mid)
 
     def _energy(self, traj):
-        return self._energy_of(traj.curr)
-
-
-class AcSim(_Sim1D):
-    def _energy_of(self, x):
-        return ac_energy(self.problem, x)
-
-    def _first(self, tau1):
-        # the phase-field density values never change; they ride with the nodes
-        return ac_first_step(self.problem, tau1), self.problem.rho0_mid
+        return ac_energy(self.problem, traj.curr)
 
     def _step(self, tau):
         traj, density = ac_step(self.problem, self.traj, tau)
@@ -141,12 +142,11 @@ class AcSim(_Sim1D):
 
 
 class Wgf1dSim(_Sim1D):
-    def _energy_of(self, x):
-        return wgf1d_energy(self.problem, x)
+    def __init__(self, problem: Wgf1dProblem):
+        super().__init__(problem, problem.rho0, problem.pinned)
 
-    def _first(self, tau1):
-        traj, density = wgf1d_first_step(self.problem, tau1)
-        return traj, density.values
+    def _energy(self, traj):
+        return wgf1d_energy(self.problem, traj.curr)
 
     def _step(self, tau):
         traj, density = wgf1d_step(self.problem, self.traj, tau)
@@ -157,7 +157,8 @@ class Wgf2dSim(_SimBase):
     def __init__(self, problem: Wgf2dProblem, scheme: str = "explicit"):
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown 2D scheme {scheme!r}")
-        super().__init__(problem)
+        super().__init__(problem, Trajectory2D.at_rest(problem.grid),
+                         DensityField2D(problem.rho0, problem.grid))
         self.scheme = scheme
 
     @property
@@ -173,16 +174,8 @@ class Wgf2dSim(_SimBase):
                           min_density=float(np.min(self.density.values)),
                           max_density=float(np.max(self.density.values)))
 
-    def _energy_ref(self):
-        return wgf2d_energy(self.problem, self.problem.grid.ref_x, self.problem.grid.ref_y)
-
     def _energy(self, traj):
         return wgf2d_energy(self.problem, traj.curr_x, traj.curr_y)
-
-    def _first(self, tau1):
-        first = (wgf2d_first_step_explicit if self.scheme == "explicit"
-                 else wgf2d_first_step_implicit)
-        return first(self.problem, tau1)
 
     def _step(self, tau):
         step = wgf2d_step_explicit if self.scheme == "explicit" else wgf2d_step_implicit
@@ -249,17 +242,14 @@ def _wgf2d_sim(config: ExperimentConfig, grid: Grid2D, model, rho0) -> Wgf2dSim:
 # --- run drivers --------------------------------------------------------------
 
 def run_fixed_steps(sim, tau: float, t_final: float) -> AdaptiveRunResult:
-    steps = sim.start(tau, tau)
+    steps = []
     while sim.time < t_final - 0.5 * tau:
         steps.append(sim.bdf2_step(tau))
     return AdaptiveRunResult(steps)
 
 
 def run_step_sequence(sim, taus) -> AdaptiveRunResult:
-    taus = np.asarray(taus, dtype=float)
-    steps = sim.start(taus[0], taus[1])
-    steps += [sim.bdf2_step(tau) for tau in taus[2:]]
-    return AdaptiveRunResult(steps)
+    return AdaptiveRunResult([sim.bdf2_step(tau) for tau in np.asarray(taus, dtype=float)])
 
 
 def _controller_from_config(config: ExperimentConfig) -> StepController:
@@ -285,6 +275,8 @@ class RunRecord:
 
     def mass_drift(self) -> float:
         masses = np.array([step.mass for step in self.result.steps])
+        if not masses.size:
+            return math.nan
         scale = max(abs(masses[0]), 1e-300)
         return float(np.max(np.abs(masses - masses[0])) / scale)
 
@@ -301,10 +293,9 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
         result = run_step_sequence(sim, taus)
     else:
         tau1 = config.tau1 or config.tau_min
-        started = AdaptiveRunResult(sim.start(tau1, config.tau2 or tau1))
         stall = 20 if config.preset in STALL_PRESETS else 0
         result = run_adaptive(sim, _controller_from_config(config), config.t_final,
-                              stall_taus=stall, result=started)
+                              stall_taus=stall, start=(tau1, config.tau2 or tau1))
 
     record = RunRecord(config, result, sim)
     _collect_extras(record)
@@ -414,8 +405,8 @@ def _pme_run(mx: int, m: float, taus) -> tuple[Grid1D, np.ndarray, np.ndarray]:
     grid = Grid1D(-1.0, 1.0, mx)
     rho0 = pme_cosine().density(grid.midpoints)
     problem = Wgf1dProblem(grid, PorousMedium(m), rho0)
-    traj, dens = wgf1d_first_step(problem, taus[0])
-    for tau in taus[1:]:
+    traj = Trajectory1D.at_rest(grid)
+    for tau in taus:
         traj, dens = wgf1d_step(problem, traj, tau)
     return grid, traj.curr, dens.values
 
@@ -462,8 +453,8 @@ def pme_convergence_table(mode: str = "fixed", mxs=(100, 200, 400), ref_mx: int 
 def _ac_run(mx: int, taus, eps: float, mobility) -> tuple[Grid1D, np.ndarray]:
     grid = Grid1D(-1.0, 1.0, mx)
     problem = AcProblem(grid, GinzburgLandau(eps, mobility), initial=ac_parabola(), eta=0.0)
-    traj = ac_first_step(problem, taus[0])
-    for tau in taus[1:]:
+    traj = Trajectory1D.at_rest(grid)
+    for tau in taus:
         traj, _ = ac_step(problem, traj, tau)
     return grid, traj.curr
 

@@ -20,6 +20,7 @@ divided by the local volume change (conservative).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -207,6 +208,12 @@ class Trajectory1D:
                     and _pinned_close(float(curr[-1]), float(ref[-1]))):
                 raise ValueError("pinned trajectory must keep boundary nodes on the reference")
 
+    @classmethod
+    def at_rest(cls, grid: Grid1D, pinned: bool = True) -> "Trajectory1D":
+        """The history a run starts from: both levels on the reference, time 0,
+        tau_prev = inf, so the next step has ratio 0 and BDF2 is backward Euler."""
+        return cls(grid.nodes, grid.nodes, math.inf, 0.0, 0, grid, pinned)
+
 
 @dataclass(frozen=True)
 class Trajectory2D:
@@ -238,6 +245,11 @@ class Trajectory2D:
             rb = np.concatenate([ref[0], ref[-1], ref[:, 0], ref[:, -1]])
             if not np.allclose(b, rb):
                 raise ValueError("boundary nodes must coincide with the reference")
+
+    @classmethod
+    def at_rest(cls, grid: Grid2D) -> "Trajectory2D":
+        """The history at rest (see ``Trajectory1D.at_rest``)."""
+        return cls(grid.ref_x, grid.ref_y, grid.ref_x, grid.ref_y, math.inf, 0.0, 0, grid)
 
 
 @dataclass(frozen=True)

@@ -6,12 +6,13 @@ Each step minimizes
          + E_h(x) + (tau/2) (|D_h(x - x^n)|^2, 1)_h
 
 over strictly increasing trajectories, where xhat is the ratio-weighted
-extrapolation of the two history levels.  The density is then recovered by
-pushforward, which conserves mass identically.  The shared damped-Newton
-core (``newton``) does the minimization with the analytic tridiagonal
-Hessian; its fraction-to-the-boundary rule keeps every cell at least 10% of
-the currently narrowest one, and backtracking only ever accepts objective
-decreases (up to the core's rounding allowance).
+extrapolation of the two history levels (the first step, from the history
+at rest, has r = 0: xhat = x^0 and backward Euler).  The density is then
+recovered by pushforward, which conserves mass identically.  The shared
+damped-Newton core (``newton``) does the minimization with the analytic
+tridiagonal Hessian; its fraction-to-the-boundary rule keeps every cell at
+least 10% of the currently narrowest one, and backtracking only ever accepts
+objective decreases (up to the core's rounding allowance).
 
 The terms of J that do not depend on the iterate (xhat's midpoints, the
 cell inertia weights, the viscosity reference and the constant part of the
@@ -277,14 +278,8 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
 
 
 def wgf1d_first_step(p: Wgf1dProblem, tau1: float):
-    """First-order startup: inertia 1/(2 tau), extrapolation replaced by x^0."""
-    if tau1 <= 0.0:
-        raise ValueError("tau1 must be positive")
-    x0 = p.grid.nodes.copy()
-    lag_x, lag_rho = p.lag_state(x0)
-    x1 = _minimize(_StepTerms(p, x0, x0, lag_x, lag_rho, 1.0 / (2.0 * tau1), tau1), x0)
-    traj = Trajectory1D(x0, x1, tau1, tau1, 1, p.grid, pinned=p.pinned)
-    return traj, pushforward_density_1d(p.rho0, x1, p.grid)
+    """First-order startup: the BDF2 step from the history at rest."""
+    return wgf1d_step(p, Trajectory1D.at_rest(p.grid, p.pinned), tau1)
 
 
 def wgf1d_energy(p: Wgf1dProblem, x) -> float:

@@ -104,6 +104,18 @@ def test_run_adaptive_counts_halvings_in_closed_form():
     assert result.steps[-1].t >= 5e-3 - 1e-12
 
 
+def test_run_adaptive_halves_start_up_steps():
+    # the prescribed start-up sizes replace the first proposals and are halved
+    # like any other step; the proposals take over from the third step on
+    c = controller(tau_min=1e-4, tau_max=1e-2, r_user=100.0)
+    sim = SyntheticSim(tau_star=1.3e-3, tau0=1e-3)
+    result = run_adaptive(sim, c, t_final=5e-2, start=(5e-3, 1e-3))
+    assert sim.attempts[:5] == [5e-3, 2.5e-3, 1.25e-3, 1e-3, 1e-2]
+    assert [step.rejections for step in result.steps[:2]] == [2, 0]
+    assert [step.tau for step in result.steps[:2]] == [1.25e-3, 1e-3]
+    assert result.ratio_cap_events == 0
+
+
 def test_run_adaptive_success_keeps_ratios_capped():
     c = controller(tau_min=1e-5, tau_max=1e-2, r_user=1.3)
     sim = SyntheticSim(tau_star=float("inf"), tau0=1e-4)

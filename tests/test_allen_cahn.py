@@ -2,13 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import solve_banded
 
-from lagflow.allen_cahn import (AcProblem, _banded_jacobian, ac_energy, ac_first_step,
-                                ac_modified_energy, ac_residual, ac_step)
+from lagflow.allen_cahn import (NEWTON_MAX_ITER, NEWTON_TOL, AcProblem, _banded_jacobian,
+                                _energy_force, ac_energy, ac_first_step, ac_modified_energy,
+                                ac_residual, ac_step)
 from lagflow.errors import AdmissibilityError
-from lagflow.grids import Grid1D
+from lagflow.grids import Grid1D, node_diff
 from lagflow.initial import InitialCondition1D, ac_parabola
 from lagflow.models import ConstantMobility, DegenerateMobility, GinzburgLandau, double_well
+from lagflow.newton import fraction_to_boundary, newton_solve
 
 
 def constant_profile(c=0.3):
@@ -202,7 +205,7 @@ def test_regularization_keeps_energy_dissipating():
         e_prev = e
 
 
-def complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r, first, step=1e-150):
+def complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r, step=1e-150):
     """Oracle: the banded Jacobian of ``ac_residual`` by complex-step differentiation.
 
     Im R(x + i*step*e_j) / step is dR/dx_j to rounding, with no cancellation
@@ -215,7 +218,7 @@ def complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r, first, step=1e-150)
         idx = np.arange(color, n, 5)
         xz = x_next.astype(complex)
         xz[1 + idx] += 1j * step
-        col = ac_residual(p, x_prev, x_curr, xz, tau, r, first).imag / step
+        col = ac_residual(p, x_prev, x_curr, xz, tau, r).imag / step
         for off in (-2, -1, 0, 1, 2):
             rows = idx + off
             ok = (rows >= 0) & (rows < n)
@@ -230,7 +233,8 @@ _SHALLOW_PARABOLA = InitialCondition1D(lambda x: 0.8 * (1.0 - np.asarray(x) ** 2
 
 
 @pytest.mark.parametrize("mx", [15, 16, 17])
-@pytest.mark.parametrize("first", [True, False])
+# at_rest: the start-up step, whose ratio r = 0 drops the history term
+@pytest.mark.parametrize("at_rest", [True, False])
 @pytest.mark.parametrize("mobility", [ConstantMobility(), DegenerateMobility()],
                          ids=["constant", "degenerate"])
 # the ids name the history form of the residual, the averaged one
@@ -239,12 +243,85 @@ _SHALLOW_PARABOLA = InitialCondition1D(lambda x: 0.8 * (1.0 - np.asarray(x) ** 2
 @given(r=st.floats(min_value=1e-6, max_value=1.5),
        tau=st.floats(min_value=1e-4, max_value=1e-1),
        shifts=arrays(np.float64, (3, 18), elements=st.floats(-0.3, 0.3)))
-def test_jacobian_matches_complex_step(mx, first, mobility, eta, r, tau, shifts):
+def test_jacobian_matches_complex_step(mx, at_rest, mobility, eta, r, tau, shifts):
     p = make_problem(mx=mx, eps=0.05, eta=eta, mobility=mobility, initial=_SHALLOW_PARABOLA)
     # interior nodes move by at most 0.3 h, which keeps every cell positive
     x_prev, x_curr, x_next = (p.grid.nodes + p.grid.h * s[:mx + 1] for s in shifts)
     for x in (x_prev, x_curr, x_next):
         x[0], x[-1] = -1.0, 1.0
-    want = complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r, first)
-    got = _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, first)
+    if at_rest:
+        r = 0.0
+    want = complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r)
+    got = _banded_jacobian(p, x_prev, x_curr, x_next, tau, r)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def first_step_oracle(p, tau1):
+    """The start-up as it was written before it became the step from rest:
+    backward Euler from the reference (inertia 1/(2 tau), no history term),
+    its residual and banded Jacobian spelled out, solved with the same
+    Newton settings."""
+    h = p.grid.h
+    w = p.friction_mid
+    x0 = p.grid.nodes.copy()
+    c1 = 1.0 / (2.0 * tau1)
+    slope_curr = np.diff(x0) / h
+    xm_curr = 0.5 * (x0[:-1] + x0[1:])
+
+    def residual(x):
+        if np.any(np.diff(x) <= 0.0):
+            raise AdmissibilityError("candidate trajectory is not strictly increasing")
+        slope_next = np.diff(x) / h
+        xm_next = 0.5 * (x[:-1] + x[1:])
+        eq = c1 * w * (1.0 / slope_next + 1.0 / slope_curr) * (xm_next - xm_curr)
+        if p.eta > 0.0:
+            logdiff = np.log(node_diff(x, p.grid)) - np.log(node_diff(x0, p.grid))
+            eq = eq - p.eta * tau1 * np.diff(logdiff) / h
+        return 0.5 * h * (eq[:-1] + eq[1:]) + _energy_force(p, x)[1:-1]
+
+    def linearize(x):
+        slope_next = np.diff(x) / h
+        xm_next = 0.5 * (x[:-1] + x[1:])
+        even = 0.5 * c1 * w * (1.0 / slope_next + 1.0 / slope_curr)
+        odd = -c1 * w * (xm_next - xm_curr) / (h * slope_next ** 2)
+        left = 0.5 * h * (even - odd)
+        right = 0.5 * h * (even + odd)
+        dh = node_diff(x, p.grid)
+        dphi = 0.5 * p.eps ** 2 * p.rho0_prime_nodes ** 2 / dh ** 3
+        if p.eta > 0.0:
+            dphi = dphi + 0.5 * p.eta * tau1 / dh
+        c = np.full_like(dh, 0.5 / h)
+        c[0] = c[-1] = 1.0 / h
+        sigma = c * dphi
+        ab = np.zeros((5, p.grid.m_x - 1))
+        ab[0, 2:] = -sigma[2:-2]
+        ab[1, 1:] = right[1:-1]
+        ab[2] = right[:-1] + left[1:] + sigma[:-2] + sigma[2:]
+        ab[3, :-1] = left[1:-1]
+        ab[4, :-2] = -sigma[2:-2]
+        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), (lambda: 0.0)
+
+    xmag = max(1.0, np.max(np.abs(x0)))
+    floor = 64.0 * np.finfo(float).eps * 0.5 * h * (c1 * np.max(w) * 2.0 / slope_curr.min()
+                                                     * xmag)
+    tol = max(NEWTON_TOL, floor)
+    return newton_solve(x0, residual, linearize, free=slice(1, -1), tol=tol,
+                        stall_tol=1e2 * tol, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
+                        step_bound=fraction_to_boundary, shift_tries=1)
+
+
+@pytest.mark.parametrize("mobility", [ConstantMobility(), DegenerateMobility()],
+                         ids=["constant", "degenerate"])
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_first_step_is_the_step_from_rest_bit_for_bit(mobility, eta):
+    p = make_problem(mx=24, eta=eta, mobility=mobility, initial=_SHALLOW_PARABOLA)
+    tau = 1e-3
+    traj = ac_first_step(p, tau)
+    assert np.array_equal(traj.curr, first_step_oracle(p, tau))
+    assert np.array_equal(traj.prev, p.grid.nodes)
+    assert (traj.tau_prev, traj.time, traj.step_index) == (tau, tau, 1)
+    # at r = 0 the history level does not enter the residual at all
+    x_prev = p.grid.nodes + 0.2 * p.grid.h * np.sin(np.arange(p.grid.m_x + 1))
+    x_prev[0], x_prev[-1] = -1.0, 1.0
+    assert np.array_equal(ac_residual(p, x_prev, p.grid.nodes, traj.curr, tau, 0.0),
+                          ac_residual(p, p.grid.nodes, p.grid.nodes, traj.curr, tau, 0.0))

@@ -145,6 +145,22 @@ def test_cli_exit_code_for_tau_collapse(tmp_path, monkeypatch, preset, expected)
     assert main(["run", str(cfg), "--no-plots"]) == expected
 
 
+def test_cli_failed_start_up_is_a_solver_abort_with_artifacts(tmp_path):
+    # every halving of the first explicit step folds the map at this resolution, so
+    # the run aborts with no accepted step instead of raising out of run_experiment
+    cfg = tmp_path / "nonradial.cfg"
+    cfg.write_text("preset = pme-nonradial-2d\ngrid.mx = 16\ntime.mode = adaptive\n"
+                   "time.t_final = 0.05\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out-dir", str(out), "--no-plots"]) == 3
+    summary = (out / "pme-nonradial-2d" / "summary.txt").read_text(encoding="utf-8")
+    assert "accepted steps: 0\n" in summary
+    assert "abort reason: step halved below" in summary
+    assert "non-positive determinant" in summary
+    steps = (out / "pme-nonradial-2d" / "steps.csv").read_text(encoding="utf-8")
+    assert steps.count("\n") == 1
+
+
 def test_cli_rejects_vanishing_mobility_as_config_error(tmp_path, capsys):
     # with an odd mx a midpoint sits on the crest rho0 = 1 of the initial profile
     cfg = tmp_path / "run.cfg"

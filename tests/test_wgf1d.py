@@ -9,7 +9,7 @@ from lagflow import wgf1d
 from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
 from lagflow.experiments import run_experiment
-from lagflow.grids import Grid1D, Trajectory1D, inner_product
+from lagflow.grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
 from lagflow.initial import pme_cosine
 from lagflow.models import (FokkerPlanck, KellerSegel1D, PorousMedium, discrete_energy_1d,
                             discrete_energy_grad_1d, discrete_energy_hess_1d)
@@ -447,3 +447,41 @@ def test_eigenvalue_is_computed_only_after_an_unshifted_failure(monkeypatch):
     record = run_experiment(config, write_files=False)
     assert not record.aborted
     assert calls == []
+
+
+def first_step_oracle(p, tau1):
+    """The start-up as it was written before it became the step from rest:
+    inertia 1/(2 tau), xhat and the viscosity reference replaced by x^0, and
+    Newton started from x^0."""
+    x0 = p.grid.nodes.copy()
+    lag_x, lag_rho = p.lag_state(x0)
+    terms = wgf1d._StepTerms(p, x0, x0, lag_x, lag_rho, 1.0 / (2.0 * tau1), tau1)
+    return wgf1d._minimize(terms, x0)
+
+
+def start_up_problems():
+    grid = Grid1D(-5.0, 5.0, 48)
+    free = Grid1D(-1.0, 1.0, 24)
+    return {
+        "pinned": pme_problem(mx=32),
+        "free-boundary": Wgf1dProblem(free, PorousMedium(2.0),
+                                      pme_cosine().density(free.midpoints),
+                                      pinned=False, visc_weight=0.0),
+        "keller-segel": Wgf1dProblem(grid, KellerSegel1D(),
+                                     8.0 * np.exp(-0.5 * grid.midpoints ** 2) + 1e-8),
+    }
+
+
+@pytest.mark.parametrize("kind", ["pinned", "free-boundary", "keller-segel"])
+def test_first_step_is_the_step_from_rest_bit_for_bit(kind):
+    p = start_up_problems()[kind]
+    tau = 1e-3
+    rest = Trajectory1D.at_rest(p.grid, p.pinned)
+    assert tau / rest.tau_prev == 0.0
+    assert np.array_equal(extrapolate_hat(rest.curr, rest.prev, 0.0), p.grid.nodes)
+    traj, dens = wgf1d_first_step(p, tau)
+    want = first_step_oracle(p, tau)
+    assert np.array_equal(traj.curr, want)
+    assert np.array_equal(traj.prev, p.grid.nodes)
+    assert (traj.tau_prev, traj.time, traj.step_index, traj.pinned) == (tau, tau, 1, p.pinned)
+    assert np.array_equal(dens.values, pushforward_density_1d(p.rho0, want, p.grid).values)
