@@ -129,10 +129,11 @@ class AdaptiveRunResult:
     aborted: bool = False
     abort_reason: str = ""
     ratio_cap_events: int = 0  # proposals the ratio cap put below tau_min
+    abort_rejections: int = 0  # halvings of the step the run aborted on
 
     @property
     def total_rejections(self) -> int:
-        return sum(step.rejections for step in self.steps)
+        return sum(step.rejections for step in self.steps) + self.abort_rejections
 
 
 def run_adaptive(sim, controller: StepController, t_final: float,
@@ -181,6 +182,7 @@ def run_adaptive(sim, controller: StepController, t_final: float,
                 tau *= 0.5
                 if tau < floor:
                     result.aborted = True
+                    result.abort_rejections = rejections
                     result.abort_reason = (f"step halved below {floor:.3e} at "
                                            f"t={sim.time:.6f}: {exc}")
                     log.warning("adaptive run aborted: %s", result.abort_reason)

@@ -3,7 +3,7 @@
 ``allen_cahn``, ``wgf1d`` and ``wgf2d`` each need one globalized Newton
 solve per time step that only ever accepts admissible iterates.  This module
 owns that globalization (Nocedal & Wright, *Numerical Optimization*, 2006,
-ch. 3 and 19): the max|g| <= tol convergence test, shifted-system retries
+ch. 3 and 19): the |g_i| <= tol_i convergence test, shifted-system retries
 until the direction descends, an optional step bound such as the 1D
 fraction-to-the-boundary rule, Armijo backtracking that halves on
 inadmissible trials and allows for rounding noise, and acceptance of a
@@ -17,6 +17,14 @@ only once the unshifted direction has failed, so a solver may size it from
 an eigenvalue estimate without paying for it on every iteration.  A line
 search that accepts a trial equal to the iterate ends the solve at once:
 every later iteration would repeat it exactly.
+
+The tolerance is a number or a vector over the free unknowns, fixed or
+computed from the iterate; the solve stops once every |g_i| <= tol_i.  A
+vector lets a solver stop each unknown at its own rounding level (Dennis &
+Schnabel, *Numerical Methods for Unconstrained Optimization*, 1983, sec.
+7.2): an absolute tolerance below what a float64 iterate can reach only
+buys iterations that end at the machine-scale step test.  That test stays
+as the guard for a tolerance set too tight.
 """
 
 from __future__ import annotations
@@ -76,10 +84,11 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
                  max_iter, max_backtracks, step_bound=None, shift_tries=8):
     """Damped Newton iteration from the flat array ``x``; returns the accepted iterate.
 
-    ``residual(x)`` is the vector over ``x[free]`` whose max-norm must reach
-    ``tol`` (a number or a function of the iterate): the gradient of
-    ``objective`` if one is given, else the equations, with ||residual||_2
-    as the merit and no descent test.  ``linearize(x)`` returns ``(solve,
+    ``residual(x)`` is the vector over ``x[free]`` that must reach
+    |residual_i| <= tol_i in every component: the gradient of ``objective``
+    if one is given, else the equations, with ||residual||_2 as the merit
+    and no descent test.  ``tol`` is a number or a vector over ``x[free]``,
+    or a function of the iterate that returns one.  ``linearize(x)`` returns ``(solve,
     shift_floor)``, where ``solve(rhs, shift)`` solves the linear system plus
     ``shift`` times the identity; it is tried at most ``shift_tries`` times,
     first unshifted, then from the shift ``shift_floor()`` upward.
@@ -93,8 +102,9 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
     for _ in range(max_iter):
         if g is None:
             g = residual(x)
-        gnorm = np.max(np.abs(g))
-        if gnorm <= tol_at(x):
+        gabs = np.abs(g)
+        gnorm = np.max(gabs)
+        if np.all(gabs <= tol_at(x)):
             return x
         solve, shift_floor = linearize(x)
         step = _descent_step(solve, g, shift_floor, shift_tries, minimize)

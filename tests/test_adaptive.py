@@ -130,6 +130,13 @@ def test_run_adaptive_aborts_below_floor():
     result = run_adaptive(sim, c, t_final=1.0)
     assert result.aborted
     assert "halved below" in result.abort_reason
+    # the first proposal 1.5 tau0 is halved until it falls below tau_min / 2**10;
+    # the halvings of the aborted step count although no step was accepted
+    first = 1.5e-3
+    expected = math.floor(math.log2(first * 2 ** 10 / 1e-4)) + 1
+    assert sim.attempts[0] == pytest.approx(first)
+    assert result.steps == []
+    assert result.total_rejections == len(sim.attempts) == expected == 14
 
 
 def test_run_adaptive_stall_rule():

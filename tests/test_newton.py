@@ -77,13 +77,8 @@ def test_converges_inside_the_fraction_to_boundary_bound(problem, mu):
     assert all(np.diff(t).min() > 0.0 for t in seen)
 
 
-@settings(max_examples=40, deadline=None)
-@given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0))
-def test_accepted_iterates_satisfy_armijo(problem, weight):
-    # J(u) = 0.5 (u - c)^T A (u - c) + w sum sqrt(1 + u^2): full Newton steps
-    # from far away overshoot, so backtracking has to act
-    a, c = problem
-
+def smooth_problem(a, c, weight):
+    """J(u) = 0.5 (u - c)^T A (u - c) + w sum sqrt(1 + u^2) with its derivatives."""
     def objective(u):
         return 0.5 * (u - c) @ a @ (u - c) + weight * np.sum(np.sqrt(1.0 + u * u))
 
@@ -93,6 +88,36 @@ def test_accepted_iterates_satisfy_armijo(problem, weight):
     def hessian(u):
         return a + weight * np.diag((1.0 + u * u) ** -1.5)
 
+    return objective, gradient, hessian
+
+
+def accepted_iterates(problem, u0, tol):
+    """The solve's result (None if it raised) and every iterate it accepted.
+
+    The gradient is evaluated once at every accepted iterate, the start included.
+    """
+    objective, gradient, hessian = problem
+    seen = []
+
+    def recorded_gradient(u):
+        seen.append(u)
+        return gradient(u)
+
+    try:
+        x = newton_solve(u0, recorded_gradient, dense_linearize(hessian), objective=objective,
+                         tol=tol, stall_tol=1e-7, max_iter=100, max_backtracks=50)
+    except NewtonError:
+        x = None
+    return x, seen
+
+
+@settings(max_examples=40, deadline=None)
+@given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0))
+def test_accepted_iterates_satisfy_armijo(problem, weight):
+    # J(u) = 0.5 (u - c)^T A (u - c) + w sum sqrt(1 + u^2): full Newton steps
+    # from far away overshoot, so backtracking has to act
+    a, c = problem
+    objective, gradient, hessian = smooth_problem(a, c, weight)
     accepted = []
 
     def recorded_gradient(u):
@@ -110,6 +135,44 @@ def test_accepted_iterates_satisfy_armijo(problem, weight):
             f = objective(prev)
             bound = f + ARMIJO * gradient(prev) @ (new - prev) + NOISE * (abs(f) + 1.0)
             assert objective(new) <= bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0),
+       tol=st.sampled_from([1e-9, 1e-6, 1e-3]))
+def test_scalar_tolerance_stops_at_the_first_iterate_within_it(problem, weight, tol):
+    # the unstopped solve (no tolerance is met) runs on to the machine-scale
+    # exit; a scalar tolerance must accept exactly its iterates up to the first
+    # one with max|g| <= tol, bit for bit, and a vector of that number too
+    smooth = smooth_problem(*problem, weight)
+    gradient = smooth[1]
+    u0 = np.full(len(problem[1]), 40.0)
+    _, trail = accepted_iterates(smooth, u0, tol=-1.0)
+    stop = next(i for i, u in enumerate(trail) if np.max(np.abs(gradient(u))) <= tol)
+    for tolerance in (tol, np.full(len(u0), tol), lambda u: tol):
+        x, seen = accepted_iterates(smooth, u0, tolerance)
+        assert len(seen) == stop + 1
+        assert all(np.array_equal(a, b) for a, b in zip(seen, trail))
+        assert np.array_equal(x, trail[stop])
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0), data=st.data())
+def test_vector_tolerance_stops_once_every_component_is_within_its_own(problem, weight, data):
+    smooth = smooth_problem(*problem, weight)
+    gradient = smooth[1]
+    n = len(problem[1])
+    u0 = np.full(n, 40.0)
+    tol = 10.0 ** data.draw(arrays(np.float64, (n,), elements=st.floats(-9.0, -1.0)))
+    _, trail = accepted_iterates(smooth, u0, tol=-1.0)
+    x, seen = accepted_iterates(smooth, u0, tol)
+    assert x is not None
+    assert all(np.array_equal(a, b) for a, b in zip(seen, trail))
+    # never stopped while one component was above its tolerance ...
+    assert np.all(np.abs(gradient(x)) <= tol)
+    # ... and stopped at the first iterate where none was
+    assert all(np.any(np.abs(gradient(u)) > tol) for u in seen[:-1])
+    assert np.array_equal(x, seen[-1])
 
 
 @st.composite

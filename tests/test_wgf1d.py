@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -8,7 +10,7 @@ from scipy.linalg.lapack import dpttrf
 from lagflow import wgf1d
 from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
-from lagflow.experiments import run_experiment
+from lagflow.experiments import random_step_sequence, run_experiment
 from lagflow.grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
 from lagflow.initial import pme_cosine
 from lagflow.models import (FokkerPlanck, KellerSegel1D, PorousMedium, discrete_energy_1d,
@@ -200,6 +202,47 @@ def test_ratios_above_the_bound_still_decrease_each_step_objective():
     p = pme_problem(mx=32)
     traj, _ = wgf1d_first_step(p, 1e-4)
     check_steps(p, traj, [8.0, 0.05, 30.0, 0.1, 12.0, 1.0, 50.0], augmented=False)
+
+
+def machine_scale_exits(records):
+    return sum("step below machine scale" in r.getMessage() for r in records)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mx", [1199, 1200, 1201])
+def test_rounding_floor_stop_on_philox_steps_and_neighbouring_grids(monkeypatch, caplog,
+                                                                    mx, seed):
+    # on these grids the constant 1e-11 sits below what some unknowns can
+    # reach: held to it, 9-16 of the 60 solves end at the machine-scale step
+    # test (none do at mx = 400 or 800).  With the rounding floor none does,
+    # and each step stays within 1e-10 of the step from the same history with
+    # every unknown held to 1e-11 (measured: at most 3e-11)
+    p = pme_problem(mx=mx)
+    mass0 = np.sum(p.rho0 * p.grid.h)
+    history = [Trajectory1D.at_rest(p.grid)]
+    with caplog.at_level(logging.DEBUG, logger="lagflow.newton"):
+        for tau in random_step_sequence(60, 0.5, seed):
+            traj, dens = wgf1d_step(p, history[-1], tau)
+            assert np.sum(dens.values * np.diff(traj.curr)) == pytest.approx(mass0, rel=1e-12)
+            history.append(traj)
+    assert machine_scale_exits(caplog.records) == 0
+    # the energy estimate holds on every step whose ratio is within its bound
+    checked = 0
+    for old, new in zip(history[1:], history[2:]):
+        if new.tau_prev / old.tau_prev <= RATIO_BOUND_1D:
+            assert (wgf1d_augmented_energy(p, new.prev, new.curr, new.tau_prev)
+                    <= wgf1d_augmented_energy(p, old.prev, old.curr, old.tau_prev) + 1e-10)
+            checked += 1
+    assert checked >= 40
+
+    caplog.clear()
+    monkeypatch.setattr(wgf1d, "STOP_FLOOR", 0.0)  # every unknown stops at NEWTON_TOL
+    with caplog.at_level(logging.DEBUG, logger="lagflow.newton"):
+        for old, new in zip(history, history[1:]):
+            ref, _ = wgf1d_step(p, old, new.tau_prev)
+            assert np.max(np.abs(new.curr - ref.curr)) <= 1e-10
+    # the grids are chosen so that the constant tolerance does hit that exit
+    assert machine_scale_exits(caplog.records) > 0
 
 
 def record_starts(monkeypatch):
