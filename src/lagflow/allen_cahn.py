@@ -24,6 +24,13 @@ the three centre bands, and the log
 regularization and the energy force act through d_h x at node j, which
 couples nodes j-1 and j+1 and so adds the two outer bands.  The first step
 is the step from the history at rest, where r = 0 makes it backward Euler.
+
+The terms of the step equations that depend only on (x^{n-1}, x^n, tau, r)
+(slopes and midpoints of x^n, the inertia and history weights, log d_h x^n,
+the constant factors of the force's Jacobian) are built once per step, so a
+residual or Jacobian evaluation does only the work that depends on the
+iterate, with the same bits as evaluating each term afresh.  The banded
+solve goes straight to LAPACK (``banded``).
 """
 
 from __future__ import annotations
@@ -31,8 +38,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from .banded import solve_banded
 from .errors import AdmissibilityError
 from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product, node_diff
 from .initial import InitialCondition1D
@@ -95,32 +102,62 @@ def _inertia_coeff(tau, r):
     return (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
 
 
-def _history(p: AcProblem, x_prev, slope_curr):
-    """Slope factor of the BDF2 history term and the midpoints of x^{n-1}."""
-    slope_prev = np.diff(x_prev) / p.grid.h
-    hist = slope_prev ** -0.5 + slope_curr ** -0.5
-    return hist, 0.5 * (x_prev[:-1] + x_prev[1:])
+class _StepTerms:
+    """The step equations' terms that depend only on (x^{n-1}, x^n, tau, r).
+
+    Built once per step, so a residual or Jacobian evaluation does only the
+    work that depends on the iterate.  Each precomputed product is a leading
+    factor of the expression it came from (``c1 * w`` of ``c1 * w * (...)``),
+    so every term keeps its evaluation order and the bits of evaluating the
+    textbook formulas afresh.
+    """
+
+    def __init__(self, p: AcProblem, x_prev, x_curr, tau, r):
+        h = p.grid.h
+        w = p.friction_mid
+        x_curr = np.asarray(x_curr)
+        c1 = _inertia_coeff(tau, r)
+        self.p = p
+        self.tau = tau
+        self.r = r
+        self.slope_curr = np.diff(x_curr) / h
+        self.inv_slope_curr = 1.0 / self.slope_curr
+        self.xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
+        self.c1w = c1 * w
+        self.half_c1w = 0.5 * c1 * w
+        self.neg_c1w = -c1 * w
+        if r > 0.0:
+            x_prev = np.asarray(x_prev)
+            slope_prev = np.diff(x_prev) / h
+            self.hist = slope_prev ** -0.5 + self.slope_curr ** -0.5
+            self.dxm = self.xm_curr - 0.5 * (x_prev[:-1] + x_prev[1:])
+            # ``lead`` of the history term is lead_curr - (0.5/r) slope_next**-0.5
+            self.lead_curr = (1.0 + 0.5 / r) * self.slope_curr ** -0.5
+            self.hist_w = (r * r) * w / (2.0 * tau * (r + 1.0))
+            self.jac_hist = r / (8.0 * tau * (r + 1.0)) * w * self.hist * self.dxm
+        if p.eta > 0.0:
+            self.log_dh_curr = np.log(node_diff(x_curr, p.grid))
+        # end weights c_j of d_h x and the numerator of dPhi_j/d(d_h x)_j
+        self.c = np.full(p.grid.m_x + 1, 0.5 / h)
+        self.c[0] = self.c[-1] = 1.0 / h
+        self.dphi_num = 0.5 * p.eps ** 2 * p.rho0_prime_nodes ** 2
 
 
-def _midpoint_equation(p: AcProblem, x_prev, x_curr, x_next, tau, r):
+def _midpoint_equation(t: _StepTerms, x_next, slope_next):
     """Inertia, log-regularization and history terms of the scheme, per midpoint."""
+    p = t.p
     h = p.grid.h
-    slope_next = np.diff(x_next) / h
-    slope_curr = np.diff(x_curr) / h
     xm_next = 0.5 * (x_next[:-1] + x_next[1:])
-    xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
-    w = p.friction_mid
-    c1 = _inertia_coeff(tau, r)
-    eq = c1 * w * (1.0 / slope_next + 1.0 / slope_curr) * (xm_next - xm_curr)
+    eq = t.c1w * (1.0 / slope_next + t.inv_slope_curr) * (xm_next - t.xm_curr)
 
     if p.eta > 0.0:
-        logdiff = np.log(node_diff(x_next, p.grid)) - np.log(node_diff(x_curr, p.grid))
-        eq = eq - p.eta * tau * np.diff(logdiff) / h
+        logdiff = np.log(node_diff(x_next, p.grid)) - t.log_dh_curr
+        eq = eq - p.eta * t.tau * np.diff(logdiff) / h
 
+    r = t.r
     if r > 0.0:
-        hist, xm_prev = _history(p, x_prev, slope_curr)
-        lead = (1.0 + 0.5 / r) * slope_curr ** -0.5 - (0.5 / r) * slope_next ** -0.5
-        eq = eq - (r * r) * w / (2.0 * tau * (r + 1.0)) * lead * hist * (xm_curr - xm_prev)
+        lead = t.lead_curr - (0.5 / r) * slope_next ** -0.5
+        eq = eq - t.hist_w * lead * t.hist * t.dxm
     return eq
 
 
@@ -150,22 +187,26 @@ def _energy_force(p: AcProblem, x):
     return g
 
 
-def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float) -> np.ndarray:
+def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float,
+                terms: _StepTerms | None = None) -> np.ndarray:
     """Weak-form residual at interior nodes.
 
     The inertia/history terms are hat-function tests of the per-midpoint
     scheme; the phase-field force enters as the analytic gradient of the
-    discrete energy.
+    discrete energy.  ``terms``, the step's constants, is built from
+    (x_prev, x_curr, tau, r) when not given.
     """
+    t = _StepTerms(p, x_prev, x_curr, tau, r) if terms is None else terms
     x_next = np.asarray(x_next)
-    if np.any(np.diff(x_next) <= 0.0):
+    widths = x_next[1:] - x_next[:-1]
+    if np.any(widths <= 0.0):
         raise AdmissibilityError("candidate trajectory is not strictly increasing")
-    eq = _midpoint_equation(p, np.asarray(x_prev), np.asarray(x_curr), x_next, tau, r)
+    eq = _midpoint_equation(t, x_next, widths / p.grid.h)
     force = _energy_force(p, x_next)
     return 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + force[1:-1]
 
 
-def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r):
+def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=None):
     """Jacobian of ``ac_residual`` in x_next, in ``solve_banded((2, 2), ...)`` layout.
 
     Midpoint equation c depends on x_next only through its end nodes c and
@@ -179,34 +220,27 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r):
     gets sigma_{k-1} + sigma_{k+1} on the diagonal and -sigma_{k-1},
     -sigma_{k+1} in columns k-2, k+2.
     """
+    t = _StepTerms(p, x_prev, x_curr, tau, r) if terms is None else terms
     h = p.grid.h
-    slope_next = np.diff(x_next) / h
-    slope_curr = np.diff(x_curr) / h
+    slope_next = (x_next[1:] - x_next[:-1]) / h
     xm_next = 0.5 * (x_next[:-1] + x_next[1:])
-    xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
-    w = p.friction_mid
 
-    c1 = _inertia_coeff(tau, r)
     # the midpoint term of eq_c is even in its end nodes, the slope term odd
-    even = 0.5 * c1 * w * (1.0 / slope_next + 1.0 / slope_curr)
-    odd = -c1 * w * (xm_next - xm_curr) / (h * slope_next ** 2)
-    if r > 0.0:
-        hist, xm_prev = _history(p, x_prev, slope_curr)
+    even = t.half_c1w * (1.0 / slope_next + t.inv_slope_curr)
+    odd = t.neg_c1w * (xm_next - t.xm_curr) / (h * slope_next ** 2)
+    if t.r > 0.0:
         # only the slope_next**-0.5 part of ``lead`` depends on x_next
-        odd = odd - r / (8.0 * tau * (r + 1.0)) * w * hist * (xm_curr - xm_prev) \
-            * slope_next ** -1.5 / h
+        odd = odd - t.jac_hist * slope_next ** -1.5 / h
     half = 0.5 * h
     left = half * (even - odd)
     right = half * (even + odd)
 
     dh = node_diff(x_next, p.grid)
     # dPhi_j/d(d_h x)_j; c_j times the quadrature weight of node j is 1/2
-    dphi = 0.5 * p.eps ** 2 * p.rho0_prime_nodes ** 2 / dh ** 3
+    dphi = t.dphi_num / dh ** 3
     if p.eta > 0.0:
-        dphi = dphi + 0.5 * p.eta * tau / dh
-    c = np.full_like(dh, 0.5 / h)
-    c[0] = c[-1] = 1.0 / h
-    sigma = c * dphi
+        dphi = dphi + 0.5 * p.eta * t.tau / dh
+    sigma = t.c * dphi
 
     n = p.grid.m_x - 1
     ab = np.zeros((5, n))
@@ -218,33 +252,34 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r):
     return ab
 
 
-def _residual_floor(p: AcProblem, x_curr, tau, r):
+def _residual_floor(t: _StepTerms, x_curr):
     """Rounding floor of the residual: eps times the largest assembled term.
 
     Extreme step ratios make the inertia/history coefficients huge, so the
     convergence tolerance cannot sit below what cancellation leaves behind.
     """
-    h = p.grid.h
+    p, tau, r = t.p, t.tau, t.r
     w = p.friction_mid
-    slope = np.diff(x_curr) / h
     xmag = max(1.0, np.max(np.abs(x_curr)))
-    mag = _inertia_coeff(tau, r) * np.max(w) * 2.0 / slope.min() * xmag
+    mag = _inertia_coeff(tau, r) * np.max(w) * 2.0 / t.slope_curr.min() * xmag
     if r > 0.0:
-        c3 = r * r / (2.0 * tau * (r + 1.0)) * (1.0 + 1.0 / r) * 2.0 / slope.min()
+        c3 = r * r / (2.0 * tau * (r + 1.0)) * (1.0 + 1.0 / r) * 2.0 / t.slope_curr.min()
         mag += c3 * np.max(w) * xmag
-    return 64.0 * np.finfo(float).eps * 0.5 * h * mag
+    return 64.0 * np.finfo(float).eps * 0.5 * p.grid.h * mag
 
 
 def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
     """Newton solve of the step equations from x_curr (see ``newton``)."""
+    t = _StepTerms(p, x_prev, x_curr, tau, r)
+
     def residual(x):
-        return ac_residual(p, x_prev, x_curr, x, tau, r)
+        return ac_residual(p, x_prev, x_curr, x, tau, r, terms=t)
 
     def linearize(x):
-        ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r)
+        ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, terms=t)
         return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), (lambda: 0.0)
 
-    tol = max(NEWTON_TOL, _residual_floor(p, x_curr, tau, r))
+    tol = max(NEWTON_TOL, _residual_floor(t, x_curr))
     # one unshifted solve: a shifted Jacobian does not make ||F|| descend
     return newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=tol,
                         stall_tol=1e2 * tol, max_iter=NEWTON_MAX_ITER, max_backtracks=40,

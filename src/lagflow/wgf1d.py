@@ -67,8 +67,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal, solve_banded
+from scipy.linalg import eigvalsh_tridiagonal
 
+from .banded import solve_banded
 from .errors import AdmissibilityError
 from .grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
 from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
@@ -283,6 +284,7 @@ def _minimize(t: _StepTerms, x_start):
         o = off[free]
 
         def solve(rhs, shift):
+            # a fresh band per shift, so LAPACK's dgtsv (``banded``) may factor it in place
             ab = np.empty((3, d.shape[0]))
             ab[0, 0] = ab[2, -1] = 0.0
             ab[0, 1:] = o

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
 from lagflow.allen_cahn import (NEWTON_MAX_ITER, NEWTON_TOL, AcProblem, _banded_jacobian,
-                                _energy_force, ac_energy, ac_first_step, ac_modified_energy,
+                                _energy_force, _StepTerms, ac_energy, ac_first_step, ac_modified_energy,
                                 ac_residual, ac_step)
 from lagflow.errors import AdmissibilityError
 from lagflow.grids import Grid1D, node_diff
@@ -254,6 +254,93 @@ def test_jacobian_matches_complex_step(mx, at_rest, mobility, eta, r, tau, shift
     want = complex_step_jacobian(p, x_prev, x_curr, x_next, tau, r)
     got = _banded_jacobian(p, x_prev, x_curr, x_next, tau, r)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def per_call_midpoint_equation(p, x_prev, x_curr, x_next, tau, r):
+    """Oracle: the per-midpoint equation with every term of x^{n-1} and x^n
+    rebuilt on each call, in the operation order the scheme is written in."""
+    h = p.grid.h
+    slope_next = np.diff(x_next) / h
+    slope_curr = np.diff(x_curr) / h
+    xm_next = 0.5 * (x_next[:-1] + x_next[1:])
+    xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
+    w = p.friction_mid
+    c1 = (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
+    eq = c1 * w * (1.0 / slope_next + 1.0 / slope_curr) * (xm_next - xm_curr)
+    if p.eta > 0.0:
+        logdiff = np.log(node_diff(x_next, p.grid)) - np.log(node_diff(x_curr, p.grid))
+        eq = eq - p.eta * tau * np.diff(logdiff) / h
+    if r > 0.0:
+        slope_prev = np.diff(x_prev) / h
+        hist = slope_prev ** -0.5 + slope_curr ** -0.5
+        xm_prev = 0.5 * (x_prev[:-1] + x_prev[1:])
+        lead = (1.0 + 0.5 / r) * slope_curr ** -0.5 - (0.5 / r) * slope_next ** -0.5
+        eq = eq - (r * r) * w / (2.0 * tau * (r + 1.0)) * lead * hist * (xm_curr - xm_prev)
+    return eq
+
+
+def per_call_banded_jacobian(p, x_prev, x_curr, x_next, tau, r):
+    """Oracle: the banded Jacobian with every term of x^{n-1} and x^n rebuilt
+    on each call, in the operation order the scheme is written in."""
+    h = p.grid.h
+    slope_next = np.diff(x_next) / h
+    slope_curr = np.diff(x_curr) / h
+    xm_next = 0.5 * (x_next[:-1] + x_next[1:])
+    xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
+    w = p.friction_mid
+    c1 = (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
+    even = 0.5 * c1 * w * (1.0 / slope_next + 1.0 / slope_curr)
+    odd = -c1 * w * (xm_next - xm_curr) / (h * slope_next ** 2)
+    if r > 0.0:
+        slope_prev = np.diff(x_prev) / h
+        hist = slope_prev ** -0.5 + slope_curr ** -0.5
+        xm_prev = 0.5 * (x_prev[:-1] + x_prev[1:])
+        odd = odd - r / (8.0 * tau * (r + 1.0)) * w * hist * (xm_curr - xm_prev) \
+            * slope_next ** -1.5 / h
+    left = 0.5 * h * (even - odd)
+    right = 0.5 * h * (even + odd)
+    dh = node_diff(x_next, p.grid)
+    dphi = 0.5 * p.eps ** 2 * p.rho0_prime_nodes ** 2 / dh ** 3
+    if p.eta > 0.0:
+        dphi = dphi + 0.5 * p.eta * tau / dh
+    c = np.full_like(dh, 0.5 / h)
+    c[0] = c[-1] = 1.0 / h
+    sigma = c * dphi
+    ab = np.zeros((5, p.grid.m_x - 1))
+    ab[0, 2:] = -sigma[2:-2]
+    ab[1, 1:] = right[1:-1]
+    ab[2] = right[:-1] + left[1:] + sigma[:-2] + sigma[2:]
+    ab[3, :-1] = left[1:-1]
+    ab[4, :-2] = -sigma[2:-2]
+    return ab
+
+
+@pytest.mark.parametrize("at_rest", [True, False], ids=["r=0", "drawn-r"])
+@pytest.mark.parametrize("mobility", [ConstantMobility(), DegenerateMobility()],
+                         ids=["constant", "degenerate"])
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+@settings(max_examples=10, deadline=None)
+@given(r=st.floats(min_value=1e-6, max_value=1.5),
+       tau=st.floats(min_value=1e-4, max_value=1e-1),
+       shifts=arrays(np.float64, (3, 25), elements=st.floats(-0.3, 0.3)))
+def test_step_terms_reproduce_the_per_call_formulas_bit_for_bit(at_rest, mobility, eta, r,
+                                                                 tau, shifts):
+    # the step's constants are built once per step; each must be a leading
+    # factor of its formula, so reusing it leaves every bit as it was
+    p = make_problem(mx=24, eps=0.05, eta=eta, mobility=mobility, initial=_SHALLOW_PARABOLA)
+    x_prev, x_curr, x_next = (p.grid.nodes + p.grid.h * s for s in shifts)
+    for x in (x_prev, x_curr, x_next):
+        x[0], x[-1] = -1.0, 1.0
+    if at_rest:
+        r = 0.0
+    eq = per_call_midpoint_equation(p, x_prev, x_curr, x_next, tau, r)
+    want_res = 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + _energy_force(p, x_next)[1:-1]
+    want_jac = per_call_banded_jacobian(p, x_prev, x_curr, x_next, tau, r)
+    terms = _StepTerms(p, x_prev, x_curr, tau, r)
+    for t in (None, terms):
+        assert np.array_equal(ac_residual(p, x_prev, x_curr, x_next, tau, r, terms=t), want_res)
+        assert np.array_equal(_banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=t),
+                              want_jac)
 
 
 def first_step_oracle(p, tau1):
