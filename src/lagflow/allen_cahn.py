@@ -20,10 +20,11 @@ reproduces the midpoint quadrature identities behind the energy estimate.
 The shared damped-Newton core (``newton``) solves it with ||F||_2 as the
 merit and the analytic Jacobian, which is pentadiagonal: the inertia and
 history terms of a midpoint equation couple its two end nodes, which fills
-the three centre bands, and the log
-regularization and the energy force act through d_h x at node j, which
-couples nodes j-1 and j+1 and so adds the two outer bands.  The first step
-is the step from the history at rest, where r = 0 makes it backward Euler.
+the three centre bands, and the log regularization and the energy force act
+through d_h x at node j, which couples nodes j-1 and j+1 and so adds the two
+outer bands.  The solve stops at the core's rounding-level rule, with the row
+sums of |J| over the five bands.  The first step is the step from the
+history at rest, where r = 0 makes it backward Euler.
 
 The terms of the step equations that depend only on (x^{n-1}, x^n, tau, r)
 (slopes and midpoints of x^n, the inertia and history weights, log d_h x^n,
@@ -252,20 +253,16 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=None):
     return ab
 
 
-def _residual_floor(t: _StepTerms, x_curr):
-    """Rounding floor of the residual: eps times the largest assembled term.
-
-    Extreme step ratios make the inertia/history coefficients huge, so the
-    convergence tolerance cannot sit below what cancellation leaves behind.
-    """
-    p, tau, r = t.p, t.tau, t.r
-    w = p.friction_mid
-    xmag = max(1.0, np.max(np.abs(x_curr)))
-    mag = _inertia_coeff(tau, r) * np.max(w) * 2.0 / t.slope_curr.min() * xmag
-    if r > 0.0:
-        c3 = r * r / (2.0 * tau * (r + 1.0)) * (1.0 + 1.0 / r) * 2.0 / t.slope_curr.min()
-        mag += c3 * np.max(w) * xmag
-    return 64.0 * np.finfo(float).eps * 0.5 * p.grid.h * mag
+def _row_sums(ab):
+    """sum_j |A_ij| of the pentadiagonal A stored in ``ab``: band k holds
+    A_{i, i+2-k} in column i+2-k."""
+    a = np.abs(ab)
+    rows = a[2]
+    rows[:-2] += a[0, 2:]
+    rows[:-1] += a[1, 1:]
+    rows[1:] += a[3, :-1]
+    rows[2:] += a[4, :-2]
+    return rows
 
 
 def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
@@ -277,13 +274,11 @@ def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
 
     def linearize(x):
         ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, terms=t)
-        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), (lambda: 0.0)
+        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), None, _row_sums(ab)
 
-    tol = max(NEWTON_TOL, _residual_floor(t, x_curr))
-    # one unshifted solve: a shifted Jacobian does not make ||F|| descend
-    return newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=tol,
-                        stall_tol=1e2 * tol, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
-                        step_bound=fraction_to_boundary, shift_tries=1)
+    return newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=NEWTON_TOL,
+                        stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
+                        step_bound=fraction_to_boundary)
 
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):

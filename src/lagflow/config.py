@@ -196,6 +196,11 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("need 0 < controller.tau_min <= controller.tau_max")
     if config.r_user <= 0.0:
         raise ConfigError("controller.r_user must be positive")
+    # 0 means "the preset decides" for n_steps, tau1 and tau2
+    for key in ("time.n_steps", "seed", "controller.tau1", "controller.tau2"):
+        value = getattr(config, _KEY_MAP[key])
+        if value < 0:
+            raise ConfigError(f"{key} must be nonnegative, got {value}")
     if p in ("pme-convergence", "pme-waiting-time", "barenblatt-2d", "pme-nonradial-2d"):
         if not config.m > 1.0:
             raise ConfigError(f"preset {p}: model.m must exceed 1, got {config.m}")

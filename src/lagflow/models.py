@@ -176,20 +176,14 @@ def double_well(s):
 def energy_density(model: EnergyModel, s, x=None):
     """Pointwise energy density F(s); Fokker-Planck additionally needs the position x."""
     s = np.asarray(s, dtype=float)
-    if isinstance(model, PorousMedium):
-        if np.any(s < 0.0):
-            raise ValueError("porous-medium density must be nonnegative")
-        return s ** model.m / (model.m - 1.0)
-    if isinstance(model, FokkerPlanck):
-        if np.any(s <= 0.0):
-            raise ValueError("entropy density needs s > 0")
-        v = model.potential(0.0 if x is None else x)
-        return s * np.log(s) + s * v
-    if isinstance(model, (KellerSegel1D, KellerSegel2D)):
-        return _internal_density(model, s)
     if isinstance(model, GinzburgLandau):
         return double_well(s)
-    raise TypeError(f"unsupported model {model!r}")
+    if isinstance(model, PorousMedium) and np.any(s < 0.0):
+        raise ValueError("porous-medium density must be nonnegative")
+    f = _internal_density(model, s)
+    if isinstance(model, FokkerPlanck):
+        return f + s * model.potential(0.0 if x is None else x)
+    return f
 
 
 def _internal_density(model, s):

@@ -12,25 +12,8 @@ recovered by pushforward, which conserves mass identically.  The shared
 damped-Newton core (``newton``) does the minimization with the analytic
 tridiagonal Hessian; its fraction-to-the-boundary rule keeps every cell at
 least 10% of the currently narrowest one, and backtracking only ever accepts
-objective decreases (up to the core's rounding allowance).
-
-The solve stops once every free unknown satisfies
-
-    |g_i| <= max(NEWTON_TOL, eps max(1, max|x|) sum_j |H_ij|).
-
-A change of one ulp in x, at most eps max(1, max|x|) per node, moves g_i by
-up to the row sum of |H| times it, so no representable iterate can be asked
-for less (Dennis & Schnabel, *Numerical Methods for Unconstrained
-Optimization*, 1983, sec. 7.2: the stop follows the rounding level, not an
-absolute constant).  With the constant 1e-11 alone, which that floor exceeds
-on fine grids, a third of the Newton iterations of 3,200 random porous-medium
-steps at mx = 1600 assembled and solved only to end at the core's
-machine-scale step test.  The row sums are those of the Hessian from the
-latest linearization, one iterate back: the Hessian at the iterate under
-test would cost an assembly per test, and near convergence, where the floor
-decides, the Newton steps are small and the Hessian barely changes, while
-the floor needs only its order of magnitude.  Before the first
-linearization of a solve the floor is NEWTON_TOL alone.
+objective decreases (up to the core's rounding allowance).  It stops at the
+core's rounding-level rule, with the row sums of the tridiagonal |H|.
 
 The terms of J that do not depend on the iterate (xhat's midpoints, the
 cell inertia weights, the viscosity reference and the constant part of the
@@ -81,8 +64,6 @@ __all__ = ["Wgf1dProblem", "extrapolate_hat", "wgf1d_residual", "wgf1d_step",
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
-# factor of the per-unknown stopping floor eps max(1, max|x|) sum_j |H_ij|
-STOP_FLOOR = 1.0
 
 RATIO_BOUND_1D = 0.5 * (3.0 + np.sqrt(17.0))
 
@@ -253,17 +234,8 @@ def _start(t: _StepTerms, x_curr, x_pred):
 
 
 def _minimize(t: _StepTerms, x_start):
-    """Newton minimization of the step objective from x_start (see ``newton``).
-
-    Each unknown stops at max(NEWTON_TOL, its rounding floor), the floor
-    taken from the latest linearization's row sums; before the first one it
-    is NEWTON_TOL.
-    """
+    """Newton minimization of the step objective from x_start (see ``newton``)."""
     free = slice(1, -1) if t.p.pinned else slice(None)
-    floor_per_x = 0.0  # STOP_FLOOR eps sum_j |H_ij| over the free rows, once linearized
-
-    def tol(x):
-        return np.maximum(NEWTON_TOL, floor_per_x * max(1.0, np.max(np.abs(x))))
 
     def objective(x):
         value = t.at(x).value
@@ -273,13 +245,11 @@ def _minimize(t: _StepTerms, x_start):
         return _gradient(t, x)[free]
 
     def linearize(x):
-        nonlocal floor_per_x
         diag, off = _hessian_tridiag(t, x)
         rows = np.abs(diag)
         coupling = np.abs(off)
         rows[:-1] += coupling
         rows[1:] += coupling
-        floor_per_x = (STOP_FLOOR * np.finfo(float).eps) * rows[free]
         d = diag[free]
         o = off[free]
 
@@ -291,10 +261,10 @@ def _minimize(t: _StepTerms, x_start):
             np.add(d, shift, out=ab[1])
             ab[2, :-1] = o
             return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
-        return solve, lambda: _eigen_shift(d, o)
+        return solve, lambda: _eigen_shift(d, o), rows[free]
 
     return newton_solve(x_start, gradient, linearize, objective=objective, free=free,
-                        tol=tol, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+                        tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                         max_backtracks=50, step_bound=fraction_to_boundary)
 
 

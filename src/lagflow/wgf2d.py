@@ -13,7 +13,8 @@ implicit scheme minimizes the step functional
 
 with the shared damped-Newton core (``newton``), whose backtracking halves
 any trial with a non-positive determinant, warm started from the explicit
-output whenever that does not increase J.
+output whenever that does not increase J.  It stops at the core's
+rounding-level rule, with row sums |H| + inertia + sigma |-Lap_h|.
 
 Every linear system is solved directly.  The explicit matrix
 diag(c rho0) + s (-Lap_h) is factored once per step and the factors serve
@@ -478,6 +479,15 @@ def _gradient_2d(p: Wgf2dProblem, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s):
     return gx[1:-1, 1:-1].ravel(), gy[1:-1, 1:-1].ravel()
 
 
+def _abs_row_sums(mat: sps.csr_matrix) -> np.ndarray:
+    """sum_j |M_ij| of a CSR matrix, from its stored entries."""
+    starts = mat.indptr[:-1]
+    filled = starts < mat.indptr[1:]
+    rows = np.zeros(mat.shape[0])
+    rows[filled] = np.add.reduceat(np.abs(mat.data), starts[filled])
+    return rows
+
+
 def _visc_ref(p: Wgf2dProblem, x, y):
     """Map the implicit viscosity is measured from: x^n, or 0 for the absolute form."""
     if p.visc_scaling == VISC_TAU_INCREMENT:
@@ -508,18 +518,18 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
     def gradient(z):
         return np.concatenate(_gradient_2d(p, *split(z), x_hat, y_hat, x_ref, y_ref, coeff, s))
 
-    def linearize(z):
-        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid)
-        return _condensed_solver(grid, p.rho0, inertia, s * area, hess * area), lambda: 1e-8
+    # the row sums of |inertia + sigma (-Lap_h)|, per component
+    lap = _neg_lap_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
+    fixed_rows = inertia + s * area * np.tile(_abs_row_sums(lap), 2)
 
-    def tol(z):
-        floor = 64.0 * np.finfo(float).eps * area * (
-            2.0 * coeff * np.max(p.rho0) * max(1.0, np.max(np.abs(z))) + 1.0)
-        return max(NEWTON_TOL, floor)
+    def linearize(z):
+        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area
+        return (_condensed_solver(grid, p.rho0, inertia, s * area, hess), lambda: 1e-8,
+                _abs_row_sums(hess) + fixed_rows)
 
     z = np.concatenate([x_start.ravel(), y_start.ravel()])
     z = newton_solve(z, gradient, linearize, objective=objective,
-                     free=np.concatenate([interior, size + interior]), tol=tol,
+                     free=np.concatenate([interior, size + interior]), tol=NEWTON_TOL,
                      stall_tol=1e3 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50)
     return split(z)
 

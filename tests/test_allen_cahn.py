@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
+from lagflow import allen_cahn
 from lagflow.allen_cahn import (NEWTON_MAX_ITER, NEWTON_TOL, AcProblem, _banded_jacobian,
                                 _energy_force, _StepTerms, ac_energy, ac_first_step, ac_modified_energy,
                                 ac_residual, ac_step)
@@ -12,6 +13,7 @@ from lagflow.grids import Grid1D, node_diff
 from lagflow.initial import InitialCondition1D, ac_parabola
 from lagflow.models import ConstantMobility, DegenerateMobility, GinzburgLandau, double_well
 from lagflow.newton import fraction_to_boundary, newton_solve
+from stops import check_stops, record_stops
 
 
 def constant_profile(c=0.3):
@@ -232,6 +234,21 @@ _SHALLOW_PARABOLA = InitialCondition1D(lambda x: 0.8 * (1.0 - np.asarray(x) ** 2
                                        lambda x: -1.6 * np.asarray(x))
 
 
+@settings(max_examples=30, deadline=None)
+@given(ab=st.integers(1, 9).flatmap(
+    lambda n: arrays(np.float64, (5, n), elements=st.floats(-1e3, 1e3))))
+def test_row_sums_are_those_of_the_dense_pentadiagonal_matrix(ab):
+    # the corners of ``ab`` hold no entry of the matrix, whatever they contain
+    n = ab.shape[1]
+    dense = np.zeros((n, n))
+    for k in range(5):
+        for j in range(n):
+            if 0 <= j + k - 2 < n:
+                dense[j + k - 2, j] = ab[k, j]
+    assert np.allclose(allen_cahn._row_sums(ab), np.abs(dense).sum(axis=1),
+                       rtol=1e-14, atol=0.0)
+
+
 @pytest.mark.parametrize("mx", [15, 16, 17])
 # at_rest: the start-up step, whose ratio r = 0 drops the history term
 @pytest.mark.parametrize("at_rest", [True, False])
@@ -386,15 +403,15 @@ def first_step_oracle(p, tau1):
         ab[2] = right[:-1] + left[1:] + sigma[:-2] + sigma[2:]
         ab[3, :-1] = left[1:-1]
         ab[4, :-2] = -sigma[2:-2]
-        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), (lambda: 0.0)
+        # row i of the Jacobian holds ab[k, i + 2 - k] in band k
+        n = ab.shape[1]
+        rows = np.array([sum(abs(ab[k, i + 2 - k]) for k in range(5) if 0 <= i + 2 - k < n)
+                         for i in range(n)])
+        return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), None, rows
 
-    xmag = max(1.0, np.max(np.abs(x0)))
-    floor = 64.0 * np.finfo(float).eps * 0.5 * h * (c1 * np.max(w) * 2.0 / slope_curr.min()
-                                                     * xmag)
-    tol = max(NEWTON_TOL, floor)
-    return newton_solve(x0, residual, linearize, free=slice(1, -1), tol=tol,
-                        stall_tol=1e2 * tol, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
-                        step_bound=fraction_to_boundary, shift_tries=1)
+    return newton_solve(x0, residual, linearize, free=slice(1, -1), tol=NEWTON_TOL,
+                        stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
+                        step_bound=fraction_to_boundary)
 
 
 @pytest.mark.parametrize("mobility", [ConstantMobility(), DegenerateMobility()],
@@ -412,3 +429,17 @@ def test_first_step_is_the_step_from_rest_bit_for_bit(mobility, eta):
     x_prev[0], x_prev[-1] = -1.0, 1.0
     assert np.array_equal(ac_residual(p, x_prev, p.grid.nodes, traj.curr, tau, 0.0),
                           ac_residual(p, p.grid.nodes, p.grid.nodes, traj.curr, tau, 0.0))
+
+
+@pytest.mark.parametrize("tau", [1e-8, 1e-10])
+def test_tiny_steps_stop_at_the_rounding_floor(monkeypatch, tau):
+    # the inertia rows of the Jacobian grow like 1/tau, so at these steps the
+    # floor eps max(1, max|x|) sum_j |J_ij| is above NEWTON_TOL; the steps at
+    # r = 10 and r = 0.01 stretch the inertia and history weights further
+    p = make_problem(mx=64)
+    stops = record_stops(monkeypatch, allen_cahn)
+    traj = ac_first_step(p, tau)
+    for tau_next in (tau, 10.0 * tau, 0.1 * tau):
+        traj, _ = ac_step(p, traj, tau_next)
+    assert len(stops) == 4
+    assert check_stops(stops, NEWTON_TOL) > NEWTON_TOL

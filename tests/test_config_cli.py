@@ -218,6 +218,33 @@ def test_cli_rejects_implicit_scheme_on_ks2d(tmp_path, capsys):
     assert "ks-2d" in err and "scheme = implicit" in err
 
 
+RANDOM_PME = "preset = pme-convergence\ntime.mode = random\n"
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (RANDOM_PME, "time.n_steps", "-5"),
+    (RANDOM_PME, "seed", "-3"),
+    ("preset = ac-interface\n", "controller.tau1", "-1"),
+    ("preset = ac-interface\n", "controller.tau2", "-0.5"),
+], ids=["n_steps", "seed", "tau1", "tau2"])
+def test_cli_rejects_negative_counts_and_start_up_steps(tmp_path, capsys, base, key, value):
+    # 0 keeps its meaning ("the preset decides"); a negative value used to reach
+    # the solver and exit 1 with a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{base}{key} = {value}\n", encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_counts_and_start_up_steps_are_accepted():
+    text = ("preset = ac-interface\ntime.mode = random\ntime.n_steps = 0\nseed = 0\n"
+            "controller.tau1 = 0\ncontroller.tau2 = 0\n")
+    config = parse_config(text)
+    assert (config.n_steps, config.seed, config.tau1, config.tau2) == (0, 0, 0.0, 0.0)
+
+
 @pytest.mark.parametrize("key", ["time.t_final", "time.tau", "model.m", "controller.tau_max"])
 @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity"])
 def test_non_finite_floats_rejected(key, raw):

@@ -6,7 +6,8 @@ from hypothesis.extra.numpy import arrays
 from lagflow.errors import AdmissibilityError, NewtonError
 from lagflow.newton import ARMIJO, fraction_to_boundary, newton_solve
 
-NOISE = 32.0 * np.finfo(float).eps
+EPS = np.finfo(float).eps
+NOISE = 32.0 * EPS
 
 
 @st.composite
@@ -18,11 +19,20 @@ def spd_quadratics(draw, c_min=-3.0, c_max=3.0):
     return m @ m.T + 0.1 * np.eye(n), c
 
 
-def dense_linearize(hessian):
+def dense_linearize(hessian, row_sums=None):
+    """``linearize`` for a dense Hessian; ``row_sums(x)``, if given, replaces
+    its sum_j |h_ij| in the stopping floor."""
     def linearize(x):
         h = hessian(x)
-        return (lambda rhs, shift: np.linalg.solve(h + shift * np.eye(len(rhs)), rhs)), (lambda: 1e-8)
+        rows = np.abs(h).sum(axis=1) if row_sums is None else row_sums(x)
+        return ((lambda rhs, shift: np.linalg.solve(h + shift * np.eye(len(rhs)), rhs)),
+                (lambda: 1e-8), rows)
     return linearize
+
+
+def no_floor(x):
+    """Row sums that leave ``tol`` alone to stop the solve."""
+    return np.zeros(len(x))
 
 
 def barrier_problem(a, c, mu):
@@ -91,8 +101,9 @@ def smooth_problem(a, c, weight):
     return objective, gradient, hessian
 
 
-def accepted_iterates(problem, u0, tol):
-    """The solve's result (None if it raised) and every iterate it accepted.
+def accepted_iterates(problem, u0, tol, row_sums=no_floor):
+    """The solve's result (None if it raised) and every iterate it accepted,
+    with ``row_sums`` in the stopping floor (none by default).
 
     The gradient is evaluated once at every accepted iterate, the start included.
     """
@@ -104,8 +115,9 @@ def accepted_iterates(problem, u0, tol):
         return gradient(u)
 
     try:
-        x = newton_solve(u0, recorded_gradient, dense_linearize(hessian), objective=objective,
-                         tol=tol, stall_tol=1e-7, max_iter=100, max_backtracks=50)
+        x = newton_solve(u0, recorded_gradient, dense_linearize(hessian, row_sums),
+                         objective=objective, tol=tol, stall_tol=1e-7, max_iter=100,
+                         max_backtracks=50)
     except NewtonError:
         x = None
     return x, seen
@@ -141,38 +153,66 @@ def test_accepted_iterates_satisfy_armijo(problem, weight):
 @given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0),
        tol=st.sampled_from([1e-9, 1e-6, 1e-3]))
 def test_scalar_tolerance_stops_at_the_first_iterate_within_it(problem, weight, tol):
-    # the unstopped solve (no tolerance is met) runs on to the machine-scale
-    # exit; a scalar tolerance must accept exactly its iterates up to the first
-    # one with max|g| <= tol, bit for bit, and a vector of that number too
+    # the unstopped solve (no tolerance is met, no floor) runs on to the
+    # machine-scale exit; a scalar tolerance must accept exactly its iterates
+    # up to the first one with max|g| <= tol, bit for bit
     smooth = smooth_problem(*problem, weight)
     gradient = smooth[1]
     u0 = np.full(len(problem[1]), 40.0)
     _, trail = accepted_iterates(smooth, u0, tol=-1.0)
     stop = next(i for i, u in enumerate(trail) if np.max(np.abs(gradient(u))) <= tol)
-    for tolerance in (tol, np.full(len(u0), tol), lambda u: tol):
-        x, seen = accepted_iterates(smooth, u0, tolerance)
-        assert len(seen) == stop + 1
-        assert all(np.array_equal(a, b) for a, b in zip(seen, trail))
-        assert np.array_equal(x, trail[stop])
+    x, seen = accepted_iterates(smooth, u0, tol)
+    assert len(seen) == stop + 1
+    assert all(np.array_equal(a, b) for a, b in zip(seen, trail))
+    assert np.array_equal(x, trail[stop])
 
 
 @settings(max_examples=30, deadline=None)
 @given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0), data=st.data())
-def test_vector_tolerance_stops_once_every_component_is_within_its_own(problem, weight, data):
+def test_row_sum_floor_stops_once_every_component_is_within_its_own(problem, weight, data):
+    # with tol = 0 only the floor eps max(1, max|u|) rows_i can stop the solve
     smooth = smooth_problem(*problem, weight)
     gradient = smooth[1]
     n = len(problem[1])
     u0 = np.full(n, 40.0)
-    tol = 10.0 ** data.draw(arrays(np.float64, (n,), elements=st.floats(-9.0, -1.0)))
+    rows = 10.0 ** data.draw(arrays(np.float64, (n,), elements=st.floats(7.0, 15.0)))
+
+    def bound(u):
+        return np.maximum(0.0, (EPS * rows) * max(1.0, np.max(np.abs(u))))
+
     _, trail = accepted_iterates(smooth, u0, tol=-1.0)
-    x, seen = accepted_iterates(smooth, u0, tol)
+    x, seen = accepted_iterates(smooth, u0, 0.0, row_sums=lambda u: rows)
     assert x is not None
     assert all(np.array_equal(a, b) for a, b in zip(seen, trail))
-    # never stopped while one component was above its tolerance ...
-    assert np.all(np.abs(gradient(x)) <= tol)
+    # never stopped while one component was above its bound (the start, before
+    # any linearization, is held to tol alone) ...
+    assert np.all(np.abs(gradient(x)) <= bound(x))
+    assert np.any(np.abs(gradient(seen[0])) > 0.0)
+    assert all(np.any(np.abs(gradient(u)) > bound(u)) for u in seen[1:-1])
     # ... and stopped at the first iterate where none was
-    assert all(np.any(np.abs(gradient(u)) > tol) for u in seen[:-1])
     assert np.array_equal(x, seen[-1])
+
+
+@settings(max_examples=30, deadline=None)
+@given(problem=spd_quadratics(), weight=st.floats(1.0, 50.0), data=st.data())
+def test_floor_uses_the_row_sums_of_the_latest_linearization(problem, weight, data):
+    # only the linearization at iterate k has row sums large enough to stop
+    # the solve, so it stops at iterate k + 1, the next one tested: the floor
+    # comes from the latest linearization, not from the first
+    smooth = smooth_problem(*problem, weight)
+    u0 = np.full(len(problem[1]), 40.0)
+    _, trail = accepted_iterates(smooth, u0, tol=-1.0)
+    k = data.draw(st.integers(0, len(trail) - 2))
+    linearized = []
+
+    def row_sums(u):
+        linearized.append(u)
+        return np.full(len(u), 1e300 if len(linearized) == k + 1 else 0.0)
+
+    x, seen = accepted_iterates(smooth, u0, -1.0, row_sums=row_sums)
+    assert len(seen) == k + 2
+    assert all(np.array_equal(a, b) for a, b in zip(seen, trail))
+    assert np.array_equal(x, trail[k + 1])
 
 
 @st.composite
@@ -250,14 +290,15 @@ def test_no_descent_direction_raises(problem):
 
 
 def test_singular_system_without_shifts_raises():
+    # residual mode makes one unshifted solve and never asks for a shift
     def singular(x):
         def solve(rhs, shift):
             raise np.linalg.LinAlgError("singular matrix")
-        return solve, lambda: 0.0
+        return solve, None, np.ones(3)
 
-    with pytest.raises(NewtonError, match="descent direction"):
+    with pytest.raises(NewtonError, match=r"descent direction from the linear system \(1 tries\)"):
         newton_solve(np.zeros(3), lambda x: np.ones(3), singular, tol=1e-9, stall_tol=1e-7,
-                     max_iter=10, max_backtracks=40, shift_tries=1)
+                     max_iter=10, max_backtracks=40)
 
 
 @settings(max_examples=20, deadline=None)
@@ -266,7 +307,7 @@ def test_residual_mode_solves_a_linear_system(problem):
     # without an objective the merit is ||F||_2 and F(u) = A u - A c is solved
     a, c = problem
     u = newton_solve(np.zeros(len(c)), lambda u: a @ (u - c), dense_linearize(lambda u: a),
-                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40, shift_tries=1)
+                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40)
     assert np.max(np.abs(a @ (u - c))) <= 1e-9
 
 

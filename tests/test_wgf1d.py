@@ -19,6 +19,7 @@ from lagflow.newton import _NOISE
 from lagflow.wgf1d import (RATIO_BOUND_1D, Wgf1dProblem, extrapolate_hat,
                            wgf1d_augmented_energy, wgf1d_energy, wgf1d_first_step,
                            wgf1d_residual, wgf1d_step)
+from stops import without_floor
 
 
 def pme_problem(mx=16, m=2.0):
@@ -236,7 +237,7 @@ def test_rounding_floor_stop_on_philox_steps_and_neighbouring_grids(monkeypatch,
     assert checked >= 40
 
     caplog.clear()
-    monkeypatch.setattr(wgf1d, "STOP_FLOOR", 0.0)  # every unknown stops at NEWTON_TOL
+    without_floor(monkeypatch, wgf1d)  # every unknown stops at NEWTON_TOL
     with caplog.at_level(logging.DEBUG, logger="lagflow.newton"):
         for old, new in zip(history, history[1:]):
             ref, _ = wgf1d_step(p, old, new.tau_prev)

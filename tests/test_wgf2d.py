@@ -18,6 +18,7 @@ from lagflow.wgf2d import (RATIO_BOUND_2D, VISC_TAU_INCREMENT, VISC_TAU_SQ_ABSOL
                            wgf2d_first_step_implicit, wgf2d_step_explicit,
                            wgf2d_step_implicit)
 from masks import MASK_KINDS, masked_rho0
+from stops import check_stops, record_stops
 
 
 def bump_problem(mx=7, visc=0.5, scaling=VISC_TAU_INCREMENT, lim=1.5):
@@ -627,3 +628,25 @@ def test_implicit_first_step_is_the_step_from_rest(mx):
     inner = m[1:-1, 1:-1] & m[:-2, 1:-1] & m[2:, 1:-1] & m[1:-1, :-2] & m[1:-1, 2:]
     assert np.max(np.abs(det - det_want)[inner]) <= 1e-7
     assert (traj.tau_prev, traj.time, traj.step_index) == (tau, tau, 1)
+
+
+@pytest.mark.parametrize("tau", [1e-8, 1e-10])
+def test_implicit_tiny_steps_stop_at_the_rounding_floor(monkeypatch, tau):
+    # the inertia 2 coeff rho0 hx hy of the Newton rows grows like 1/tau, so at
+    # these steps the floor eps max(1, max|x|) sum_j |A_ij| is above NEWTON_TOL
+    p = bump_problem(mx=8)
+    stops = record_stops(monkeypatch, wgf2d)
+    traj, _ = wgf2d_first_step_implicit(p, tau)
+    for tau_next in (tau, 10.0 * tau):
+        traj, _ = wgf2d_step_implicit(p, traj, tau_next)
+    assert len(stops) == 3
+    assert check_stops(stops, wgf2d.NEWTON_TOL) > wgf2d.NEWTON_TOL
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.5])
+def test_abs_row_sums_match_the_dense_matrix(density):
+    # low densities leave rows without a stored entry
+    mat = sps.random(40, 40, density=density, format="csr", random_state=3,
+                     data_rvs=lambda k: np.random.default_rng(4).uniform(-2.0, 2.0, k))
+    want = np.abs(mat.toarray()).sum(axis=1)
+    assert np.allclose(wgf2d._abs_row_sums(mat), want, rtol=1e-14, atol=0.0)
