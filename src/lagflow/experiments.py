@@ -123,9 +123,9 @@ class _Sim1D(_SimBase):
     def _record(self, tau, ratio) -> StepRecord:
         x = self.traj.curr
         return StepRecord(t=self.time, tau=tau, ratio=ratio, energy=self.energy,
-                          mass=float(np.sum(self.density * np.diff(x))),
-                          min_density=float(np.min(self.density)),
-                          max_density=float(np.max(self.density)),
+                          mass=float((self.density * (x[1:] - x[:-1])).sum()),
+                          min_density=float(self.density.min()),
+                          max_density=float(self.density.max()),
                           boundary_lo=float(x[0]), boundary_hi=float(x[-1]))
 
 class AcSim(_Sim1D):

@@ -138,7 +138,7 @@ def _check_mid(u, grid: Grid1D, name: str = "u"):
 def forward_diff(x, grid: Grid1D) -> np.ndarray:
     """Cell slopes (D_h x)_{j+1/2} = (x_{j+1} - x_j)/h; nodes -> midpoints."""
     x = _check_node(x, grid)
-    return np.diff(x) / grid.h
+    return (x[1:] - x[:-1]) / grid.h
 
 
 def midpoint_diff(u, grid: Grid1D) -> np.ndarray:
@@ -200,7 +200,7 @@ class Trajectory1D:
         object.__setattr__(self, "curr", curr)
         if self.tau_prev <= 0.0:
             raise ValueError(f"tau_prev must be positive, got {self.tau_prev}")
-        if np.any(np.diff(curr) <= 0.0):
+        if (curr[1:] - curr[:-1] <= 0.0).any():
             raise AdmissibilityError("trajectory nodes are not strictly increasing")
         if self.pinned:
             ref = self.grid.nodes
@@ -262,7 +262,7 @@ class DensityField1D:
     def __post_init__(self):
         v = _readonly(_check_mid(self.values, self.grid, "values"))
         object.__setattr__(self, "values", v)
-        if np.any(v < 0.0):
+        if (v < 0.0).any():
             raise ValueError("density values must be nonnegative")
 
 
@@ -319,6 +319,6 @@ def pushforward_density_1d(rho0, x, grid: Grid1D) -> DensityField1D:
     """Conservative recovery rho_{j+1/2} = rho0_{j+1/2} / (D_h x)_{j+1/2}."""
     rho0 = _check_mid(rho0, grid, "rho0")
     slopes = forward_diff(x, grid)
-    if np.any(slopes <= 0.0):
+    if (slopes <= 0.0).any():
         raise AdmissibilityError("pushforward needs strictly increasing node positions")
     return DensityField1D(rho0 / slopes, grid)

@@ -361,7 +361,7 @@ def discrete_energy_1d(model: EnergyModel, x, rho0, grid: Grid1D,
     the same iterate several times computes once.
     """
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
-    total = float(np.sum(_internal_density(model, s) * widths))
+    total = float((_internal_density(model, s) * widths).sum())
     if isinstance(model, FokkerPlanck):
         mids = 0.5 * (np.asarray(x)[:-1] + np.asarray(x)[1:])
         total += float(np.sum(np.asarray(rho0) * grid.h * model.potential(mids)))
@@ -382,7 +382,7 @@ def discrete_energy_grad_1d(model: EnergyModel, x, rho0, grid: Grid1D,
     x = np.asarray(x)
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     gcell = _pressure(model, s)
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[1:] += gcell
     g[:-1] -= gcell
     if isinstance(model, FokkerPlanck):
@@ -408,8 +408,10 @@ def discrete_energy_hess_1d(model: EnergyModel, x, rho0, grid: Grid1D,
     x = np.asarray(x)
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     # d/dw of G(rho0 h / w) = -G'(s) s / w, the per-cell curvature
-    hcell = -_pressure_deriv(model, s) * s / widths
-    diag = np.zeros_like(x)
+    hcell = -_pressure_deriv(model, s)
+    hcell *= s
+    hcell /= widths
+    diag = np.zeros(x.shape)
     diag[1:] += hcell
     diag[:-1] += hcell
     off = -hcell

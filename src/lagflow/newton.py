@@ -9,7 +9,9 @@ fraction-to-the-boundary rule, Armijo backtracking that halves on
 inadmissible trials and allows for rounding noise, and acceptance of a
 stalled iterate within ``stall_tol``.  The merit is the step objective when
 there is one; otherwise it is ||F||_2, whose derivative along the Newton
-step is -||F||_2.  Assembly and linear solves stay with the solvers.
+step is -||F||_2.  Assembly and linear solves stay with the solvers.  A
+residual or linear system that is not finite ends the solve with
+NewtonError, a SolverError, so the step controller halves the step.
 
 The solve stops once every free unknown has
 
@@ -36,6 +38,7 @@ iteration would repeat it exactly.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -56,13 +59,19 @@ _SHIFT_TRIES = 8
 
 def fraction_to_boundary(x, step) -> float:
     """Largest alpha <= 1 (times 0.99) keeping every cell of the 1D node array
-    x + alpha step at least 10% of the currently narrowest one."""
+    x + alpha step at least 10% of the currently narrowest one (``wgf1d``
+    takes the same alpha from its cell state)."""
     widths = np.diff(x)
     dw = np.diff(step)
     shrink = dw < 0.0
     if not np.any(shrink):
         return 1.0
     return min(1.0, 0.99 * np.min((widths[shrink] - 0.1 * widths.min()) / -dw[shrink]))
+
+
+def _norm(v) -> float:
+    """||v||_2, the same bits as np.linalg.norm of a 1D array."""
+    return math.sqrt(v.dot(v))
 
 
 def _descent_step(solve, g, shift_floor, check_descent):
@@ -77,31 +86,28 @@ def _descent_step(solve, g, shift_floor, check_descent):
             shift = max(floor, 4.0 * shift) * 10.0 ** (attempt - 1)
         try:
             step = solve(rhs, shift)
-            snorm = np.linalg.norm(step)
+            snorm = _norm(step)
         except (np.linalg.LinAlgError, RuntimeError):
-            snorm = np.inf
+            snorm = math.inf
+        except ValueError as exc:  # e.g. a linear system holding inf or NaN
+            raise NewtonError(f"linear solve failed: {exc}") from exc
         # a finite norm means a finite step; rounding-level inner products
         # count as descent
-        if np.isfinite(snorm) and (
-                not check_descent or np.dot(step, g) < 1e-10 * snorm * np.linalg.norm(g)):
+        if snorm < math.inf and (
+                not check_descent or np.dot(step, g) < 1e-10 * snorm * _norm(g)):
             if shift > 0.0:
                 log.debug("descent direction needed a diagonal shift of %.2e", shift)
             return step
     raise NewtonError(f"no descent direction from the linear system ({tries} tries)")
 
 
-def _converged(gabs, gnorm, x, tol, row_sums) -> bool:
-    """Every gabs_i <= max(tol, eps max(1, max|x|) row_sums_i); ``tol`` alone
-    if ``row_sums`` is None.  The scalar tests settle most calls first, with
-    the same outcome: eps max(row_sums) max(1, max|x|) is the largest bound."""
-    if gnorm <= tol:
-        return True
-    if row_sums is None:
+def _within_floor(gabs, gnorm, xmag, tol, row_sums) -> bool:
+    """Every gabs_i <= max(tol, eps xmag row_sums_i).  The scalar test settles
+    most calls first, with the same outcome: eps max(row_sums) xmag is the
+    largest bound."""
+    if gnorm > (_EPS * row_sums.max()) * xmag:
         return False
-    xmag = max(1.0, np.max(np.abs(x)))
-    if gnorm > (_EPS * np.max(row_sums)) * xmag:
-        return False
-    return bool(np.all(gabs <= np.maximum(tol, (_EPS * row_sums) * xmag)))
+    return bool((gabs <= np.maximum(tol, (_EPS * row_sums) * xmag)).all())
 
 
 def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), tol, stall_tol,
@@ -116,26 +122,32 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
     plus ``shift`` times the identity, ``shift_floor()`` gives the first
     nonzero shift (never called without an objective), and ``row_sums`` is
     sum_j |A_ij| over the free rows.  ``step_bound(x, step)`` caps the
-    initial step length.
+    initial step length.  A residual or linear system that is not finite
+    raises NewtonError.
     """
     minimize = objective is not None
     x = np.array(x, dtype=float)
     g = None if minimize else residual(x)
-    fx = objective(x) if minimize else np.linalg.norm(g)
+    fx = objective(x) if minimize else _norm(g)
     row_sums = None  # of the latest linearization
     for _ in range(max_iter):
         if g is None:
             g = residual(x)
         gabs = np.abs(g)
-        gnorm = np.max(gabs)
-        if _converged(gabs, gnorm, x, tol, row_sums):
+        gnorm = gabs.max()
+        if not gnorm < math.inf:
+            raise NewtonError(f"residual is not finite (max|g|={gnorm})")
+        if gnorm <= tol:
+            return x
+        xmag = max(1.0, np.abs(x).max())  # once per iterate
+        if row_sums is not None and _within_floor(gabs, gnorm, xmag, tol, row_sums):
             return x
         solve, shift_floor, row_sums = linearize(x)
         step = _descent_step(solve, g, shift_floor, minimize)
-        if np.max(np.abs(step)) <= 4.0 * _EPS * max(1.0, np.max(np.abs(x))):
+        if np.abs(step).max() <= 4.0 * _EPS * xmag:
             log.debug("step below machine scale at max|g|=%.2e; accepting iterate", gnorm)
             return x
-        full = np.zeros_like(x)
+        full = np.zeros(x.shape)
         full[free] = step
         alpha = 1.0 if step_bound is None else step_bound(x, full)
         if alpha <= 0.0:
@@ -149,7 +161,7 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
                     f_trial = objective(trial)
                 else:
                     g_trial = residual(trial)
-                    f_trial = np.linalg.norm(g_trial)
+                    f_trial = _norm(g_trial)
             except (AdmissibilityError, ValueError):
                 alpha *= 0.5
                 continue

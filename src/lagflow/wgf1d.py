@@ -17,9 +17,18 @@ core's rounding-level rule, with the row sums of the tridiagonal |H|.
 
 The terms of J that do not depend on the iterate (xhat's midpoints, the
 cell inertia weights, the viscosity reference and the constant part of the
-Hessian) are built once per step, and the cell state of an iterate (widths,
-densities, admissibility) is computed once and shared by its objective,
-gradient and Hessian.  Newton starts from the linear predictor
+Hessian) are built once per step.  The cell state of an iterate (widths and
+the narrowest of them, which is the admissibility check, densities,
+midpoint offsets from xhat and increments) is computed once and shared by
+its objective, gradient, Hessian, |H| row sums and fraction-to-the-boundary
+bound, and E_h and J there are computed at most once.  For porous-medium
+and Fokker-Planck runs the E_h(x^{n+1}) inside J at the accepted iterate is
+handed on, with its widths and densities: it is the energy ``wgf1d_energy``
+reports for the step record, and the E_h(x^n) of the next step's J(x^n).
+It is the same number, bit for bit, as evaluating E_h afresh.  Keller-Segel
+runs get no hand-off: their J holds the scheme energy with the lagged
+interaction partner, a different number from the reported self-consistent
+energy.  Newton starts from the linear predictor
 x^n + r (x^n - x^{n-1}) when it is admissible and J there is no larger than
 J(x^n), and from x^n otherwise.  Since backtracking only lowers J,
 J(x^{n+1}) <= J(start) <= J(x^n) for any step ratio, which is exactly the
@@ -57,7 +66,7 @@ from .errors import AdmissibilityError
 from .grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
 from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
                      discrete_energy_grad_1d, discrete_energy_hess_1d)
-from .newton import fraction_to_boundary, newton_solve
+from .newton import newton_solve
 
 __all__ = ["Wgf1dProblem", "extrapolate_hat", "wgf1d_residual", "wgf1d_step",
            "wgf1d_first_step", "wgf1d_augmented_energy", "wgf1d_energy", "RATIO_BOUND_1D"]
@@ -101,14 +110,33 @@ def extrapolate_hat(x_curr, x_prev, r: float) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Cells:
-    """Cell state of one iterate (``key`` is its bytes), and J there once computed."""
+    """Cell state of one iterate (``key`` is its bytes), and E_h and J there once computed."""
 
     key: bytes
     widths: np.ndarray
+    min_width: float
     s: np.ndarray        # rho0 h / widths
     offset: np.ndarray   # midpoints minus xhat's midpoints
     incr: np.ndarray     # widths of x - x_visc_ref
+    energy: float | None = None  # the E_h term of J
     value: float | None = None
+
+
+# (problem, cell state with E_h) of the iterate the last porous-medium or
+# Fokker-Planck step accepted; one tuple, so a state is never read with
+# another problem's energy
+_accepted = None
+
+
+def _accepted_cells(p: Wgf1dProblem) -> _Cells | None:
+    memo = _accepted
+    return memo[1] if memo is not None and memo[0] is p else None
+
+
+def _keep_accepted(p: Wgf1dProblem, c: _Cells, x_new):
+    """Keep c, if it is x_new's cell state with E_h, as ``p``'s accepted state."""
+    global _accepted
+    _accepted = (p, c) if c.energy is not None and c.key == x_new.tobytes() else None
 
 
 class _StepTerms:
@@ -118,11 +146,14 @@ class _StepTerms:
     are built once per step.  ``at(x)`` returns the cell state of x,
     computed (with the admissibility check) only for a new iterate: the memo
     is keyed by the bytes of x, so an array changed in place is never
-    answered from it.  Every term keeps the operation order of the textbook
-    formulas, so a run gives the same bits as evaluating them afresh.
+    answered from it.  ``known``, the accepted cell state of x^n, supplies
+    the widths, densities and E_h of x^n.  Every term keeps the operation
+    order of the textbook formulas, so a run gives the same bits as
+    evaluating them afresh.
     """
 
-    def __init__(self, p: Wgf1dProblem, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
+    def __init__(self, p: Wgf1dProblem, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau,
+                 known: _Cells | None = None):
         h = p.grid.h
         self.p = p
         self.lag_x = lag_x
@@ -135,6 +166,7 @@ class _StepTerms:
         self.inertia_curv = 0.5 * coeff * h * p.rho0
         self.visc_half = 0.5 * p.visc_weight * tau / h
         self.visc_w = p.visc_weight * tau / h
+        self.known = known
         self.last = None
 
     def at(self, x) -> _Cells:
@@ -142,12 +174,21 @@ class _StepTerms:
         last = self.last
         if last is not None and last.key == key:
             return last
-        widths = x[1:] - x[:-1]
-        if widths.min() <= 0.0:
-            raise AdmissibilityError("trajectory nodes are not strictly increasing")
+        known = self.known
+        if known is not None and known.key == key:
+            widths, min_width, s, energy = known.widths, known.min_width, known.s, known.energy
+        else:
+            widths = x[1:] - x[:-1]
+            min_width = widths.min()
+            if min_width <= 0.0:
+                raise AdmissibilityError("trajectory nodes are not strictly increasing")
+            s = self.masses / widths
+            energy = None
+        offset = x[:-1] + x[1:]
+        offset *= 0.5
+        offset -= self.hat_mid
         moved = x - self.x_visc_ref
-        self.last = _Cells(key, widths, self.masses / widths,
-                           0.5 * (x[:-1] + x[1:]) - self.hat_mid, moved[1:] - moved[:-1])
+        self.last = _Cells(key, widths, min_width, s, offset, moved[1:] - moved[:-1], energy)
         return self.last
 
 
@@ -156,7 +197,7 @@ def _bdf2_terms(p: Wgf1dProblem, traj: Trajectory1D, tau: float) -> _StepTerms:
     x_hat = extrapolate_hat(traj.curr, traj.prev, r)
     coeff = (1.0 + 2.0 * r) / (2.0 * tau * (1.0 + r))
     lag_x, lag_rho = p.lag_state(traj.curr)
-    return _StepTerms(p, x_hat, traj.curr, lag_x, lag_rho, coeff, tau)
+    return _StepTerms(p, x_hat, traj.curr, lag_x, lag_rho, coeff, tau, _accepted_cells(p))
 
 
 def _objective(t: _StepTerms, x) -> float:
@@ -164,9 +205,10 @@ def _objective(t: _StepTerms, x) -> float:
     p = t.p
     inertia = t.coeff * float(p.grid.h * np.dot(p.rho0 * c.offset, c.offset))
     visc = t.visc_half * float(np.dot(c.incr, c.incr))
-    energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
-                                cells=(c.widths, c.s))
-    c.value = inertia + visc + energy
+    if c.energy is None:
+        c.energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
+                                      cells=(c.widths, c.s))
+    c.value = inertia + visc + c.energy
     return c.value
 
 
@@ -175,7 +217,7 @@ def _gradient(t: _StepTerms, x) -> np.ndarray:
     p = t.p
     cell = t.inertia_w * c.offset
     visc = t.visc_w * c.incr
-    g = np.zeros_like(x)
+    g = np.zeros(x.shape)
     g[:-1] += cell
     g[1:] += cell
     g[:-1] -= visc
@@ -214,6 +256,17 @@ def _eigen_shift(d, o) -> float:
     floor = max(1e-8, np.abs(d).max() * 1e-8)
     lam = eigvalsh_tridiagonal(d, o, select="i", select_range=(0, 0))[0]
     return floor if lam >= 0.0 else -lam + max(floor, -0.1 * lam)
+
+
+def _fraction_to_boundary(c: _Cells, step) -> float:
+    """``newton.fraction_to_boundary`` of the finite node step from the cell
+    state c, with the same alpha: no difference of x, no gather."""
+    shrink = step[:-1] - step[1:]  # -diff(step), bit for bit
+    np.putmask(shrink, shrink <= 0.0, 0.0)
+    room = c.widths - 0.1 * c.min_width
+    with np.errstate(divide="ignore"):
+        np.divide(room, shrink, out=room)  # inf where the cell does not shrink
+    return min(1.0, 0.99 * room.min())
 
 
 def _start(t: _StepTerms, x_curr, x_pred):
@@ -265,7 +318,8 @@ def _minimize(t: _StepTerms, x_start):
 
     return newton_solve(x_start, gradient, linearize, objective=objective, free=free,
                         tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                        max_backtracks=50, step_bound=fraction_to_boundary)
+                        max_backtracks=50,
+                        step_bound=lambda x, step: _fraction_to_boundary(t.at(x), step))
 
 
 def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
@@ -274,11 +328,13 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
         raise ValueError("tau_next must be positive")
     t = _bdf2_terms(p, traj, tau_next)
     if isinstance(p.model, KellerSegel1D):
-        x_start = traj.curr  # nonconvex J: the start would choose the local minimum
+        # nonconvex J: the start would choose the local minimum; and J holds
+        # the lagged energy, not the reported one
+        x_new = _minimize(t, traj.curr)
     else:
         r = tau_next / traj.tau_prev
-        x_start = _start(t, traj.curr, traj.curr + r * (traj.curr - traj.prev))
-    x_new = _minimize(t, x_start)
+        x_new = _minimize(t, _start(t, traj.curr, traj.curr + r * (traj.curr - traj.prev)))
+        _keep_accepted(p, t.last, x_new)
     new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
                             traj.step_index + 1, p.grid, pinned=p.pinned)
     return new_traj, pushforward_density_1d(p.rho0, x_new, p.grid)
@@ -290,7 +346,11 @@ def wgf1d_first_step(p: Wgf1dProblem, tau1: float):
 
 
 def wgf1d_energy(p: Wgf1dProblem, x) -> float:
-    """Reported discrete energy of a state (self-consistent interaction)."""
+    """Reported discrete energy of a state (self-consistent interaction); that
+    of the last accepted iterate comes from its step objective."""
+    known = _accepted_cells(p)
+    if known is not None and known.key == np.asarray(x, dtype=float).tobytes():
+        return known.energy
     return discrete_energy_1d(p.model, x, p.rho0, p.grid)
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from lagflow.errors import AdmissibilityError, NewtonError
+from lagflow.banded import solve_banded
+from lagflow.errors import AdmissibilityError, NewtonError, SolverError
 from lagflow.newton import ARMIJO, fraction_to_boundary, newton_solve
 
 EPS = np.finfo(float).eps
@@ -299,6 +300,50 @@ def test_singular_system_without_shifts_raises():
     with pytest.raises(NewtonError, match=r"descent direction from the linear system \(1 tries\)"):
         newton_solve(np.zeros(3), lambda x: np.ones(3), singular, tol=1e-9, stall_tol=1e-7,
                      max_iter=10, max_backtracks=40)
+
+
+def banded_linearize(bad):
+    """``linearize`` of a tridiagonal system whose diagonal holds ``bad`` in
+    one entry; the solve is ``banded.solve_banded``, which rejects it."""
+    def linearize(x):
+        ab = np.zeros((3, len(x)))
+        ab[1] = 2.0
+        ab[1, len(x) // 2] = bad
+        return (lambda rhs, shift: solve_banded((1, 1), ab + [[0.0], [shift], [0.0]], rhs),
+                lambda: 1e-8, np.full(len(x), 4.0))
+    return linearize
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["objective", "residual"])
+def test_non_finite_linear_system_raises_newton_error(bad, mode):
+    # a SolverError lets the step controller halve the step and retry
+    objective = (lambda x: float(x @ x)) if mode == "objective" else None
+    with pytest.raises(NewtonError, match="linear solve failed: array must not contain"):
+        newton_solve(np.ones(5), lambda x: 2.0 * x, banded_linearize(bad), objective=objective,
+                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40)
+    assert issubclass(NewtonError, SolverError)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("mode", ["objective", "residual"])
+def test_non_finite_residual_raises_newton_error(bad, mode):
+    linearized = []
+
+    def linearize(x):
+        linearized.append(x)
+        return banded_linearize(2.0)(x)
+
+    def residual(x):
+        g = 2.0 * x
+        g[1] = bad
+        return g
+
+    objective = (lambda x: float(x @ x)) if mode == "objective" else None
+    with pytest.raises(NewtonError, match="residual is not finite"):
+        newton_solve(np.ones(5), residual, linearize, objective=objective, tol=1e-9,
+                     stall_tol=1e-7, max_iter=10, max_backtracks=40)
+    assert linearized == []
 
 
 @settings(max_examples=20, deadline=None)

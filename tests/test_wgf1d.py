@@ -7,15 +7,15 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 from scipy.linalg.lapack import dpttrf
 
-from lagflow import wgf1d
+from lagflow import allen_cahn, wgf1d
 from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
-from lagflow.experiments import random_step_sequence, run_experiment
+from lagflow.experiments import Wgf1dSim, random_step_sequence, run_experiment
 from lagflow.grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
 from lagflow.initial import pme_cosine
 from lagflow.models import (FokkerPlanck, KellerSegel1D, PorousMedium, discrete_energy_1d,
                             discrete_energy_grad_1d, discrete_energy_hess_1d)
-from lagflow.newton import _NOISE
+from lagflow.newton import _NOISE, fraction_to_boundary
 from lagflow.wgf1d import (RATIO_BOUND_1D, Wgf1dProblem, extrapolate_hat,
                            wgf1d_augmented_energy, wgf1d_energy, wgf1d_first_step,
                            wgf1d_residual, wgf1d_step)
@@ -317,19 +317,32 @@ def test_each_iterate_is_evaluated_once_per_step(monkeypatch, backward):
     p = pme_problem(mx=32)
     traj = backward_history(p) if backward else wgf1d_first_step(p, 1e-3)[0]
     seen = []
+    values = []
     objective = wgf1d._objective
 
     def recorded(t, x):
         seen.append(x.tobytes())
-        return objective(t, x)
+        values.append(objective(t, x))
+        return values[-1]
 
     monkeypatch.setattr(wgf1d, "_objective", recorded)
     wgf1d_step(p, traj, 1.5e-3)
     assert len(seen) >= 2
     assert len(set(seen)) == len(seen)
+    # J(x^n), the first value, is the oracle's, whether or not E_h(x^n) was carried over
+    assert seen[0] == traj.curr.tobytes()
+    assert values[0] == oracle_objective(p, traj.curr, *step_args(p, traj, 1.5e-3))
 
 
 # --- oracle: the step objective's terms as written before the per-step terms
+
+def step_args(p, traj, tau):
+    """(x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau) of the BDF2 step from ``traj``."""
+    r = tau / traj.tau_prev
+    lag_x, lag_rho = p.lag_state(traj.curr)
+    return (extrapolate_hat(traj.curr, traj.prev, r), traj.curr, lag_x, lag_rho,
+            (1.0 + 2.0 * r) / (2.0 * tau * (1.0 + r)), tau)
+
 
 def oracle_objective(p, x, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
     xm = 0.5 * (x[:-1] + x[1:])
@@ -408,6 +421,107 @@ def test_step_terms_match_the_oracle(model, pinned):
         x[grid.m_x // 2] = x[grid.m_x // 2 + 1] + grid.h
         with pytest.raises(AdmissibilityError):
             wgf1d._gradient(terms, x)
+        # x^n's widths, densities and E_h carried from the step that accepted it
+        x_n = admissible()
+        before = wgf1d._StepTerms(p, admissible(), admissible(), lag_x, lag_rho, coeff, tau)
+        wgf1d._objective(before, x_n)
+        carried = wgf1d._StepTerms(p, *args, known=before.last)
+        assert np.array_equal(wgf1d._objective(carried, x_n), oracle_objective(p, x_n, *args))
+        assert carried.last.energy is before.last.energy
+        assert np.array_equal(wgf1d._gradient(carried, x_n), oracle_gradient(p, x_n, *args))
+        diag, off = wgf1d._hessian_tridiag(carried, x_n)
+        want_diag, want_off = oracle_hessian_tridiag(p, x_n, lag_x, lag_rho, coeff, tau)
+        assert np.array_equal(diag, want_diag) and np.array_equal(off, want_off)
+
+
+@st.composite
+def admissible_node_steps(draw):
+    """(x, step): strictly increasing nodes and a node step with free ends;
+    ``growing`` steps shrink no cell, ``pinned`` ones keep both ends."""
+    n = draw(st.integers(2, 60))  # a grid has at least 2 cells
+    widths = draw(arrays(np.float64, (n,), elements=st.floats(1e-3, 10.0)))
+    x = draw(st.floats(-10.0, 10.0)) + np.concatenate(([0.0], np.cumsum(widths)))
+    assume(np.all(np.diff(x) > 0.0))
+    step = draw(arrays(np.float64, (n + 1,), elements=st.floats(-20.0, 20.0)
+                       | st.sampled_from([0.0, -0.0, 1e-300, -1e-300])))
+    kind = draw(st.sampled_from(["free", "growing", "pinned"]))
+    if kind == "growing":
+        step = np.sort(step)
+    elif kind == "pinned":
+        step[0] = step[-1] = 0.0
+    return x, step, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=admissible_node_steps())
+def test_cell_state_step_bound_is_fraction_to_boundary_bit_for_bit(drawn):
+    x, step, kind = drawn
+    n = len(x) - 1
+    p = Wgf1dProblem(Grid1D(x[0], x[-1], n), PorousMedium(2.0), np.ones(n), pinned=False)
+    terms = wgf1d._StepTerms(p, x, x, None, None, 1.0, 1.0)
+    with np.errstate(over="ignore"):  # both overflow alike on the 1e-300 steps
+        alpha = wgf1d._fraction_to_boundary(terms.at(x), step)
+        assert alpha == fraction_to_boundary(x, step)
+    if kind == "growing":
+        assert alpha == 1.0
+    # the phase-field solver keeps the reference rule
+    assert allen_cahn.fraction_to_boundary is fraction_to_boundary
+
+
+def handoff_problems():
+    grid = Grid1D(-2.0, 2.0, 24)
+    free = Grid1D(-1.0, 1.0, 24)
+    return {
+        "pinned": pme_problem(mx=32),
+        "fokker-planck": Wgf1dProblem(grid, FokkerPlanck(),
+                                      1.0 + 0.5 * np.cos(0.5 * np.pi * grid.midpoints)),
+        "free-boundary": Wgf1dProblem(free, PorousMedium(2.0),
+                                      pme_cosine().density(free.midpoints),
+                                      pinned=False, visc_weight=0.0),
+    }
+
+
+def counted(monkeypatch, name):
+    """Count the calls ``wgf1d`` makes through its module-level ``name``."""
+    calls = []
+    fn = getattr(wgf1d, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(wgf1d, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["pinned", "fokker-planck", "free-boundary"])
+def test_recorded_energy_is_the_step_objectives_e_h_bit_for_bit(monkeypatch, kind):
+    p = handoff_problems()[kind]
+    sim = Wgf1dSim(p)
+    energies = counted(monkeypatch, "discrete_energy_1d")
+    objectives = counted(monkeypatch, "_objective")
+    for k, tau in enumerate(random_step_sequence(12, 0.02, seed=5)):
+        energies.clear()
+        objectives.clear()
+        record = sim.bdf2_step(tau)
+        assert record.energy == discrete_energy_1d(p.model, sim.traj.curr, p.rho0, p.grid)
+        if k:
+            # E_h(x^n) comes from the last step and E_h(x^{n+1}) from J: every
+            # objective evaluation but J(x^n)'s computes E_h, the record none
+            assert len(energies) == len(objectives) - 1
+
+
+def test_keller_segel_records_the_self_consistent_energy():
+    grid = Grid1D(-5.0, 5.0, 48)
+    p = Wgf1dProblem(grid, KellerSegel1D(), 8.0 * np.exp(-0.5 * grid.midpoints ** 2) + 1e-8)
+    sim = Wgf1dSim(p)
+    for tau in (1e-3, 2e-3, 1.5e-3):
+        lag_x, lag_rho = p.lag_state(sim.traj.curr)
+        record = sim.bdf2_step(tau)
+        x = sim.traj.curr
+        assert record.energy == wgf1d_energy(p, x)
+        assert record.energy == discrete_energy_1d(p.model, x, p.rho0, p.grid)
+        assert record.energy != discrete_energy_1d(p.model, x, p.rho0, p.grid, lag_x, lag_rho)
 
 
 def test_keller_segel_step_runs_and_conserves():
