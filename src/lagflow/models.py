@@ -24,14 +24,21 @@ All three orders of that sum (energy, gradient, Hessian) derive from one
 pair matrix a = c - y and its log|a|, taken once per evaluation point: a
 one-entry memo keyed by the values of (midpoints, partner nodes) serves the
 gradient and Hessian that Newton evaluates at the iterate its line search
-just accepted.
+just accepted.  A memo miss writes a, log|a| and the order's work array
+into three buffers kept for the last pair shape, so a run allocates them
+once per shape; the read-only a and log|a| it hands out are valid until the
+next miss.
 
 The 2D interaction is an exact direct sum over the N nodes that carry mass.
 Its pair matrix r2_ij = |p_i - p_j|^2 is symmetric, so the energy and the
 force walk only its upper block strips (``_STRIP`` rows each, sized for the
 L2 cache): the energy counts the columns right of each strip's diagonal
 block twice, and the antisymmetric force adds each strip's transpose to the
-rows below it.
+rows below it.  Each strip's r2 is one ``scipy.spatial.distance.cdist``
+pass ("sqeuclidean", which sums (0 + dx^2) + dy^2, the bits of
+dx*dx + dy*dy).  It is imported on the first 2D kernel call, not with the
+module: ``scipy.spatial`` adds about 0.3 s and 6.5 MB to the start-up of
+every run, and only these kernels use it.
 """
 
 from __future__ import annotations
@@ -243,25 +250,36 @@ def _ks_node_weights(rho_cells):
 # (midpoints, partner nodes, a, log|a|) of the last evaluation point; one
 # tuple, so a reader never sees a key with another key's matrices
 _pair_memo = None
+# writable (a, log|a|, work) of the last pair shape, refilled by each miss
+_pair_bufs = None
 
 
 def _ks_pairs(points, nodes):
-    """a = points_i - nodes_j and log|a| (-inf where a == 0), memoized.
+    """a = points_i - nodes_j, log|a| (-inf where a == 0) and a work array of
+    the same shape, memoized.
 
     Keys are compared by value and stored as copies, so an array changed in
-    place after a call is never answered from the memo.
+    place after a call is never answered from the memo.  A miss writes into
+    buffers kept for the last pair shape (a new shape reallocates them), so
+    the read-only a and log|a| handed out stay valid only until the next
+    miss, and ``work`` is scratch for the caller.
     """
-    global _pair_memo
+    global _pair_memo, _pair_bufs
     memo = _pair_memo
     if memo is not None and np.array_equal(points, memo[0]) and np.array_equal(nodes, memo[1]):
-        return memo[2], memo[3]
-    a = points[:, None] - nodes[None, :]
-    log_abs = np.abs(a)
+        return memo[2], memo[3], _pair_bufs[2]
+    shape = (points.size, nodes.size)
+    if _pair_bufs is None or _pair_bufs[0].shape != shape:
+        _pair_bufs = (np.empty(shape), np.empty(shape), np.empty(shape))
+    a, log_abs, work = _pair_bufs
+    np.subtract(points[:, None], nodes[None, :], out=a)
+    np.abs(a, out=log_abs)
     with np.errstate(divide="ignore"):
         np.log(log_abs, out=log_abs)
+    a, log_abs = a.view(), log_abs.view()
     a.flags.writeable = log_abs.flags.writeable = False  # shared by later callers
     _pair_memo = (points.copy(), nodes.copy(), a, log_abs)
-    return a, log_abs
+    return a, log_abs, work
 
 
 def _ks1d_sums(points, partner_x, partner_rho, order):
@@ -272,13 +290,13 @@ def _ks1d_sums(points, partner_x, partner_rho, order):
     """
     points = np.asarray(points, dtype=float)
     w = _ks_node_weights(np.asarray(partner_rho, dtype=float))
-    a, log_abs = _ks_pairs(points, np.asarray(partner_x, dtype=float))
+    a, log_abs, work = _ks_pairs(points, np.asarray(partner_x, dtype=float))
     if order == 1:
         return log_abs @ w
     with np.errstate(divide="ignore", invalid="ignore"):
         if order == 2:
-            return (1.0 / a) @ w
-        anti = a * log_abs
+            return np.divide(1.0, a, out=work) @ w
+        anti = np.multiply(a, log_abs, out=work)
     anti -= a
     out = anti @ w
     if np.isnan(out).any():
@@ -467,19 +485,18 @@ def _upper_strips(px, py, diagonal: float):
     ``diagonal``.  ``r2`` is a view of a buffer reused by the next strip; the
     caller may overwrite it.
     """
+    # imported here: scipy.spatial adds about 0.3 s and 6.5 MB to the import
+    # of every run, and only the 2D Keller-Segel kernels use it
+    from scipy.spatial.distance import cdist
+
     n = px.size
+    pts = np.column_stack([px, py])
     r2_buf = np.empty(min(_STRIP, n) * n)
-    d_buf = np.empty_like(r2_buf)
     for lo in range(0, n, _STRIP):
         hi = min(lo + _STRIP, n)
-        rows = hi - lo
-        r2 = r2_buf[:rows * (n - lo)].reshape(rows, n - lo)
-        d = d_buf[:r2.size].reshape(r2.shape)
-        np.subtract(px[lo:hi, None], px[None, lo:], out=d)
-        np.multiply(d, d, out=r2)
-        np.subtract(py[lo:hi, None], py[None, lo:], out=d)
-        d *= d
-        r2 += d
+        r2 = r2_buf[:(hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        # one C pass per pair, (0 + dx^2) + dy^2: the bits of dx*dx + dy*dy
+        cdist(pts[lo:hi], pts[lo:], "sqeuclidean", out=r2)
         np.fill_diagonal(r2, diagonal)
         yield lo, hi, r2
 

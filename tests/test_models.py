@@ -1,3 +1,6 @@
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -270,6 +273,46 @@ def test_ks1d_memo_never_answers_for_a_changed_array():
         np.testing.assert_allclose(models._ks1d_sums(points, lag_x, lag_rho, order),
                                    _oracle_sums(points, lag_x, lag_rho, order),
                                    rtol=1e-12, atol=0.0)
+
+
+def _assert_same_bits(got, want):
+    # equal values with inf/nan in the same places, and equal signs (so +-0.0 too)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_ks1d_pair_buffers_are_reused_per_shape_and_read_only():
+    # every call misses the memo: mx = 33 twice at other values, the 1 x 2 shape
+    # of ks1d_pair_energy, mx = 33 again, then mx = 256
+    cases = []
+    for mx, seed in ((33, 41), (33, 42), (1, 43), (33, 44), (256, 45)):
+        rng = np.random.default_rng(seed)
+        partner_x = np.sort(rng.uniform(-1.0, 1.0, mx + 1))
+        points = rng.uniform(-1.0, 1.0, mx)
+        points[mx // 2] = partner_x[mx // 2]  # a point on a partner node
+        cases.append((points, partner_x, rng.uniform(0.4, 1.4, mx)))
+    results, pairs = [], []
+    for points, partner_x, partner_rho in cases:
+        sums = [models._ks1d_sums(points, partner_x, partner_rho, k) for k in (0, 1, 2)]
+        for k, got in enumerate(sums):
+            _assert_same_bits(got, _oracle_sums(points, partner_x, partner_rho, k))
+        assert np.isinf(sums[1]).any() and np.isinf(sums[2]).any()
+        results.append((sums, [s.copy() for s in sums]))
+        a, log_abs, _ = models._ks_pairs(points, partner_x)
+        for arr in (a, log_abs):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        pairs.append((a, log_abs))
+    # results handed out earlier are not touched by the later misses
+    for sums, copies in results:
+        for got, kept in zip(sums, copies):
+            _assert_same_bits(got, kept)
+    # a second miss at the same shape writes into the first one's buffers
+    for first, second in zip(pairs[0], pairs[1]):
+        assert np.shares_memory(first, second)
+    assert not np.shares_memory(pairs[3][0], pairs[4][0])
 
 
 def test_mobility_positivity_check():
@@ -614,6 +657,27 @@ def test_ks2d_strip_sums_match_chunked_oracle(count, order, density, shifts):
     _assert_ks2d_matches_oracle(x, y, rho0, g)
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 31, 32, 33, 97]), diagonal=st.sampled_from([1.0, np.inf]),
+       exponent=st.integers(-8, 8), data=st.data())
+def test_ks2d_upper_strips_match_elementwise_squares(n, diagonal, exponent, data):
+    coord = st.one_of(st.floats(-1.0, 1.0), st.sampled_from([0.0, -0.0]))
+    px, py = data.draw(arrays(np.float64, (2, n), elements=coord)) * 10.0 ** exponent
+    # coincident points: some nodes take another node's position
+    source = data.draw(arrays(np.intp, n, elements=st.integers(0, n - 1)))
+    copy = data.draw(arrays(np.bool_, n))
+    px[copy], py[copy] = px[source[copy]], py[source[copy]]
+    los = []
+    for lo, hi, r2 in models._upper_strips(px, py, diagonal):
+        dx = px[lo:hi, None] - px[None, lo:]
+        dy = py[lo:hi, None] - py[None, lo:]
+        want = dx * dx + dy * dy
+        np.fill_diagonal(want, diagonal)
+        _assert_same_bits(r2, want)
+        los.append((lo, hi))
+    assert los == [(lo, min(lo + models._STRIP, n)) for lo in range(0, n, models._STRIP)]
+
+
 def _ks2d_cloud(seed):
     # more than one strip of mass-carrying nodes, a few without mass
     g = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 10)
@@ -657,3 +721,20 @@ def test_ks2d_interaction_swap_symmetry():
     scale = max(np.max(np.abs(fx)), np.max(np.abs(fy)))
     np.testing.assert_allclose(fx2, fy.T, rtol=0.0, atol=1e-12 * scale)
     np.testing.assert_allclose(fy2, fx.T, rtol=0.0, atol=1e-12 * scale)
+
+
+def test_scipy_spatial_is_imported_by_the_first_2d_kernel_call():
+    # the 2D kernels import it lazily: at module level it costs every run's set-up
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import lagflow, lagflow.cli, lagflow.experiments
+        from lagflow.grids import Grid2D
+        from lagflow.models import KellerSegel2D, ks2d_interaction_energy
+        assert "scipy.spatial" not in sys.modules
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 4, 4)
+        ks2d_interaction_energy(KellerSegel2D(), g.ref_x, g.ref_y, np.ones(g.node_shape), g)
+        assert "scipy.spatial" in sys.modules
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
