@@ -95,7 +95,7 @@ PRESETS = {
     "ac-interface": dict(mx=100, eps_interface=0.01, eta=0.0, mobility="constant",
                          t_final=20.0, mode="adaptive", strategy=2, beta=1e5,
                          r_user=1.5, tau_max=0.1, tau_min=1e-3, tau1=1e-3, tau2=1e-3,
-                         n_steps=2000, seed=7),
+                         n_steps=2000, seed=100),
     "pme-convergence": dict(m=2.0, mx=100, t_final=0.5, mode="fixed", tau=1.0 / 200.0,
                             n_steps=200, seed=11),
     "pme-waiting-time": dict(m=2.0, theta=0.25, mx=800, t_final=0.30, mode="fixed",

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import DensityField1D, DensityField2D, Grid1D, jacobian_det_interior
+from .grids import DensityField1D, DensityField2D, Grid1D, jacobian_det_interior, node_diff
 
 __all__ = [
     "total_mass_1d",
@@ -44,18 +44,8 @@ def propagation_speed(x, rho0_nodes, m: float, grid: Grid1D) -> np.ndarray:
     """
     if not m > 1.0:
         raise ValueError("propagation speed is defined for porous-medium exponents m > 1")
-    x = np.asarray(x)
     f = np.asarray(rho0_nodes, dtype=float) ** (m - 1.0)
-    h = grid.h
-
-    def diff(v):
-        out = np.empty_like(v)
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * h)
-        out[0] = (v[1] - v[0]) / h
-        out[-1] = (v[-1] - v[-2]) / h
-        return out
-
-    return -(m / (m - 1.0)) * diff(f) / diff(x) ** m
+    return -(m / (m - 1.0)) * node_diff(f, grid) / node_diff(x, grid) ** m
 
 
 def waiting_time_detect(times, boundary_positions, domain_length: float,

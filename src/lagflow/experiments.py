@@ -7,12 +7,18 @@ self-similar solution under adaptive stepping, the non-radial 2D support,
 and 2D Keller-Segel.  Runs are deterministic given the seed; random step
 sequences come from the counter-based Philox generator so they are
 reproducible across platforms.
+
+A convergence sweep (``sweep_experiment``) runs the preset's study in
+``CONVERGENCE_STUDIES``: every row and the one fine reference are the
+preset's own sim from ``build_sim``, at the row's grid.mx, driven by
+``run_step_sequence``.  The study honours the config apart from grid.mx, the
+step counts and the settings it fixes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from operator import attrgetter
 from pathlib import Path
 from typing import Optional
@@ -20,10 +26,10 @@ from typing import Optional
 import numpy as np
 
 from . import plots
-from .adaptive import (StepController, AdaptiveRunResult, StepRecord, run_adaptive,
-                       THEORY_RATIO_BOUNDS)
+from .adaptive import StepController, AdaptiveRunResult, StepRecord, run_adaptive
 # the *_first_step names stay importable here: perfbench/tracer.py patches them by name
-from .allen_cahn import AcProblem, ac_energy, ac_first_step, ac_step  # noqa: F401
+from .allen_cahn import (RATIO_BOUND_AC, AcProblem, ac_energy, ac_first_step,  # noqa: F401
+                         ac_step)
 from .config import ExperimentConfig
 from .diagnostics import (aronson_waiting_time, barenblatt_support_radius, convergence_order,
                           density_error_l2h, interface_radius, total_mass_2d,
@@ -34,13 +40,15 @@ from .initial import (ac_parabola, barenblatt_initial_2d, ks_gaussian_1d, ks_gau
                       nonradial_pme_2d, pme_cosine, pme_waiting_profile)
 from .models import (ConstantMobility, DegenerateMobility, GinzburgLandau, KellerSegel1D,
                      KellerSegel2D, PorousMedium)
-from .wgf1d import Wgf1dProblem, wgf1d_energy, wgf1d_first_step, wgf1d_step  # noqa: F401
-from .wgf2d import (Wgf2dProblem, wgf2d_energy, wgf2d_first_step_explicit,  # noqa: F401
-                    wgf2d_first_step_implicit, wgf2d_step_explicit, wgf2d_step_implicit)
+from .wgf1d import (RATIO_BOUND_1D, Wgf1dProblem, wgf1d_energy, wgf1d_first_step,  # noqa: F401
+                    wgf1d_step)
+from .wgf2d import (RATIO_BOUND_2D, Wgf2dProblem, wgf2d_energy,  # noqa: F401
+                    wgf2d_first_step_explicit, wgf2d_first_step_implicit,
+                    wgf2d_step_explicit, wgf2d_step_implicit)
 
 __all__ = ["random_step_sequence", "AcSim", "Wgf1dSim", "Wgf2dSim", "RunRecord",
            "run_experiment", "sweep_experiment", "run_fixed_steps", "run_step_sequence",
-           "pme_convergence_table", "ac_convergence_table", "build_sim", "STALL_PRESETS"]
+           "convergence_tables", "CONVERGENCE_STUDIES", "build_sim", "STALL_PRESETS"]
 
 # Keller-Segel presets whose documented outcome is a collapse of the step:
 # run_experiment stops them once tau sits at tau_min, and that stop is success
@@ -68,7 +76,8 @@ class _SimBase:
     current history.  Subclasses supply ``_step`` (new trajectory and
     density), ``_energy`` (a trajectory's current level), ``trajectory_rate``
     and ``_record(tau, ratio)`` (the StepRecord of the state just
-    committed).  The driver adds the rejection count.
+    committed), and set ``ratio_bound``, their scheme's theory bound on
+    tau_{n+1}/tau_n.  The driver adds the rejection count.
     """
 
     def __init__(self, problem, traj, density):
@@ -129,6 +138,8 @@ class _Sim1D(_SimBase):
                           boundary_lo=float(x[0]), boundary_hi=float(x[-1]))
 
 class AcSim(_Sim1D):
+    ratio_bound = RATIO_BOUND_AC
+
     def __init__(self, problem: AcProblem):
         # the phase-field density values never change; they ride with the nodes
         super().__init__(problem, problem.rho0_mid)
@@ -142,6 +153,8 @@ class AcSim(_Sim1D):
 
 
 class Wgf1dSim(_Sim1D):
+    ratio_bound = RATIO_BOUND_1D
+
     def __init__(self, problem: Wgf1dProblem):
         super().__init__(problem, problem.rho0, problem.pinned)
 
@@ -154,6 +167,8 @@ class Wgf1dSim(_Sim1D):
 
 
 class Wgf2dSim(_SimBase):
+    ratio_bound = RATIO_BOUND_2D
+
     def __init__(self, problem: Wgf2dProblem, scheme: str = "explicit"):
         if scheme not in ("explicit", "implicit"):
             raise ValueError(f"unknown 2D scheme {scheme!r}")
@@ -252,13 +267,10 @@ def run_step_sequence(sim, taus) -> AdaptiveRunResult:
     return AdaptiveRunResult([sim.bdf2_step(tau) for tau in np.asarray(taus, dtype=float)])
 
 
-def _controller_from_config(config: ExperimentConfig) -> StepController:
-    scheme = {"ac-interface": "allen-cahn",
-              "barenblatt-2d": "wgf-2d", "pme-nonradial-2d": "wgf-2d",
-              "ks-2d": "wgf-2d"}.get(config.preset, "wgf-1d")
+def _controller_from_config(config: ExperimentConfig, sim) -> StepController:
     return StepController(strategy=config.strategy, gamma=config.gamma, beta=config.beta,
                           tau_min=config.tau_min, tau_max=config.tau_max,
-                          r_user=config.r_user, r_max_theory=THEORY_RATIO_BOUNDS[scheme],
+                          r_user=config.r_user, r_max_theory=sim.ratio_bound,
                           enforce_theory=config.enforce_theory)
 
 
@@ -294,7 +306,7 @@ def run_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
     else:
         tau1 = config.tau1 or config.tau_min
         stall = 20 if config.preset in STALL_PRESETS else 0
-        result = run_adaptive(sim, _controller_from_config(config), config.t_final,
+        result = run_adaptive(sim, _controller_from_config(config, sim), config.t_final,
                               stall_taus=stall, start=(tau1, config.tau2 or tau1))
 
     record = RunRecord(config, result, sim)
@@ -401,130 +413,86 @@ def write_artifacts(record: RunRecord, target: Path) -> None:
 
 # --- convergence sweeps -------------------------------------------------------
 
-def _pme_run(mx: int, m: float, taus) -> tuple[Grid1D, np.ndarray, np.ndarray]:
-    grid = Grid1D(-1.0, 1.0, mx)
-    rho0 = pme_cosine().density(grid.midpoints)
-    problem = Wgf1dProblem(grid, PorousMedium(m), rho0)
-    traj = Trajectory1D.at_rest(grid)
-    for tau in taus:
-        traj, dens = wgf1d_step(problem, traj, tau)
-    return grid, traj.curr, dens.values
+# Per sweepable preset: rows (grid.mx, steps) coarse to fine, the fixed-step fine
+# reference's (grid.mx, steps), the config settings the study fixes, and the
+# error kinds it reports (keys of _ERROR_COLUMNS).
+CONVERGENCE_STUDIES = {
+    "pme-convergence": dict(rows=((100, 200), (200, 400), (400, 800)), ref=(1600, 3200),
+                            fixed={}, errors=("x", "linf", "rho")),
+    "ac-interface": dict(
+        rows=((16, 625), (32, 1250), (64, 2500)), ref=(256, 10000),
+        fixed=dict(
+            # the interface moves on [0, 0.5]; the preset's horizon reaches the
+            # steady state, where the trajectory error no longer shows the order
+            t_final=0.5,
+            # the constant mobility's friction (rho0')^2 / M degenerates at the
+            # profile crest, which caps the observable spatial order
+            mobility="degenerate"),
+        # no density error: the density is rho0 carried by its label, so its
+        # error would be a quadrature constant of order 0
+        errors=("x", "linf")),
+}
+
+# error kind -> its CSV columns (error, order), in the order they are written
+_ERROR_COLUMNS = {"x": ("l2h_error_x", "order_x"), "linf": ("linf_error_x", "order_linf"),
+                  "rho": ("l2h_error_rho", "order_rho")}
 
 
-def pme_convergence_table(mode: str = "fixed", mxs=(100, 200, 400), ref_mx: int = 1600,
-                          m: float = 2.0, t_final: float = 0.5, seed: int = 11) -> dict:
-    """Desk-scale reproduction of the 1D convergence tables.
+def convergence_tables(config: ExperimentConfig) -> dict:
+    """Fixed- and random-step tables of the preset's convergence study.
 
-    Fixed mode: tau = 1/(2 mx), resolution column = mx.  Random mode: 2*mx
-    Philox steps summing to t_final, resolution column = max step.  The
-    reference is the fixed fine run.
+    Row i, (mx, n), runs the preset's sim at grid.mx = mx for n steps to
+    t_final: equal steps in the fixed table (resolution mx), Philox steps of
+    seed config.seed + i in the random one (resolution the largest step).
+    One fixed-step fine reference serves both tables.
     """
-    grid_ref, x_ref, rho_ref = _pme_run(ref_mx, m, np.full(2 * ref_mx, t_final / (2 * ref_mx)))
-    errors_x, errors_inf, errors_rho, resolution, max_ratio = [], [], [], [], []
-    for i, mx in enumerate(mxs):
-        if mode == "fixed":
-            taus = np.full(2 * mx, t_final / (2 * mx))
-            resolution.append(mx)
-        elif mode == "random":
-            taus = random_step_sequence(2 * mx, t_final, seed + i)
-            resolution.append(float(np.max(taus)))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        max_ratio.append(float(np.max(taus[1:] / taus[:-1])))
-        grid, x, rho = _pme_run(mx, m, taus)
-        errors_x.append(trajectory_error_l2h(x, x_ref, grid))
-        errors_inf.append(trajectory_error_linf(x, x_ref, grid))
-        errors_rho.append(density_error_l2h(rho, rho_ref, grid))
-    out = {
-        "mode": mode,
-        "mx": list(mxs),
-        "resolution": resolution,
-        "max_ratio": max_ratio,
-        "errors_x": errors_x,
-        "errors_linf": errors_inf,
-        "errors_rho": errors_rho,
-        "orders_x": convergence_order(errors_x, resolution).tolist(),
-        "orders_linf": convergence_order(errors_inf, resolution).tolist(),
-        "orders_rho": convergence_order(errors_rho, resolution).tolist(),
-    }
-    return out
+    study = CONVERGENCE_STUDIES.get(config.preset)
+    if study is None:
+        raise ConfigError(f"preset {config.preset!r} has no sweep")
+    config = replace(config, **study["fixed"])
 
+    def final_sim(mx, taus):
+        sim = build_sim(replace(config, mx=mx))
+        run_step_sequence(sim, taus)
+        return sim
 
-def _ac_run(mx: int, taus, eps: float, mobility) -> tuple[Grid1D, np.ndarray]:
-    grid = Grid1D(-1.0, 1.0, mx)
-    problem = AcProblem(grid, GinzburgLandau(eps, mobility), initial=ac_parabola(), eta=0.0)
-    traj = Trajectory1D.at_rest(grid)
-    for tau in taus:
-        traj, _ = ac_step(problem, traj, tau)
-    return grid, traj.curr
-
-
-def ac_convergence_table(mode: str = "fixed", mxs=(16, 32, 64), steps=(625, 1250, 2500),
-                         ref=(256, 10000), eps: float = 0.01, t_final: float = 0.5,
-                         mobility: str = "degenerate", seed: int = 100) -> dict:
-    """Phase-field convergence study at desk scale.
-
-    The degenerate mobility keeps the friction coefficient (rho0')^2 / M
-    bounded away from zero at the profile's crest, which is what makes the
-    joint space-time refinement show clean second order.
-    """
-    mob = DegenerateMobility() if mobility == "degenerate" else ConstantMobility()
-    grid_ref, x_ref = _ac_run(ref[0], np.full(ref[1], t_final / ref[1]), eps, mob)
-    errors, resolution = [], []
-    for i, (mx, n) in enumerate(zip(mxs, steps)):
-        if mode == "fixed":
-            taus = np.full(n, t_final / n)
-            resolution.append(mx)
-        elif mode == "random":
-            taus = random_step_sequence(n, t_final, seed + i)
-            resolution.append(float(np.max(taus)))
-        else:
-            raise ValueError(f"unknown mode {mode!r}")
-        grid, x = _ac_run(mx, taus, eps, mob)
-        errors.append(trajectory_error_l2h(x, x_ref, grid))
-    return {
-        "mode": mode,
-        "mx": list(mxs),
-        "resolution": resolution,
-        "errors_x": errors,
-        "orders_x": convergence_order(errors, resolution).tolist(),
-    }
+    ref_mx, ref_n = study["ref"]
+    ref = final_sim(ref_mx, np.full(ref_n, config.t_final / ref_n))
+    tables = {}
+    for mode in ("fixed", "random"):
+        table = {"mode": mode, "mx": [mx for mx, _ in study["rows"]], "resolution": [],
+                 "max_ratio": [], **{f"errors_{k}": [] for k in study["errors"]}}
+        for i, (mx, n) in enumerate(study["rows"]):
+            taus = (np.full(n, config.t_final / n) if mode == "fixed"
+                    else random_step_sequence(n, config.t_final, config.seed + i))
+            table["resolution"].append(mx if mode == "fixed" else float(np.max(taus)))
+            table["max_ratio"].append(float(np.max(taus[1:] / taus[:-1])))
+            sim = final_sim(mx, taus)
+            grid, x, x_ref = sim.problem.grid, sim.traj.curr, ref.traj.curr
+            errors = {"x": trajectory_error_l2h(x, x_ref, grid),
+                      "linf": trajectory_error_linf(x, x_ref, grid),
+                      "rho": density_error_l2h(sim.density, ref.density, grid)}
+            for k in study["errors"]:
+                table[f"errors_{k}"].append(errors[k])
+        for k in study["errors"]:
+            table[f"orders_{k}"] = convergence_order(table[f"errors_{k}"],
+                                                     table["resolution"]).tolist()
+        tables[mode] = table
+    return tables
 
 
 def sweep_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
                      write_files: bool = True) -> dict:
-    """Resolution sweep for the convergence presets."""
-    if config.preset == "pme-convergence":
-        tables = {
-            "fixed": pme_convergence_table("fixed", m=config.m, t_final=config.t_final),
-            "random": pme_convergence_table("random", m=config.m, t_final=config.t_final,
-                                            seed=config.seed),
-        }
-    elif config.preset == "ac-interface":
-        # the convergence sweep always uses the degenerate mobility: the
-        # constant-mobility variant has a friction degeneracy at the profile
-        # crest that caps its observable spatial order
-        tables = {
-            "fixed": ac_convergence_table("fixed", eps=config.eps_interface),
-            "random": ac_convergence_table("random", eps=config.eps_interface),
-        }
-    else:
-        raise ConfigError(f"preset {config.preset!r} has no sweep")
+    """The preset's convergence tables, written as orders_<mode>.csv."""
+    tables = convergence_tables(config)
     if write_files:
         target = Path(out_dir or config.out_dir) / f"{config.preset}-sweep"
         target.mkdir(parents=True, exist_ok=True)
         for mode, table in tables.items():
-            rows = []
-            n_rows = len(table["mx"])
-            for i in range(n_rows):
-                row = [table["mx"][i], table["resolution"][i],
-                       table["errors_x"][i], "" if i == 0 else table["orders_x"][i - 1]]
-                if "errors_linf" in table:
-                    row += [table["errors_linf"][i], "" if i == 0 else table["orders_linf"][i - 1],
-                            table["errors_rho"][i], "" if i == 0 else table["orders_rho"][i - 1]]
-                rows.append(row)
-            header = ["mx", "resolution", "l2h_error_x", "order_x"]
-            if "errors_linf" in table:
-                header += ["linf_error_x", "order_linf", "l2h_error_rho", "order_rho"]
-            _write_csv(target / f"orders_{mode}.csv", header, rows)
+            header, columns = ["mx", "resolution"], [table["mx"], table["resolution"]]
+            for k, names in _ERROR_COLUMNS.items():
+                if f"errors_{k}" in table:
+                    header += names
+                    columns += [table[f"errors_{k}"], ["", *table[f"orders_{k}"]]]
+            _write_csv(target / f"orders_{mode}.csv", header, zip(*columns))
     return tables

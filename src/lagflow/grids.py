@@ -38,6 +38,7 @@ __all__ = [
     "midpoint_diff",
     "node_diff",
     "inner_product",
+    "embed_interior",
     "deformation_stencil",
     "jacobian_det_2d",
     "jacobian_det_interior",
@@ -280,6 +281,13 @@ class DensityField2D:
         object.__setattr__(self, "values", _readonly(v))
         if np.any(self.values < 0.0):
             raise ValueError("density values must be nonnegative")
+
+
+def embed_interior(interior, grid: Grid2D) -> np.ndarray:
+    """The full node field that is ``interior`` inside and zero on the boundary ring."""
+    full = np.zeros(grid.node_shape)
+    full[1:-1, 1:-1] = interior
+    return full
 
 
 def deformation_stencil(x, y, grid: Grid2D):

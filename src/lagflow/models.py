@@ -51,8 +51,8 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import AdmissibilityError
-from .grids import (Grid1D, Grid2D, deformation_stencil, inner_product, jacobian_det_interior,
-                    node_diff)
+from .grids import (Grid1D, Grid2D, deformation_stencil, embed_interior, inner_product,
+                    jacobian_det_interior, node_diff)
 
 __all__ = [
     "ConstantMobility",
@@ -573,16 +573,10 @@ def deformation_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D):
     p = _pressure(model, s)
     hx, hy = grid.h_x, grid.h_y
     x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
-
-    def pad(q):
-        full = np.zeros_like(x)
-        full[1:-1, 1:-1] = q
-        return full
-
-    q_yy = pad(p * y_y)
-    q_yx = pad(p * y_x)
-    q_xy = pad(p * x_y)
-    q_xx = pad(p * x_x)
+    q_yy = embed_interior(p * y_y, grid)
+    q_yx = embed_interior(p * y_x, grid)
+    q_xy = embed_interior(p * x_y, grid)
+    q_xx = embed_interior(p * x_x, grid)
     gx = np.zeros_like(x)
     gy = np.zeros_like(y)
     gx[1:-1, 1:-1] = ((q_yy[1:-1, :-2] - q_yy[1:-1, 2:]) / (2.0 * hx)

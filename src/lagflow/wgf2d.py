@@ -71,7 +71,8 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import AdmissibilityError, NewtonError, SolverError
-from .grids import DensityField2D, Grid2D, Trajectory2D, jacobian_det_interior
+from .grids import (DensityField2D, Grid2D, Trajectory2D, embed_interior,
+                    jacobian_det_interior)
 from .models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
                      discrete_energy_2d, discrete_energy_hess_2d, hess_2d_structure,
                      ks2d_interaction_force, mass_mask)
@@ -133,12 +134,6 @@ def _neg_lap_interior(u, grid: Grid2D):
     hy2 = grid.h_y ** 2
     return (-(u[1:-1, 2:] - 2.0 * u[1:-1, 1:-1] + u[1:-1, :-2]) / hx2
             - (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / hy2)
-
-
-def _embed(interior, grid: Grid2D):
-    full = np.zeros(grid.node_shape)
-    full[1:-1, 1:-1] = interior
-    return full
 
 
 def _scheme_gradient(p: Wgf2dProblem, x, y):
@@ -410,8 +405,8 @@ def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, cmass, s):
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
         raise SolverError("linear solve produced non-finite values")
-    x_new = x_curr + _embed(sol[:, 0].reshape(rhs_x.shape), grid)
-    y_new = y_curr + _embed(sol[:, 1].reshape(rhs_y.shape), grid)
+    x_new = x_curr + embed_interior(sol[:, 0].reshape(rhs_x.shape), grid)
+    y_new = y_curr + embed_interior(sol[:, 1].reshape(rhs_y.shape), grid)
     det = jacobian_det_interior(x_new, y_new, grid)
     if np.any(det <= 0.0):
         raise AdmissibilityError("explicit step produced a non-positive determinant")

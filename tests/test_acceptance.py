@@ -16,8 +16,7 @@ from lagflow.adaptive import THEORY_RATIO_BOUNDS, stability_margin
 from lagflow.allen_cahn import AcProblem, ac_first_step, ac_modified_energy, ac_step
 from lagflow.config import preset_defaults
 from lagflow.diagnostics import aronson_waiting_time
-from lagflow.experiments import (ac_convergence_table, pme_convergence_table,
-                                 run_experiment)
+from lagflow.experiments import convergence_tables, run_experiment, sweep_experiment
 from lagflow.grids import Grid1D, Grid2D, jacobian_det_interior
 from lagflow.initial import ac_parabola, pme_cosine
 from lagflow.models import (DegenerateMobility, FokkerPlanck, GinzburgLandau,
@@ -72,18 +71,23 @@ def waiting_records():
     return out
 
 
+@pytest.fixture(scope="module")
+def pme_tables():
+    return convergence_tables(preset_defaults("pme-convergence"))
+
+
 # --- criteria ------------------------------------------------------------------
 
-def test_criterion_01_pme_fixed_convergence():
-    table = pme_convergence_table("fixed")
+def test_criterion_01_pme_fixed_convergence(pme_tables):
+    table = pme_tables["fixed"]
     orders = np.asarray(table["orders_x"])
     assert orders.shape == (2,)
     assert np.all(orders >= 1.85) and np.all(orders <= 2.10), table
     report(1, f"PME fixed-step trajectory orders {orders.round(4)} in [1.85, 2.10]")
 
 
-def test_criterion_02_pme_variable_convergence():
-    table = pme_convergence_table("random")
+def test_criterion_02_pme_variable_convergence(pme_tables):
+    table = pme_tables["random"]
     orders = np.asarray(table["orders_x"])
     assert np.all(orders >= 1.8) and np.all(orders <= 2.15), table
     max_ratio = max(table["max_ratio"])
@@ -92,12 +96,17 @@ def test_criterion_02_pme_variable_convergence():
               f"max realized ratio {max_ratio:.0f} >> bound {RATIO_BOUND_1D:.2f}")
 
 
-def test_criterion_03_allen_cahn_convergence():
-    fixed = ac_convergence_table("fixed")
-    rand = ac_convergence_table("random")
-    for table in (fixed, rand):
+def test_criterion_03_allen_cahn_convergence(tmp_path):
+    tables = sweep_experiment(preset_defaults("ac-interface"), out_dir=str(tmp_path))
+    fixed, rand = tables["fixed"], tables["random"]
+    for mode, table in tables.items():
         orders = np.asarray(table["orders_x"])
         assert np.all(orders >= 1.8) and np.all(orders <= 2.2), table
+        # the written table: trajectory errors only, since the density rides with its label
+        path = tmp_path / "ac-interface-sweep" / f"orders_{mode}.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "mx,resolution,l2h_error_x,order_x,linf_error_x,order_linf"
+        assert [float(line.split(",")[3]) for line in lines[2:]] == table["orders_x"]
     report(3, f"phase-field orders fixed {np.round(fixed['orders_x'], 4)} "
               f"random {np.round(rand['orders_x'], 4)} in [1.8, 2.2]")
 

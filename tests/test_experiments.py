@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from lagflow.adaptive import AdaptiveRunResult, StepRecord
+from lagflow import experiments
+from lagflow.adaptive import THEORY_RATIO_BOUNDS, AdaptiveRunResult, StepRecord
 from lagflow.config import parse_config, preset_defaults
 from lagflow.experiments import (RunRecord, build_sim, run_experiment, run_fixed_steps,
                                  sweep_experiment, write_artifacts)
@@ -9,10 +10,16 @@ from lagflow.errors import ConfigError
 
 
 def test_build_sim_covers_every_preset():
+    schemes = {"ac-interface": "allen-cahn", "barenblatt-2d": "wgf-2d",
+               "pme-nonradial-2d": "wgf-2d", "ks-2d": "wgf-2d"}
     for preset in ("ac-interface", "pme-convergence", "pme-waiting-time",
                    "ks-blowup-1d", "barenblatt-2d", "pme-nonradial-2d", "ks-2d"):
-        sim = build_sim(preset_defaults(preset))
+        config = preset_defaults(preset)
+        sim = build_sim(config)
         assert hasattr(sim, "bdf2_step")
+        # the adaptive controller caps ratios at the theory bound of the sim's scheme
+        controller = experiments._controller_from_config(config, sim)
+        assert controller.r_max_theory == THEORY_RATIO_BOUNDS[schemes.get(preset, "wgf-1d")]
 
 
 @pytest.mark.parametrize("preset", ["barenblatt-2d", "pme-nonradial-2d", "ks-2d"])
@@ -96,9 +103,18 @@ def test_nonradial_support_components_grow_together():
     assert nearest_massive_to_gap(record) < 0.75 * start
 
 
-def test_sweep_pme_writes_tables(tmp_path):
+def test_sweep_pme_writes_tables(tmp_path, monkeypatch):
+    built = []
+
+    def counting_build_sim(config):
+        built.append(config.mx)
+        return build_sim(config)
+
+    monkeypatch.setattr(experiments, "build_sim", counting_build_sim)
     config = preset_defaults("pme-convergence")
     tables = sweep_experiment(config, out_dir=str(tmp_path))
+    # one fine reference serves both modes: 1 + 3 rows x 2 modes
+    assert built == [1600, 100, 200, 400, 100, 200, 400]
     assert set(tables) == {"fixed", "random"}
     for mode in tables:
         path = tmp_path / "pme-convergence-sweep" / f"orders_{mode}.csv"
@@ -107,6 +123,21 @@ def test_sweep_pme_writes_tables(tmp_path):
         assert len(text.splitlines()) == 4
     orders = tables["fixed"]["orders_x"]
     assert all(1.8 < o < 2.2 for o in orders)
+
+
+def test_ac_sweep_honours_seed_and_eta(monkeypatch):
+    study = experiments.CONVERGENCE_STUDIES["ac-interface"]
+    monkeypatch.setitem(experiments.CONVERGENCE_STUDIES, "ac-interface",
+                        {**study, "rows": ((8, 10), (16, 20)), "ref": (32, 40)})
+    config = preset_defaults("ac-interface")
+    assert config.seed == 100
+    base = experiments.convergence_tables(config)
+    config.seed = 101
+    reseeded = experiments.convergence_tables(config)
+    assert reseeded["fixed"] == base["fixed"]
+    assert reseeded["random"]["errors_x"] != base["random"]["errors_x"]
+    config.eta = 0.1
+    assert experiments.convergence_tables(config)["fixed"]["errors_x"] != base["fixed"]["errors_x"]
 
 
 def test_sweep_rejects_non_convergence_presets():
