@@ -24,7 +24,10 @@ to that floor, so no representable iterate can be asked for less.  Held to
 steps at mx = 1600 only ended at the machine-scale step test, which stays as
 the guard.  The row sums are one iterate old, which saves an assembly per
 test; near convergence, where the floor decides, the system barely changes.
-Before the first linearization the floor is ``tol`` alone.
+Before the first linearization the floor takes row sums from the caller
+that bound every linearization's from below, such as those of the part of
+A fixed for the whole solve, so it stops no iterate that the first
+linearization's floor would not; without them it is ``tol`` alone.
 
 With an objective, the first shift comes from the solver's
 ``shift_floor()``, which is called only once the unshifted direction has
@@ -111,7 +114,7 @@ def _within_floor(gabs, gnorm, xmag, tol, row_sums) -> bool:
 
 
 def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), tol, stall_tol,
-                 max_iter, max_backtracks, step_bound=None):
+                 max_iter, max_backtracks, step_bound=None, row_sums=None):
     """Damped Newton iteration from the flat array ``x``; returns the accepted iterate.
 
     ``residual(x)`` is the vector over ``x[free]`` that must meet the
@@ -122,14 +125,15 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
     plus ``shift`` times the identity, ``shift_floor()`` gives the first
     nonzero shift (never called without an objective), and ``row_sums`` is
     sum_j |A_ij| over the free rows.  ``step_bound(x, step)`` caps the
-    initial step length.  A residual or linear system that is not finite
-    raises NewtonError.
+    initial step length.  ``row_sums``, if given, bound the row sums of
+    every linearization from below; the floor uses them until the first
+    linearization.  A residual or linear system that is not finite raises
+    NewtonError.
     """
     minimize = objective is not None
     x = np.array(x, dtype=float)
     g = None if minimize else residual(x)
     fx = objective(x) if minimize else _norm(g)
-    row_sums = None  # of the latest linearization
     for _ in range(max_iter):
         if g is None:
             g = residual(x)

@@ -525,7 +525,8 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
     z = np.concatenate([x_start.ravel(), y_start.ravel()])
     z = newton_solve(z, gradient, linearize, objective=objective,
                      free=np.concatenate([interior, size + interior]), tol=NEWTON_TOL,
-                     stall_tol=1e3 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50)
+                     stall_tol=1e3 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50,
+                     row_sums=fixed_rows)
     return split(z)
 
 

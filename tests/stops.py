@@ -11,9 +11,9 @@ def record_stops(monkeypatch, module):
     """Record every Newton solve that ``module`` makes.
 
     Each record holds the returned iterate, the residual there, ``tol``, the
-    row sums of the latest linearization (None if there was none) and
-    whether that linearization was at the returned iterate, which is how the
-    machine-scale and stall exits end.
+    row sums of the latest linearization (without one, the ``row_sums`` the
+    solve was given, or None) and whether that linearization was at the
+    returned iterate, which is how the machine-scale and stall exits end.
     """
     stops = []
 
@@ -26,7 +26,7 @@ def record_stops(monkeypatch, module):
             return out
 
         x = newton_solve(x, residual, recorded_linearize, tol=tol, **kwargs)
-        at, rows = latest[-1] if latest else (None, None)
+        at, rows = latest[-1] if latest else (None, kwargs.get("row_sums"))
         stops.append((x, residual(x), tol, rows, at is not None and np.array_equal(at, x)))
         return x
 

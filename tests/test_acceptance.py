@@ -16,7 +16,7 @@ from lagflow.adaptive import THEORY_RATIO_BOUNDS, stability_margin
 from lagflow.allen_cahn import AcProblem, ac_first_step, ac_modified_energy, ac_step
 from lagflow.config import preset_defaults
 from lagflow.diagnostics import aronson_waiting_time
-from lagflow.experiments import convergence_tables, run_experiment, sweep_experiment
+from lagflow.experiments import run_experiment, sweep_experiment
 from lagflow.grids import Grid1D, Grid2D, jacobian_det_interior
 from lagflow.initial import ac_parabola, pme_cosine
 from lagflow.models import (DegenerateMobility, FokkerPlanck, GinzburgLandau,
@@ -72,8 +72,8 @@ def waiting_records():
 
 
 @pytest.fixture(scope="module")
-def pme_tables():
-    return convergence_tables(preset_defaults("pme-convergence"))
+def pme_tables(pme_sweep):
+    return pme_sweep.tables
 
 
 # --- criteria ------------------------------------------------------------------

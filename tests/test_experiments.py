@@ -103,21 +103,13 @@ def test_nonradial_support_components_grow_together():
     assert nearest_massive_to_gap(record) < 0.75 * start
 
 
-def test_sweep_pme_writes_tables(tmp_path, monkeypatch):
-    built = []
-
-    def counting_build_sim(config):
-        built.append(config.mx)
-        return build_sim(config)
-
-    monkeypatch.setattr(experiments, "build_sim", counting_build_sim)
-    config = preset_defaults("pme-convergence")
-    tables = sweep_experiment(config, out_dir=str(tmp_path))
+def test_sweep_pme_writes_tables(pme_sweep):
+    tables = pme_sweep.tables
     # one fine reference serves both modes: 1 + 3 rows x 2 modes
-    assert built == [1600, 100, 200, 400, 100, 200, 400]
+    assert pme_sweep.built == [1600, 100, 200, 400, 100, 200, 400]
     assert set(tables) == {"fixed", "random"}
     for mode in tables:
-        path = tmp_path / "pme-convergence-sweep" / f"orders_{mode}.csv"
+        path = pme_sweep.out_dir / "pme-convergence-sweep" / f"orders_{mode}.csv"
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0].startswith("mx,resolution,l2h_error_x")
         assert len(text.splitlines()) == 4

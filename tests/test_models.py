@@ -1,6 +1,9 @@
+import operator
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -693,15 +696,17 @@ def test_ks2d_upper_strips_match_elementwise_squares(n, diagonal, exponent, data
     source = data.draw(arrays(np.intp, n, elements=st.integers(0, n - 1)))
     copy = data.draw(arrays(np.bool_, n))
     px[copy], py[copy] = px[source[copy]], py[source[copy]]
-    los = []
-    for lo, hi, r2 in models._upper_strips(px, py, diagonal):
+    # each strip's r2 as its reducer saw it, in the order the fold added them
+    strips = models._fold_upper_strips(px, py, diagonal, lambda lo, hi, r2: (lo, hi, r2.copy()),
+                                       lambda acc, part: acc + [part], [])
+    for lo, hi, r2 in strips:
         dx = px[lo:hi, None] - px[None, lo:]
         dy = py[lo:hi, None] - py[None, lo:]
         want = dx * dx + dy * dy
         np.fill_diagonal(want, diagonal)
         _assert_same_bits(r2, want)
-        los.append((lo, hi))
-    assert los == [(lo, min(lo + models._STRIP, n)) for lo in range(0, n, models._STRIP)]
+    assert [(lo, hi) for lo, hi, _ in strips] == [
+        (lo, min(lo + models._STRIP, n)) for lo in range(0, n, models._STRIP)]
 
 
 def _ks2d_cloud(seed):
@@ -764,3 +769,201 @@ def test_scipy_spatial_is_imported_by_the_first_2d_kernel_call():
     """)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def _cpus(count):
+    """Make the 2D kernels see ``count`` usable CPUs: 2 runs the odd strips on
+    the worker thread even on a one-CPU machine, 1 runs every strip inline."""
+    return mock.patch.object(models, "_usable_cpus", return_value=count)
+
+
+def _within(seconds, call):
+    """call() in another thread; fails unless it ends within ``seconds``.
+    Returns its result or raises its exception."""
+    out = []
+
+    def run():
+        try:
+            out.append((call(), None))
+        except Exception as exc:
+            out.append((None, exc))
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no result within {seconds} s"
+    result, exc = out[0]
+    if exc is not None:
+        raise exc
+    return result
+
+
+def _strip_cloud(count, seed):
+    """Positions of ``count`` scattered points, for the strip fold alone."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-1.0, 1.0, (2, count))
+
+
+# 1, 2, 3 and 5 strips of mass-carrying nodes, with and without a remainder
+@pytest.mark.parametrize("count", sorted({*_KS2D_NODE_COUNTS, 1, models._STRIP + 1,
+                                          2 * models._STRIP, 5 * models._STRIP - 3}))
+def test_ks2d_worker_and_inline_walks_give_the_same_bits(count):
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 12, 12)
+    x, y, rng = random_admissible_2d(g, count)
+    rho0 = rng.uniform(0.3, 1.2, g.node_shape)
+    rho0.ravel()[rng.permutation(rho0.size)[count:]] = 0.0
+    model = KellerSegel2D()
+    results = {}
+    for cpus in (1, 2):
+        with _cpus(cpus):
+            energy = models.ks2d_interaction_energy(model, x, y, rho0, g)
+            results[cpus] = [np.array([energy]), *models.ks2d_interaction_force(model, x, y,
+                                                                                 rho0, g)]
+    for got, want in zip(results[2], results[1]):
+        _assert_same_bits(got, want)
+
+
+def test_ks2d_worker_reduces_the_odd_strips_and_the_caller_the_even_ones():
+    px, py = _strip_cloud(5 * models._STRIP - 3, 1)
+
+    def reduce(lo, hi, r2):
+        return lo // models._STRIP, threading.get_ident()
+
+    def fold():
+        seen = models._fold_upper_strips(px, py, 1.0, reduce, lambda acc, part: acc + [part], [])
+        return threading.get_ident(), seen
+
+    for cpus, want_worker in ((2, [1, 3]), (1, [])):
+        with _cpus(cpus):
+            caller, seen = _within(60, fold)
+        assert [k for k, _ in seen] == list(range(5))
+        assert [k for k, ident in seen if ident != caller] == want_worker
+        assert len({ident for _, ident in seen}) == (2 if want_worker else 1)
+
+
+def test_ks2d_worker_runs_at_most_two_strips_ahead():
+    px, py = _strip_cloud(9 * models._STRIP, 2)
+    worker_started = []
+    seen_by_caller = []
+
+    def reduce(lo, hi, r2):
+        if lo == 0:
+            time.sleep(0.3)  # time for the worker to run as far ahead as it may
+            seen_by_caller.append(len(worker_started))
+        elif (lo // models._STRIP) % 2:
+            worker_started.append(lo)
+        return 0.0
+
+    with _cpus(2):
+        _within(60, lambda: models._fold_upper_strips(px, py, 1.0, reduce, operator.add, 0.0))
+    assert models._AHEAD == 2
+    assert seen_by_caller and seen_by_caller[0] <= models._AHEAD
+    assert worker_started == list(range(models._STRIP, 9 * models._STRIP, 2 * models._STRIP))
+
+
+@pytest.mark.parametrize("failing", [0, 1, 4, 7, 8])
+def test_ks2d_strip_errors_reach_the_caller_and_the_next_call_works(failing):
+    # the odd strips run on the worker and the even ones in the caller; when
+    # the caller fails at strip 0 the worker waits two strips ahead
+    px, py = _strip_cloud(9 * models._STRIP - 3, 3)
+    fail_at = {failing * models._STRIP}
+
+    def reduce(lo, hi, r2):
+        if lo in fail_at:
+            time.sleep(0.2)  # the other thread runs as far as it may meanwhile
+            raise FloatingPointError(f"strip {failing}")
+        return float(r2.sum())
+
+    def fold():
+        return models._fold_upper_strips(px, py, 1.0, reduce, operator.add, 0.0)
+
+    with _cpus(2):
+        with pytest.raises(FloatingPointError, match=f"strip {failing}"):
+            _within(60, fold)
+        fail_at.clear()
+        total = _within(60, fold)
+    with _cpus(1):
+        assert _within(60, fold) == total
+
+
+def test_ks2d_worker_thread_starts_on_the_first_2d_kernel_call():
+    code = textwrap.dedent("""
+        import threading
+        import numpy as np
+        import lagflow, lagflow.cli
+        from lagflow import models
+        from lagflow.config import preset_defaults
+        from lagflow.experiments import run_experiment
+        from lagflow.grids import Grid2D
+        assert threading.active_count() == 1
+        config = preset_defaults("ks-blowup-1d")
+        config.mx, config.t_final, config.plots = 40, 2e-3, False
+        run_experiment(config, write_files=False)
+        assert threading.active_count() == 1
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)  # 81 nodes: three strips
+        models.ks2d_interaction_energy(models.KellerSegel2D(), g.ref_x, g.ref_y,
+                                       np.ones(g.node_shape), g)
+        assert threading.active_count() == (2 if models._usable_cpus() > 1 else 1)
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ks2d_worker_made_before_a_fork_is_replaced_in_the_child():
+    # the child inherits the executor but not its thread: a reused pool would hang
+    code = textwrap.dedent("""
+        import os, signal
+        from unittest import mock
+        import numpy as np
+        from lagflow import models
+        from lagflow.grids import Grid2D
+        g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)
+        args = (models.KellerSegel2D(), g.ref_x, g.ref_y, np.ones(g.node_shape), g)
+        with mock.patch.object(models, "_usable_cpus", return_value=2):
+            want = models.ks2d_interaction_energy(*args)
+            inherited = models._strip_worker
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(60)
+                code = 1
+                try:
+                    same = models.ks2d_interaction_energy(*args) == want
+                    pid_now, pool = models._strip_worker
+                    code = 0 if same and pid_now == os.getpid() and pool is not inherited[1] else 1
+                finally:
+                    os._exit(code)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0, status
+    """)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_ks2d_concurrent_callers_share_the_worker_with_the_same_bits():
+    # four callers queue their odd strips on the one worker thread, with
+    # thread switches forced as often as the interpreter allows
+    g, x, y, rho0 = _ks2d_cloud(34)
+    model = KellerSegel2D()
+    with _cpus(1):
+        want = models.ks2d_interaction_energy(model, x, y, rho0, g)
+    got = []
+
+    def caller():
+        for _ in range(5):
+            got.append(models.ks2d_interaction_energy(model, x, y, rho0, g))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _cpus(2):
+            threads = [threading.Thread(target=caller, daemon=True) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [want] * 20

@@ -643,6 +643,37 @@ def test_implicit_tiny_steps_stop_at_the_rounding_floor(monkeypatch, tau):
     assert check_stops(stops, wgf2d.NEWTON_TOL) > wgf2d.NEWTON_TOL
 
 
+# Hessians assembled over a start-up step of tau and steps of tau and 3 tau
+@pytest.mark.parametrize("tau, assemblies", [(1e-8, 1), (1e-10, 0), (1e-12, 0)])
+def test_implicit_tiny_steps_stop_at_the_warm_start(monkeypatch, tau, assemblies):
+    # the row sums of inertia and viscosity put the floor above the warm
+    # start's gradient before the first Hessian; without them each of the
+    # three solves assembles and factors one, then stops on the same maps
+    p = bump_problem(mx=8)
+    hess = wgf2d.discrete_energy_hess_2d
+    assembled = []
+
+    def counted_hess(*args):
+        assembled.append(args)
+        return hess(*args)
+
+    def maps():
+        del assembled[:]
+        traj, _ = wgf2d_first_step_implicit(p, tau)
+        for tau_next in (tau, 3.0 * tau):
+            traj, _ = wgf2d_step_implicit(p, traj, tau_next)
+        return np.stack([traj.prev_x, traj.prev_y, traj.curr_x, traj.curr_y])
+
+    monkeypatch.setattr(wgf2d, "discrete_energy_hess_2d", counted_hess)
+    got = maps()
+    assert len(assembled) == assemblies
+    solve = wgf2d.newton_solve
+    monkeypatch.setattr(wgf2d, "newton_solve",
+                        lambda *args, row_sums, **kwargs: solve(*args, **kwargs))
+    assert np.array_equal(maps(), got)
+    assert len(assembled) == 3
+
+
 @pytest.mark.parametrize("density", [0.0, 0.05, 0.5])
 def test_abs_row_sums_match_the_dense_matrix(density):
     # low densities leave rows without a stored entry
