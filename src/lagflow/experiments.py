@@ -34,7 +34,7 @@ from .config import ExperimentConfig
 from .diagnostics import (aronson_waiting_time, barenblatt_support_radius, convergence_order,
                           density_error_l2h, interface_radius, total_mass_2d,
                           trajectory_error_l2h, trajectory_error_linf, waiting_time_detect)
-from .errors import ConfigError
+from .errors import AdmissibilityError, ConfigError
 from .grids import DensityField2D, Grid1D, Grid2D, Trajectory1D, Trajectory2D, inner_product
 from .initial import (ac_parabola, barenblatt_initial_2d, ks_gaussian_1d, ks_gaussian_2d,
                       nonradial_pme_2d, pme_cosine, pme_waiting_profile)
@@ -175,6 +175,10 @@ class Wgf2dSim(_SimBase):
         super().__init__(problem, Trajectory2D.at_rest(problem.grid),
                          DensityField2D(problem.rho0, problem.grid))
         self.scheme = scheme
+        # an explicit attempt that folds the map is retried with the implicit
+        # step, whose line search keeps det > 0; Keller-Segel has no implicit step
+        self.falls_back = scheme == "explicit" and not isinstance(problem.model, KellerSegel2D)
+        self.implicit_fallbacks = 0
 
     @property
     def trajectory_rate(self) -> float:
@@ -193,8 +197,15 @@ class Wgf2dSim(_SimBase):
         return wgf2d_energy(self.problem, traj.curr_x, traj.curr_y)
 
     def _step(self, tau):
-        step = wgf2d_step_explicit if self.scheme == "explicit" else wgf2d_step_implicit
-        return step(self.problem, self.traj, tau)
+        if self.scheme == "implicit":
+            return wgf2d_step_implicit(self.problem, self.traj, tau)
+        try:
+            return wgf2d_step_explicit(self.problem, self.traj, tau)
+        except AdmissibilityError:
+            if not self.falls_back:
+                raise
+        self.implicit_fallbacks += 1
+        return wgf2d_step_implicit(self.problem, self.traj, tau)
 
 
 # --- problem construction ---------------------------------------------------
@@ -331,6 +342,8 @@ def _collect_extras(record: RunRecord) -> None:
         record.extras["interface_radius_exact"] = exact
     if config.preset == "ks-blowup-1d":
         record.extras["max_density_final"] = float(np.max(sim.density))
+    if isinstance(sim, Wgf2dSim) and sim.falls_back:
+        record.extras["implicit_fallbacks"] = sim.implicit_fallbacks
 
 
 # --- artifacts ---------------------------------------------------------------

@@ -16,29 +16,37 @@ any trial with a non-positive determinant, warm started from the explicit
 output whenever that does not increase J.  It stops at the core's
 rounding-level rule, with row sums |H| + inertia + sigma |-Lap_h|.
 
-Every linear system is solved directly.  The explicit matrix
-diag(c rho0) + s (-Lap_h) is factored once per step and the factors serve
-both the x and the y right-hand side; a Newton iteration factors its
-Hessian once per diagonal shift it tries.  Both matrices are symmetric, so
-one sparse LU in SuperLU's symmetric mode does the work of a Cholesky
-factorization.  Its pivots prefer the diagonal down to a tenth of the
-column's largest entry, which keeps indefinite Newton matrices accurate
+The explicit matrix E = diag(c rho0) + s (-Lap_h) is factored once per
+step, and the factors serve both the x and the y right-hand side.  The
+Newton matrix of the implicit step is hx hy (E on each component) + H, with
+the same c = 2 coeff and s, H the scaled Hessian of the energy.  So an
+unshifted Newton system is solved by conjugate gradients preconditioned
+with E's factors on each component, which the step makes anyway for its
+warm start (the Newton-Krylov practice of Knoll & Keyes, J. Comput. Phys.
+193:357, 2004).  CG stops once ||b - K u|| < CG_RTOL ||b|| (1e-14) in its
+recursive residual.  A system that CG leaves unsolved after CG_MAX_ITER
+iterations, or with non-finite values, is factored instead, as is every
+shifted system the Newton core tries.  Nothing is kept from one step to the
+next, so a step's bits depend on its inputs alone.  Both matrices are
+symmetric, so one sparse LU in SuperLU's symmetric mode does the work of a
+Cholesky factorization.  Its pivots prefer the diagonal down to a tenth of
+the column's largest entry, which keeps indefinite Newton matrices accurate
 (diagonal pivots alone lost three digits on one of condition number 2.8e3).
 
 Compactly supported data leave most interior nodes massless, and there both
 matrices are only the viscosity: sigma (-Lap_h), with sigma = s for the
 explicit matrix and s hx hy for the Newton Hessian (per component).  Call
 an interior node active if it or one of its four interior neighbours
-carries mass, and the rest F.  ``_condensed_solver`` removes F from every
+carries mass, and the rest F.  ``_CondensedSolver`` removes F from every
 solve: -Lap_h restricted to F is factored once per grid and mass mask, with
-the interface term G = L_af L_ff^{-1} L_fa (nonzero only on the active nodes
-that touch F), and each step factors only the Schur complement
+the interface term G = L_af L_ff^{-1} L_fa (nonzero only on the active
+nodes that touch F), and each solve works only on the Schur complement
 A_aa - sigma G on the active unknowns, then recovers F by back
-substitution.  A mask without massless nodes has no F and no G and goes
-through the same routine.  A Newton shift is added on the active unknowns
-only; for s > 0 the block sigma L_ff is positive definite, so the full
-system is positive definite exactly when the shifted Schur complement is.
-With s = 0 the massless nodes are undetermined, and the solve raises
+substitution; CG runs on that system too.  A mask without massless nodes has no F and no G
+and goes through the same routine.  A Newton shift is added on the active
+unknowns only; for s > 0 the block sigma L_ff is positive definite, so the
+full system is positive definite exactly when the shifted Schur complement
+is.  With s = 0 the massless nodes are undetermined, and the solve raises
 SolverError.
 
 The structure of that Schur complement is fixed per grid, mass mask and
@@ -46,10 +54,10 @@ component count (one for the explicit matrix, two for the Newton Hessian),
 so ``_plan`` works it out once, from the structure alone: the union of the
 diagonal, -Lap_h, G and the Hessian's pattern, a minimum-degree order of it
 (George & Liu), and where each term lands in the data vector of the
-permuted CSC matrix.  A step only writes its values there and factors them
-in that order.  The Hessian itself (``models.discrete_energy_hess_2d``)
-stores only the entries that a node with mass touches, and those all lie
-in the active block.
+permuted CSC matrix.  A step only writes its values there, and a direct
+solve factors them in that order.  The Hessian itself
+(``models.discrete_energy_hess_2d``) stores only the entries that a node
+with mass touches, and those all lie in the active block.
 
 The artificial viscosity supports the two scalings that appear in
 practice: eps * tau applied to the increment x^{n+1} - x^n (the scheme
@@ -92,6 +100,10 @@ RATIO_BOUND_2D = 1.25
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 60
+# CG on an unshifted Newton system stops at ||b - K u|| < CG_RTOL ||b||; one
+# that has not got there after CG_MAX_ITER iterations is factored instead
+CG_RTOL = 1e-14
+CG_MAX_ITER = 50
 
 
 @dataclass(frozen=True)
@@ -318,52 +330,114 @@ def _plan_cached(nx: int, ny: int, h_x: float, h_y: float, mask, ncomp: int) -> 
     return plan
 
 
-def _condensed_solver(grid: Grid2D, rho0, inertia, sigma: float, hess=None):
-    """``solve(rhs, shift)`` for the interior system
+class _CondensedSolver:
+    """The interior system
 
         H + diag(inertia) + sigma (-Lap_h) on each component,
 
-    plus ``shift`` on the active unknowns, with the massless nodes F condensed
-    out.  ``inertia`` holds one value per interior node of each component,
-    zero on F.  ``hess`` is None for the one-component explicit matrix, or the
-    scaled mass-masked Hessian H of both components as
-    ``models.discrete_energy_hess_2d`` returns it, which must be stored in
-    the pattern of ``models.hess_2d_structure``.  ``rhs`` is a vector or has
-    one column per right-hand side.
+    plus a shift on the active unknowns, with the massless nodes F condensed
+    out; calling ``solver(rhs, shift)`` solves it.  ``inertia`` holds one
+    value per interior node of each component, zero on F.  ``hess`` is None
+    for the one-component explicit matrix, or the scaled mass-masked Hessian
+    H of both components as ``models.discrete_energy_hess_2d`` returns it,
+    which must be stored in the pattern of ``models.hess_2d_structure``.
+    ``rhs`` is a vector or has one column per right-hand side.
 
     The values are written into the plan's data vector in the order of the
-    sums (H + (inertia + sigma (-Lap_h))) - sigma G, and each ``solve``
-    factors it (plus the shift) in the plan's order.  The explicit matrix is
-    SPD; a Newton Hessian that is not fails with a RuntimeError or
-    non-finite solutions, which the Newton core answers with a shift.
+    sums (H + (inertia + sigma (-Lap_h))) - sigma G.  An unshifted solve
+    with a one-component ``preconditioner`` (the explicit solver of the same
+    step) runs preconditioned CG on the condensed system; every other solve,
+    and one whose CG fails, factors the matrix (plus the shift) in the
+    plan's order.  The explicit matrix is SPD; a Newton Hessian that is not
+    fails with a RuntimeError or non-finite solutions, which the Newton core
+    answers with a shift.
     """
-    ncomp = 1 if hess is None else 2
-    plan = _plan(grid, rho0, ncomp)
-    cond = plan.cond
-    a, f = cond.active, cond.inactive
-    n = (grid.m_x - 1) * (grid.m_y - 1)
-    size = ncomp * a.size
-    if f.size and sigma <= 0.0:
-        raise SolverError("linear system is singular (zero mass and zero viscosity)")
-    data = np.zeros(plan.indices.size)
-    data[plan.lap] = plan.lap_values * sigma
-    data[plan.diag] += inertia.reshape(ncomp, n)[:, a].ravel()
-    if hess is not None:
-        if not (np.array_equal(hess.indptr, plan.hess_indptr)
-                and np.array_equal(hess.indices, plan.hess_indices)):
-            raise ValueError("Hessian is not stored in the pattern of models.hess_2d_structure")
-        data[plan.hess] += hess.data
-    data[plan.g] -= sigma * plan.g_values
 
-    def factor(shift):
-        values = data
+    def __init__(self, grid: Grid2D, rho0, inertia, sigma: float, hess=None,
+                 preconditioner=None):
+        ncomp = 1 if hess is None else 2
+        plan = _plan(grid, rho0, ncomp)
+        if plan.cond.inactive.size and sigma <= 0.0:
+            raise SolverError("linear system is singular (zero mass and zero viscosity)")
+        n = (grid.m_x - 1) * (grid.m_y - 1)
+        a = plan.cond.active
+        data = np.zeros(plan.indices.size)
+        data[plan.lap] = plan.lap_values * sigma
+        data[plan.diag] += inertia.reshape(ncomp, n)[:, a].ravel()
+        if hess is not None:
+            if not (np.array_equal(hess.indptr, plan.hess_indptr)
+                    and np.array_equal(hess.indices, plan.hess_indices)):
+                raise ValueError("Hessian is not stored in the pattern of "
+                                 "models.hess_2d_structure")
+            data[plan.hess] += hess.data
+        data[plan.g] -= sigma * plan.g_values
+        self.plan, self.ncomp, self.n, self.sigma = plan, ncomp, n, sigma
+        self.size = ncomp * a.size
+        self.data = data
+        self.preconditioner = preconditioner
+        self.cg_failed = False
+        self._lu = None
+
+    def _matrix(self, shift=0.0) -> sps.csc_matrix:
+        """The condensed matrix plus ``shift``, permuted to the plan's order."""
+        values = self.data
         if shift != 0.0:
-            values = data.copy()
-            values[plan.diag] += shift
-        mat = sps.csc_matrix((values, plan.indices, plan.indptr), shape=(size, size))
-        return spla.splu(mat, permc_spec="NATURAL", **_LU_OPTIONS).solve
+            values = values.copy()
+            values[self.plan.diag] += shift
+        return sps.csc_matrix((values, self.plan.indices, self.plan.indptr),
+                              shape=(self.size, self.size))
 
-    def solve(rhs, shift=0.0):
+    def factor(self, shift=0.0):
+        """The solve function of the LU of the permuted condensed matrix; the
+        unshifted one is made once."""
+        if shift != 0.0:
+            return spla.splu(self._matrix(shift), permc_spec="NATURAL", **_LU_OPTIONS).solve
+        if self._lu is None:
+            self._lu = spla.splu(self._matrix(), permc_spec="NATURAL", **_LU_OPTIONS).solve
+        return self._lu
+
+    def _cg(self, b):
+        """Preconditioned CG on the permuted condensed system for one
+        right-hand side, or None when it stops short of CG_RTOL.
+
+        The preconditioner is the explicit matrix E on each component: the
+        Newton matrix is hx hy (E on each component) + H, and CG does not see
+        the constant factor.  ``at[p, k]`` is the position, in this plan's
+        order, of component k's unknown at position p of E's plan order.
+        """
+        pre = self.preconditioner
+        na = pre.size
+        position = np.empty(self.size, dtype=np.intp)
+        position[self.plan.order] = np.arange(self.size)
+        at = position[pre.plan.order[:, None] + na * np.arange(2)]
+        solve_e = pre.factor()
+
+        def apply(r):
+            z = np.empty_like(r)
+            z[at] = solve_e(r[at])
+            return z
+
+        m = spla.LinearOperator((self.size, self.size), matvec=apply, dtype=float)
+        u, info = spla.cg(self._matrix(), b, M=m, rtol=CG_RTOL, atol=0.0,
+                          maxiter=CG_MAX_ITER)
+        # scipy's cg reports success after no iteration at all when maxiter is 0
+        if info != 0 or CG_MAX_ITER < 1 or not np.all(np.isfinite(u)):
+            return None
+        return u
+
+    def _solve_condensed(self, u, shift):
+        """Solve the permuted condensed system for the columns of ``u``."""
+        if shift == 0.0 and self.preconditioner is not None:
+            cols = [self._cg(col) for col in u.T]
+            if all(col is not None for col in cols):
+                return np.column_stack(cols)
+            self.cg_failed = True
+        return self.factor(shift)(u)
+
+    def __call__(self, rhs, shift=0.0):
+        plan, ncomp, n, size = self.plan, self.ncomp, self.n, self.size
+        cond = plan.cond
+        a, f = cond.active, cond.inactive
         b = rhs.reshape(ncomp, n, -1)
         k = b.shape[2]
 
@@ -380,27 +454,31 @@ def _condensed_solver(grid: Grid2D, rho0, inertia, sigma: float, hess=None):
             b_a = b_a - by_component(cond.lap_af @ cond.solve_ff(b_f), a.size)
         u_a = b_a.reshape(size, k)
         if size:
-            u_a[plan.order] = factor(shift)(u_a[plan.order])
+            u_a[plan.order] = self._solve_condensed(u_a[plan.order], shift)
         u_a = u_a.reshape(ncomp, a.size, k)
         out = np.empty_like(b)
         out[:, a, :] = u_a
         if f.size:
-            u_f = cond.solve_ff(b_f / sigma - cond.lap_fa @ by_node(u_a, a.size))
+            u_f = cond.solve_ff(b_f / self.sigma - cond.lap_fa @ by_node(u_a, a.size))
             out[:, f, :] = by_component(u_f, f.size)
         return out.reshape(rhs.shape)
-    return solve
 
 
-def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, cmass, s):
-    """Solve (diag(cmass) + s (-Lap)) [dx dy] = [rhs_x rhs_y] on the interior
-    with one factorization, and add the increments to the current map."""
+def _explicit_solver(p: Wgf2dProblem, cmass, s) -> _CondensedSolver:
+    """The explicit matrix diag(cmass) + s (-Lap_h) on the interior."""
     grid = p.grid
     coeff = cmass[1:-1, 1:-1].ravel()
     if np.any(coeff + s * (2.0 / grid.h_x ** 2 + 2.0 / grid.h_y ** 2) <= 0.0):
         raise SolverError("linear system is singular (zero mass and zero viscosity)")
+    return _CondensedSolver(grid, p.rho0, coeff, s)
+
+
+def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, solver: _CondensedSolver):
+    """Solve the explicit system for [dx dy] = [rhs_x rhs_y] on the interior
+    with one factorization, and add the increments to the current map."""
+    grid = p.grid
     try:
-        sol = _condensed_solver(grid, p.rho0, coeff, s)(
-            np.column_stack([rhs_x.ravel(), rhs_y.ravel()]))
+        sol = solver(np.column_stack([rhs_x.ravel(), rhs_y.ravel()]))
     except RuntimeError as exc:
         raise SolverError(f"sparse factorization failed: {exc}") from exc
     if not np.all(np.isfinite(sol)):
@@ -413,10 +491,12 @@ def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, cmass, s):
     return x_new, y_new
 
 
-def wgf2d_step_explicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
-    """Linear scheme with the energy gradient at the extrapolated configuration."""
-    if tau_next <= 0.0:
-        raise ValueError("tau_next must be positive")
+def _explicit_maps(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float,
+                   solver: _CondensedSolver):
+    """The explicit step's new node maps, solved with ``solver``, the step's
+    explicit matrix; the energy gradient is taken at the extrapolated
+    configuration, and a non-positive determinant of that or of the new map
+    raises AdmissibilityError."""
     r = tau_next / traj.tau_prev
     x_star = (1.0 + r) * traj.curr_x - r * traj.prev_x
     y_star = (1.0 + r) * traj.curr_y - r * traj.prev_y
@@ -425,15 +505,23 @@ def wgf2d_step_explicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
         raise AdmissibilityError("extrapolated configuration has a non-positive determinant")
     gx, gy = _scheme_gradient(p, x_star, y_star)
     s = p.visc_strength(tau_next)
-    c = (1.0 + 2.0 * r) / (tau_next * (1.0 + r))
-    cmass = c * p.rho0
     hist = r * r / (tau_next * (1.0 + r))
     rhs_x = (p.rho0 * hist * (traj.curr_x - traj.prev_x))[1:-1, 1:-1] - gx[1:-1, 1:-1]
     rhs_y = (p.rho0 * hist * (traj.curr_y - traj.prev_y))[1:-1, 1:-1] - gy[1:-1, 1:-1]
     if p.visc_scaling == VISC_TAU_SQ_ABSOLUTE:
         rhs_x = rhs_x - s * _neg_lap_interior(traj.curr_x, p.grid)
         rhs_y = rhs_y - s * _neg_lap_interior(traj.curr_y, p.grid)
-    x_new, y_new = _explicit_solve(p, traj.curr_x, traj.curr_y, rhs_x, rhs_y, cmass, s)
+    return _explicit_solve(p, traj.curr_x, traj.curr_y, rhs_x, rhs_y, solver)
+
+
+def wgf2d_step_explicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
+    """Linear scheme with the energy gradient at the extrapolated configuration."""
+    if tau_next <= 0.0:
+        raise ValueError("tau_next must be positive")
+    r = tau_next / traj.tau_prev
+    c = (1.0 + 2.0 * r) / (tau_next * (1.0 + r))
+    solver = _explicit_solver(p, c * p.rho0, p.visc_strength(tau_next))
+    x_new, y_new = _explicit_maps(p, traj, tau_next, solver)
     new_traj = Trajectory2D(traj.curr_x, traj.curr_y, x_new, y_new, tau_next,
                             traj.time + tau_next, traj.step_index + 1, p.grid)
     return new_traj, recover_density_2d(x_new, y_new, p.rho0, p.grid)
@@ -491,10 +579,14 @@ def _visc_ref(p: Wgf2dProblem, x, y):
 
 
 def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_hat,
-                    x_ref, y_ref, coeff, s):
+                    x_ref, y_ref, coeff, s, preconditioner=None):
     """Newton minimization (see ``newton``) of the step functional from a start
     no higher than ``j_ref``, its value at x^n.  The iterate stacks the full
-    x and y node arrays; the interior nodes of both are the unknowns."""
+    x and y node arrays; the interior nodes of both are the unknowns.
+    ``preconditioner`` is the step's explicit solver, whose matrix
+    diag(2 coeff rho0) + s (-Lap_h) preconditions CG on the unshifted Newton
+    systems until CG fails on one; without it every Newton system is
+    factored."""
     if j_start > j_ref * (1.0 + 1e-12) + 1e-300:
         raise NewtonError("warm start above the feasibility cap")
     grid = p.grid
@@ -517,10 +609,16 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
     lap = _neg_lap_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
     fixed_rows = inertia + s * area * np.tile(_abs_row_sums(lap), 2)
 
+    solver = None
+
     def linearize(z):
+        nonlocal preconditioner, solver
+        if solver is not None and solver.cg_failed:
+            # CG failed on one of the step's Newton systems: factor the rest
+            preconditioner = None
         hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area
-        return (_condensed_solver(grid, p.rho0, inertia, s * area, hess), lambda: 1e-8,
-                _abs_row_sums(hess) + fixed_rows)
+        solver = _CondensedSolver(grid, p.rho0, inertia, s * area, hess, preconditioner)
+        return solver, lambda: 1e-8, _abs_row_sums(hess) + fixed_rows
 
     z = np.concatenate([x_start.ravel(), y_start.ravel()])
     z = newton_solve(z, gradient, linearize, objective=objective,
@@ -541,17 +639,20 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
     s = p.visc_strength(tau_next)
     x_ref, y_ref = _visc_ref(p, traj.curr_x, traj.curr_y)
     j_at_curr = _objective_2d(p, traj.curr_x, traj.curr_y, x_hat, y_hat, x_ref, y_ref, coeff, s)
-    # warm start from the explicit output when it does not increase J
+    # warm start from the explicit output when it does not increase J; the
+    # explicit matrix, factored once, also preconditions the Newton systems
     x0, y0, j0 = traj.curr_x, traj.curr_y, j_at_curr
+    explicit = None
     try:
-        warm, _ = wgf2d_step_explicit(p, traj, tau_next)
-        jw = _objective_2d(p, warm.curr_x, warm.curr_y, x_hat, y_hat, x_ref, y_ref, coeff, s)
+        explicit = _explicit_solver(p, 2.0 * coeff * p.rho0, s)
+        xw, yw = _explicit_maps(p, traj, tau_next, explicit)
+        jw = _objective_2d(p, xw, yw, x_hat, y_hat, x_ref, y_ref, coeff, s)
         if jw <= j_at_curr:
-            x0, y0, j0 = warm.curr_x, warm.curr_y, jw
+            x0, y0, j0 = xw, yw, jw
     except (SolverError, AdmissibilityError):
         pass
     x_new, y_new = _implicit_solve(p, x0, y0, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref,
-                                   coeff, s)
+                                   coeff, s, explicit)
     new_traj = Trajectory2D(traj.curr_x, traj.curr_y, x_new, y_new, tau_next,
                             traj.time + tau_next, traj.step_index + 1, p.grid)
     return new_traj, recover_density_2d(x_new, y_new, p.rho0, p.grid)

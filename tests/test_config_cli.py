@@ -146,8 +146,9 @@ def test_cli_exit_code_for_tau_collapse(tmp_path, monkeypatch, preset, expected)
 
 
 def test_cli_failed_start_up_is_a_solver_abort_with_artifacts(tmp_path):
-    # every halving of the first explicit step folds the map at this resolution, so
-    # the run aborts with no accepted step instead of raising out of run_experiment
+    # every halving of the first explicit step folds the map at this resolution,
+    # and the implicit step it falls back to stalls at every one of them, so the
+    # run aborts with no accepted step instead of raising out of run_experiment
     cfg = tmp_path / "nonradial.cfg"
     cfg.write_text("preset = pme-nonradial-2d\ngrid.mx = 16\ntime.mode = adaptive\n"
                    "time.t_final = 0.05\n")
@@ -156,7 +157,9 @@ def test_cli_failed_start_up_is_a_solver_abort_with_artifacts(tmp_path):
     summary = (out / "pme-nonradial-2d" / "summary.txt").read_text(encoding="utf-8")
     assert "accepted steps: 0\n" in summary
     assert "abort reason: step halved below" in summary
-    assert "non-positive determinant" in summary
+    assert "line search stalled" in summary
+    # each rejected attempt was an explicit step retried with the implicit one
+    assert "rejections: 41\n" in summary and "implicit_fallbacks: 41\n" in summary
     steps = (out / "pme-nonradial-2d" / "steps.csv").read_text(encoding="utf-8")
     assert steps.count("\n") == 1
 

@@ -6,7 +6,7 @@ from lagflow.adaptive import THEORY_RATIO_BOUNDS, AdaptiveRunResult, StepRecord
 from lagflow.config import parse_config, preset_defaults
 from lagflow.experiments import (RunRecord, build_sim, run_experiment, run_fixed_steps,
                                  sweep_experiment, write_artifacts)
-from lagflow.errors import ConfigError
+from lagflow.errors import AdmissibilityError, ConfigError
 
 
 def test_build_sim_covers_every_preset():
@@ -167,6 +167,39 @@ def test_barenblatt_2d_support_plot(tmp_path):
     assert "ellipse" in svg  # exact interface overlay
     summary = (tmp_path / "barenblatt-2d" / "summary.txt").read_text(encoding="utf-8")
     assert "interface_radius" in summary
+
+
+@pytest.mark.parametrize("preset, t_final", [("barenblatt-2d", 0.1),
+                                             ("pme-nonradial-2d", 0.048)])
+def test_explicit_2d_steps_fall_back_to_the_implicit_step(tmp_path, preset, t_final):
+    # at 32^2 an explicit step folds the map: barenblatt-2d aborted at t = 0.03 and
+    # pme-nonradial-2d raised on its first BDF2 step before the fallback
+    config = preset_defaults(preset)
+    config.mx = config.my = 32
+    config.t_final = t_final
+    config.plots = False
+    record = run_experiment(config, out_dir=str(tmp_path))
+    assert not record.aborted, record.result.abort_reason
+    assert record.result.steps[-1].t == pytest.approx(t_final)
+    fallbacks = record.extras["implicit_fallbacks"]
+    assert fallbacks > 0
+    summary = (tmp_path / preset / "summary.txt").read_text(encoding="utf-8")
+    assert f"implicit_fallbacks: {fallbacks}\n" in summary
+
+
+def test_keller_segel_2d_has_no_implicit_fallback(monkeypatch):
+    config = preset_defaults("ks-2d")
+    config.mx = config.my = 12
+    sim = build_sim(config)
+    assert not sim.falls_back
+
+    def folded(*args):
+        raise AdmissibilityError("explicit step produced a non-positive determinant")
+
+    monkeypatch.setattr(experiments, "wgf2d_step_explicit", folded)
+    with pytest.raises(AdmissibilityError):
+        sim.bdf2_step(1e-3)
+    assert sim.implicit_fallbacks == 0
 
 
 def test_fixed_driver_step_count():

@@ -103,7 +103,8 @@ def test_explicit_solve_matches_dense_oracle():
     # right-hand sides whose solutions stay well inside a cell, so the step is admissible
     rhs = [(a @ (0.05 * h * rng.uniform(-1.0, 1.0, a.shape[0]))).reshape(shape)
            for h in (g.h_x, g.h_y)]
-    x_new, y_new = wgf2d._explicit_solve(p, g.ref_x, g.ref_y, *rhs, cmass, s)
+    x_new, y_new = wgf2d._explicit_solve(p, g.ref_x, g.ref_y, *rhs,
+                                         wgf2d._explicit_solver(p, cmass, s))
     for new, ref, b in ((x_new, g.ref_x, rhs[0]), (y_new, g.ref_y, rhs[1])):
         want = np.linalg.solve(a, b.ravel())
         got = (new - ref)[1:-1, 1:-1].ravel()
@@ -236,7 +237,7 @@ def neg_lap(grid):
 
 
 def newton_terms(p, tau, seed):
-    """The terms ``_implicit_solve`` hands ``_condensed_solver`` for the Hessian
+    """The terms ``_implicit_solve`` hands ``_CondensedSolver`` for the Hessian
     of an implicit step functional at a perturbed map: inertia, sigma, H area."""
     g = p.grid
     rng = np.random.default_rng(seed)
@@ -263,7 +264,7 @@ def full_matrix(grid, inertia, sigma, hess):
 
 
 def condensed_solver(p, inertia, sigma, hess):
-    return wgf2d._condensed_solver(p.grid, p.rho0, inertia, sigma, hess)
+    return wgf2d._CondensedSolver(p.grid, p.rho0, inertia, sigma, hess)
 
 
 def refined_solve(mat, rhs, steps=2):
@@ -325,13 +326,13 @@ def test_inactive_rows_are_the_viscosity_alone(monkeypatch):
     inactive = ~active_nodes(p.rho0)
     assert 0 < np.count_nonzero(inactive) < inactive.size
     seen = []
-    solver = wgf2d._condensed_solver
+    solver = wgf2d._CondensedSolver
 
-    def recorded(grid, rho0, inertia, sigma, hess=None):
+    def recorded(grid, rho0, inertia, sigma, hess=None, preconditioner=None):
         seen.append((inertia, sigma, hess))
-        return solver(grid, rho0, inertia, sigma, hess)
+        return solver(grid, rho0, inertia, sigma, hess, preconditioner)
 
-    monkeypatch.setattr(wgf2d, "_condensed_solver", recorded)
+    monkeypatch.setattr(wgf2d, "_CondensedSolver", recorded)
     wgf2d_step_implicit(p, equal_history(p, 2e-3), 2e-3)
     assert {h is None for _, _, h in seen} == {True, False}
     for inertia, sigma, hess in seen:
@@ -503,24 +504,228 @@ def test_plan_serves_the_reference_map_and_later_steps(monkeypatch):
     factored = []
 
     class RecordingLinalg:
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
         @staticmethod
         def splu(mat, permc_spec, **kwargs):
             factored.append((permc_spec, mat.indptr.copy(), mat.indices.copy()))
             return spla.splu(mat, permc_spec=permc_spec, **kwargs)
 
     plans = [wgf2d._plan(grid, rho0, ncomp) for ncomp in (1, 2)]
-    monkeypatch.setattr(wgf2d, "spla", RecordingLinalg)
-    traj, _ = wgf2d_first_step_implicit(p, config.tau1)
-    traj, _ = wgf2d_step_implicit(p, traj, config.tau2)
-    assert [wgf2d._plan(grid, rho0, ncomp) for ncomp in (1, 2)] == plans
-    assert {spec for spec, _, _ in factored} == {"NATURAL"}
     sizes = {plan.indptr.size: plan for plan in plans}
     assert len(sizes) == 2
-    for _, indptr, indices in factored:
-        plan = sizes[indptr.size]
-        assert np.array_equal(indptr, plan.indptr) and np.array_equal(indices, plan.indices)
-    # both schemes ran: the warm start and at least one Newton iteration per step
-    assert {indptr.size for _, indptr, _ in factored} == set(sizes)
+    monkeypatch.setattr(wgf2d, "spla", RecordingLinalg())
+
+    def two_steps():
+        del factored[:]
+        traj, _ = wgf2d_first_step_implicit(p, config.tau1)
+        wgf2d_step_implicit(p, traj, config.tau2)
+        assert [wgf2d._plan(grid, rho0, ncomp) for ncomp in (1, 2)] == plans
+        assert {spec for spec, _, _ in factored} == {"NATURAL"}
+        for _, indptr, indices in factored:
+            plan = sizes[indptr.size]
+            assert np.array_equal(indptr, plan.indptr) and np.array_equal(indices, plan.indices)
+        return [indptr.size for _, indptr, _ in factored]
+
+    # CG solves every Newton system: the explicit matrix, factored once per
+    # step, is the only factorization
+    assert two_steps() == [plans[0].indptr.size] * 2
+    # without CG iterations both schemes factor: the warm start and at least
+    # one Newton iteration per step
+    monkeypatch.setattr(wgf2d, "CG_MAX_ITER", 0)
+    assert set(two_steps()) == set(sizes)
+
+
+# --- CG on the Newton systems, preconditioned with the explicit matrix ------
+
+def cg_problem(support, mx, scaling=VISC_TAU_INCREMENT):
+    """Barenblatt data with compact support (most interior nodes massless), or
+    a bump with mass everywhere, on an mx x mx grid."""
+    if support == "compact":
+        g = Grid2D(-2.0, 2.0, -2.0, 2.0, mx, mx)
+        rho0 = barenblatt_2d(g.ref_x, g.ref_y, 0.0, 2.0)
+    else:
+        g = Grid2D(-1.5, 1.5, -1.5, 1.5, mx, mx)
+        rho0 = 0.3 + 0.2 * np.exp(-(g.ref_x ** 2 + g.ref_y ** 2))
+    return Wgf2dProblem(g, PorousMedium(2.0), rho0, eps_visc=0.5, visc_scaling=scaling)
+
+
+def recorded_newton_systems(p, traj, tau):
+    """Take the implicit step from ``traj``; return, per unshifted Newton
+    solve, the solver's arguments, the right-hand side, the solution and the
+    solver."""
+    systems = []
+
+    class Recording(wgf2d._CondensedSolver):
+        def __init__(self, *args):
+            super().__init__(*args)
+            self.args = args[:5]
+
+        def __call__(self, rhs, shift=0.0):
+            out = super().__call__(rhs, shift)
+            if shift == 0.0 and self.ncomp == 2:
+                systems.append((self.args, rhs, out, self))
+            return out
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wgf2d, "_CondensedSolver", Recording)
+        wgf2d_step_implicit(p, traj, tau)
+    return systems
+
+
+@settings(max_examples=40, deadline=None)
+@given(mx=st.integers(6, 24), support=st.sampled_from(["compact", "full"]),
+       scaling=st.sampled_from([VISC_TAU_INCREMENT, VISC_TAU_SQ_ABSOLUTE]),
+       tau=st.floats(1e-3, 1e-2), ratio=st.floats(0.2, RATIO_BOUND_2D))
+def test_cg_newton_direction_matches_the_direct_solve(mx, support, scaling, tau, ratio):
+    # compact support keeps the increment viscosity: under the absolute one
+    # (s = eps tau^2) the massless nodes next to the support fold at these
+    # steps, and the Newton solve stalls with either linear solver (ROADMAP item 1)
+    if support == "compact":
+        scaling = VISC_TAU_INCREMENT
+    p = cg_problem(support, mx, scaling)
+    traj, _ = wgf2d_first_step_implicit(p, tau / ratio)
+    systems = recorded_newton_systems(p, traj, tau)
+    assert systems
+    for args, rhs, got, solver in systems:
+        # CG served it: the two-component matrix was never factored
+        assert solver._lu is None
+        want = wgf2d._CondensedSolver(*args)(rhs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class CountingLinalg:
+    """``scipy.sparse.linalg`` with a count of the ``cg`` calls and an
+    optional replacement of what ``cg`` returns."""
+
+    def __init__(self, result=None):
+        self.cg_calls = 0
+        self.result = result
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+    def cg(self, *args, **kwargs):
+        self.cg_calls += 1
+        u, info = spla.cg(*args, **kwargs)
+        return (u, info) if self.result is None else self.result(u, info)
+
+
+def newton_system(support="compact"):
+    """An unshifted Newton system of a 12 x 12 problem, with its step's explicit
+    solver: the arguments of ``_CondensedSolver``, the preconditioner and a
+    right-hand side."""
+    p = cg_problem(support, 12)
+    tau = 2e-3
+    # newton_terms' inertia is rho0 / tau per unit area, the explicit matrix's
+    inertia, sigma, hess = newton_terms(p, tau, 3)
+    explicit = wgf2d._explicit_solver(p, p.rho0 / tau, p.visc_strength(tau))
+    rhs = np.random.default_rng(8).standard_normal(inertia.size)
+    return (p.grid, p.rho0, inertia, sigma, hess), explicit, rhs
+
+
+@pytest.mark.parametrize("cap, result", [
+    # scipy's cg returns the iterate it stopped at and info = maxiter
+    (1, None),
+    # and reports success without an iteration when maxiter is 0
+    (0, None),
+    (None, lambda u, info: (np.full_like(u, np.nan), 0)),
+    (None, lambda u, info: (u, -1)),
+], ids=["cap", "no-iteration", "non-finite", "breakdown"])
+def test_failed_cg_gives_the_direct_solve(monkeypatch, cap, result):
+    args, explicit, rhs = newton_system()
+    want = wgf2d._CondensedSolver(*args)(rhs)
+    linalg = CountingLinalg(result)
+    monkeypatch.setattr(wgf2d, "spla", linalg)
+    if cap is not None:
+        monkeypatch.setattr(wgf2d, "CG_MAX_ITER", cap)
+    solver = wgf2d._CondensedSolver(*args, preconditioner=explicit)
+    got = solver(rhs)
+    assert linalg.cg_calls == 1
+    assert solver._lu is not None
+    assert np.array_equal(got, want)
+
+
+def test_after_a_failed_cg_the_step_factors_its_other_newton_systems(monkeypatch):
+    p = compact_problem()
+    real = wgf2d._CondensedSolver
+    assemblies = []
+    hess = wgf2d.discrete_energy_hess_2d
+
+    def counted_hess(*args):
+        assemblies.append(1)
+        return hess(*args)
+
+    def direct(grid, rho0, inertia, sigma, hess=None, preconditioner=None):
+        return real(grid, rho0, inertia, sigma, hess)
+
+    def first_step():
+        traj, _ = wgf2d_first_step_implicit(p, 2e-3)
+        return np.stack([traj.curr_x, traj.curr_y])
+
+    monkeypatch.setattr(wgf2d, "discrete_energy_hess_2d", counted_hess)
+    with monkeypatch.context() as patch:
+        patch.setattr(wgf2d, "_CondensedSolver", direct)
+        want = first_step()
+    assert len(assemblies) >= 2
+    linalg = CountingLinalg()
+    monkeypatch.setattr(wgf2d, "spla", linalg)
+    monkeypatch.setattr(wgf2d, "CG_MAX_ITER", 1)
+    assert np.array_equal(first_step(), want)
+    assert linalg.cg_calls == 1
+
+
+@pytest.mark.parametrize("support", ["compact", "full"])
+def test_shifted_newton_solves_stay_direct(monkeypatch, support):
+    args, explicit, rhs = newton_system(support)
+    linalg = CountingLinalg()
+    monkeypatch.setattr(wgf2d, "spla", linalg)
+    solver = wgf2d._CondensedSolver(*args, preconditioner=explicit)
+    got = solver(rhs, 0.7)
+    assert linalg.cg_calls == 0
+    assert np.array_equal(got, wgf2d._CondensedSolver(*args)(rhs, 0.7))
+    solver(rhs)
+    assert linalg.cg_calls == 1
+
+
+def test_implicit_step_bits_do_not_depend_on_earlier_steps():
+    # no factorization or other state is kept from one step to the next
+    p = compact_problem()
+    other = bump_problem(mx=10)
+    traj, _ = wgf2d_first_step_implicit(p, 2e-3)
+
+    def step():
+        out, dens = wgf2d_step_implicit(p, traj, 2.4e-3)
+        return np.stack([out.curr_x, out.curr_y, dens.values])
+
+    first = step()
+    later = traj
+    for tau in (2.2e-3, 1.9e-3):
+        later, _ = wgf2d_step_implicit(p, later, tau)
+    wgf2d_step_implicit(other, equal_history(other, 1e-3), 1e-3)
+    assert np.array_equal(step(), first)
+
+
+@pytest.mark.parametrize("make", [compact_problem, lambda: bump_problem(mx=10)],
+                         ids=["compact", "bump"])
+def test_warm_start_is_the_explicit_step_bit_for_bit(monkeypatch, make):
+    p = make()
+    traj, _ = wgf2d_first_step_implicit(p, 2e-3)
+    maps = wgf2d._explicit_maps
+    seen = []
+
+    def recorded(*args):
+        seen.append(maps(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(wgf2d, "_explicit_maps", recorded)
+    wgf2d_step_implicit(p, traj, 2.4e-3)
+    explicit, dens = wgf2d_step_explicit(p, traj, 2.4e-3)
+    assert len(seen) == 2
+    for x_new, y_new in seen:
+        assert np.array_equal(x_new, explicit.curr_x) and np.array_equal(y_new, explicit.curr_y)
+    assert np.array_equal(dens.values, recover_density_2d(*seen[0], p.rho0, p.grid).values)
 
 
 @pytest.mark.parametrize("first_step", [wgf2d_first_step_explicit, wgf2d_first_step_implicit])
@@ -563,7 +768,8 @@ def explicit_first_step_oracle(p, tau1):
     if p.visc_scaling == VISC_TAU_SQ_ABSOLUTE:
         rhs_x = rhs_x - s * wgf2d._neg_lap_interior(x0, p.grid)
         rhs_y = rhs_y - s * wgf2d._neg_lap_interior(y0, p.grid)
-    return wgf2d._explicit_solve(p, x0, y0, rhs_x, rhs_y, p.rho0 / tau1, s)
+    return wgf2d._explicit_solve(p, x0, y0, rhs_x, rhs_y,
+                                 wgf2d._explicit_solver(p, p.rho0 / tau1, s))
 
 
 def implicit_first_step_oracle(p, tau1):
