@@ -26,12 +26,21 @@ outer bands.  The solve stops at the core's rounding-level rule, with the row
 sums of |J| over the five bands.  The first step is the step from the
 history at rest, where r = 0 makes it backward Euler.
 
-The terms of the step equations that depend only on (x^{n-1}, x^n, tau, r)
-(slopes and midpoints of x^n, the inertia and history weights, log d_h x^n,
-the constant factors of the force's Jacobian) are built once per step, so a
-residual or Jacobian evaluation does only the work that depends on the
-iterate, with the same bits as evaluating each term afresh.  The banded
-solve goes straight to LAPACK (``banded``).
+The cell state of an iterate (its widths, with the admissibility check and
+the narrowest width, slopes and their reciprocals, midpoints, d_h x and, with
+the log regularization, log d_h x) is computed once and shared by its
+residual, its Jacobian and the fraction-to-the-boundary bound
+(``newton.cell_fraction_to_boundary``, the rule ``wgf1d`` uses too).  The
+accepted iterate's state is kept for its problem: it gives the d_h x of the
+energy in the step record, and the next step reads x^n's slopes, midpoints
+and log d_h x^n from it, so that step's first residual, at x^n, builds
+nothing.  The terms that depend only on (x^{n-1}, x^n, tau, r) (the inertia
+and history weights) are built once per step, and those that depend only on
+the problem (the end weights of d_h, the force's quadrature weights and the
+constant factor of its Jacobian) once per problem.  Every term keeps the
+operation order of the textbook formula, so a run has the same bits as
+evaluating each term afresh.  The banded solve goes straight to LAPACK
+(``banded``).
 """
 
 from __future__ import annotations
@@ -45,7 +54,7 @@ from .errors import AdmissibilityError
 from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product, node_diff
 from .initial import InitialCondition1D
 from .models import GinzburgLandau, ac_discrete_energy, check_mobility_positive, double_well
-from .newton import fraction_to_boundary, newton_solve
+from .newton import cell_fraction_to_boundary, newton_solve
 
 __all__ = ["AcProblem", "ac_residual", "ac_step", "ac_first_step", "ac_modified_energy",
            "ac_energy", "RATIO_BOUND_AC"]
@@ -61,7 +70,9 @@ class AcProblem:
     """Grid, initial data and scheme parameters for one phase-field run.
 
     Density values ride with the nodes, so the friction weight (rho0')^2 / M
-    per midpoint and the double well F(rho0) per node are fixed for the run.
+    per midpoint and the double well F(rho0) per node are fixed for the run,
+    and so are the end weights c_j of d_h, the force's quadrature weights and
+    the numerator of its Jacobian.
     """
 
     grid: Grid1D
@@ -73,6 +84,9 @@ class AcProblem:
     mobility_mid: np.ndarray = field(init=False, repr=False)
     friction_mid: np.ndarray = field(init=False, repr=False)
     well_nodes: np.ndarray = field(init=False, repr=False)
+    end_weights: np.ndarray = field(init=False, repr=False)
+    quad_weights: np.ndarray = field(init=False, repr=False)
+    dphi_num: np.ndarray = field(init=False, repr=False)
     initial: InitialCondition1D = None
     eta: float = 0.0
 
@@ -92,6 +106,17 @@ class AcProblem:
         object.__setattr__(self, "mobility_mid", np.asarray(mob, dtype=float))
         object.__setattr__(self, "friction_mid", self.rho0_prime_mid ** 2 / self.mobility_mid)
         object.__setattr__(self, "well_nodes", double_well(rho0_nodes))
+        h = self.grid.h
+        # c_j of (d_h x)_j = c_j (x_{j+1} - x_{j-1}): 1/(2h) inside, one-sided 1/h at the ends
+        c = np.full(self.grid.m_x + 1, 0.5 / h)
+        c[0] = c[-1] = 1.0 / h
+        object.__setattr__(self, "end_weights", c)
+        # the node quadrature's weights: h inside, h/2 at the ends
+        weights = np.full(self.grid.m_x + 1, h)
+        weights[0] = weights[-1] = 0.5 * h
+        object.__setattr__(self, "quad_weights", weights)
+        # the numerator of dPhi_j/d(d_h x)_j
+        object.__setattr__(self, "dphi_num", 0.5 * self.eps ** 2 * self.rho0_prime_nodes ** 2)
 
     @property
     def eps(self) -> float:
@@ -103,14 +128,59 @@ def _inertia_coeff(tau, r):
     return (2.0 * r + 1.0) / (2.0 * tau * (r + 1.0))
 
 
+@dataclass(slots=True)
+class _Cells:
+    """Cell state of one iterate (``key`` is its bytes), shared by everything
+    evaluated there."""
+
+    key: bytes
+    widths: np.ndarray
+    min_width: float
+    slope: np.ndarray      # D_h x = widths / h
+    inv_slope: np.ndarray  # 1 / slope
+    xm: np.ndarray         # midpoints
+    dhx: np.ndarray        # d_h x at every node
+    log_dhx: np.ndarray | None  # log d_h x, with the log regularization only
+
+
+def _cells(p: AcProblem, x, key: bytes) -> _Cells:
+    """The cell state of the node array x, after the admissibility check."""
+    widths = x[1:] - x[:-1]
+    min_width = widths.min()
+    if min_width <= 0.0:
+        raise AdmissibilityError("candidate trajectory is not strictly increasing")
+    slope = widths / p.grid.h
+    dhx = node_diff(x, p.grid)
+    return _Cells(key, widths, min_width, slope, 1.0 / slope, 0.5 * (x[:-1] + x[1:]), dhx,
+                  np.log(dhx) if p.eta > 0.0 else None)
+
+
+# (problem, cell state) of the iterate the last step of that problem accepted;
+# one tuple, so a state is never read with another problem's
+_accepted = None
+
+
+def _accepted_cells(p: AcProblem, x) -> _Cells | None:
+    """``p``'s accepted cell state if it is that of x, else None."""
+    memo = _accepted
+    if memo is None or memo[0] is not p or memo[1].key != x.tobytes():
+        return None
+    return memo[1]
+
+
 class _StepTerms:
-    """The step equations' terms that depend only on (x^{n-1}, x^n, tau, r).
+    """The step equations' terms that depend only on (x^{n-1}, x^n, tau, r),
+    and a one-entry memo of the cell state.
 
     Built once per step, so a residual or Jacobian evaluation does only the
-    work that depends on the iterate.  Each precomputed product is a leading
-    factor of the expression it came from (``c1 * w`` of ``c1 * w * (...)``),
-    so every term keeps its evaluation order and the bits of evaluating the
-    textbook formulas afresh.
+    work that depends on the iterate.  ``at(x)`` returns the cell state of x,
+    computed (with the admissibility check) only for a new iterate: the memo
+    is keyed by the bytes of x, so an array changed in place is never
+    answered from it.  It starts out holding x^n's state, carried from the
+    step that accepted x^n when there was one.  Each precomputed product is a
+    leading factor of the expression it came from (``c1 * w`` of
+    ``c1 * w * (...)``), so every term keeps its evaluation order and the
+    bits of evaluating the textbook formulas afresh.
     """
 
     def __init__(self, p: AcProblem, x_prev, x_curr, tau, r):
@@ -121,49 +191,54 @@ class _StepTerms:
         self.p = p
         self.tau = tau
         self.r = r
-        self.slope_curr = np.diff(x_curr) / h
-        self.inv_slope_curr = 1.0 / self.slope_curr
-        self.xm_curr = 0.5 * (x_curr[:-1] + x_curr[1:])
+        curr = _accepted_cells(p, x_curr)
+        if curr is None:
+            curr = _cells(p, x_curr, x_curr.tobytes())
+        self.last = curr
+        self.inv_slope_curr = curr.inv_slope
+        self.xm_curr = curr.xm
         self.c1w = c1 * w
         self.half_c1w = 0.5 * c1 * w
         self.neg_c1w = -c1 * w
         if r > 0.0:
             x_prev = np.asarray(x_prev)
             slope_prev = np.diff(x_prev) / h
-            self.hist = slope_prev ** -0.5 + self.slope_curr ** -0.5
+            rsqrt_curr = curr.slope ** -0.5
+            self.hist = slope_prev ** -0.5 + rsqrt_curr
             self.dxm = self.xm_curr - 0.5 * (x_prev[:-1] + x_prev[1:])
             # ``lead`` of the history term is lead_curr - (0.5/r) slope_next**-0.5
-            self.lead_curr = (1.0 + 0.5 / r) * self.slope_curr ** -0.5
+            self.lead_curr = (1.0 + 0.5 / r) * rsqrt_curr
             self.hist_w = (r * r) * w / (2.0 * tau * (r + 1.0))
             self.jac_hist = r / (8.0 * tau * (r + 1.0)) * w * self.hist * self.dxm
-        if p.eta > 0.0:
-            self.log_dh_curr = np.log(node_diff(x_curr, p.grid))
-        # end weights c_j of d_h x and the numerator of dPhi_j/d(d_h x)_j
-        self.c = np.full(p.grid.m_x + 1, 0.5 / h)
-        self.c[0] = self.c[-1] = 1.0 / h
-        self.dphi_num = 0.5 * p.eps ** 2 * p.rho0_prime_nodes ** 2
+        self.log_dh_curr = curr.log_dhx
+
+    def at(self, x) -> _Cells:
+        key = x.tobytes()
+        if self.last.key != key:
+            self.last = _cells(self.p, x, key)
+        return self.last
 
 
-def _midpoint_equation(t: _StepTerms, x_next, slope_next):
-    """Inertia, log-regularization and history terms of the scheme, per midpoint."""
+def _midpoint_equation(t: _StepTerms, c: _Cells):
+    """Inertia, log-regularization and history terms of the scheme at the
+    iterate with cell state c, per midpoint."""
     p = t.p
-    h = p.grid.h
-    xm_next = 0.5 * (x_next[:-1] + x_next[1:])
-    eq = t.c1w * (1.0 / slope_next + t.inv_slope_curr) * (xm_next - t.xm_curr)
+    eq = t.c1w * (c.inv_slope + t.inv_slope_curr) * (c.xm - t.xm_curr)
 
     if p.eta > 0.0:
-        logdiff = np.log(node_diff(x_next, p.grid)) - t.log_dh_curr
-        eq = eq - p.eta * t.tau * np.diff(logdiff) / h
+        logdiff = c.log_dhx - t.log_dh_curr
+        eq = eq - p.eta * t.tau * np.diff(logdiff) / p.grid.h
 
     r = t.r
     if r > 0.0:
-        lead = t.lead_curr - (0.5 / r) * slope_next ** -0.5
+        lead = t.lead_curr - (0.5 / r) * c.slope ** -0.5
         eq = eq - t.hist_w * lead * t.hist * t.dxm
     return eq
 
 
-def _energy_force(p: AcProblem, x):
-    """Gradient of the discrete phase-field energy with respect to the nodes.
+def _energy_force(p: AcProblem, dhx):
+    """Gradient of the discrete phase-field energy with respect to the nodes,
+    from the iterate's d_h x.
 
     In the interior this reproduces the averaged difference form
     (eps^2/4)(G_{j+1}^2 - G_{j-1}^2) - (F_{j+1} - F_{j-1})/2 of the pointwise
@@ -172,15 +247,13 @@ def _energy_force(p: AcProblem, x):
     accuracy and makes the dissipation estimate exact.
     """
     h = p.grid.h
-    dh = node_diff(x, p.grid)
     # dE/d(d_h x)_j per quadrature weight: -(eps^2/2) (rho0')^2 / dh^2 + F(rho0)
-    q = -(0.5 * p.eps ** 2) * (p.rho0_prime_nodes / dh) ** 2 + p.well_nodes
-    t = np.full_like(x, h)
-    t[0] = t[-1] = 0.5 * h
-    t = t * q
-    g = np.zeros_like(x)
-    g[2:] += t[1:-1] / (2.0 * h)
-    g[:-2] -= t[1:-1] / (2.0 * h)
+    q = -(0.5 * p.eps ** 2) * (p.rho0_prime_nodes / dhx) ** 2 + p.well_nodes
+    t = p.quad_weights * q
+    inner = t[1:-1] / (2.0 * h)
+    g = np.zeros_like(dhx)
+    g[2:] += inner
+    g[:-2] -= inner
     g[1] += t[0] / h
     g[0] -= t[0] / h
     g[-1] += t[-1] / h
@@ -198,12 +271,9 @@ def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float,
     (x_prev, x_curr, tau, r) when not given.
     """
     t = _StepTerms(p, x_prev, x_curr, tau, r) if terms is None else terms
-    x_next = np.asarray(x_next)
-    widths = x_next[1:] - x_next[:-1]
-    if np.any(widths <= 0.0):
-        raise AdmissibilityError("candidate trajectory is not strictly increasing")
-    eq = _midpoint_equation(t, x_next, widths / p.grid.h)
-    force = _energy_force(p, x_next)
+    c = t.at(np.asarray(x_next))
+    eq = _midpoint_equation(t, c)
+    force = _energy_force(p, c.dhx)
     return 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + force[1:-1]
 
 
@@ -222,26 +292,24 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=None):
     -sigma_{k+1} in columns k-2, k+2.
     """
     t = _StepTerms(p, x_prev, x_curr, tau, r) if terms is None else terms
+    c = t.at(np.asarray(x_next))
     h = p.grid.h
-    slope_next = (x_next[1:] - x_next[:-1]) / h
-    xm_next = 0.5 * (x_next[:-1] + x_next[1:])
 
     # the midpoint term of eq_c is even in its end nodes, the slope term odd
-    even = t.half_c1w * (1.0 / slope_next + t.inv_slope_curr)
-    odd = t.neg_c1w * (xm_next - t.xm_curr) / (h * slope_next ** 2)
+    even = t.half_c1w * (c.inv_slope + t.inv_slope_curr)
+    odd = t.neg_c1w * (c.xm - t.xm_curr) / (h * c.slope ** 2)
     if t.r > 0.0:
         # only the slope_next**-0.5 part of ``lead`` depends on x_next
-        odd = odd - t.jac_hist * slope_next ** -1.5 / h
+        odd = odd - t.jac_hist * c.slope ** -1.5 / h
     half = 0.5 * h
     left = half * (even - odd)
     right = half * (even + odd)
 
-    dh = node_diff(x_next, p.grid)
     # dPhi_j/d(d_h x)_j; c_j times the quadrature weight of node j is 1/2
-    dphi = t.dphi_num / dh ** 3
+    dphi = p.dphi_num / c.dhx ** 3
     if p.eta > 0.0:
-        dphi = dphi + 0.5 * p.eta * t.tau / dh
-    sigma = t.c * dphi
+        dphi = dphi + 0.5 * p.eta * t.tau / c.dhx
+    sigma = p.end_weights * dphi
 
     n = p.grid.m_x - 1
     ab = np.zeros((5, n))
@@ -266,7 +334,9 @@ def _row_sums(ab):
 
 
 def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
-    """Newton solve of the step equations from x_curr (see ``newton``)."""
+    """Newton solve of the step equations from x_curr (see ``newton``); the
+    solution's cell state is kept as ``p``'s accepted one."""
+    global _accepted
     t = _StepTerms(p, x_prev, x_curr, tau, r)
 
     def residual(x):
@@ -276,9 +346,15 @@ def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
         ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, terms=t)
         return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), None, _row_sums(ab)
 
-    return newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=NEWTON_TOL,
-                        stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
-                        step_bound=fraction_to_boundary)
+    def step_bound(x, step):
+        c = t.at(x)
+        return cell_fraction_to_boundary(c.widths, c.min_width, step)
+
+    x_new = newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=NEWTON_TOL,
+                         stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+                         max_backtracks=40, step_bound=step_bound)
+    _accepted = (p, t.at(x_new))
+    return x_new
 
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
@@ -298,7 +374,11 @@ def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
 
 
 def ac_energy(p: AcProblem, x) -> float:
-    return ac_discrete_energy(x, p.rho0_nodes, p.rho0_prime_nodes, p.grid, p.eps)
+    """E_h of x; the d_h x of the last accepted iterate comes from its cell state."""
+    x = np.asarray(x, dtype=float)
+    known = _accepted_cells(p, x)
+    return ac_discrete_energy(x, p.rho0_nodes, p.rho0_prime_nodes, p.grid, p.eps,
+                              dhx=None if known is None else known.dhx)
 
 
 def ac_modified_energy(p: AcProblem, x_prev, x_curr, tau: float,

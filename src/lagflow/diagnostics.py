@@ -5,12 +5,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grids import DensityField1D, DensityField2D, Grid1D, jacobian_det_interior, node_diff
+from .grids import DensityField2D, Grid1D, jacobian_det_interior
 
 __all__ = [
-    "total_mass_1d",
     "total_mass_2d",
-    "propagation_speed",
     "waiting_time_detect",
     "aronson_waiting_time",
     "convergence_order",
@@ -23,29 +21,11 @@ __all__ = [
 ]
 
 
-def total_mass_1d(density: DensityField1D, x) -> float:
-    """sum rho_{j+1/2} (x_{j+1} - x_j); equal to sum rho0 h for pushforward states."""
-    x = np.asarray(x)
-    return float(np.sum(density.values * np.diff(x)))
-
-
 def total_mass_2d(density: DensityField2D, x, y) -> float:
     """sum over interior nodes of rho det(F) h_x h_y."""
     grid = density.grid
     det = jacobian_det_interior(x, y, grid)
     return float(np.sum(density.values[1:-1, 1:-1] * det)) * grid.h_x * grid.h_y
-
-
-def propagation_speed(x, rho0_nodes, m: float, grid: Grid1D) -> np.ndarray:
-    """Free-boundary speed -(m/(m-1)) d_X(rho0^{m-1}) / (d_X x)^m at every node.
-
-    Central differences in the interior, one-sided at the ends (where the
-    free boundary lives).
-    """
-    if not m > 1.0:
-        raise ValueError("propagation speed is defined for porous-medium exponents m > 1")
-    f = np.asarray(rho0_nodes, dtype=float) ** (m - 1.0)
-    return -(m / (m - 1.0)) * node_diff(f, grid) / node_diff(x, grid) ** m
 
 
 def waiting_time_detect(times, boundary_positions, domain_length: float,

@@ -35,7 +35,6 @@ __all__ = [
     "DensityField1D",
     "DensityField2D",
     "forward_diff",
-    "midpoint_diff",
     "node_diff",
     "inner_product",
     "embed_interior",
@@ -140,12 +139,6 @@ def forward_diff(x, grid: Grid1D) -> np.ndarray:
     """Cell slopes (D_h x)_{j+1/2} = (x_{j+1} - x_j)/h; nodes -> midpoints."""
     x = _check_node(x, grid)
     return (x[1:] - x[:-1]) / grid.h
-
-
-def midpoint_diff(u, grid: Grid1D) -> np.ndarray:
-    """(d_h u)_j = (u_{j+1/2} - u_{j-1/2})/h at interior nodes j = 1..M_x-1."""
-    u = _check_mid(u, grid)
-    return np.diff(u) / grid.h
 
 
 def node_diff(x, grid: Grid1D) -> np.ndarray:

@@ -816,14 +816,17 @@ def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps
 
 # --- phase-field energy ----------------------------------------------------
 
-def ac_discrete_energy(x, rho0_nodes, rho0_prime_nodes, grid: Grid1D, eps: float) -> float:
+def ac_discrete_energy(x, rho0_nodes, rho0_prime_nodes, grid: Grid1D, eps: float,
+                       dhx=None) -> float:
     """Discrete phase-field energy of a trajectory,
 
         (eps^2/2) [ |rho0'(X) (d_h x)^{-1}|^2, d_h x ]_h + [ F(rho0(X)), d_h x ]_h,
 
-    with d_h x evaluated one-sided at the two boundary nodes.
+    with d_h x evaluated one-sided at the two boundary nodes (``dhx``, when
+    the caller has it).
     """
-    dhx = node_diff(x, grid)
+    if dhx is None:
+        dhx = node_diff(x, grid)
     if np.any(dhx <= 0.0):
         raise AdmissibilityError("d_h x must stay positive")
     g = np.asarray(rho0_prime_nodes) / dhx

@@ -5,13 +5,14 @@ solve per time step that only ever accepts admissible iterates.  This module
 owns that globalization (Nocedal & Wright, *Numerical Optimization*, 2006,
 ch. 3 and 19): the stopping rule below, shifted-system retries until the
 direction descends, an optional step bound such as the 1D
-fraction-to-the-boundary rule, Armijo backtracking that halves on
-inadmissible trials and allows for rounding noise, and acceptance of a
-stalled iterate within ``stall_tol``.  The merit is the step objective when
-there is one; otherwise it is ||F||_2, whose derivative along the Newton
-step is -||F||_2.  Assembly and linear solves stay with the solvers.  A
-residual or linear system that is not finite ends the solve with
-NewtonError, a SolverError, so the step controller halves the step.
+fraction-to-the-boundary rule (``cell_fraction_to_boundary``), Armijo
+backtracking that halves on inadmissible trials and allows for rounding
+noise, and acceptance of a stalled iterate within ``stall_tol``.  The merit
+is the step objective when there is one; otherwise it is ||F||_2, whose
+derivative along the Newton step is -||F||_2.  Assembly and linear solves
+stay with the solvers.  A residual or linear system that is not finite ends
+the solve with NewtonError, a SolverError, so the step controller halves the
+step.
 
 The solve stops once every free unknown has
 
@@ -47,7 +48,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, NewtonError
 
-__all__ = ["newton_solve", "fraction_to_boundary", "ARMIJO"]
+__all__ = ["newton_solve", "cell_fraction_to_boundary", "ARMIJO"]
 
 log = logging.getLogger(__name__)
 
@@ -60,16 +61,17 @@ _NOISE = 32.0 * _EPS
 _SHIFT_TRIES = 8
 
 
-def fraction_to_boundary(x, step) -> float:
+def cell_fraction_to_boundary(widths, min_width, step) -> float:
     """Largest alpha <= 1 (times 0.99) keeping every cell of the 1D node array
-    x + alpha step at least 10% of the currently narrowest one (``wgf1d``
-    takes the same alpha from its cell state)."""
-    widths = np.diff(x)
-    dw = np.diff(step)
-    shrink = dw < 0.0
-    if not np.any(shrink):
-        return 1.0
-    return min(1.0, 0.99 * np.min((widths[shrink] - 0.1 * widths.min()) / -dw[shrink]))
+    x + alpha step at least 10% of the currently narrowest one, from the
+    widths of x and their minimum: no difference of x, no gather.  ``step``
+    must be finite."""
+    shrink = step[:-1] - step[1:]  # -diff(step), bit for bit
+    np.putmask(shrink, shrink <= 0.0, 0.0)
+    room = widths - 0.1 * min_width
+    with np.errstate(divide="ignore"):
+        np.divide(room, shrink, out=room)  # inf where the cell does not shrink
+    return min(1.0, 0.99 * room.min())
 
 
 def _norm(v) -> float:

@@ -10,10 +10,12 @@ extrapolation of the two history levels (the first step, from the history
 at rest, has r = 0: xhat = x^0 and backward Euler).  The density is then
 recovered by pushforward, which conserves mass identically.  The shared
 damped-Newton core (``newton``) does the minimization with the analytic
-tridiagonal Hessian; its fraction-to-the-boundary rule keeps every cell at
-least 10% of the currently narrowest one, and backtracking only ever accepts
-objective decreases (up to the core's rounding allowance).  It stops at the
-core's rounding-level rule, with the row sums of the tridiagonal |H|.
+tridiagonal Hessian; its fraction-to-the-boundary rule
+(``newton.cell_fraction_to_boundary``, shared with ``allen_cahn``) keeps
+every cell at least 10% of the currently narrowest one, and backtracking
+only ever accepts objective decreases (up to the core's rounding
+allowance).  It stops at the core's rounding-level rule, with the row sums
+of the tridiagonal |H|.
 
 The terms of J that do not depend on the iterate (xhat's midpoints, the
 cell inertia weights, the viscosity reference and the constant part of the
@@ -66,10 +68,10 @@ from .errors import AdmissibilityError
 from .grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
 from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
                      discrete_energy_grad_1d, discrete_energy_hess_1d)
-from .newton import newton_solve
+from .newton import cell_fraction_to_boundary, newton_solve
 
-__all__ = ["Wgf1dProblem", "extrapolate_hat", "wgf1d_residual", "wgf1d_step",
-           "wgf1d_first_step", "wgf1d_augmented_energy", "wgf1d_energy", "RATIO_BOUND_1D"]
+__all__ = ["Wgf1dProblem", "extrapolate_hat", "wgf1d_step", "wgf1d_first_step",
+           "wgf1d_augmented_energy", "wgf1d_energy", "RATIO_BOUND_1D"]
 
 NEWTON_TOL = 1e-11
 NEWTON_MAX_ITER = 60
@@ -242,12 +244,6 @@ def _hessian_tridiag(t: _StepTerms, x):
     return diag, off
 
 
-def wgf1d_residual(p: Wgf1dProblem, traj: Trajectory1D, x_candidate, tau: float) -> np.ndarray:
-    """First-order-condition residual of the step objective at the free nodes."""
-    g = _gradient(_bdf2_terms(p, traj, tau), np.asarray(x_candidate, dtype=float))
-    return g[1:-1] if p.pinned else g
-
-
 def _eigen_shift(d, o) -> float:
     """First diagonal shift for the symmetric tridiagonal (diagonal d,
     off-diagonal o): the floor max(1e-8, 1e-8 max|d|) if its smallest
@@ -256,17 +252,6 @@ def _eigen_shift(d, o) -> float:
     floor = max(1e-8, np.abs(d).max() * 1e-8)
     lam = eigvalsh_tridiagonal(d, o, select="i", select_range=(0, 0))[0]
     return floor if lam >= 0.0 else -lam + max(floor, -0.1 * lam)
-
-
-def _fraction_to_boundary(c: _Cells, step) -> float:
-    """``newton.fraction_to_boundary`` of the finite node step from the cell
-    state c, with the same alpha: no difference of x, no gather."""
-    shrink = step[:-1] - step[1:]  # -diff(step), bit for bit
-    np.putmask(shrink, shrink <= 0.0, 0.0)
-    room = c.widths - 0.1 * c.min_width
-    with np.errstate(divide="ignore"):
-        np.divide(room, shrink, out=room)  # inf where the cell does not shrink
-    return min(1.0, 0.99 * room.min())
 
 
 def _start(t: _StepTerms, x_curr, x_pred):
@@ -316,10 +301,14 @@ def _minimize(t: _StepTerms, x_start):
             return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
         return solve, lambda: _eigen_shift(d, o), rows[free]
 
+    def step_bound(x, step):
+        c = t.at(x)
+        return cell_fraction_to_boundary(c.widths, c.min_width, step)
+
     return newton_solve(x_start, gradient, linearize, objective=objective, free=free,
                         tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                         max_backtracks=50,
-                        step_bound=lambda x, step: _fraction_to_boundary(t.at(x), step))
+                        step_bound=step_bound)
 
 
 def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):

@@ -587,7 +587,7 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
     diag(2 coeff rho0) + s (-Lap_h) preconditions CG on the unshifted Newton
     systems until CG fails on one; without it every Newton system is
     factored."""
-    if j_start > j_ref * (1.0 + 1e-12) + 1e-300:
+    if j_start > j_ref + 1e-12 * abs(j_ref):
         raise NewtonError("warm start above the feasibility cap")
     grid = p.grid
     area = grid.h_x * grid.h_y

@@ -9,10 +9,12 @@ from lagflow.allen_cahn import (NEWTON_MAX_ITER, NEWTON_TOL, AcProblem, _banded_
                                 _energy_force, _StepTerms, ac_energy, ac_first_step, ac_modified_energy,
                                 ac_residual, ac_step)
 from lagflow.errors import AdmissibilityError
-from lagflow.grids import Grid1D, node_diff
+from lagflow.grids import Grid1D, Trajectory1D, node_diff
 from lagflow.initial import InitialCondition1D, ac_parabola
-from lagflow.models import ConstantMobility, DegenerateMobility, GinzburgLandau, double_well
-from lagflow.newton import fraction_to_boundary, newton_solve
+from lagflow.models import (ConstantMobility, DegenerateMobility, GinzburgLandau,
+                            ac_discrete_energy, double_well)
+from lagflow.newton import newton_solve
+from oracles import fraction_to_boundary
 from stops import check_stops, record_stops
 
 
@@ -351,13 +353,114 @@ def test_step_terms_reproduce_the_per_call_formulas_bit_for_bit(at_rest, mobilit
     if at_rest:
         r = 0.0
     eq = per_call_midpoint_equation(p, x_prev, x_curr, x_next, tau, r)
-    want_res = 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + _energy_force(p, x_next)[1:-1]
+    force = _energy_force(p, node_diff(x_next, p.grid))
+    want_res = 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + force[1:-1]
     want_jac = per_call_banded_jacobian(p, x_prev, x_curr, x_next, tau, r)
     terms = _StepTerms(p, x_prev, x_curr, tau, r)
     for t in (None, terms):
         assert np.array_equal(ac_residual(p, x_prev, x_curr, x_next, tau, r, terms=t), want_res)
         assert np.array_equal(_banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=t),
                               want_jac)
+
+
+def per_call_energy_force(p, x):
+    """Oracle: the energy force with its quadrature weights and d_h x built on
+    each call, in the operation order the scheme is written in."""
+    h = p.grid.h
+    dh = node_diff(x, p.grid)
+    q = -(0.5 * p.eps ** 2) * (p.rho0_prime_nodes / dh) ** 2 + p.well_nodes
+    t = np.full_like(x, h)
+    t[0] = t[-1] = 0.5 * h
+    t = t * q
+    g = np.zeros_like(x)
+    g[2:] += t[1:-1] / (2.0 * h)
+    g[:-2] -= t[1:-1] / (2.0 * h)
+    g[1] += t[0] / h
+    g[0] -= t[0] / h
+    g[-1] += t[-1] / h
+    g[-2] -= t[-1] / h
+    return g
+
+
+CELL_FIELDS = ("widths", "min_width", "slope", "inv_slope", "xm", "dhx", "log_dhx")
+
+
+@settings(max_examples=20, deadline=None)
+@given(r=st.floats(min_value=0.0, max_value=1.5, exclude_min=True).filter(lambda r: r >= 1e-6),
+       eta=st.sampled_from([0.0, 1e-3]),
+       degenerate=st.booleans(),
+       shift=arrays(np.float64, (25,), elements=st.floats(-0.3, 0.3)))
+def test_carried_cell_state_matches_a_fresh_one_bit_for_bit(r, eta, degenerate, shift):
+    # the accepted iterate's cell state, carried to the next step, gives that
+    # step's terms, residual, Jacobian and step, and the recorded E_h, with the
+    # bits of building everything from scratch
+    mobility = DegenerateMobility() if degenerate else ConstantMobility()
+    p = make_problem(mx=24, eps=0.05, eta=eta, mobility=mobility, initial=_SHALLOW_PARABOLA)
+    tau = 1e-3
+    traj = ac_first_step(p, tau)
+    x_n = traj.curr
+    carried = allen_cahn._accepted_cells(p, x_n)
+    assert carried is not None
+    fresh = allen_cahn._cells(p, x_n.copy(), x_n.tobytes())
+    for name in CELL_FIELDS:
+        assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
+    assert (carried.log_dhx is None) == (eta == 0.0)
+
+    tau_next = r * tau
+    x_next = x_n + p.grid.h * shift
+    x_next[0], x_next[-1] = -1.0, 1.0
+    terms = _StepTerms(p, traj.prev, x_n, tau_next, r)
+    assert terms.last is carried  # the first residual, at x^n, is a memo hit
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allen_cahn, "_accepted", None)
+        scratch = _StepTerms(p, traj.prev, x_n, tau_next, r)
+        energy_scratch = ac_energy(p, x_n)
+        step_scratch = ac_step(p, traj, tau_next)[0].curr
+    assert scratch.last is not carried
+    for x in (x_n, x_next):
+        eq = per_call_midpoint_equation(p, traj.prev, x_n, x, tau_next, r)
+        want_res = 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + per_call_energy_force(p, x)[1:-1]
+        want_jac = per_call_banded_jacobian(p, traj.prev, x_n, x, tau_next, r)
+        for t in (terms, scratch):
+            assert np.array_equal(ac_residual(p, traj.prev, x_n, x, tau_next, r, terms=t),
+                                  want_res)
+            assert np.array_equal(_banded_jacobian(p, traj.prev, x_n, x, tau_next, r, terms=t),
+                                  want_jac)
+    assert ac_energy(p, x_n) == energy_scratch
+    for x in (x_n, x_next):  # the carried d_h x serves x^n alone
+        assert ac_energy(p, x) == ac_discrete_energy(x, p.rho0_nodes, p.rho0_prime_nodes,
+                                                     p.grid, p.eps)
+    assert np.array_equal(ac_step(p, traj, tau_next)[0].curr, step_scratch)
+
+
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_each_iterate_cell_state_is_built_once_per_step(monkeypatch, eta):
+    # residual, Jacobian and step bound at an iterate share one cell state;
+    # x^n's comes from the step that accepted it, and the record's E_h reads
+    # the accepted iterate's d_h x
+    p = make_problem(mx=32, eta=eta)
+    built = []
+    cells = allen_cahn._cells
+
+    def recorded(p, x, key):
+        built.append(key)
+        return cells(p, x, key)
+
+    monkeypatch.setattr(allen_cahn, "_cells", recorded)
+    traj = Trajectory1D.at_rest(p.grid)
+    for k, tau in enumerate((1e-3, 1.5e-3, 1e-3, 1.3e-3)):
+        built.clear()
+        new, _ = ac_step(p, traj, tau)
+        assert len(built) >= 2
+        assert len(set(built)) == len(built)
+        # from rest, x^0's state is built first; after that x^n's is carried
+        assert (traj.curr.tobytes() in built) == (k == 0)
+        assert built[-1] == new.curr.tobytes()
+        energy = ac_energy(p, new.curr)
+        assert len(built) == len(set(built))
+        assert energy == ac_discrete_energy(new.curr, p.rho0_nodes, p.rho0_prime_nodes,
+                                            p.grid, p.eps)
+        traj = new
 
 
 def first_step_oracle(p, tau1):
@@ -381,7 +484,7 @@ def first_step_oracle(p, tau1):
         if p.eta > 0.0:
             logdiff = np.log(node_diff(x, p.grid)) - np.log(node_diff(x0, p.grid))
             eq = eq - p.eta * tau1 * np.diff(logdiff) / h
-        return 0.5 * h * (eq[:-1] + eq[1:]) + _energy_force(p, x)[1:-1]
+        return 0.5 * h * (eq[:-1] + eq[1:]) + _energy_force(p, node_diff(x, p.grid))[1:-1]
 
     def linearize(x):
         slope_next = np.diff(x) / h

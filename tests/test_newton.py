@@ -5,7 +5,8 @@ from hypothesis.extra.numpy import arrays
 
 from lagflow.banded import solve_banded
 from lagflow.errors import AdmissibilityError, NewtonError, SolverError
-from lagflow.newton import ARMIJO, fraction_to_boundary, newton_solve
+from lagflow.newton import ARMIJO, newton_solve
+from oracles import fraction_to_boundary
 
 EPS = np.finfo(float).eps
 NOISE = 32.0 * EPS

@@ -12,13 +12,14 @@ from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
 from lagflow.experiments import Wgf1dSim, random_step_sequence, run_experiment
 from lagflow.grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
-from lagflow.initial import pme_cosine
-from lagflow.models import (FokkerPlanck, KellerSegel1D, PorousMedium, discrete_energy_1d,
-                            discrete_energy_grad_1d, discrete_energy_hess_1d)
-from lagflow.newton import _NOISE, fraction_to_boundary
+from lagflow.initial import ac_parabola, pme_cosine
+from lagflow.models import (ConstantMobility, FokkerPlanck, GinzburgLandau, KellerSegel1D,
+                            PorousMedium, discrete_energy_1d, discrete_energy_grad_1d,
+                            discrete_energy_hess_1d)
+from lagflow.newton import _NOISE, cell_fraction_to_boundary
 from lagflow.wgf1d import (RATIO_BOUND_1D, Wgf1dProblem, extrapolate_hat,
-                           wgf1d_augmented_energy, wgf1d_energy, wgf1d_first_step,
-                           wgf1d_residual, wgf1d_step)
+                           wgf1d_augmented_energy, wgf1d_energy, wgf1d_first_step, wgf1d_step)
+from oracles import fraction_to_boundary, wgf1d_residual
 from stops import without_floor
 
 
@@ -459,13 +460,48 @@ def test_cell_state_step_bound_is_fraction_to_boundary_bit_for_bit(drawn):
     n = len(x) - 1
     p = Wgf1dProblem(Grid1D(x[0], x[-1], n), PorousMedium(2.0), np.ones(n), pinned=False)
     terms = wgf1d._StepTerms(p, x, x, None, None, 1.0, 1.0)
+    ac = allen_cahn._StepTerms(ac_problem(x), x, x, 1.0, 0.0)
     with np.errstate(over="ignore"):  # both overflow alike on the 1e-300 steps
-        alpha = wgf1d._fraction_to_boundary(terms.at(x), step)
-        assert alpha == fraction_to_boundary(x, step)
+        want = fraction_to_boundary(x, step)
+        for cells in (terms.at(x), ac.at(x)):
+            alpha = cell_fraction_to_boundary(cells.widths, cells.min_width, step)
+            assert alpha == want
     if kind == "growing":
         assert alpha == 1.0
-    # the phase-field solver keeps the reference rule
-    assert allen_cahn.fraction_to_boundary is fraction_to_boundary
+
+
+def ac_problem(x):
+    """A phase-field problem on the grid of the node array x."""
+    n = len(x) - 1
+    return allen_cahn.AcProblem(Grid1D(x[0], x[-1], n), GinzburgLandau(0.1, ConstantMobility()),
+                                initial=ac_parabola())
+
+
+@pytest.mark.parametrize("solver", ["wgf1d", "allen_cahn"])
+def test_both_1d_solvers_bound_steps_by_the_cell_state(monkeypatch, solver):
+    # every Newton iteration of either solver takes its initial step length
+    # from the shared cell-state bound, evaluated at the iterate's own state
+    module = {"wgf1d": wgf1d, "allen_cahn": allen_cahn}[solver]
+    assert module.cell_fraction_to_boundary is cell_fraction_to_boundary
+    calls = []
+
+    def recorded(widths, min_width, step):
+        calls.append((widths, min_width))
+        return cell_fraction_to_boundary(widths, min_width, step)
+
+    monkeypatch.setattr(module, "cell_fraction_to_boundary", recorded)
+    if solver == "wgf1d":
+        p = pme_problem(mx=32)
+        traj, _ = wgf1d_first_step(p, 1e-3)
+        wgf1d_step(p, traj, 1.5e-3)
+    else:
+        grid = Grid1D(-1.0, 1.0, 32)
+        p = allen_cahn.AcProblem(grid, GinzburgLandau(0.1, ConstantMobility()),
+                                 initial=ac_parabola())
+        allen_cahn.ac_step(p, allen_cahn.ac_first_step(p, 1e-3), 1.5e-3)
+    assert calls
+    for widths, min_width in calls:
+        assert min_width == widths.min() > 0.0
 
 
 def handoff_problems():

@@ -8,7 +8,7 @@ import lagflow.models as models
 import lagflow.wgf2d as wgf2d
 from lagflow.config import preset_defaults
 from lagflow.diagnostics import barenblatt_2d, total_mass_2d
-from lagflow.errors import AdmissibilityError, SolverError
+from lagflow.errors import AdmissibilityError, NewtonError, SolverError
 from lagflow.grids import Grid2D, Trajectory2D, jacobian_det_interior
 from lagflow.initial import barenblatt_initial_2d, ks_gaussian_2d
 from lagflow.models import KellerSegel2D, PorousMedium, discrete_energy_hess_2d
@@ -782,6 +782,24 @@ def implicit_first_step_oracle(p, tau1):
     j0 = wgf2d._objective_2d(p, x0, y0, x0, y0, x_ref, y_ref, 0.5 / tau1, s)
     return wgf2d._implicit_solve(p, x0, y0, j0, j0, x0, y0, x_ref, y_ref, 0.5 / tau1, s)
 
+
+
+def test_feasibility_cap_admits_a_start_at_a_negative_reference():
+    # the cap is J(x^n) plus a relative allowance, so a start at J(x^n) < 0 is
+    # solved, and one above the allowance is still refused
+    p = bump_problem()
+    tau = 2e-3
+    x0, y0 = p.grid.ref_x.copy(), p.grid.ref_y.copy()
+    x_ref, y_ref = wgf2d._visc_ref(p, x0, y0)
+    rest = (x0, y0, x_ref, y_ref, 0.5 / tau, p.visc_strength(tau))
+
+    def solve(j_start, j_ref):
+        return wgf2d._implicit_solve(p, x0, y0, j_start, j_ref, *rest)
+
+    x, y = solve(-1.0, -1.0)
+    assert np.all(jacobian_det_interior(x, y, p.grid) > 0.0)
+    with pytest.raises(NewtonError, match="warm start above the feasibility cap"):
+        solve(-1.0 + 2e-12, -1.0)
 
 def ks_problem(mx=16):
     g = Grid2D(-5.0, 5.0, -5.0, 5.0, mx, mx)
