@@ -26,6 +26,17 @@ outer bands.  The solve stops at the core's rounding-level rule, with the row
 sums of |J| over the five bands.  The first step is the step from the
 history at rest, where r = 0 makes it backward Euler.
 
+Newton starts from the linear predictor x^n + r (x^n - x^{n-1}) when r > 0
+and every cell of it has positive width, and from x^n otherwise (at r = 0
+the two coincide); the predicted start is the usual one for an implicit
+multistep corrector (Hairer, Norsett & Wanner, *Solving ODEs I*, sec.
+III.7).  Unlike ``wgf1d``, whose energy estimate needs J(start) <= J(x^n),
+there is no test of the residual at the start: the maximum bound principle
+holds for any admissible iterate and the modified-energy estimate is a
+property of the step's solution, so the start moves that solution only
+within Newton's tolerance and changes how many iterations reach it (on
+``ac-interface``, a quarter fewer than from x^n).
+
 The cell state of an iterate (its widths, with the admissibility check and
 the narrowest width, slopes and their reciprocals, midpoints, d_h x and, with
 the log regularization, log d_h x) is computed once and shared by its
@@ -46,6 +57,7 @@ evaluating each term afresh.  The banded solve goes straight to LAPACK
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -69,10 +81,11 @@ RATIO_BOUND_AC = 1.5  # step ratios up to which the modified energy decays
 class AcProblem:
     """Grid, initial data and scheme parameters for one phase-field run.
 
-    Density values ride with the nodes, so the friction weight (rho0')^2 / M
-    per midpoint and the double well F(rho0) per node are fixed for the run,
-    and so are the end weights c_j of d_h, the force's quadrature weights and
-    the numerator of its Jacobian.
+    Density values ride with the nodes, so the density field every step
+    returns, the friction weight (rho0')^2 / M per midpoint and the double
+    well F(rho0) per node are fixed for the run, and so are the end weights
+    c_j of d_h, the force's quadrature weights and the numerator of its
+    Jacobian.
     """
 
     grid: Grid1D
@@ -121,6 +134,12 @@ class AcProblem:
     @property
     def eps(self) -> float:
         return self.model.eps
+
+    @cached_property
+    def density(self) -> DensityField1D:
+        """The transported density, which every step returns; built by the
+        first step, which is where a negative rho0 is refused."""
+        return DensityField1D(self.rho0_mid.copy(), self.grid)
 
 
 def _inertia_coeff(tau, r):
@@ -333,9 +352,23 @@ def _row_sums(ab):
     return rows
 
 
+def _start(t: _StepTerms, x_prev, x_curr):
+    """The linear predictor x^n + r (x^n - x^{n-1}) if r > 0 and every cell of
+    it has positive width, else x^n.  A predictor's cell state is left in the
+    memo, so Newton's first residual there builds nothing."""
+    if t.r > 0.0:
+        x_pred = x_curr + t.r * (x_curr - x_prev)
+        try:
+            t.at(x_pred)
+            return x_pred
+        except AdmissibilityError:
+            pass
+    return x_curr
+
+
 def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
-    """Newton solve of the step equations from x_curr (see ``newton``); the
-    solution's cell state is kept as ``p``'s accepted one."""
+    """Newton solve of the step equations from the linear predictor (``_start``;
+    see ``newton``); the solution's cell state is kept as ``p``'s accepted one."""
     global _accepted
     t = _StepTerms(p, x_prev, x_curr, tau, r)
 
@@ -350,8 +383,8 @@ def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
         c = t.at(x)
         return cell_fraction_to_boundary(c.widths, c.min_width, step)
 
-    x_new = newton_solve(x_curr, residual, linearize, free=slice(1, -1), tol=NEWTON_TOL,
-                         stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+    x_new = newton_solve(_start(t, x_prev, x_curr), residual, linearize, free=slice(1, -1),
+                         tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                          max_backtracks=40, step_bound=step_bound)
     _accepted = (p, t.at(x_new))
     return x_new
@@ -365,7 +398,7 @@ def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
     x_new = _solve_step(p, traj.prev, traj.curr, tau_next, r)
     new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
                             traj.step_index + 1, p.grid, pinned=True)
-    return new_traj, DensityField1D(p.rho0_mid.copy(), p.grid)
+    return new_traj, p.density
 
 
 def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
@@ -374,11 +407,12 @@ def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
 
 
 def ac_energy(p: AcProblem, x) -> float:
-    """E_h of x; the d_h x of the last accepted iterate comes from its cell state."""
+    """E_h of x, with the problem's F(rho0); the d_h x of the last accepted
+    iterate comes from its cell state."""
     x = np.asarray(x, dtype=float)
     known = _accepted_cells(p, x)
     return ac_discrete_energy(x, p.rho0_nodes, p.rho0_prime_nodes, p.grid, p.eps,
-                              dhx=None if known is None else known.dhx)
+                              dhx=None if known is None else known.dhx, well=p.well_nodes)
 
 
 def ac_modified_energy(p: AcProblem, x_prev, x_curr, tau: float,

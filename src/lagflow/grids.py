@@ -39,7 +39,6 @@ __all__ = [
     "inner_product",
     "embed_interior",
     "deformation_stencil",
-    "jacobian_det_2d",
     "jacobian_det_interior",
     "pushforward_density_1d",
 ]
@@ -303,17 +302,6 @@ def jacobian_det_interior(x, y, grid: Grid2D) -> np.ndarray:
     """
     x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
     return x_x * y_y - y_x * x_y
-
-
-def jacobian_det_2d(x, y, grid: Grid2D, i: int, j: int) -> float:
-    """Deformation determinant at one interior node (i, j).
-
-    The central stencil is undefined on the boundary ring, where nodes stay
-    pinned to the reference; asking for it is an error.
-    """
-    if not (1 <= i <= grid.m_y - 1 and 1 <= j <= grid.m_x - 1):
-        raise ValueError(f"determinant stencil undefined at boundary node ({i}, {j})")
-    return float(jacobian_det_interior(x, y, grid)[i - 1, j - 1])
 
 
 def pushforward_density_1d(rho0, x, grid: Grid1D) -> DensityField1D:

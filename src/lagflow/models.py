@@ -84,7 +84,6 @@ __all__ = [
     "discrete_energy_grad_1d",
     "discrete_energy_hess_1d",
     "discrete_energy_2d",
-    "discrete_energy_grad_2d",
     "discrete_energy_hess_2d",
     "hess_2d_structure",
     "mass_mask",
@@ -689,19 +688,6 @@ def deformation_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D):
     return gx, gy
 
 
-def discrete_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D):
-    """Gradient of ``discrete_energy_2d`` (h_x h_y included), zero on the boundary."""
-    gx, gy = deformation_energy_grad_2d(model, x, y, rho0, grid)
-    scale = grid.h_x * grid.h_y
-    gx = gx * scale
-    gy = gy * scale
-    if isinstance(model, KellerSegel2D):
-        fx, fy = ks2d_interaction_force(model, x, y, rho0, grid)
-        gx[1:-1, 1:-1] += fx[1:-1, 1:-1] * scale
-        gy[1:-1, 1:-1] += fy[1:-1, 1:-1] * scale
-    return gx, gy
-
-
 # second derivatives of the bilinear determinant, in units of 1/(4 hx hy), as
 # (stencil slot, stencil slot, sign): (x_X, y_Y) pairs carry +1, (y_X, x_Y) pairs -1
 _DET_PAIRS = ((0, 7, -1.0), (0, 6, 1.0), (1, 7, 1.0), (1, 6, -1.0),
@@ -817,19 +803,21 @@ def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps
 # --- phase-field energy ----------------------------------------------------
 
 def ac_discrete_energy(x, rho0_nodes, rho0_prime_nodes, grid: Grid1D, eps: float,
-                       dhx=None) -> float:
+                       dhx=None, well=None) -> float:
     """Discrete phase-field energy of a trajectory,
 
         (eps^2/2) [ |rho0'(X) (d_h x)^{-1}|^2, d_h x ]_h + [ F(rho0(X)), d_h x ]_h,
 
     with d_h x evaluated one-sided at the two boundary nodes (``dhx``, when
-    the caller has it).
+    the caller has it) and F(rho0(X)) (``well``, when the caller has it).
     """
     if dhx is None:
         dhx = node_diff(x, grid)
     if np.any(dhx <= 0.0):
         raise AdmissibilityError("d_h x must stay positive")
+    if well is None:
+        well = double_well(np.asarray(rho0_nodes))
     g = np.asarray(rho0_prime_nodes) / dhx
     e_grad = 0.5 * eps * eps * inner_product("node", g * g, dhx, grid)
-    e_well = inner_product("node", double_well(np.asarray(rho0_nodes)), dhx, grid)
+    e_well = inner_product("node", well, dhx, grid)
     return e_grad + e_well

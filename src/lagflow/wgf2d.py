@@ -88,7 +88,7 @@ from .newton import newton_solve
 from .wgf1d import extrapolate_hat
 
 __all__ = ["Wgf2dProblem", "VISC_TAU_INCREMENT", "VISC_TAU_SQ_ABSOLUTE",
-           "d2_operator", "wgf2d_step_explicit", "wgf2d_step_implicit",
+           "wgf2d_step_explicit", "wgf2d_step_implicit",
            "wgf2d_first_step_explicit", "wgf2d_first_step_implicit",
            "recover_density_2d", "wgf2d_energy", "wgf2d_augmented_energy",
            "RATIO_BOUND_2D"]
@@ -131,14 +131,6 @@ class Wgf2dProblem:
         if self.visc_scaling == VISC_TAU_INCREMENT:
             return self.eps_visc * tau
         return self.eps_visc * tau * tau
-
-def d2_operator(a_next, a_curr, a_prev, tau: float, r: float):
-    """Variable-step BDF2 difference ((1+2r) a^{n+1} - (1+r)^2 a^n + r^2 a^{n-1}) / (tau (1+r))."""
-    a_next = np.asarray(a_next)
-    a_curr = np.asarray(a_curr)
-    a_prev = np.asarray(a_prev)
-    return ((1.0 + 2.0 * r) * a_next - (1.0 + r) ** 2 * a_curr + r * r * a_prev) / (tau * (1.0 + r))
-
 
 def _neg_lap_interior(u, grid: Grid2D):
     # 5-point -Laplacian of a full node field, evaluated at interior nodes

@@ -8,7 +8,9 @@ against these.
 import numpy as np
 
 from lagflow import wgf1d
-from lagflow.grids import Grid1D, node_diff
+from lagflow.grids import Grid1D, Grid2D, jacobian_det_interior, node_diff
+from lagflow.models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
+                            ks2d_interaction_force)
 
 
 def fraction_to_boundary(x, step) -> float:
@@ -50,3 +52,35 @@ def propagation_speed(x, rho0_nodes, m: float, grid: Grid1D) -> np.ndarray:
         raise ValueError("propagation speed is defined for porous-medium exponents m > 1")
     f = np.asarray(rho0_nodes, dtype=float) ** (m - 1.0)
     return -(m / (m - 1.0)) * node_diff(f, grid) / node_diff(x, grid) ** m
+
+
+def jacobian_det_2d(x, y, grid: Grid2D, i: int, j: int) -> float:
+    """Deformation determinant at one interior node (i, j).
+
+    The central stencil is undefined on the boundary ring, where nodes stay
+    pinned to the reference; asking for it is an error.
+    """
+    if not (1 <= i <= grid.m_y - 1 and 1 <= j <= grid.m_x - 1):
+        raise ValueError(f"determinant stencil undefined at boundary node ({i}, {j})")
+    return float(jacobian_det_interior(x, y, grid)[i - 1, j - 1])
+
+
+def discrete_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D):
+    """Gradient of ``discrete_energy_2d`` (h_x h_y included), zero on the boundary."""
+    gx, gy = deformation_energy_grad_2d(model, x, y, rho0, grid)
+    scale = grid.h_x * grid.h_y
+    gx = gx * scale
+    gy = gy * scale
+    if isinstance(model, KellerSegel2D):
+        fx, fy = ks2d_interaction_force(model, x, y, rho0, grid)
+        gx[1:-1, 1:-1] += fx[1:-1, 1:-1] * scale
+        gy[1:-1, 1:-1] += fy[1:-1, 1:-1] * scale
+    return gx, gy
+
+
+def d2_operator(a_next, a_curr, a_prev, tau: float, r: float):
+    """Variable-step BDF2 difference ((1+2r) a^{n+1} - (1+r)^2 a^n + r^2 a^{n-1}) / (tau (1+r))."""
+    a_next = np.asarray(a_next)
+    a_curr = np.asarray(a_curr)
+    a_prev = np.asarray(a_prev)
+    return ((1.0 + 2.0 * r) * a_next - (1.0 + r) ** 2 * a_curr + r * r * a_prev) / (tau * (1.0 + r))

@@ -22,9 +22,10 @@ from lagflow.initial import ac_parabola, pme_cosine
 from lagflow.models import (DegenerateMobility, FokkerPlanck, GinzburgLandau,
                             KellerSegel1D, KellerSegel2D, PorousMedium,
                             discrete_energy_1d, discrete_energy_2d,
-                            discrete_energy_grad_1d, discrete_energy_grad_2d)
+                            discrete_energy_grad_1d)
 from lagflow.wgf1d import (RATIO_BOUND_1D, Wgf1dProblem, wgf1d_augmented_energy,
                            wgf1d_first_step, wgf1d_step)
+from oracles import discrete_energy_grad_2d
 
 RATIO_BOUND_2D = THEORY_RATIO_BOUNDS["wgf-2d"]
 

@@ -8,7 +8,9 @@ from lagflow import allen_cahn
 from lagflow.allen_cahn import (NEWTON_MAX_ITER, NEWTON_TOL, AcProblem, _banded_jacobian,
                                 _energy_force, _StepTerms, ac_energy, ac_first_step, ac_modified_energy,
                                 ac_residual, ac_step)
+from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
+from lagflow.experiments import run_experiment
 from lagflow.grids import Grid1D, Trajectory1D, node_diff
 from lagflow.initial import InitialCondition1D, ac_parabola
 from lagflow.models import (ConstantMobility, DegenerateMobility, GinzburgLandau,
@@ -123,6 +125,7 @@ def test_mbp_density_multiset_exact():
     traj = ac_first_step(p, 1e-3)
     for _ in range(10):
         traj, density = ac_step(p, traj, 1.2e-3)
+        assert density is p.density  # built once per problem
         assert np.array_equal(np.sort(density.values), np.sort(p.rho0_mid))
         assert density.values.min() == p.rho0_mid.min()
         assert density.values.max() == p.rho0_mid.max()
@@ -546,3 +549,86 @@ def test_tiny_steps_stop_at_the_rounding_floor(monkeypatch, tau):
         traj, _ = ac_step(p, traj, tau_next)
     assert len(stops) == 4
     assert check_stops(stops, NEWTON_TOL) > NEWTON_TOL
+
+
+def _first_residual_points(monkeypatch):
+    """Record the iterate of every ``ac_residual`` call the solver makes."""
+    points = []
+    residual = allen_cahn.ac_residual
+
+    def recorded(p, x_prev, x_curr, x_next, *args, **kwargs):
+        points.append(np.array(x_next))
+        return residual(p, x_prev, x_curr, x_next, *args, **kwargs)
+
+    monkeypatch.setattr(allen_cahn, "ac_residual", recorded)
+    return points
+
+
+def test_newton_starts_from_the_linear_predictor(monkeypatch):
+    p = make_problem(mx=32)
+    traj = ac_step(p, ac_first_step(p, 1e-3), 1e-3)[0]
+    points = _first_residual_points(monkeypatch)
+    for r in (0.5, 1.0, 1.5):
+        points.clear()
+        ac_step(p, traj, r * traj.tau_prev)
+        assert np.array_equal(points[0], traj.curr + r * (traj.curr - traj.prev))
+    # from rest r = 0, and the predictor is x^n itself
+    points.clear()
+    ac_first_step(p, 1e-3)
+    assert np.array_equal(points[0], p.grid.nodes)
+
+
+def test_newton_starts_from_x_n_when_the_predictor_folds_a_cell(monkeypatch):
+    # x^{n-1} has cell k 1.9 h wide and x^n has it h wide, so the predictor at
+    # r = 1.5 gives it width h (1 - 1.5 * 0.9) < 0
+    p = make_problem(mx=32)
+    h, k = p.grid.h, 12
+    x_prev = p.grid.nodes.copy()
+    x_prev[k] -= 0.45 * h
+    x_prev[k + 1] += 0.45 * h
+    traj = Trajectory1D(x_prev, p.grid.nodes, 1e-3, 2e-3, 2, p.grid)
+    x_pred = traj.curr + 1.5 * (traj.curr - traj.prev)
+    assert x_pred[k + 1] - x_pred[k] < 0.0
+    points = _first_residual_points(monkeypatch)
+    new, _ = ac_step(p, traj, 1.5e-3)
+    assert np.array_equal(points[0], traj.curr)
+    assert np.all(np.diff(new.curr) > 0.0)
+
+
+# Newton stops at |F_i| <= 1e-11, not at the root, so the two starts end at
+# different points; the largest max-norm distance over the steps below was
+# 9.3e-11 (constant mobility, eta = 0), 5.6e-11 (eta = 1e-3) and 3.7e-11
+# (degenerate mobility); the bound allows about three times that
+START_DEVIATION = 3e-10
+
+
+@pytest.mark.parametrize("mobility", [ConstantMobility(), DegenerateMobility()],
+                         ids=["constant", "degenerate"])
+@pytest.mark.parametrize("eta", [0.0, 1e-3])
+def test_predictor_and_x_n_starts_meet_the_stopping_rule_and_agree(monkeypatch, mobility, eta):
+    p = make_problem(mx=64, eta=eta, mobility=mobility, initial=_SHALLOW_PARABOLA)
+    traj = ac_first_step(p, 1e-3)
+    deviation = 0.0
+    for ratio in (1.5, 1.2, 0.7, 1.5, 1.0, 1.3, 1.5, 0.5, 1.5):
+        tau = ratio * traj.tau_prev
+        with pytest.MonkeyPatch.context() as patch:
+            stops = record_stops(patch, allen_cahn)
+            new = ac_step(p, traj, tau)[0]
+            patch.setattr(allen_cahn, "_start", lambda t, x_prev, x_curr: x_curr)
+            from_x_n = ac_step(p, traj, tau)[0].curr
+        assert len(stops) == 2
+        check_stops(stops, NEWTON_TOL)
+        deviation = max(deviation, np.abs(new.curr - from_x_n).max())
+        traj = new
+    assert deviation <= START_DEVIATION
+
+
+@pytest.mark.parametrize("mx", [398, 400, 402])
+def test_ac_interface_neighbouring_even_grids_never_reject(tmp_path, mx):
+    config = preset_defaults("ac-interface")
+    config.mx = mx
+    config.t_final = 0.5
+    config.plots = False
+    record = run_experiment(config, out_dir=str(tmp_path))
+    assert not record.aborted
+    assert record.result.total_rejections == 0

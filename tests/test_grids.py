@@ -4,9 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from lagflow.errors import AdmissibilityError
 from lagflow.grids import (DensityField1D, Grid1D, Grid2D, Trajectory1D, Trajectory2D,
-                           forward_diff, inner_product, jacobian_det_2d,
-                           jacobian_det_interior, node_diff, pushforward_density_1d)
-from oracles import midpoint_diff
+                           forward_diff, inner_product, jacobian_det_interior,
+                           node_diff, pushforward_density_1d)
+from oracles import jacobian_det_2d, midpoint_diff
 
 
 @pytest.fixture

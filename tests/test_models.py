@@ -18,9 +18,10 @@ from lagflow.models import (ConstantMobility, DegenerateMobility, FokkerPlanck,
                             GinzburgLandau, KellerSegel1D, KellerSegel2D, PorousMedium,
                             ac_discrete_energy, check_mobility_positive, discrete_energy_1d,
                             discrete_energy_2d, discrete_energy_grad_1d,
-                            discrete_energy_grad_2d, discrete_energy_hess_1d,
-                            discrete_energy_hess_2d, energy_density, ks1d_pair_energy)
+                            discrete_energy_hess_1d, discrete_energy_hess_2d,
+                            energy_density, ks1d_pair_energy)
 from masks import MASK_KINDS, masked_rho0
+from oracles import discrete_energy_grad_2d
 
 
 def random_admissible_1d(grid, seed, scale=0.05):

@@ -13,11 +13,12 @@ from lagflow.grids import Grid2D, Trajectory2D, jacobian_det_interior
 from lagflow.initial import barenblatt_initial_2d, ks_gaussian_2d
 from lagflow.models import KellerSegel2D, PorousMedium, discrete_energy_hess_2d
 from lagflow.wgf2d import (RATIO_BOUND_2D, VISC_TAU_INCREMENT, VISC_TAU_SQ_ABSOLUTE,
-                           Wgf2dProblem, d2_operator, recover_density_2d,
+                           Wgf2dProblem, recover_density_2d,
                            wgf2d_augmented_energy, wgf2d_first_step_explicit,
                            wgf2d_first_step_implicit, wgf2d_step_explicit,
                            wgf2d_step_implicit)
 from masks import MASK_KINDS, masked_rho0
+from oracles import d2_operator
 from stops import check_stops, record_stops
 
 
