@@ -2,7 +2,9 @@
 
 The unknown is the node trajectory; density values never change (they are
 transported with the nodes), which is what makes the maximum bound
-principle exact.  The per-midpoint equation combines
+principle exact.  They are phase values, so they may be negative (the
+double well has its minima at -1 and 1); they only have to be finite.  The
+per-midpoint equation combines
 
   * a mobility-weighted inertia term with the averaged slope factor
     (D_h x^{n+1})^{-1} + (D_h x^n)^{-1},
@@ -45,13 +47,15 @@ residual, its Jacobian and the fraction-to-the-boundary bound
 accepted iterate's state is kept for its problem: it gives the d_h x of the
 energy in the step record, and the next step reads x^n's slopes, midpoints
 and log d_h x^n from it, so that step's first residual, at x^n, builds
-nothing.  The terms that depend only on (x^{n-1}, x^n, tau, r) (the inertia
-and history weights) are built once per step, and those that depend only on
-the problem (the end weights of d_h, the force's quadrature weights and the
-constant factor of its Jacobian) once per problem.  Every term keeps the
-operation order of the textbook formula, so a run has the same bits as
-evaluating each term afresh.  The banded solve goes straight to LAPACK
-(``banded``).
+nothing, and its widths and narrowest width give the next trajectory
+(``Trajectory1D._after_step``).  The memo knows Newton's iterates, which are
+``frozen``, by identity.  The terms that depend only on (x^{n-1}, x^n, tau,
+r) (the inertia and history weights) are built once per step, and those that
+depend only on the problem (the end weights of d_h, the force's quadrature
+weights and the constant factor of its Jacobian) once per problem.  Every
+term keeps the operation order of the textbook formula, so a run has the
+same bits as evaluating each term afresh.  The banded solve goes straight to
+LAPACK (``banded``).
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from .errors import AdmissibilityError
 from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product, node_diff
 from .initial import InitialCondition1D
 from .models import GinzburgLandau, ac_discrete_energy, check_mobility_positive, double_well
-from .newton import cell_fraction_to_boundary, newton_solve
+from .newton import cell_fraction_to_boundary, frozen, newton_solve
 
 __all__ = ["AcProblem", "ac_residual", "ac_step", "ac_first_step", "ac_modified_energy",
            "ac_energy", "RATIO_BOUND_AC"]
@@ -138,8 +142,11 @@ class AcProblem:
     @cached_property
     def density(self) -> DensityField1D:
         """The transported density, which every step returns; built by the
-        first step, which is where a negative rho0 is refused."""
-        return DensityField1D(self.rho0_mid.copy(), self.grid)
+        first step, which is where non-finite values are refused.  Phase
+        values may be negative (the double well has its minima at -1 and 1)."""
+        if not np.isfinite(self.rho0_mid).all():
+            raise ValueError("phase-field values must be finite")
+        return DensityField1D._checked_by_caller(self.rho0_mid.copy(), self.grid)
 
 
 def _inertia_coeff(tau, r):
@@ -149,10 +156,11 @@ def _inertia_coeff(tau, r):
 
 @dataclass(slots=True)
 class _Cells:
-    """Cell state of one iterate (``key`` is its bytes), shared by everything
-    evaluated there."""
+    """Cell state of one iterate (``key`` is its bytes, ``x`` the iterate
+    itself if it is ``frozen``), shared by everything evaluated there."""
 
     key: bytes
+    x: np.ndarray | None
     widths: np.ndarray
     min_width: float
     slope: np.ndarray      # D_h x = widths / h
@@ -170,8 +178,8 @@ def _cells(p: AcProblem, x, key: bytes) -> _Cells:
         raise AdmissibilityError("candidate trajectory is not strictly increasing")
     slope = widths / p.grid.h
     dhx = node_diff(x, p.grid)
-    return _Cells(key, widths, min_width, slope, 1.0 / slope, 0.5 * (x[:-1] + x[1:]), dhx,
-                  np.log(dhx) if p.eta > 0.0 else None)
+    return _Cells(key, x if frozen(x) else None, widths, min_width, slope, 1.0 / slope,
+                  0.5 * (x[:-1] + x[1:]), dhx, np.log(dhx) if p.eta > 0.0 else None)
 
 
 # (problem, cell state) of the iterate the last step of that problem accepted;
@@ -182,9 +190,10 @@ _accepted = None
 def _accepted_cells(p: AcProblem, x) -> _Cells | None:
     """``p``'s accepted cell state if it is that of x, else None."""
     memo = _accepted
-    if memo is None or memo[0] is not p or memo[1].key != x.tobytes():
+    if memo is None or memo[0] is not p:
         return None
-    return memo[1]
+    c = memo[1]
+    return c if c.x is x or c.key == x.tobytes() else None
 
 
 class _StepTerms:
@@ -193,9 +202,10 @@ class _StepTerms:
 
     Built once per step, so a residual or Jacobian evaluation does only the
     work that depends on the iterate.  ``at(x)`` returns the cell state of x,
-    computed (with the admissibility check) only for a new iterate: the memo
-    is keyed by the bytes of x, so an array changed in place is never
-    answered from it.  It starts out holding x^n's state, carried from the
+    computed (with the admissibility check) only for a new iterate.  The
+    memo knows a ``frozen`` array, such as a Newton iterate, by identity, and
+    any other by its bytes, so an array changed in place is never answered
+    from it.  It starts out holding x^n's state, carried from the
     step that accepted x^n when there was one.  Each precomputed product is a
     leading factor of the expression it came from (``c1 * w`` of
     ``c1 * w * (...)``), so every term keeps its evaluation order and the
@@ -232,9 +242,14 @@ class _StepTerms:
         self.log_dh_curr = curr.log_dhx
 
     def at(self, x) -> _Cells:
+        last = self.last
+        if last.x is x:
+            return last
         key = x.tobytes()
-        if self.last.key != key:
+        if last.key != key:
             self.last = _cells(self.p, x, key)
+        elif frozen(x):
+            last.x = x  # the next lookup of this array is by identity
         return self.last
 
 
@@ -368,7 +383,8 @@ def _start(t: _StepTerms, x_prev, x_curr):
 
 def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
     """Newton solve of the step equations from the linear predictor (``_start``;
-    see ``newton``); the solution's cell state is kept as ``p``'s accepted one."""
+    see ``newton``); returns the solution and its cell state, which is kept
+    as ``p``'s accepted one."""
     global _accepted
     t = _StepTerms(p, x_prev, x_curr, tau, r)
 
@@ -386,18 +402,19 @@ def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
     x_new = newton_solve(_start(t, x_prev, x_curr), residual, linearize, free=slice(1, -1),
                          tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                          max_backtracks=40, step_bound=step_bound)
-    _accepted = (p, t.at(x_new))
-    return x_new
+    c = t.at(x_new)
+    _accepted = (p, c)
+    return x_new, c
 
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
-    """Advance one BDF2 step; returns the new trajectory and the transported density."""
+    """Advance one BDF2 step; returns the new trajectory, built from the
+    solution's checked cell state, and the transported density."""
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     r = tau_next / traj.tau_prev
-    x_new = _solve_step(p, traj.prev, traj.curr, tau_next, r)
-    new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
-                            traj.step_index + 1, p.grid, pinned=True)
+    x_new, c = _solve_step(p, traj.prev, traj.curr, tau_next, r)
+    new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c.widths, c.min_width)
     return new_traj, p.density
 
 

@@ -131,8 +131,9 @@ class _Sim1D(_SimBase):
 
     def _record(self, tau, ratio) -> StepRecord:
         x = self.traj.curr
+        # the trajectory's widths are the step's checked cell widths, x[1:] - x[:-1]
         return StepRecord(t=self.time, tau=tau, ratio=ratio, energy=self.energy,
-                          mass=float((self.density * (x[1:] - x[:-1])).sum()),
+                          mass=float((self.density * self.traj.widths).sum()),
                           min_density=float(self.density.min()),
                           max_density=float(self.density.max()),
                           boundary_lo=float(x[0]), boundary_hi=float(x[-1]))
@@ -354,21 +355,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _row_format(*kinds: str) -> str:
+    """One CSV row's %-format: "%d" for an integer column, "%.17g" (``_fmt``'s
+    float format) for a float one."""
+    return ",".join(kinds) + "\n"
+
+
+_INT, _FLOAT = "%d", "%.17g"
+_STEP_COLUMNS = [f.name for f in fields(StepRecord)]
+_STEP_ROW = _row_format(_INT, *(_INT if f.type in (int, "int") else _FLOAT
+                                for f in fields(StepRecord)))
+
+
+def _write_csv(path: Path, header, row_format: str, rows) -> None:
+    """The header, then each row tuple formatted by one ``row_format % row``."""
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(row_format % row for row in rows)
 
 
 def write_artifacts(record: RunRecord, target: Path) -> None:
     target.mkdir(parents=True, exist_ok=True)
     result = record.result
     steps = result.steps
-    columns = [f.name for f in fields(StepRecord)]
     # attrgetter rather than dataclasses.astuple, which deep-copies every value
-    row = attrgetter(*columns)
-    _write_csv(target / "steps.csv", ["n", *columns],
+    row = attrgetter(*_STEP_COLUMNS)
+    _write_csv(target / "steps.csv", ["n", *_STEP_COLUMNS], _STEP_ROW,
                ((n, *row(step)) for n, step in enumerate(steps, start=1)))
 
     sim = record.sim
@@ -377,20 +389,20 @@ def write_artifacts(record: RunRecord, target: Path) -> None:
         x = sim.traj.curr
         xm = 0.5 * (x[:-1] + x[1:])
         _write_csv(target / "final_state.csv", ["j", "label", "position", "density"],
-                   list(zip(range(grid.m_x), grid.midpoints, xm, sim.density)))
+                   _row_format(_INT, _FLOAT, _FLOAT, _FLOAT),
+                   zip(range(grid.m_x), grid.midpoints.tolist(), xm.tolist(),
+                       sim.density.tolist()))
         _write_csv(target / "trajectory.csv", ["j", "label", "position"],
-                   list(zip(range(grid.m_x + 1), grid.nodes, x)))
+                   _row_format(_INT, _FLOAT, _FLOAT),
+                   zip(range(grid.m_x + 1), grid.nodes.tolist(), x.tolist()))
     else:
         grid = sim.problem.grid
-        xs = sim.traj.curr_x.ravel()
-        ys = sim.traj.curr_y.ravel()
-        rho = sim.density.values.ravel()
-        labels_x = grid.ref_x.ravel()
-        labels_y = grid.ref_y.ravel()
-        idx = np.arange(labels_x.size)
+        columns = (grid.ref_x, grid.ref_y, sim.traj.curr_x, sim.traj.curr_y,
+                   sim.density.values)
         _write_csv(target / "final_state.csv",
                    ["k", "label_x", "label_y", "x", "y", "density"],
-                   list(zip(idx, labels_x, labels_y, xs, ys, rho)))
+                   _row_format(_INT, *[_FLOAT] * len(columns)),
+                   zip(range(grid.ref_x.size), *(c.ravel().tolist() for c in columns)))
 
     summary = [f"preset: {record.config.preset}",
                f"accepted steps: {len(steps)}",
@@ -507,5 +519,8 @@ def sweep_experiment(config: ExperimentConfig, out_dir: Optional[str] = None,
                 if f"errors_{k}" in table:
                     header += names
                     columns += [table[f"errors_{k}"], ["", *table[f"orders_{k}"]]]
-            _write_csv(target / f"orders_{mode}.csv", header, zip(*columns))
+            # the first row has no orders, and resolution is an int or a float
+            # by mode, so each value goes through _fmt
+            _write_csv(target / f"orders_{mode}.csv", header, _row_format(*["%s"] * len(header)),
+                       (tuple(map(_fmt, row)) for row in zip(*columns)))
     return tables

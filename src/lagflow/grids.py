@@ -50,6 +50,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` with the given fields,
+    built without ``__post_init__``'s checks."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
 @dataclass(frozen=True)
 class Grid1D:
     """Uniform reference grid with M_x cells on [x_min, x_max]."""
@@ -175,7 +183,8 @@ class Trajectory1D:
 
     ``pinned`` marks Dirichlet runs where both endpoints coincide with the
     reference; free-boundary runs (moving support) drop that constraint but
-    still require strictly increasing nodes.
+    still require strictly increasing nodes.  ``widths`` holds the cell
+    widths of ``curr``, all positive.
     """
 
     prev: np.ndarray
@@ -185,6 +194,7 @@ class Trajectory1D:
     step_index: int
     grid: Grid1D
     pinned: bool = True
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prev = _readonly(_check_node(self.prev, self.grid, "prev"))
@@ -193,8 +203,11 @@ class Trajectory1D:
         object.__setattr__(self, "curr", curr)
         if self.tau_prev <= 0.0:
             raise ValueError(f"tau_prev must be positive, got {self.tau_prev}")
-        if (curr[1:] - curr[:-1] <= 0.0).any():
+        widths = curr[1:] - curr[:-1]
+        if (widths <= 0.0).any():
             raise AdmissibilityError("trajectory nodes are not strictly increasing")
+        widths.flags.writeable = False
+        object.__setattr__(self, "widths", widths)
         if self.pinned:
             ref = self.grid.nodes
             if not (_pinned_close(float(curr[0]), float(ref[0]))
@@ -206,6 +219,32 @@ class Trajectory1D:
         """The history a run starts from: both levels on the reference, time 0,
         tau_prev = inf, so the next step has ratio 0 and BDF2 is backward Euler."""
         return cls(grid.nodes, grid.nodes, math.inf, 0.0, 0, grid, pinned)
+
+    @classmethod
+    def _after_step(cls, traj: "Trajectory1D", x, tau: float, widths,
+                    min_width: float) -> "Trajectory1D":
+        """The history after a step of length tau > 0 from ``traj`` to the node
+        array x, whose cell widths and narrowest width come from a solver's
+        cell state (widths = x[1:] - x[:-1], bit for bit).
+
+        Only what that state does not prove is checked: the shape, a positive
+        narrowest width and, on pinned runs, end nodes equal to those of
+        ``traj.curr``, which the solvers never move.  x and widths become
+        read-only.
+        """
+        if x.shape != traj.curr.shape:
+            raise ValueError(f"x: expected node field of length {traj.curr.shape[0]}, "
+                             f"got shape {x.shape}")
+        if not min_width > 0.0:
+            raise AdmissibilityError("trajectory nodes are not strictly increasing")
+        curr = traj.curr
+        if traj.pinned and not (x[0] == curr[0] and x[-1] == curr[-1]):
+            raise ValueError("pinned trajectory must keep boundary nodes on the reference")
+        x = _readonly(x)
+        widths.flags.writeable = False
+        return _unchecked(cls, prev=curr, curr=x, tau_prev=tau, time=traj.time + tau,
+                          step_index=traj.step_index + 1, grid=traj.grid,
+                          pinned=traj.pinned, widths=widths)
 
 
 @dataclass(frozen=True)
@@ -247,7 +286,13 @@ class Trajectory2D:
 
 @dataclass(frozen=True)
 class DensityField1D:
-    """Nonnegative midpoint density attached to its reference grid."""
+    """Midpoint density attached to its reference grid.
+
+    The constructor refuses negative values.  The solvers build their fields
+    with ``_checked_by_caller``: a conservative step's densities are positive
+    by construction, and a phase field's transported values, which may be
+    negative, are checked to be finite.
+    """
 
     values: np.ndarray
     grid: Grid1D
@@ -257,6 +302,13 @@ class DensityField1D:
         object.__setattr__(self, "values", v)
         if (v < 0.0).any():
             raise ValueError("density values must be nonnegative")
+
+    @classmethod
+    def _checked_by_caller(cls, values: np.ndarray, grid: Grid1D) -> "DensityField1D":
+        """The field of a float midpoint array whose values the caller has
+        checked; the array becomes read-only."""
+        values.flags.writeable = False
+        return _unchecked(cls, values=values, grid=grid)
 
 
 @dataclass(frozen=True)

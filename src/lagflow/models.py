@@ -79,7 +79,6 @@ __all__ = [
     "GinzburgLandau",
     "EnergyModel",
     "double_well",
-    "energy_density",
     "discrete_energy_1d",
     "discrete_energy_grad_1d",
     "discrete_energy_hess_1d",
@@ -88,7 +87,6 @@ __all__ = [
     "hess_2d_structure",
     "mass_mask",
     "ac_discrete_energy",
-    "ks1d_pair_energy",
     "check_mobility_positive",
 ]
 
@@ -191,19 +189,6 @@ def double_well(s):
     """Ginzburg-Landau double well (s^2 - 1)^2 / 4."""
     s = np.asarray(s)
     return 0.25 * (s * s - 1.0) ** 2
-
-
-def energy_density(model: EnergyModel, s, x=None):
-    """Pointwise energy density F(s); Fokker-Planck additionally needs the position x."""
-    s = np.asarray(s, dtype=float)
-    if isinstance(model, GinzburgLandau):
-        return double_well(s)
-    if isinstance(model, PorousMedium) and np.any(s < 0.0):
-        raise ValueError("porous-medium density must be nonnegative")
-    f = _internal_density(model, s)
-    if isinstance(model, FokkerPlanck):
-        return f + s * model.potential(0.0 if x is None else x)
-    return f
 
 
 def _internal_density(model, s):
@@ -334,20 +319,6 @@ def ks1d_interaction_energy(x, rho0, grid: Grid1D, partner_x=None, partner_rho=N
         partner_rho = masses / np.diff(partner_x)
     total = float(masses @ _ks1d_sums(mids, partner_x, partner_rho, 0)) / (2.0 * np.pi)
     return total if scheme_form else 0.5 * total
-
-
-def ks1d_pair_energy(x, rho0, grid: Grid1D, i: int, j: int) -> float:
-    """Symmetrized contribution of the cell pair (i, j) to the reported interaction."""
-    x = np.asarray(x)
-    masses = np.asarray(rho0) * grid.h
-    rho = masses / np.diff(x)
-    mids = 0.5 * (x[:-1] + x[1:])
-
-    def one_sided(a, b):
-        s = _ks1d_sums(mids[a : a + 1], x[b : b + 2], rho[b : b + 1], 0)
-        return masses[a] * float(s[0])
-
-    return 0.25 / np.pi * (one_sided(i, j) + one_sided(j, i))
 
 
 def _ks1d_grad(x, rho0, grid: Grid1D, partner_x, partner_rho):

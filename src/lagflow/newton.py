@@ -37,6 +37,10 @@ for it on every iteration.  Without one, the core makes one unshifted
 solve: a shifted Jacobian does not make ||F|| descend.  A line search that
 accepts a trial equal to the iterate ends the solve at once: every later
 iteration would repeat it exactly.
+
+The iterates the callbacks see are fresh read-only arrays that the core
+never writes to (``frozen``), so a solver may know an iterate's memoized
+state by the array's identity instead of comparing its bytes.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, NewtonError
 
-__all__ = ["newton_solve", "cell_fraction_to_boundary", "ARMIJO"]
+__all__ = ["newton_solve", "cell_fraction_to_boundary", "frozen", "ARMIJO"]
 
 log = logging.getLogger(__name__)
 
@@ -59,6 +63,12 @@ _EPS = np.finfo(float).eps
 _NOISE = 32.0 * _EPS
 # shifted solves tried per iteration with an objective: unshifted, then from shift_floor()
 _SHIFT_TRIES = 8
+
+
+def frozen(x) -> bool:
+    """Whether the values of the array x cannot change under a memo that holds
+    it: x is read-only and owns its data, as every Newton iterate does."""
+    return not x.flags.writeable and x.base is None
 
 
 def cell_fraction_to_boundary(widths, min_width, step) -> float:
@@ -134,6 +144,7 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
     """
     minimize = objective is not None
     x = np.array(x, dtype=float)
+    x.flags.writeable = False
     g = None if minimize else residual(x)
     fx = objective(x) if minimize else _norm(g)
     for _ in range(max_iter):
@@ -162,6 +173,7 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
         noise = _NOISE * (abs(fx) + 1.0)
         for _ in range(max_backtracks):
             trial = x + alpha * full
+            trial.flags.writeable = False
             try:
                 if minimize:
                     f_trial = objective(trial)

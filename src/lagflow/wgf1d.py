@@ -28,9 +28,13 @@ and Fokker-Planck runs the E_h(x^{n+1}) inside J at the accepted iterate is
 handed on, with its widths and densities: it is the energy ``wgf1d_energy``
 reports for the step record, and the E_h(x^n) of the next step's J(x^n).
 It is the same number, bit for bit, as evaluating E_h afresh.  Keller-Segel
-runs get no hand-off: their J holds the scheme energy with the lagged
+runs hand on no energy: their J holds the scheme energy with the lagged
 interaction partner, a different number from the reported self-consistent
-energy.  Newton starts from the linear predictor
+energy.  For every model the accepted iterate's widths and narrowest width
+give the next trajectory (``Trajectory1D._after_step``) and the recovered
+density rho0 / (w / h), the bits of ``pushforward_density_1d``, with no
+second scan of the nodes.  The cell state memo knows Newton's iterates,
+which are ``frozen``, by identity.  Newton starts from the linear predictor
 x^n + r (x^n - x^{n-1}) when it is admissible and J there is no larger than
 J(x^n), and from x^n otherwise.  Since backtracking only lowers J,
 J(x^{n+1}) <= J(start) <= J(x^n) for any step ratio, which is exactly the
@@ -65,10 +69,12 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from .banded import solve_banded
 from .errors import AdmissibilityError
-from .grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
+# pushforward_density_1d stays importable here: perfbench/tracer.py patches it by name
+from .grids import (DensityField1D, Grid1D, Trajectory1D, inner_product,  # noqa: F401
+                    pushforward_density_1d)
 from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
                      discrete_energy_grad_1d, discrete_energy_hess_1d)
-from .newton import cell_fraction_to_boundary, newton_solve
+from .newton import cell_fraction_to_boundary, frozen, newton_solve
 
 __all__ = ["Wgf1dProblem", "extrapolate_hat", "wgf1d_step", "wgf1d_first_step",
            "wgf1d_augmented_energy", "wgf1d_energy", "RATIO_BOUND_1D"]
@@ -112,9 +118,11 @@ def extrapolate_hat(x_curr, x_prev, r: float) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Cells:
-    """Cell state of one iterate (``key`` is its bytes), and E_h and J there once computed."""
+    """Cell state of one iterate (``key`` is its bytes, ``x`` the iterate
+    itself if it is ``frozen``), and E_h and J there once computed."""
 
     key: bytes
+    x: np.ndarray | None
     widths: np.ndarray
     min_width: float
     s: np.ndarray        # rho0 h / widths
@@ -135,23 +143,18 @@ def _accepted_cells(p: Wgf1dProblem) -> _Cells | None:
     return memo[1] if memo is not None and memo[0] is p else None
 
 
-def _keep_accepted(p: Wgf1dProblem, c: _Cells, x_new):
-    """Keep c, if it is x_new's cell state with E_h, as ``p``'s accepted state."""
-    global _accepted
-    _accepted = (p, c) if c.energy is not None and c.key == x_new.tobytes() else None
-
-
 class _StepTerms:
     """The step objective's constants, and a one-entry memo of the cell state.
 
     The constants (xhat's midpoints and the inertia and viscosity weights)
     are built once per step.  ``at(x)`` returns the cell state of x,
-    computed (with the admissibility check) only for a new iterate: the memo
-    is keyed by the bytes of x, so an array changed in place is never
-    answered from it.  ``known``, the accepted cell state of x^n, supplies
-    the widths, densities and E_h of x^n.  Every term keeps the operation
-    order of the textbook formulas, so a run gives the same bits as
-    evaluating them afresh.
+    computed (with the admissibility check) only for a new iterate.  The
+    memo knows a ``frozen`` array, such as a Newton iterate, by identity, and
+    any other by its bytes, so an array changed in place is never answered
+    from it.  ``known``, the accepted cell state of x^n, supplies the
+    widths, densities and E_h of x^n.  Every term keeps the operation order
+    of the textbook formulas, so a run gives the same bits as evaluating
+    them afresh.
     """
 
     def __init__(self, p: Wgf1dProblem, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau,
@@ -172,12 +175,17 @@ class _StepTerms:
         self.last = None
 
     def at(self, x) -> _Cells:
-        key = x.tobytes()
         last = self.last
+        if last is not None and last.x is x:
+            return last
+        key = x.tobytes()
+        ident = x if frozen(x) else None
         if last is not None and last.key == key:
+            if ident is not None:
+                last.x = ident  # the next lookup of this array is by identity
             return last
         known = self.known
-        if known is not None and known.key == key:
+        if known is not None and (known.x is x or known.key == key):
             widths, min_width, s, energy = known.widths, known.min_width, known.s, known.energy
         else:
             widths = x[1:] - x[:-1]
@@ -190,7 +198,8 @@ class _StepTerms:
         offset *= 0.5
         offset -= self.hat_mid
         moved = x - self.x_visc_ref
-        self.last = _Cells(key, widths, min_width, s, offset, moved[1:] - moved[:-1], energy)
+        self.last = _Cells(key, ident, widths, min_width, s, offset, moved[1:] - moved[:-1],
+                           energy)
         return self.last
 
 
@@ -312,21 +321,30 @@ def _minimize(t: _StepTerms, x_start):
 
 
 def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
-    """One adaptive BDF2 step; returns the new trajectory and recovered density."""
+    """One adaptive BDF2 step; returns the new trajectory and recovered density.
+
+    Both are built from the accepted iterate's checked cell state: the
+    trajectory takes its widths, and the density is pushforward_density_1d's
+    rho0 / (D_h x) from them, bit for bit.
+    """
+    global _accepted
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     t = _bdf2_terms(p, traj, tau_next)
-    if isinstance(p.model, KellerSegel1D):
+    keller_segel = isinstance(p.model, KellerSegel1D)
+    if keller_segel:
         # nonconvex J: the start would choose the local minimum; and J holds
         # the lagged energy, not the reported one
         x_new = _minimize(t, traj.curr)
     else:
         r = tau_next / traj.tau_prev
         x_new = _minimize(t, _start(t, traj.curr, traj.curr + r * (traj.curr - traj.prev)))
-        _keep_accepted(p, t.last, x_new)
-    new_traj = Trajectory1D(traj.curr, x_new, tau_next, traj.time + tau_next,
-                            traj.step_index + 1, p.grid, pinned=p.pinned)
-    return new_traj, pushforward_density_1d(p.rho0, x_new, p.grid)
+    c = t.at(x_new)  # the last state Newton evaluated, unless it stopped on a stall
+    if not keller_segel:
+        _accepted = (p, c) if c.energy is not None else None
+    new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c.widths, c.min_width)
+    density = DensityField1D._checked_by_caller(p.rho0 / (c.widths / p.grid.h), p.grid)
+    return new_traj, density
 
 
 def wgf1d_first_step(p: Wgf1dProblem, tau1: float):
@@ -338,7 +356,8 @@ def wgf1d_energy(p: Wgf1dProblem, x) -> float:
     """Reported discrete energy of a state (self-consistent interaction); that
     of the last accepted iterate comes from its step objective."""
     known = _accepted_cells(p)
-    if known is not None and known.key == np.asarray(x, dtype=float).tobytes():
+    x = np.asarray(x, dtype=float)
+    if known is not None and (known.x is x or known.key == x.tobytes()):
         return known.energy
     return discrete_energy_1d(p.model, x, p.rho0, p.grid)
 

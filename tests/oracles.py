@@ -9,8 +9,9 @@ import numpy as np
 
 from lagflow import wgf1d
 from lagflow.grids import Grid1D, Grid2D, jacobian_det_interior, node_diff
-from lagflow.models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
-                            ks2d_interaction_force)
+from lagflow.models import (EnergyModel, FokkerPlanck, GinzburgLandau, KellerSegel2D,
+                            PorousMedium, _internal_density, _ks1d_sums,
+                            deformation_energy_grad_2d, double_well, ks2d_interaction_force)
 
 
 def fraction_to_boundary(x, step) -> float:
@@ -84,3 +85,30 @@ def d2_operator(a_next, a_curr, a_prev, tau: float, r: float):
     a_curr = np.asarray(a_curr)
     a_prev = np.asarray(a_prev)
     return ((1.0 + 2.0 * r) * a_next - (1.0 + r) ** 2 * a_curr + r * r * a_prev) / (tau * (1.0 + r))
+
+
+def energy_density(model: EnergyModel, s, x=None):
+    """Pointwise energy density F(s); Fokker-Planck additionally needs the position x."""
+    s = np.asarray(s, dtype=float)
+    if isinstance(model, GinzburgLandau):
+        return double_well(s)
+    if isinstance(model, PorousMedium) and np.any(s < 0.0):
+        raise ValueError("porous-medium density must be nonnegative")
+    f = _internal_density(model, s)
+    if isinstance(model, FokkerPlanck):
+        return f + s * model.potential(0.0 if x is None else x)
+    return f
+
+
+def ks1d_pair_energy(x, rho0, grid: Grid1D, i: int, j: int) -> float:
+    """Symmetrized contribution of the cell pair (i, j) to the reported interaction."""
+    x = np.asarray(x)
+    masses = np.asarray(rho0) * grid.h
+    rho = masses / np.diff(x)
+    mids = 0.5 * (x[:-1] + x[1:])
+
+    def one_sided(a, b):
+        s = _ks1d_sums(mids[a : a + 1], x[b : b + 2], rho[b : b + 1], 0)
+        return masses[a] * float(s[0])
+
+    return 0.25 / np.pi * (one_sided(i, j) + one_sided(j, i))

@@ -5,12 +5,13 @@ from hypothesis.extra.numpy import arrays
 from scipy.linalg import solve_banded
 
 from lagflow import allen_cahn
-from lagflow.allen_cahn import (NEWTON_MAX_ITER, NEWTON_TOL, AcProblem, _banded_jacobian,
-                                _energy_force, _StepTerms, ac_energy, ac_first_step, ac_modified_energy,
-                                ac_residual, ac_step)
+from lagflow.allen_cahn import (NEWTON_MAX_ITER, NEWTON_TOL, RATIO_BOUND_AC, AcProblem,
+                                _banded_jacobian, _energy_force, _StepTerms, ac_energy,
+                                ac_first_step, ac_modified_energy, ac_residual, ac_step)
 from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
-from lagflow.experiments import run_experiment
+from lagflow.adaptive import StepController, run_adaptive
+from lagflow.experiments import AcSim, run_experiment
 from lagflow.grids import Grid1D, Trajectory1D, node_diff
 from lagflow.initial import InitialCondition1D, ac_parabola
 from lagflow.models import (ConstantMobility, DegenerateMobility, GinzburgLandau,
@@ -130,6 +131,41 @@ def test_mbp_density_multiset_exact():
         assert density.values.min() == p.rho0_mid.min()
         assert density.values.max() == p.rho0_mid.max()
         assert np.all(np.diff(traj.curr) > 0.0)
+
+
+def tanh_problem(value=None):
+    """A phase field through -1 and 1: values below zero, where the double well
+    and the maximum bound principle still hold."""
+    profile = (lambda x: np.tanh(np.asarray(x) / 0.1)) if value is None else value
+    return AcProblem(Grid1D(-1.0, 1.0, 64), GinzburgLandau(0.05, ConstantMobility()),
+                     initial=InitialCondition1D(profile))
+
+
+def test_negative_phase_values_keep_the_exact_multiset():
+    p = tanh_problem()
+    reference = np.sort(p.rho0_mid)
+    assert reference[0] < -0.99 and reference[-1] > 0.99
+
+    class Checked(AcSim):
+        def _step(self, tau):
+            traj, values = super()._step(tau)
+            assert np.array_equal(np.sort(values), reference)
+            checked.append(tau)
+            return traj, values
+
+    checked = []
+    sim = Checked(p)
+    result = run_adaptive(sim, StepController(r_max_theory=RATIO_BOUND_AC), 0.01,
+                          start=(1e-3, 1e-3))
+    assert not result.aborted and len(checked) == len(result.steps) >= 5
+    assert all(s.min_density == reference[0] and s.max_density == reference[-1]
+               for s in result.steps)
+
+
+def test_non_finite_phase_values_are_refused():
+    p = tanh_problem(lambda x: np.where(np.asarray(x) > 0.5, np.nan, 0.0))
+    with pytest.raises(ValueError, match="finite"):
+        p.density
 
 
 def test_first_step_displacement_scales_linearly():

@@ -258,3 +258,56 @@ def test_steps_csv_and_summary_golden_text(tmp_path):
         "min density: 0\n"
         "aborted: True\n"
         "abort reason: stopped\n")
+
+
+# --- artifact CSVs: one %-format per row, the same text as one _fmt call per value
+
+def fmt_oracle(value) -> str:
+    """The per-value formatting the CSV writer used before its row formats."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def write_csv_oracle(path, header, row_format, rows):
+    """The writer before its row formats: ``row_format`` is ignored."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(fmt_oracle(v) for v in row) + "\n")
+
+
+SMALL_RUNS = {
+    "ac-interface": "grid.mx = 16\ntime.t_final = 0.05",
+    "pme-convergence": "grid.mx = 16\ntime.t_final = 0.05\ntime.tau = 0.005",
+    "pme-waiting-time": "grid.mx = 32\ntime.t_final = 0.002\ntime.tau = 0.0005",
+    "ks-blowup-1d": "grid.mx = 32\ntime.t_final = 0.002",
+    "barenblatt-2d": "grid.mx = 12\ntime.t_final = 0.02",
+    "pme-nonradial-2d": "grid.mx = 12\ntime.t_final = 0.02",
+    "ks-2d": "grid.mx = 12\ntime.t_final = 0.01",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(SMALL_RUNS))
+def test_artifacts_are_the_text_of_one_fmt_call_per_value(tmp_path, monkeypatch, preset):
+    config = parse_config(f"preset = {preset}\n{SMALL_RUNS[preset]}\nplots = false\n")
+    record = run_experiment(config, write_files=False)
+    assert record.result.steps
+    write_artifacts(record, tmp_path / "rows")
+    monkeypatch.setattr(experiments, "_write_csv", write_csv_oracle)
+    write_artifacts(record, tmp_path / "values")
+    names = sorted(f.name for f in (tmp_path / "values").iterdir())
+    assert {"steps.csv", "final_state.csv", "summary.txt"} <= set(names)
+    assert sorted(f.name for f in (tmp_path / "rows").iterdir()) == names
+    for name in names:
+        assert ((tmp_path / "rows" / name).read_bytes()
+                == (tmp_path / "values" / name).read_bytes()), name
+
+
+def test_sweep_tables_are_the_text_of_one_fmt_call_per_value(pme_sweep, tmp_path, monkeypatch):
+    monkeypatch.setattr(experiments, "_write_csv", write_csv_oracle)
+    monkeypatch.setattr(experiments, "convergence_tables", lambda config: pme_sweep.tables)
+    sweep_experiment(preset_defaults("pme-convergence"), out_dir=str(tmp_path))
+    for mode in pme_sweep.tables:
+        name = f"pme-convergence-sweep/orders_{mode}.csv"
+        assert (pme_sweep.out_dir / name).read_bytes() == (tmp_path / name).read_bytes()

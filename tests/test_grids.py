@@ -176,3 +176,58 @@ def test_trajectory_pinned_endpoint_tolerance():
         else:
             with pytest.raises(ValueError, match="pinned"):
                 Trajectory1D(x, moved, 1e-2, 0.0, 0, grid)
+
+
+def test_trajectory_holds_the_read_only_widths_of_curr(grid8):
+    x = grid8.nodes.copy()
+    x[3] += 0.1
+    t = Trajectory1D(grid8.nodes, x, 1e-2, 0.0, 0, grid8)
+    assert t.widths.tobytes() == (x[1:] - x[:-1]).tobytes()
+    assert not t.widths.flags.writeable
+
+
+def after_step_args(grid, moved=0.0):
+    """(history at rest, next node array, its widths and narrowest width)."""
+    x = grid.nodes.copy()
+    x[3] += 0.05
+    x[-1] += moved
+    widths = x[1:] - x[:-1]
+    return Trajectory1D.at_rest(grid, pinned=True), x, widths, widths.min()
+
+
+def test_trajectory_after_step_equals_the_public_constructor(grid8):
+    rest, x, widths, min_width = after_step_args(grid8)
+    got = Trajectory1D._after_step(rest, x, 1e-2, widths, min_width)
+    want = Trajectory1D(rest.curr, x.copy(), 1e-2, rest.time + 1e-2, rest.step_index + 1, grid8)
+    for name in ("prev", "curr", "widths"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert not getattr(got, name).flags.writeable
+    assert got.prev is rest.curr and got.curr is x and got.widths is widths
+    assert ((got.tau_prev, got.time, got.step_index, got.grid, got.pinned)
+            == (want.tau_prev, want.time, want.step_index, want.grid, want.pinned))
+
+
+def test_trajectory_after_step_checks_what_the_cell_state_does_not_prove(grid8):
+    rest, x, widths, _ = after_step_args(grid8)
+    for min_width in (0.0, -0.1, np.nan):
+        with pytest.raises(AdmissibilityError):
+            Trajectory1D._after_step(rest, x, 1e-2, widths, min_width)
+    with pytest.raises(ValueError, match="expected node field"):
+        Trajectory1D._after_step(rest, x[:-1], 1e-2, widths[:-1], widths.min())
+    # a pinned end must stay bit-equal to x^n's, not merely within the public tolerance
+    for index in (0, -1):
+        moved = x.copy()
+        moved[index] += 1e-12
+        with pytest.raises(ValueError, match="pinned"):
+            Trajectory1D._after_step(rest, moved, 1e-2, widths, widths.min())
+    free = Trajectory1D.at_rest(grid8, pinned=False)
+    _, x, widths, min_width = after_step_args(grid8, moved=0.1)
+    assert not Trajectory1D._after_step(free, x, 1e-2, widths, min_width).pinned
+
+
+def test_density_checked_by_caller_skips_only_the_sign_check(grid8):
+    values = np.linspace(-1.0, 1.0, 8)
+    with pytest.raises(ValueError):
+        DensityField1D(values, grid8)
+    field = DensityField1D._checked_by_caller(values, grid8)
+    assert field.values is values and not values.flags.writeable

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from lagflow.banded import solve_banded
 from lagflow.errors import AdmissibilityError, NewtonError, SolverError
-from lagflow.newton import ARMIJO, newton_solve
+from lagflow.newton import ARMIJO, frozen, newton_solve
 from oracles import fraction_to_boundary
 
 EPS = np.finfo(float).eps
@@ -355,6 +355,30 @@ def test_residual_mode_solves_a_linear_system(problem):
     u = newton_solve(np.zeros(len(c)), lambda u: a @ (u - c), dense_linearize(lambda u: a),
                      tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40)
     assert np.max(np.abs(a @ (u - c))) <= 1e-9
+
+
+@pytest.mark.parametrize("minimize", [True, False])
+def test_callbacks_see_only_frozen_iterates(minimize):
+    # every iterate is a fresh read-only array, so a solver may memoize by identity
+    a, c = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.7])
+    seen = []
+
+    def residual(u):
+        seen.append(u)
+        return a @ (u - c)
+
+    def objective(u):
+        seen.append(u)
+        return 0.5 * (u - c) @ a @ (u - c)
+
+    start = np.zeros(2)
+    u = newton_solve(start, residual, dense_linearize(lambda u: a),
+                     objective=objective if minimize else None,
+                     tol=1e-12, stall_tol=1e-10, max_iter=10, max_backtracks=40)
+    assert u is seen[-1] and len(seen) >= 2
+    assert all(frozen(x) and x is not start for x in seen)
+    assert start.flags.writeable
+    assert not frozen(start) and not frozen(start[:1]) and not frozen(u[:1])
 
 
 def test_fraction_to_boundary_keeps_a_tenth_of_the_narrowest_cell():

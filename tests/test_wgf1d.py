@@ -11,7 +11,8 @@ from lagflow import allen_cahn, wgf1d
 from lagflow.config import preset_defaults
 from lagflow.errors import AdmissibilityError
 from lagflow.experiments import Wgf1dSim, random_step_sequence, run_experiment
-from lagflow.grids import Grid1D, Trajectory1D, inner_product, pushforward_density_1d
+from lagflow.grids import (DensityField1D, Grid1D, Trajectory1D, inner_product,
+                           pushforward_density_1d)
 from lagflow.initial import ac_parabola, pme_cosine
 from lagflow.models import (ConstantMobility, FokkerPlanck, GinzburgLandau, KellerSegel1D,
                             PorousMedium, discrete_energy_1d, discrete_energy_grad_1d,
@@ -679,3 +680,95 @@ def test_first_step_is_the_step_from_rest_bit_for_bit(kind):
     assert np.array_equal(traj.prev, p.grid.nodes)
     assert (traj.tau_prev, traj.time, traj.step_index, traj.pinned) == (tau, tau, 1, p.pinned)
     assert np.array_equal(dens.values, pushforward_density_1d(p.rho0, want, p.grid).values)
+
+
+# --- hand-off: each step's trajectory and density come from its checked cell state
+
+def handoff_steps():
+    """name -> (step function, problem, the density the step transports or recovers)."""
+    problems = dict(handoff_problems(), **{"keller-segel": start_up_problems()["keller-segel"]})
+    steps = {name: (wgf1d_step, p, lambda p, x: pushforward_density_1d(p.rho0, x, p.grid))
+             for name, p in problems.items()}
+    steps["phase-field"] = (allen_cahn.ac_step, ac_problem(Grid1D(-1.0, 1.0, 32).nodes),
+                            lambda p, x: DensityField1D(p.rho0_mid, p.grid))
+    return steps
+
+
+def assert_same_trajectory(got, want):
+    for name in ("prev", "curr", "widths"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert not getattr(got, name).flags.writeable
+    assert ((got.tau_prev, got.time, got.step_index, got.grid, got.pinned)
+            == (want.tau_prev, want.time, want.step_index, want.grid, want.pinned))
+
+
+@pytest.mark.parametrize("kind", ["pinned", "fokker-planck", "free-boundary", "keller-segel",
+                                  "phase-field"])
+def test_step_hands_on_its_cell_state_bit_for_bit(kind):
+    step, p, density_of = handoff_steps()[kind]
+    traj = Trajectory1D.at_rest(p.grid, getattr(p, "pinned", True))
+    for tau in (1e-3, 1.5e-3, 1e-3):
+        new, density = step(p, traj, tau)
+        x = new.curr.copy()  # a fresh array: the public constructors check everything
+        want = Trajectory1D(traj.curr, x, tau, traj.time + tau, traj.step_index + 1, p.grid,
+                            pinned=traj.pinned)
+        assert_same_trajectory(new, want)
+        assert density.values.tobytes() == density_of(p, x).values.tobytes()
+        assert not density.values.flags.writeable
+        traj = new
+
+
+@pytest.mark.parametrize("change", ["moved end", "folded cell"])
+@pytest.mark.parametrize("solver", ["wgf1d", "allen_cahn"])
+def test_step_refuses_a_moved_pinned_end_or_a_folded_cell(monkeypatch, solver, change):
+    # the hand-off still checks what the cell state does not prove; a moved end
+    # within the public constructor's tolerance is refused too
+    module = {"wgf1d": wgf1d, "allen_cahn": allen_cahn}[solver]
+    step, p, _ = handoff_steps()["pinned" if solver == "wgf1d" else "phase-field"]
+    newton_solve = module.newton_solve
+
+    def changed(*args, **kwargs):
+        x = newton_solve(*args, **kwargs).copy()
+        if change == "moved end":
+            x[-1] += 1e-12
+        else:
+            x[3], x[4] = x[4], x[3]
+        return x
+
+    monkeypatch.setattr(module, "newton_solve", changed)
+    if change == "moved end":
+        with pytest.raises(ValueError, match="pinned"):
+            step(p, Trajectory1D.at_rest(p.grid), 1e-3)
+    else:
+        with pytest.raises(AdmissibilityError):
+            step(p, Trajectory1D.at_rest(p.grid), 1e-3)
+
+
+@pytest.mark.parametrize("solver", ["wgf1d", "allen_cahn"])
+def test_cell_state_memo_knows_frozen_arrays_by_identity(solver):
+    grid = Grid1D(-1.0, 1.0, 16)
+    if solver == "wgf1d":
+        terms = wgf1d._StepTerms(pme_problem(mx=16), grid.nodes, grid.nodes, None, None, 1.0, 1.0)
+    else:
+        terms = allen_cahn._StepTerms(ac_problem(grid.nodes), grid.nodes, grid.nodes, 1.0, 0.0)
+    x = grid.nodes.copy()
+    x[5] += 0.01 * grid.h
+    x.flags.writeable = False
+    c = terms.at(x)
+    assert c.x is x and terms.at(x) is c
+    # a writable array with the same bytes is answered by them, and not remembered
+    same = x.copy()
+    assert terms.at(same) is c and c.x is x
+    # a frozen one with the same bytes is remembered for the next lookup
+    again = x.copy()
+    again.flags.writeable = False
+    assert terms.at(again) is c and c.x is again
+    # a read-only view does not own its values: it is never known by identity
+    view = x[:]
+    view.flags.writeable = False
+    assert terms.at(view) is c and c.x is again
+    # the writable array changed in place gets a state of its own
+    same[5] += 0.01 * grid.h
+    fresh = terms.at(same)
+    assert fresh is not c and fresh.x is None
+    assert fresh.widths.tobytes() == np.diff(same).tobytes()
