@@ -80,8 +80,8 @@ class StepHistory:
     energy_rate: float = 0.0      # |E^n - E^{n-1}| / tau_n
 
     def __post_init__(self):
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < np.inf:  # inf at rest, with no step to propose from
+            raise ValueError(f"tau must be positive and finite, got {self.tau}")
 
 
 def _ratio_cap_undercuts(controller: StepController, history: StepHistory) -> bool:
@@ -145,8 +145,9 @@ def run_adaptive(sim, controller: StepController, t_final: float,
     ``energy_rate``, and ``bdf2_step(tau) -> StepRecord`` that commits the
     step and records it, or raises SolverError leaving the state untouched.
     The first ``len(start)`` steps try the sizes in ``start`` instead of a
-    proposal (a sim at rest has no step to propose from); like every other
-    step they are halved and retried on failure.
+    proposal: a sim at rest has no step to propose from (its ``tau_prev`` is
+    inf, which ``StepHistory`` refuses); like every other step they are
+    halved and retried on failure.
 
     ``stall_taus`` > 0 declares tau_min exhaustion once that many
     consecutive accepted steps sit at or below tau_min (blow-up runs would

@@ -44,18 +44,17 @@ the narrowest width, slopes and their reciprocals, midpoints, d_h x and, with
 the log regularization, log d_h x) is computed once and shared by its
 residual, its Jacobian and the fraction-to-the-boundary bound
 (``newton.cell_fraction_to_boundary``, the rule ``wgf1d`` uses too).  The
-accepted iterate's state is kept for its problem: it gives the d_h x of the
-energy in the step record, and the next step reads x^n's slopes, midpoints
-and log d_h x^n from it, so that step's first residual, at x^n, builds
-nothing, and its widths and narrowest width give the next trajectory
-(``Trajectory1D._after_step``).  The memo knows Newton's iterates, which are
-``frozen``, by identity.  The terms that depend only on (x^{n-1}, x^n, tau,
-r) (the inertia and history weights) are built once per step, and those that
-depend only on the problem (the end weights of d_h, the force's quadrature
-weights and the constant factor of its Jacobian) once per problem.  Every
-term keeps the operation order of the textbook formula, so a run has the
-same bits as evaluating each term afresh.  The banded solve goes straight to
-LAPACK (``banded``).
+accepted iterate's state rides on the trajectory the step returns, as its
+``cells``: the step record's energy reads its d_h x, and the next step of
+the same problem reads x^n's slopes, midpoints and log d_h x^n from it, so
+that step's first residual, at x^n, builds nothing.  The memo knows Newton's
+iterates, which are ``frozen``, by identity.  The terms that depend only on
+(x^{n-1}, x^n, tau, r) (the inertia and history weights) are built once per
+step, and those that depend only on the problem (the end weights of d_h,
+the force's quadrature weights and the constant factor of its Jacobian)
+once per problem.  Every term keeps the operation order of the textbook
+formula, so a run has the same bits as evaluating each term afresh.  The
+banded solve goes straight to LAPACK (``banded``).
 """
 
 from __future__ import annotations
@@ -156,9 +155,11 @@ def _inertia_coeff(tau, r):
 
 @dataclass(slots=True)
 class _Cells:
-    """Cell state of one iterate (``key`` is its bytes, ``x`` the iterate
-    itself if it is ``frozen``), shared by everything evaluated there."""
+    """Cell state of one iterate of a step of ``p`` (``key`` is its bytes,
+    ``x`` the iterate itself if it is ``frozen``), shared by everything
+    evaluated there."""
 
+    p: AcProblem
     key: bytes
     x: np.ndarray | None
     widths: np.ndarray
@@ -178,22 +179,13 @@ def _cells(p: AcProblem, x, key: bytes) -> _Cells:
         raise AdmissibilityError("candidate trajectory is not strictly increasing")
     slope = widths / p.grid.h
     dhx = node_diff(x, p.grid)
-    return _Cells(key, x if frozen(x) else None, widths, min_width, slope, 1.0 / slope,
+    return _Cells(p, key, x if frozen(x) else None, widths, min_width, slope, 1.0 / slope,
                   0.5 * (x[:-1] + x[1:]), dhx, np.log(dhx) if p.eta > 0.0 else None)
 
 
-# (problem, cell state) of the iterate the last step of that problem accepted;
-# one tuple, so a state is never read with another problem's
-_accepted = None
-
-
-def _accepted_cells(p: AcProblem, x) -> _Cells | None:
-    """``p``'s accepted cell state if it is that of x, else None."""
-    memo = _accepted
-    if memo is None or memo[0] is not p:
-        return None
-    c = memo[1]
-    return c if c.x is x or c.key == x.tobytes() else None
+def _own(p: AcProblem, cells) -> _Cells | None:
+    """``cells`` if it is a phase-field cell state made for ``p``, else None."""
+    return cells if isinstance(cells, _Cells) and cells.p is p else None
 
 
 class _StepTerms:
@@ -205,14 +197,14 @@ class _StepTerms:
     computed (with the admissibility check) only for a new iterate.  The
     memo knows a ``frozen`` array, such as a Newton iterate, by identity, and
     any other by its bytes, so an array changed in place is never answered
-    from it.  It starts out holding x^n's state, carried from the
-    step that accepted x^n when there was one.  Each precomputed product is a
-    leading factor of the expression it came from (``c1 * w`` of
-    ``c1 * w * (...)``), so every term keeps its evaluation order and the
-    bits of evaluating the textbook formulas afresh.
+    from it.  It starts out holding x^n's state, ``curr`` when the step that
+    accepted x^n carried it.  Each precomputed product is a leading factor
+    of the expression it came from (``c1 * w`` of ``c1 * w * (...)``), so
+    every term keeps its evaluation order and the bits of evaluating the
+    textbook formulas afresh.
     """
 
-    def __init__(self, p: AcProblem, x_prev, x_curr, tau, r):
+    def __init__(self, p: AcProblem, x_prev, x_curr, tau, r, curr: _Cells | None = None):
         h = p.grid.h
         w = p.friction_mid
         x_curr = np.asarray(x_curr)
@@ -220,7 +212,6 @@ class _StepTerms:
         self.p = p
         self.tau = tau
         self.r = r
-        curr = _accepted_cells(p, x_curr)
         if curr is None:
             curr = _cells(p, x_curr, x_curr.tobytes())
         self.last = curr
@@ -381,12 +372,11 @@ def _start(t: _StepTerms, x_prev, x_curr):
     return x_curr
 
 
-def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
+def _solve_step(p: AcProblem, traj: Trajectory1D, tau, r):
     """Newton solve of the step equations from the linear predictor (``_start``;
-    see ``newton``); returns the solution and its cell state, which is kept
-    as ``p``'s accepted one."""
-    global _accepted
-    t = _StepTerms(p, x_prev, x_curr, tau, r)
+    see ``newton``); returns the solution and its cell state."""
+    x_prev, x_curr = traj.prev, traj.curr
+    t = _StepTerms(p, x_prev, x_curr, tau, r, _own(p, traj.cells))
 
     def residual(x):
         return ac_residual(p, x_prev, x_curr, x, tau, r, terms=t)
@@ -402,20 +392,16 @@ def _solve_step(p: AcProblem, x_prev, x_curr, tau, r):
     x_new = newton_solve(_start(t, x_prev, x_curr), residual, linearize, free=slice(1, -1),
                          tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
                          max_backtracks=40, step_bound=step_bound)
-    c = t.at(x_new)
-    _accepted = (p, c)
-    return x_new, c
+    return x_new, t.at(x_new)
 
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
-    """Advance one BDF2 step; returns the new trajectory, built from the
-    solution's checked cell state, and the transported density."""
+    """Advance one BDF2 step; returns the new trajectory, built from and
+    carrying the solution's checked cell state, and the transported density."""
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
-    r = tau_next / traj.tau_prev
-    x_new, c = _solve_step(p, traj.prev, traj.curr, tau_next, r)
-    new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c.widths, c.min_width)
-    return new_traj, p.density
+    x_new, c = _solve_step(p, traj, tau_next, tau_next / traj.tau_prev)
+    return Trajectory1D._after_step(traj, x_new, tau_next, c), p.density
 
 
 def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
@@ -423,13 +409,13 @@ def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
     return ac_step(p, Trajectory1D.at_rest(p.grid), tau1)[0]
 
 
-def ac_energy(p: AcProblem, x) -> float:
-    """E_h of x, with the problem's F(rho0); the d_h x of the last accepted
-    iterate comes from its cell state."""
-    x = np.asarray(x, dtype=float)
-    known = _accepted_cells(p, x)
-    return ac_discrete_energy(x, p.rho0_nodes, p.rho0_prime_nodes, p.grid, p.eps,
-                              dhx=None if known is None else known.dhx, well=p.well_nodes)
+def ac_energy(p: AcProblem, x, cells=None) -> float:
+    """E_h of x, with the problem's F(rho0); the d_h x comes from ``cells``
+    if it is x's cell state from a step of ``p`` (a trajectory's ``cells``)."""
+    known = _own(p, cells)
+    return ac_discrete_energy(np.asarray(x, dtype=float), p.rho0_nodes, p.rho0_prime_nodes,
+                              p.grid, p.eps, dhx=None if known is None else known.dhx,
+                              well=p.well_nodes)
 
 
 def ac_modified_energy(p: AcProblem, x_prev, x_curr, tau: float,

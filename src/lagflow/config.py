@@ -192,12 +192,17 @@ def validate_config(config: ExperimentConfig) -> None:
         raise ConfigError("time.t_final must be positive")
     if config.mode == "fixed" and config.tau <= 0.0:
         raise ConfigError("fixed mode needs time.tau > 0")
+    if config.mode == "random" and not config.n_steps and config.tau <= 0.0:
+        # the step count is then round(time.t_final / time.tau)
+        raise ConfigError("random mode with time.n_steps = 0 needs time.tau > 0")
     if not 0.0 < config.tau_min <= config.tau_max:
         raise ConfigError("need 0 < controller.tau_min <= controller.tau_max")
     if config.r_user <= 0.0:
         raise ConfigError("controller.r_user must be positive")
-    # 0 means "the preset decides" for n_steps, tau1 and tau2
-    for key in ("time.n_steps", "seed", "controller.tau1", "controller.tau2"):
+    # 0 means "the preset decides" for n_steps, tau1 and tau2, and turns the
+    # strategy's rate off for gamma and beta
+    for key in ("time.n_steps", "seed", "controller.tau1", "controller.tau2",
+                "controller.gamma", "controller.beta"):
         value = getattr(config, _KEY_MAP[key])
         if value < 0:
             raise ConfigError(f"{key} must be nonnegative, got {value}")

@@ -84,14 +84,20 @@ class _SimBase:
         self.problem = problem
         self.traj = traj
         self.density = density
-        self.time = 0.0
-        self.tau_prev = 0.0  # no step taken yet
         self.energy = math.nan
         self._energy_prev = math.nan
 
     @property
+    def time(self) -> float:
+        return self.traj.time
+
+    @property
+    def tau_prev(self) -> float:
+        return self.traj.tau_prev
+
+    @property
     def energy_rate(self) -> float:
-        if math.isnan(self._energy_prev) or self.tau_prev == 0.0:
+        if math.isnan(self._energy_prev):  # no step taken yet
             return 0.0
         return abs(self.energy - self._energy_prev) / self.tau_prev
 
@@ -104,7 +110,7 @@ class _SimBase:
         return self._commit(traj, density, tau)
 
     def _commit(self, traj, density, tau) -> StepRecord:
-        if self.tau_prev:
+        if self.traj.step_index:
             ratio = tau / self.tau_prev
             self._energy_prev = self.energy
         else:  # the first step: ratio 1, and the energy before it is that at rest
@@ -113,8 +119,6 @@ class _SimBase:
         self.traj = traj
         self.density = density
         self.energy = self._energy(traj)
-        self.time = traj.time
-        self.tau_prev = tau
         return self._record(tau, ratio)
 
 
@@ -146,7 +150,7 @@ class AcSim(_Sim1D):
         super().__init__(problem, problem.rho0_mid)
 
     def _energy(self, traj):
-        return ac_energy(self.problem, traj.curr)
+        return ac_energy(self.problem, traj.curr, traj.cells)
 
     def _step(self, tau):
         traj, density = ac_step(self.problem, self.traj, tau)
@@ -160,7 +164,7 @@ class Wgf1dSim(_Sim1D):
         super().__init__(problem, problem.rho0, problem.pinned)
 
     def _energy(self, traj):
-        return wgf1d_energy(self.problem, traj.curr)
+        return wgf1d_energy(self.problem, traj.curr, traj.cells)
 
     def _step(self, tau):
         traj, density = wgf1d_step(self.problem, self.traj, tau)

@@ -184,7 +184,9 @@ class Trajectory1D:
     ``pinned`` marks Dirichlet runs where both endpoints coincide with the
     reference; free-boundary runs (moving support) drop that constraint but
     still require strictly increasing nodes.  ``widths`` holds the cell
-    widths of ``curr``, all positive.
+    widths of ``curr``, all positive.  ``cells`` is the checked cell state of
+    ``curr`` that the solver step which built this history left
+    (``_after_step``), None for one from the constructor or ``at_rest``.
     """
 
     prev: np.ndarray
@@ -195,6 +197,7 @@ class Trajectory1D:
     grid: Grid1D
     pinned: bool = True
     widths: np.ndarray = field(init=False, repr=False, compare=False)
+    cells: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prev = _readonly(_check_node(self.prev, self.grid, "prev"))
@@ -221,30 +224,30 @@ class Trajectory1D:
         return cls(grid.nodes, grid.nodes, math.inf, 0.0, 0, grid, pinned)
 
     @classmethod
-    def _after_step(cls, traj: "Trajectory1D", x, tau: float, widths,
-                    min_width: float) -> "Trajectory1D":
+    def _after_step(cls, traj: "Trajectory1D", x, tau: float, cells) -> "Trajectory1D":
         """The history after a step of length tau > 0 from ``traj`` to the node
-        array x, whose cell widths and narrowest width come from a solver's
-        cell state (widths = x[1:] - x[:-1], bit for bit).
+        array x, carrying ``cells``, a solver's cell state of x: its
+        ``widths`` are x[1:] - x[:-1], bit for bit, and ``min_width`` the
+        narrowest of them.
 
         Only what that state does not prove is checked: the shape, a positive
         narrowest width and, on pinned runs, end nodes equal to those of
-        ``traj.curr``, which the solvers never move.  x and widths become
+        ``traj.curr``, which the solvers never move.  x and the widths become
         read-only.
         """
         if x.shape != traj.curr.shape:
             raise ValueError(f"x: expected node field of length {traj.curr.shape[0]}, "
                              f"got shape {x.shape}")
-        if not min_width > 0.0:
+        if not cells.min_width > 0.0:
             raise AdmissibilityError("trajectory nodes are not strictly increasing")
         curr = traj.curr
         if traj.pinned and not (x[0] == curr[0] and x[-1] == curr[-1]):
             raise ValueError("pinned trajectory must keep boundary nodes on the reference")
         x = _readonly(x)
-        widths.flags.writeable = False
+        cells.widths.flags.writeable = False
         return _unchecked(cls, prev=curr, curr=x, tau_prev=tau, time=traj.time + tau,
                           step_index=traj.step_index + 1, grid=traj.grid,
-                          pinned=traj.pinned, widths=widths)
+                          pinned=traj.pinned, widths=cells.widths, cells=cells)
 
 
 @dataclass(frozen=True)

@@ -23,22 +23,21 @@ Hessian) are built once per step.  The cell state of an iterate (widths and
 the narrowest of them, which is the admissibility check, densities,
 midpoint offsets from xhat and increments) is computed once and shared by
 its objective, gradient, Hessian, |H| row sums and fraction-to-the-boundary
-bound, and E_h and J there are computed at most once.  For porous-medium
-and Fokker-Planck runs the E_h(x^{n+1}) inside J at the accepted iterate is
-handed on, with its widths and densities: it is the energy ``wgf1d_energy``
-reports for the step record, and the E_h(x^n) of the next step's J(x^n).
-It is the same number, bit for bit, as evaluating E_h afresh.  Keller-Segel
-runs hand on no energy: their J holds the scheme energy with the lagged
-interaction partner, a different number from the reported self-consistent
-energy.  For every model the accepted iterate's widths and narrowest width
-give the next trajectory (``Trajectory1D._after_step``) and the recovered
-density rho0 / (w / h), the bits of ``pushforward_density_1d``, with no
-second scan of the nodes.  The cell state memo knows Newton's iterates,
-which are ``frozen``, by identity.  Newton starts from the linear predictor
-x^n + r (x^n - x^{n-1}) when it is admissible and J there is no larger than
-J(x^n), and from x^n otherwise.  Since backtracking only lowers J,
-J(x^{n+1}) <= J(start) <= J(x^n) for any step ratio, which is exactly the
-property the discrete energy estimate needs.  Keller-Segel steps always
+bound, and E_h and J there are computed at most once.  The accepted
+iterate's state rides on the trajectory the step returns, as its ``cells``;
+its widths give the recovered density rho0 / (w / h), the bits of
+``pushforward_density_1d``, with no second scan of the nodes, and the next
+step of the same problem reads x^n's widths and densities from it.  For
+porous-medium and Fokker-Planck runs it also holds the E_h(x^{n+1}) inside
+J: the energy the step record reports and the E_h(x^n) of the next step's
+J(x^n), bit for bit E_h evaluated afresh.  A Keller-Segel state holds no
+energy: J's has the lagged interaction partner, a different number from
+the reported self-consistent energy.  The cell state memo knows Newton's
+iterates, which are ``frozen``, by identity.  Newton starts from the linear
+predictor x^n + r (x^n - x^{n-1}) when it is admissible and J there is no
+larger than J(x^n), and from x^n otherwise.  Since backtracking only lowers
+J, J(x^{n+1}) <= J(start) <= J(x^n) for any step ratio, which is exactly
+the property the discrete energy estimate needs.  Keller-Segel steps always
 start from x^n: the lagged interaction makes J nonconvex, so the start
 chooses among local minima, and on ``ks-blowup-1d`` at mx = 400 the
 predictor reached a higher one and brought the collapse forward.  The
@@ -118,9 +117,11 @@ def extrapolate_hat(x_curr, x_prev, r: float) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Cells:
-    """Cell state of one iterate (``key`` is its bytes, ``x`` the iterate
-    itself if it is ``frozen``), and E_h and J there once computed."""
+    """Cell state of one iterate of a step of ``p`` (``key`` is its bytes,
+    ``x`` the iterate itself if it is ``frozen``), and E_h and J there once
+    computed."""
 
+    p: Wgf1dProblem
     key: bytes
     x: np.ndarray | None
     widths: np.ndarray
@@ -132,15 +133,9 @@ class _Cells:
     value: float | None = None
 
 
-# (problem, cell state with E_h) of the iterate the last porous-medium or
-# Fokker-Planck step accepted; one tuple, so a state is never read with
-# another problem's energy
-_accepted = None
-
-
-def _accepted_cells(p: Wgf1dProblem) -> _Cells | None:
-    memo = _accepted
-    return memo[1] if memo is not None and memo[0] is p else None
+def _own(p: Wgf1dProblem, cells) -> _Cells | None:
+    """``cells`` if it is a ``wgf1d`` cell state made for ``p``, else None."""
+    return cells if isinstance(cells, _Cells) and cells.p is p else None
 
 
 class _StepTerms:
@@ -151,7 +146,7 @@ class _StepTerms:
     computed (with the admissibility check) only for a new iterate.  The
     memo knows a ``frozen`` array, such as a Newton iterate, by identity, and
     any other by its bytes, so an array changed in place is never answered
-    from it.  ``known``, the accepted cell state of x^n, supplies the
+    from it.  ``known``, the cell state of x^n its step carried, supplies the
     widths, densities and E_h of x^n.  Every term keeps the operation order
     of the textbook formulas, so a run gives the same bits as evaluating
     them afresh.
@@ -198,8 +193,8 @@ class _StepTerms:
         offset *= 0.5
         offset -= self.hat_mid
         moved = x - self.x_visc_ref
-        self.last = _Cells(key, ident, widths, min_width, s, offset, moved[1:] - moved[:-1],
-                           energy)
+        self.last = _Cells(self.p, key, ident, widths, min_width, s, offset,
+                           moved[1:] - moved[:-1], energy)
         return self.last
 
 
@@ -208,7 +203,7 @@ def _bdf2_terms(p: Wgf1dProblem, traj: Trajectory1D, tau: float) -> _StepTerms:
     x_hat = extrapolate_hat(traj.curr, traj.prev, r)
     coeff = (1.0 + 2.0 * r) / (2.0 * tau * (1.0 + r))
     lag_x, lag_rho = p.lag_state(traj.curr)
-    return _StepTerms(p, x_hat, traj.curr, lag_x, lag_rho, coeff, tau, _accepted_cells(p))
+    return _StepTerms(p, x_hat, traj.curr, lag_x, lag_rho, coeff, tau, _own(p, traj.cells))
 
 
 def _objective(t: _StepTerms, x) -> float:
@@ -324,10 +319,9 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
     """One adaptive BDF2 step; returns the new trajectory and recovered density.
 
     Both are built from the accepted iterate's checked cell state: the
-    trajectory takes its widths, and the density is pushforward_density_1d's
-    rho0 / (D_h x) from them, bit for bit.
+    trajectory takes its widths and carries it, and the density is
+    pushforward_density_1d's rho0 / (D_h x) from them, bit for bit.
     """
-    global _accepted
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     t = _bdf2_terms(p, traj, tau_next)
@@ -340,9 +334,9 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
         r = tau_next / traj.tau_prev
         x_new = _minimize(t, _start(t, traj.curr, traj.curr + r * (traj.curr - traj.prev)))
     c = t.at(x_new)  # the last state Newton evaluated, unless it stopped on a stall
-    if not keller_segel:
-        _accepted = (p, c) if c.energy is not None else None
-    new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c.widths, c.min_width)
+    if keller_segel:
+        c.energy = None  # J's E_h, with the lagged partner, is not the reported one
+    new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c)
     density = DensityField1D._checked_by_caller(p.rho0 / (c.widths / p.grid.h), p.grid)
     return new_traj, density
 
@@ -352,14 +346,13 @@ def wgf1d_first_step(p: Wgf1dProblem, tau1: float):
     return wgf1d_step(p, Trajectory1D.at_rest(p.grid, p.pinned), tau1)
 
 
-def wgf1d_energy(p: Wgf1dProblem, x) -> float:
-    """Reported discrete energy of a state (self-consistent interaction); that
-    of the last accepted iterate comes from its step objective."""
-    known = _accepted_cells(p)
-    x = np.asarray(x, dtype=float)
-    if known is not None and (known.x is x or known.key == x.tobytes()):
+def wgf1d_energy(p: Wgf1dProblem, x, cells=None) -> float:
+    """Reported discrete energy of a state (self-consistent interaction); the
+    E_h ``cells`` holds if it is x's cell state from a step of ``p``."""
+    known = _own(p, cells)
+    if known is not None and known.energy is not None:
         return known.energy
-    return discrete_energy_1d(p.model, x, p.rho0, p.grid)
+    return discrete_energy_1d(p.model, np.asarray(x, dtype=float), p.rho0, p.grid)
 
 
 def wgf1d_augmented_energy(p: Wgf1dProblem, x_prev, x_curr, tau: float,

@@ -438,8 +438,8 @@ def test_carried_cell_state_matches_a_fresh_one_bit_for_bit(r, eta, degenerate, 
     tau = 1e-3
     traj = ac_first_step(p, tau)
     x_n = traj.curr
-    carried = allen_cahn._accepted_cells(p, x_n)
-    assert carried is not None
+    carried = traj.cells
+    assert carried is not None and carried.p is p
     fresh = allen_cahn._cells(p, x_n.copy(), x_n.tobytes())
     for name in CELL_FIELDS:
         assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
@@ -448,13 +448,14 @@ def test_carried_cell_state_matches_a_fresh_one_bit_for_bit(r, eta, degenerate, 
     tau_next = r * tau
     x_next = x_n + p.grid.h * shift
     x_next[0], x_next[-1] = -1.0, 1.0
-    terms = _StepTerms(p, traj.prev, x_n, tau_next, r)
+    terms = _StepTerms(p, traj.prev, x_n, tau_next, r, carried)
     assert terms.last is carried  # the first residual, at x^n, is a memo hit
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(allen_cahn, "_accepted", None)
-        scratch = _StepTerms(p, traj.prev, x_n, tau_next, r)
-        energy_scratch = ac_energy(p, x_n)
-        step_scratch = ac_step(p, traj, tau_next)[0].curr
+    # the same history without a carried state builds everything from scratch
+    bare = Trajectory1D(traj.prev, x_n, traj.tau_prev, traj.time, traj.step_index, p.grid)
+    assert bare.cells is None
+    scratch = _StepTerms(p, bare.prev, bare.curr, tau_next, r)
+    energy_scratch = ac_energy(p, x_n, bare.cells)
+    step_scratch = ac_step(p, bare, tau_next)[0].curr
     assert scratch.last is not carried
     for x in (x_n, x_next):
         eq = per_call_midpoint_equation(p, traj.prev, x_n, x, tau_next, r)
@@ -465,7 +466,7 @@ def test_carried_cell_state_matches_a_fresh_one_bit_for_bit(r, eta, degenerate, 
                                   want_res)
             assert np.array_equal(_banded_jacobian(p, traj.prev, x_n, x, tau_next, r, terms=t),
                                   want_jac)
-    assert ac_energy(p, x_n) == energy_scratch
+    assert ac_energy(p, x_n, carried) == energy_scratch
     for x in (x_n, x_next):  # the carried d_h x serves x^n alone
         assert ac_energy(p, x) == ac_discrete_energy(x, p.rho0_nodes, p.rho0_prime_nodes,
                                                      p.grid, p.eps)
@@ -486,6 +487,14 @@ def test_each_iterate_cell_state_is_built_once_per_step(monkeypatch, eta):
         return cells(p, x, key)
 
     monkeypatch.setattr(allen_cahn, "_cells", recorded)
+    given_dhx = []
+    discrete_energy = allen_cahn.ac_discrete_energy
+
+    def recorded_energy(*args, dhx=None, **kwargs):
+        given_dhx.append(dhx)
+        return discrete_energy(*args, dhx=dhx, **kwargs)
+
+    monkeypatch.setattr(allen_cahn, "ac_discrete_energy", recorded_energy)
     traj = Trajectory1D.at_rest(p.grid)
     for k, tau in enumerate((1e-3, 1.5e-3, 1e-3, 1.3e-3)):
         built.clear()
@@ -495,8 +504,9 @@ def test_each_iterate_cell_state_is_built_once_per_step(monkeypatch, eta):
         # from rest, x^0's state is built first; after that x^n's is carried
         assert (traj.curr.tobytes() in built) == (k == 0)
         assert built[-1] == new.curr.tobytes()
-        energy = ac_energy(p, new.curr)
+        energy = ac_energy(p, new.curr, new.cells)
         assert len(built) == len(set(built))
+        assert given_dhx[-1] is new.cells.dhx
         assert energy == ac_discrete_energy(new.curr, p.rho0_nodes, p.rho0_prime_nodes,
                                             p.grid, p.eps)
         traj = new

@@ -241,11 +241,33 @@ def test_cli_rejects_negative_counts_and_start_up_steps(tmp_path, capsys, base, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("text, key", [
+    (RANDOM_PME + "time.n_steps = 0\ntime.tau = 0\n", "time.tau"),
+    (RANDOM_PME + "time.n_steps = 0\ntime.tau = -0.5\n", "time.tau"),
+    ("preset = ac-interface\ncontroller.beta = -1\n", "controller.beta"),
+    ("preset = ac-interface\ncontroller.strategy = 1\ncontroller.gamma = -2\n",
+     "controller.gamma"),
+], ids=["random zero tau", "random negative tau", "negative beta", "negative gamma"])
+def test_cli_rejects_step_counts_and_weights_the_run_cannot_use(tmp_path, capsys, text, key):
+    # a random step count of round(t_final / tau) divided by zero (exit 1) or
+    # ran 2 steps for a negative tau; a negative weight reached StepController
+    # and exited 1 with a traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out"), "--no-plots"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and key in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_counts_and_start_up_steps_are_accepted():
     text = ("preset = ac-interface\ntime.mode = random\ntime.n_steps = 0\nseed = 0\n"
             "controller.tau1 = 0\ncontroller.tau2 = 0\n")
     config = parse_config(text)
     assert (config.n_steps, config.seed, config.tau1, config.tau2) == (0, 0, 0.0, 0.0)
+    # random steps counted by time.n_steps do not need time.tau
+    config = parse_config(RANDOM_PME + "time.n_steps = 3\ntime.tau = 0\n")
+    assert (config.n_steps, config.tau) == (3, 0.0)
 
 
 @pytest.mark.parametrize("key", ["time.t_final", "time.tau", "model.m", "controller.tau_max"])

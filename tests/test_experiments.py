@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from lagflow import experiments
-from lagflow.adaptive import THEORY_RATIO_BOUNDS, AdaptiveRunResult, StepRecord
+from lagflow.adaptive import (THEORY_RATIO_BOUNDS, AdaptiveRunResult, StepController, StepRecord,
+                              run_adaptive)
 from lagflow.config import parse_config, preset_defaults
 from lagflow.experiments import (RunRecord, build_sim, run_experiment, run_fixed_steps,
                                  sweep_experiment, write_artifacts)
@@ -211,6 +214,23 @@ def test_fixed_driver_step_count():
     result = run_fixed_steps(sim, config.tau, config.t_final)
     assert len(result.steps) == 10
     assert result.steps[-1].t == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("preset", ["pme-convergence", "ks-2d"])
+def test_sim_time_and_last_step_are_its_trajectorys(preset):
+    config = parse_config(f"preset = {preset}\ngrid.mx = 12\n")
+    sim = build_sim(config)
+    assert (sim.time, sim.tau_prev, sim.energy_rate) == (0.0, math.inf, 0.0)
+    # at rest there is no step to propose from: no tau_max, but an error
+    with pytest.raises(ValueError, match="tau must be positive and finite"):
+        run_adaptive(sim, StepController(), 0.1)
+    assert sim.traj.step_index == 0
+    records = [sim.bdf2_step(tau) for tau in (1e-3, 2e-3)]
+    assert [r.ratio for r in records] == [1.0, 2.0]
+    assert (sim.time, sim.tau_prev) == (sim.traj.time, sim.traj.tau_prev) == (records[1].t, 2e-3)
+    assert sim.energy_rate == abs(records[1].energy - records[0].energy) / 2e-3
+    with pytest.raises(AttributeError):
+        sim.time = 0.0
 
 
 @pytest.mark.parametrize("mode", ["fixed", "random", "adaptive"])

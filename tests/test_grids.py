@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -186,18 +188,32 @@ def test_trajectory_holds_the_read_only_widths_of_curr(grid8):
     assert not t.widths.flags.writeable
 
 
+def test_trajectories_not_built_by_a_step_carry_no_cell_state(grid8):
+    x = grid8.nodes.copy()
+    x[3] += 0.1
+    for pinned in (True, False):
+        assert Trajectory1D.at_rest(grid8, pinned).cells is None
+    assert Trajectory1D(grid8.nodes, x, 1e-2, 0.0, 0, grid8).cells is None
+
+
+def cell_state(widths, min_width):
+    """A solver's cell state as ``_after_step`` reads it."""
+    return SimpleNamespace(widths=widths, min_width=min_width)
+
+
 def after_step_args(grid, moved=0.0):
-    """(history at rest, next node array, its widths and narrowest width)."""
+    """(history at rest, next node array, its cell state: widths and narrowest width)."""
     x = grid.nodes.copy()
     x[3] += 0.05
     x[-1] += moved
     widths = x[1:] - x[:-1]
-    return Trajectory1D.at_rest(grid, pinned=True), x, widths, widths.min()
+    return Trajectory1D.at_rest(grid, pinned=True), x, cell_state(widths, widths.min())
 
 
 def test_trajectory_after_step_equals_the_public_constructor(grid8):
-    rest, x, widths, min_width = after_step_args(grid8)
-    got = Trajectory1D._after_step(rest, x, 1e-2, widths, min_width)
+    rest, x, cells = after_step_args(grid8)
+    widths = cells.widths
+    got = Trajectory1D._after_step(rest, x, 1e-2, cells)
     want = Trajectory1D(rest.curr, x.copy(), 1e-2, rest.time + 1e-2, rest.step_index + 1, grid8)
     for name in ("prev", "curr", "widths"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
@@ -205,24 +221,30 @@ def test_trajectory_after_step_equals_the_public_constructor(grid8):
     assert got.prev is rest.curr and got.curr is x and got.widths is widths
     assert ((got.tau_prev, got.time, got.step_index, got.grid, got.pinned)
             == (want.tau_prev, want.time, want.step_index, want.grid, want.pinned))
+    # the given state is kept, and read-only
+    assert got.cells is cells and want.cells is None
+    with pytest.raises(AttributeError):
+        got.cells = None
 
 
 def test_trajectory_after_step_checks_what_the_cell_state_does_not_prove(grid8):
-    rest, x, widths, _ = after_step_args(grid8)
+    rest, x, cells = after_step_args(grid8)
+    widths = cells.widths
     for min_width in (0.0, -0.1, np.nan):
         with pytest.raises(AdmissibilityError):
-            Trajectory1D._after_step(rest, x, 1e-2, widths, min_width)
+            Trajectory1D._after_step(rest, x, 1e-2, cell_state(widths, min_width))
     with pytest.raises(ValueError, match="expected node field"):
-        Trajectory1D._after_step(rest, x[:-1], 1e-2, widths[:-1], widths.min())
+        Trajectory1D._after_step(rest, x[:-1], 1e-2, cell_state(widths[:-1], widths.min()))
     # a pinned end must stay bit-equal to x^n's, not merely within the public tolerance
     for index in (0, -1):
         moved = x.copy()
         moved[index] += 1e-12
         with pytest.raises(ValueError, match="pinned"):
-            Trajectory1D._after_step(rest, moved, 1e-2, widths, widths.min())
+            Trajectory1D._after_step(rest, moved, 1e-2, cell_state(widths, widths.min()))
     free = Trajectory1D.at_rest(grid8, pinned=False)
-    _, x, widths, min_width = after_step_args(grid8, moved=0.1)
-    assert not Trajectory1D._after_step(free, x, 1e-2, widths, min_width).pinned
+    _, x, cells = after_step_args(grid8, moved=0.1)
+    got = Trajectory1D._after_step(free, x, 1e-2, cells)
+    assert not got.pinned and got.cells is cells
 
 
 def test_density_checked_by_caller_skips_only_the_sign_check(grid8):

@@ -772,3 +772,94 @@ def test_cell_state_memo_knows_frozen_arrays_by_identity(solver):
     fresh = terms.at(same)
     assert fresh is not c and fresh.x is None
     assert fresh.widths.tobytes() == np.diff(same).tobytes()
+
+
+# --- the trajectory alone carries the state one step hands to the next
+
+def energy_of(p, traj):
+    """The step record's energy of ``traj.curr``, read with the state it carries."""
+    if isinstance(p, allen_cahn.AcProblem):
+        return allen_cahn.ac_energy(p, traj.curr, traj.cells)
+    return wgf1d_energy(p, traj.curr, traj.cells)
+
+
+@pytest.mark.parametrize("kind", ["pinned", "keller-segel", "phase-field"])
+def test_a_step_leaves_both_solver_modules_as_they_were(kind):
+    step, p, _ = handoff_steps()[kind]
+    before = {module: dict(vars(module)) for module in (allen_cahn, wgf1d)}
+    traj = Trajectory1D.at_rest(p.grid, getattr(p, "pinned", True))
+    for tau in (1e-3, 1.5e-3):
+        traj, _ = step(p, traj, tau)
+        energy_of(p, traj)
+    for module, names in before.items():
+        after = vars(module)
+        assert after.keys() == names.keys(), module.__name__
+        assert [k for k, v in names.items() if after[k] is not v] == [], module.__name__
+
+
+@pytest.mark.parametrize("kind", ["pinned", "keller-segel", "phase-field"])
+def test_alternating_trajectories_of_one_problem_step_as_each_alone(kind):
+    step, p, _ = handoff_steps()[kind]
+    rest = Trajectory1D.at_rest(p.grid, getattr(p, "pinned", True))
+    taus = {"a": (1e-3, 1.5e-3, 1e-3, 1.2e-3), "b": (2e-3, 1e-3, 1.8e-3, 9e-4)}
+
+    def advance(traj, tau):
+        traj, density = step(p, traj, tau)
+        return traj, (traj.curr.tobytes(), density.values.tobytes(), energy_of(p, traj))
+
+    alone = {}
+    for name, seq in taus.items():
+        traj, alone[name] = rest, []
+        for tau in seq:
+            traj, state = advance(traj, tau)
+            alone[name].append(state)
+    trajs = dict.fromkeys(taus, rest)
+    together = {name: [] for name in taus}
+    for k in range(len(taus["a"])):
+        for name, seq in taus.items():
+            trajs[name], state = advance(trajs[name], seq[k])
+            together[name].append(state)
+    assert together == alone
+
+
+def other_problem_pairs():
+    """name -> (problem that builds a trajectory, another that steps from it)."""
+    grid = Grid1D(-1.0, 1.0, 32)
+    ks_grid = Grid1D(-5.0, 5.0, 48)
+    rho0 = pme_cosine().density(grid.midpoints)
+    ks_rho0 = 8.0 * np.exp(-0.5 * ks_grid.midpoints ** 2) + 1e-8
+
+    def ac(eta):
+        return allen_cahn.AcProblem(grid, GinzburgLandau(0.1, ConstantMobility()),
+                                    initial=ac_parabola(), eta=eta)
+
+    return {
+        "phase-field, eta 0 then 1e-3": (ac(0.0), ac(1e-3)),
+        "phase-field, eta 1e-3 then 0": (ac(1e-3), ac(0.0)),
+        "porous-medium, other rho0": (Wgf1dProblem(grid, PorousMedium(2.0), rho0),
+                                      Wgf1dProblem(grid, PorousMedium(2.0), 1.5 * rho0)),
+        "keller-segel, other rho0": (Wgf1dProblem(ks_grid, KellerSegel1D(), ks_rho0),
+                                     Wgf1dProblem(ks_grid, KellerSegel1D(), 0.5 * ks_rho0)),
+        "porous-medium then phase field": (Wgf1dProblem(grid, PorousMedium(2.0), rho0), ac(0.0)),
+        "phase field then porous-medium": (ac(0.0), Wgf1dProblem(grid, PorousMedium(2.0), rho0)),
+    }
+
+
+@pytest.mark.parametrize("pair", list(other_problem_pairs()))
+def test_a_step_ignores_another_problems_cell_state(pair):
+    first, second = other_problem_pairs()[pair]
+
+    def step(p, traj, tau):
+        return (allen_cahn.ac_step if isinstance(p, allen_cahn.AcProblem) else wgf1d_step)(
+            p, traj, tau)
+
+    traj, _ = step(first, Trajectory1D.at_rest(first.grid), 1e-3)
+    assert traj.cells is not None
+    bare = Trajectory1D(traj.prev, traj.curr, traj.tau_prev, traj.time, traj.step_index,
+                        traj.grid)
+    assert energy_of(second, traj) == energy_of(second, bare)
+    got, got_density = step(second, traj, 1.5e-3)
+    want, want_density = step(second, bare, 1.5e-3)
+    assert_same_trajectory(got, want)
+    assert got_density.values.tobytes() == want_density.values.tobytes()
+    assert energy_of(second, got) == energy_of(second, want)
