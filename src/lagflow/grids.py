@@ -187,6 +187,11 @@ class Trajectory1D:
     widths of ``curr``, all positive.  ``cells`` is the checked cell state of
     ``curr`` that the solver step which built this history left
     (``_after_step``), None for one from the constructor or ``at_rest``.
+    ``before`` is the level before ``prev`` and the step between them,
+    (x^{n-2}, tau_{n-1}), which ``_after_step`` takes from the old history
+    and the phase-field predictor reads; None for one from the constructor
+    or ``at_rest``, and an infinite tau_{n-1} (the history after the step
+    from rest) counts as none.
     """
 
     prev: np.ndarray
@@ -198,6 +203,7 @@ class Trajectory1D:
     pinned: bool = True
     widths: np.ndarray = field(init=False, repr=False, compare=False)
     cells: object = field(default=None, init=False, repr=False, compare=False)
+    before: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         prev = _readonly(_check_node(self.prev, self.grid, "prev"))
@@ -228,7 +234,7 @@ class Trajectory1D:
         """The history after a step of length tau > 0 from ``traj`` to the node
         array x, carrying ``cells``, a solver's cell state of x: its
         ``widths`` are x[1:] - x[:-1], bit for bit, and ``min_width`` the
-        narrowest of them.
+        narrowest of them.  ``traj``'s (prev, tau_prev) becomes ``before``.
 
         Only what that state does not prove is checked: the shape, a positive
         narrowest width and, on pinned runs, end nodes equal to those of
@@ -247,7 +253,8 @@ class Trajectory1D:
         cells.widths.flags.writeable = False
         return _unchecked(cls, prev=curr, curr=x, tau_prev=tau, time=traj.time + tau,
                           step_index=traj.step_index + 1, grid=traj.grid,
-                          pinned=traj.pinned, widths=cells.widths, cells=cells)
+                          pinned=traj.pinned, widths=cells.widths, cells=cells,
+                          before=(traj.prev, traj.tau_prev))
 
 
 @dataclass(frozen=True)

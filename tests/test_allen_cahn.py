@@ -610,14 +610,39 @@ def _first_residual_points(monkeypatch):
     return points
 
 
+def quadratic_predictor(traj, r):
+    """x^n + r d + c (d - q (x^{n-1} - x^{n-2})), d = x^n - x^{n-1}, in that order."""
+    x_back, tau_back = traj.before
+    q = traj.tau_prev / tau_back
+    c = r * (r + 1.0) * q / (1.0 + q)
+    d = traj.curr - traj.prev
+    return traj.curr + r * d + c * (d - q * (traj.prev - x_back))
+
+
 def test_newton_starts_from_the_linear_predictor(monkeypatch):
     p = make_problem(mx=32)
-    traj = ac_step(p, ac_first_step(p, 1e-3), 1e-3)[0]
+    first = ac_first_step(p, 1e-3)
+    traj = ac_step(p, first, 1e-3)[0]
+    # a history from the constructor holds two levels, and the history after
+    # the step from rest holds x^0 behind an infinite step: both give the
+    # linear predictor
+    bare = Trajectory1D(traj.prev, traj.curr, traj.tau_prev, traj.time, traj.step_index, p.grid)
+    assert bare.before is None and np.isinf(first.before[1])
     points = _first_residual_points(monkeypatch)
+    for history in (bare, first):
+        for r in (0.5, 1.0, 1.5):
+            points.clear()
+            ac_step(p, history, r * history.tau_prev)
+            assert np.array_equal(points[0], history.curr + r * (history.curr - history.prev))
+    # with three levels, the quadratic predictor through them
+    assert traj.before[0] is first.prev and traj.before[1] == first.tau_prev
     for r in (0.5, 1.0, 1.5):
         points.clear()
         ac_step(p, traj, r * traj.tau_prev)
-        assert np.array_equal(points[0], traj.curr + r * (traj.curr - traj.prev))
+        want = quadratic_predictor(traj, r)
+        assert np.array_equal(points[0], want)
+        assert points[0][0] == traj.curr[0] and points[0][-1] == traj.curr[-1]
+        assert not np.array_equal(want, traj.curr + r * (traj.curr - traj.prev))
     # from rest r = 0, and the predictor is x^n itself
     points.clear()
     ac_first_step(p, 1e-3)
@@ -641,10 +666,73 @@ def test_newton_starts_from_x_n_when_the_predictor_folds_a_cell(monkeypatch):
     assert np.all(np.diff(new.curr) > 0.0)
 
 
+def test_newton_starts_from_x_n_when_the_three_level_predictor_folds_a_cell(monkeypatch):
+    # cell k is h wide at x^{n-2} and x^n and 1.4 h wide at x^{n-1}, over equal
+    # steps; at r = 1.5 (c = 1.875) the quadratic predictor gives it width
+    # h (1 - 0.6 - 1.875 * 0.8) < 0, where the linear one would give 0.4 h
+    p = make_problem(mx=32)
+    h, k = p.grid.h, 12
+    x_prev = p.grid.nodes.copy()
+    x_prev[k] -= 0.2 * h
+    x_prev[k + 1] += 0.2 * h
+    older = Trajectory1D(p.grid.nodes, x_prev, 1e-3, 1e-3, 1, p.grid)
+    x_curr = p.grid.nodes.copy()
+    traj = Trajectory1D._after_step(older, x_curr, 1e-3,
+                                    allen_cahn._cells(p, x_curr, x_curr.tobytes()))
+    assert traj.before[0] is older.prev and traj.before[1] == 1e-3
+    x_pred = quadratic_predictor(traj, 1.5)
+    assert x_pred[k + 1] - x_pred[k] < 0.0
+    x_lin = traj.curr + 1.5 * (traj.curr - traj.prev)
+    assert np.all(np.diff(x_lin) > 0.0)
+    points = _first_residual_points(monkeypatch)
+    new, _ = ac_step(p, traj, 1.5e-3)
+    assert np.array_equal(points[0], traj.curr)
+    assert np.all(np.diff(new.curr) > 0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.floats(1e-6, 1.5), r=st.floats(1e-6, 1.5),
+       tau_back=st.floats(1e-6, 1e-1),
+       coeffs=arrays(np.float64, (3,), elements=st.floats(-1.0, 1.0)),
+       pattern=arrays(np.float64, (15,), elements=st.floats(-1.0, 1.0)))
+def test_predictor_extrapolates_a_quadratic_node_path(q, r, tau_back, coeffs, pattern):
+    # nodes that move on x(s) = X + (h/10)(a + b s/S + c (s/S)^2) v, with s the
+    # time since t_n and S the span of the four levels, pass through x^{n-2},
+    # x^{n-1}, x^n at s = -(tau_n + tau_{n-1}), -tau_n, 0; the predictor at
+    # r = tau_{n+1}/tau_n is x(tau_{n+1}) up to rounding, and so is the
+    # Lagrange polynomial through the three levels
+    p = make_problem(mx=16)
+    tau_curr = q * tau_back
+    tau_next = r * tau_curr
+    span = tau_back + tau_curr + tau_next
+    v = np.concatenate([[0.0], pattern, [0.0]])
+
+    def x(s):
+        u = s / span
+        return p.grid.nodes + (0.1 * p.grid.h) * (coeffs[0] + coeffs[1] * u + coeffs[2] * u * u) * v
+
+    s_levels = (-(tau_curr + tau_back), -tau_curr, 0.0)
+    x_back, x_prev, x_curr = (x(s) for s in s_levels)
+    older = Trajectory1D(x_back, x_prev, tau_back, tau_back, 1, p.grid)
+    traj = Trajectory1D._after_step(older, x_curr, tau_curr,
+                                    allen_cahn._cells(p, x_curr, x_curr.tobytes()))
+    ratio = tau_next / traj.tau_prev
+    start = allen_cahn._start(_StepTerms(p, traj.prev, traj.curr, tau_next, ratio), traj)
+    assert np.array_equal(start, quadratic_predictor(traj, ratio))
+    weights = [np.prod([(tau_next - sj) / (si - sj) for sj in s_levels if sj != si])
+               for si in s_levels]
+    lagrange = sum(w * xi for w, xi in zip(weights, (x_back, x_prev, x_curr)))
+    tol = 16 * np.finfo(float).eps * sum(abs(w) for w in weights) * np.abs(x_curr).max()
+    assert np.abs(start - x(tau_next)).max() <= tol
+    assert np.abs(start - lagrange).max() <= tol
+    assert start[0] == x_curr[0] and start[-1] == x_curr[-1]
+
+
 # Newton stops at |F_i| <= 1e-11, not at the root, so the two starts end at
 # different points; the largest max-norm distance over the steps below was
-# 9.3e-11 (constant mobility, eta = 0), 5.6e-11 (eta = 1e-3) and 3.7e-11
-# (degenerate mobility); the bound allows about three times that
+# 9.2e-11 (constant mobility, eta = 0), 4.5e-11 (eta = 1e-3) and 2.5e-11
+# (degenerate mobility) from the three-level predictor, and 9.3e-11, 5.6e-11
+# and 3.7e-11 from the linear one; the bound allows about three times that
 START_DEVIATION = 3e-10
 
 
@@ -660,7 +748,7 @@ def test_predictor_and_x_n_starts_meet_the_stopping_rule_and_agree(monkeypatch, 
         with pytest.MonkeyPatch.context() as patch:
             stops = record_stops(patch, allen_cahn)
             new = ac_step(p, traj, tau)[0]
-            patch.setattr(allen_cahn, "_start", lambda t, x_prev, x_curr: x_curr)
+            patch.setattr(allen_cahn, "_start", lambda t, traj: traj.curr)
             from_x_n = ac_step(p, traj, tau)[0].curr
         assert len(stops) == 2
         check_stops(stops, NEWTON_TOL)

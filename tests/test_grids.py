@@ -1,3 +1,4 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -225,6 +226,27 @@ def test_trajectory_after_step_equals_the_public_constructor(grid8):
     assert got.cells is cells and want.cells is None
     with pytest.raises(AttributeError):
         got.cells = None
+
+
+def test_trajectory_after_step_keeps_the_level_before_prev(grid8):
+    # the step from rest keeps x^0 behind an infinite step, the next one the
+    # level before prev and the step between them; neither compares or prints
+    rest, x, cells = after_step_args(grid8)
+    first = Trajectory1D._after_step(rest, x, 1e-2, cells)
+    assert first.before[0] is rest.prev and first.before[1] == math.inf
+    y = x.copy()
+    y[4] += 0.02
+    widths = y[1:] - y[:-1]
+    second = Trajectory1D._after_step(first, y, 2e-2, cell_state(widths, widths.min()))
+    assert second.before[0] is first.prev and second.before[1] == 1e-2
+    for traj in (rest, Trajectory1D.at_rest(grid8, pinned=False),
+                 Trajectory1D(first.prev, first.curr, 1e-2, 1e-2, 1, grid8)):
+        assert traj.before is None
+    public = Trajectory1D(second.prev, second.curr, 2e-2, second.time, 2, grid8)
+    assert public == second and repr(public) == repr(second)
+    assert "before" not in repr(second)
+    with pytest.raises(AttributeError):
+        second.before = None
 
 
 def test_trajectory_after_step_checks_what_the_cell_state_does_not_prove(grid8):

@@ -1,3 +1,4 @@
+import copy
 import logging
 
 import numpy as np
@@ -311,6 +312,28 @@ def test_keller_segel_newton_starts_from_the_current_state(monkeypatch):
     starts = record_starts(monkeypatch)
     wgf1d_step(p, traj, 1e-3)
     assert np.array_equal(starts[0], traj.curr)
+
+
+@pytest.mark.parametrize("kind", ["porous-medium", "keller-segel"])
+def test_step_ignores_the_level_before_prev(kind):
+    # the trajectory keeps x^{n-2} for the phase-field predictor; the 1D
+    # gradient-flow step keeps its two-level start and gives the same bits
+    if kind == "porous-medium":
+        p = pme_problem(mx=32)
+    else:
+        grid = Grid1D(-5.0, 5.0, 48)
+        p = Wgf1dProblem(grid, KellerSegel1D(), 8.0 * np.exp(-0.5 * grid.midpoints ** 2) + 1e-8)
+    traj, _ = wgf1d_first_step(p, 1e-3)
+    traj, _ = wgf1d_step(p, traj, 1.5e-3)
+    assert traj.before is not None and np.isfinite(traj.before[1])
+    bare = copy.copy(traj)
+    object.__setattr__(bare, "before", None)
+    assert bare == traj and traj.before is not None
+    for tau in (1e-3, 2e-3):
+        with_slot, density = wgf1d_step(p, traj, tau)
+        without, density_bare = wgf1d_step(p, bare, tau)
+        assert np.array_equal(with_slot.curr, without.curr)
+        assert np.array_equal(density.values, density_bare.values)
 
 
 @pytest.mark.parametrize("backward", [False, True])
