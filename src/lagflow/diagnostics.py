@@ -21,10 +21,12 @@ __all__ = [
 ]
 
 
-def total_mass_2d(density: DensityField2D, x, y) -> float:
-    """sum over interior nodes of rho det(F) h_x h_y."""
+def total_mass_2d(density: DensityField2D, x, y, det=None) -> float:
+    """sum over interior nodes of rho det(F) h_x h_y; ``det`` is
+    jacobian_det_interior(x, y) when the caller has it."""
     grid = density.grid
-    det = jacobian_det_interior(x, y, grid)
+    if det is None:
+        det = jacobian_det_interior(x, y, grid)
     return float(np.sum(density.values[1:-1, 1:-1] * det)) * grid.h_x * grid.h_y
 
 

@@ -193,13 +193,16 @@ class Wgf2dSim(_SimBase):
         return math.sqrt(float(np.sum(dx * dx + dy * dy)) * area) / self.traj.tau_prev
 
     def _record(self, tau, ratio) -> StepRecord:
+        traj = self.traj
+        # the determinant of the state the step carries is jacobian_det_interior's
+        det = None if traj.deformation is None else traj.deformation.det
         return StepRecord(t=self.time, tau=tau, ratio=ratio, energy=self.energy,
-                          mass=total_mass_2d(self.density, self.traj.curr_x, self.traj.curr_y),
+                          mass=total_mass_2d(self.density, traj.curr_x, traj.curr_y, det),
                           min_density=float(np.min(self.density.values)),
                           max_density=float(np.max(self.density.values)))
 
     def _energy(self, traj):
-        return wgf2d_energy(self.problem, traj.curr_x, traj.curr_y)
+        return wgf2d_energy(self.problem, traj.curr_x, traj.curr_y, traj.deformation)
 
     def _step(self, tau):
         if self.scheme == "implicit":

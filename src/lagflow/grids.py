@@ -13,9 +13,18 @@ together with the matching quadratures (u, v)_h (midpoint) and [u, v]_h
 satisfies the summation-by-parts identity (D_h u, v)_h = -[u, d_h v]_h.
 
 The 2D layout is a tensor-product node grid; the deformation determinant is
-the central-difference 2x2 determinant at interior nodes.  Densities are
-recovered by pushforward: values are transported (non-conservative) or
-divided by the local volume change (conservative).
+the central-difference 2x2 determinant at interior nodes, computed from the
+four central differences of ``deformation_stencil`` (which a caller that has
+them hands in).  Densities are recovered by pushforward: values are
+transported (non-conservative) or divided by the local volume change
+(conservative).
+
+The public trajectory constructors check everything and carry no solver
+state.  The solvers build the next trajectory through ``_after_step``, which
+checks only what the accepted iterate's state does not prove and keeps that
+state on the trajectory: the 1D cell widths (``Trajectory1D.cells``) and the
+2D deformation state (``Trajectory2D.deformation``), the one place a step
+hands state to the next step and to its record.
 """
 
 from __future__ import annotations
@@ -259,7 +268,15 @@ class Trajectory1D:
 
 @dataclass(frozen=True)
 class Trajectory2D:
-    """Two most recent 2D node maps (x, y components stored separately)."""
+    """Two most recent 2D node maps (x, y components stored separately).
+
+    ``deformation`` is the deformation state of (curr_x, curr_y) that the
+    solver step which built this history left (``_after_step``): its
+    central differences, its determinant (positive) and the transported
+    density, from which the step's density, the record's mass and energy and
+    the next step's objective at x^n are read.  It is None for a history
+    from the constructor or ``at_rest``.
+    """
 
     prev_x: np.ndarray
     prev_y: np.ndarray
@@ -269,6 +286,7 @@ class Trajectory2D:
     time: float
     step_index: int
     grid: Grid2D
+    deformation: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.grid.node_shape
@@ -292,6 +310,32 @@ class Trajectory2D:
     def at_rest(cls, grid: Grid2D) -> "Trajectory2D":
         """The history at rest (see ``Trajectory1D.at_rest``)."""
         return cls(grid.ref_x, grid.ref_y, grid.ref_x, grid.ref_y, math.inf, 0.0, 0, grid)
+
+    @classmethod
+    def _after_step(cls, traj: "Trajectory2D", x, y, tau: float,
+                    deformation) -> "Trajectory2D":
+        """The history after a step of length tau > 0 from ``traj`` to the
+        node map (x, y), carrying ``deformation``, a solver's deformation
+        state of it: its ``det`` is jacobian_det_interior(x, y), bit for bit.
+
+        Only what that state does not prove is checked: the shapes, a
+        positive determinant and boundary nodes equal to those of
+        ``traj.curr_x`` and ``traj.curr_y``, which the solvers never move.
+        x and y become read-only.
+        """
+        shape = traj.grid.node_shape
+        if x.shape != shape or y.shape != shape:
+            raise ValueError(f"x, y: expected shape {shape}, got {x.shape} and {y.shape}")
+        if np.any(deformation.det <= 0.0):
+            raise AdmissibilityError("non-positive deformation determinant at an interior node")
+        for new, old in ((x, traj.curr_x), (y, traj.curr_y)):
+            if not (np.array_equal(new[[0, -1]], old[[0, -1]])
+                    and np.array_equal(new[:, [0, -1]], old[:, [0, -1]])):
+                raise ValueError("boundary nodes must coincide with the reference")
+        return _unchecked(cls, prev_x=traj.curr_x, prev_y=traj.curr_y, curr_x=_readonly(x),
+                          curr_y=_readonly(y), tau_prev=tau, time=traj.time + tau,
+                          step_index=traj.step_index + 1, grid=traj.grid,
+                          deformation=deformation)
 
 
 @dataclass(frozen=True)
@@ -323,7 +367,12 @@ class DensityField1D:
 
 @dataclass(frozen=True)
 class DensityField2D:
-    """Nonnegative node density attached to its reference grid."""
+    """Nonnegative node density attached to its reference grid.
+
+    The constructor refuses negative values; the 2D solvers build their
+    fields with ``_checked_by_caller`` from rho0 >= 0 and the transported
+    interior densities rho0 / det of a checked positive determinant.
+    """
 
     values: np.ndarray
     grid: Grid2D
@@ -335,6 +384,13 @@ class DensityField2D:
         object.__setattr__(self, "values", _readonly(v))
         if np.any(self.values < 0.0):
             raise ValueError("density values must be nonnegative")
+
+    @classmethod
+    def _checked_by_caller(cls, values: np.ndarray, grid: Grid2D) -> "DensityField2D":
+        """The field of a float node array whose values the caller has
+        checked; the array becomes read-only."""
+        values.flags.writeable = False
+        return _unchecked(cls, values=values, grid=grid)
 
 
 def embed_interior(interior, grid: Grid2D) -> np.ndarray:
@@ -356,13 +412,15 @@ def deformation_stencil(x, y, grid: Grid2D):
     return x_x, x_y, y_x, y_y
 
 
-def jacobian_det_interior(x, y, grid: Grid2D) -> np.ndarray:
+def jacobian_det_interior(x, y, grid: Grid2D, stencil=None) -> np.ndarray:
     """Central-difference deformation determinant at all interior nodes.
 
     Returns an array of shape (m_y-1, m_x-1); entry (i-1, j-1) is the
-    determinant at node (i, j).
+    determinant at node (i, j).  ``stencil`` is ``deformation_stencil(x, y,
+    grid)`` when the caller has it; the determinant is x_X y_Y - y_X x_Y of
+    it either way, bit for bit.
     """
-    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
+    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid) if stencil is None else stencil
     return x_x * y_y - y_x * x_y
 
 

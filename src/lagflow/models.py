@@ -14,6 +14,9 @@ separate position-dependent terms.
     E_h(x) = sum_c F(rho0_c h / w_c) * w_c  (+ drift + interaction),
 
 2D energies are sums over interior nodes of F(rho0/det) * det * h_x h_y.
+Their energy, gradient and Hessian take the map's deformation state
+(central differences, det and s = rho0/det) from a caller that has it, as
+the 1D ones take the cell state: ``wgf2d`` builds one per map and shares it.
 
 The Keller-Segel interaction uses exact inner integration of log|x - y|
 over partner cells via the antiderivative a log|a| - a, so the kernel
@@ -82,6 +85,7 @@ __all__ = [
     "discrete_energy_1d",
     "discrete_energy_grad_1d",
     "discrete_energy_hess_1d",
+    "deformation_state_2d",
     "discrete_energy_2d",
     "discrete_energy_hess_2d",
     "hess_2d_structure",
@@ -441,12 +445,27 @@ def _check_2d_model(model):
         raise TypeError(f"{type(model).__name__} is not supported by the 2D energies")
 
 
-def _deformation_state(x, y, rho0, grid: Grid2D):
-    det = jacobian_det_interior(x, y, grid)
+def _deformation_state(x, y, rho0, grid: Grid2D, stencil=None,
+                       failure: str = "non-positive deformation determinant"):
+    """det (checked positive) and s = rho0 / det at the interior nodes;
+    ``stencil`` as in ``jacobian_det_interior``, and a non-positive
+    determinant raises AdmissibilityError(failure)."""
+    det = jacobian_det_interior(x, y, grid, stencil)
     if np.any(det <= 0.0):
-        raise AdmissibilityError("non-positive deformation determinant")
+        raise AdmissibilityError(failure)
     s = np.asarray(rho0)[1:-1, 1:-1] / det
     return det, s
+
+
+def deformation_state_2d(x, y, rho0, grid: Grid2D,
+                         failure: str = "non-positive deformation determinant"):
+    """The deformation state (stencil, det, s) of the node map (x, y): the
+    central differences of ``deformation_stencil``, the determinant from
+    them (checked positive, else AdmissibilityError(failure)) and s =
+    rho0 / det at the interior nodes.  The 2D energy, gradient and Hessian
+    take it as their ``state``."""
+    stencil = deformation_stencil(x, y, grid)
+    return (stencil, *_deformation_state(x, y, rho0, grid, stencil, failure))
 
 
 def _interaction_nodes(x, y, rho0, grid: Grid2D):
@@ -623,29 +642,33 @@ def ks2d_interaction_force(model: KellerSegel2D, x, y, rho0, grid: Grid2D):
     return fx.reshape(shape) / scale, fy.reshape(shape) / scale
 
 
-def discrete_energy_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> float:
-    """E_{h,2} = sum_ij F(rho0/det) det h_x h_y plus any interaction energy."""
+def discrete_energy_2d(model: EnergyModel, x, y, rho0, grid: Grid2D, state=None) -> float:
+    """E_{h,2} = sum_ij F(rho0/det) det h_x h_y plus any interaction energy.
+
+    ``state`` is the deformation state of (x, y) (``deformation_state_2d``),
+    which a caller that evaluates the same map several times computes once.
+    """
     _check_2d_model(model)
-    det, s = _deformation_state(x, y, rho0, grid)
+    _, det, s = deformation_state_2d(x, y, rho0, grid) if state is None else state
     total = float(np.sum(_internal_density(model, s) * det)) * grid.h_x * grid.h_y
     if isinstance(model, KellerSegel2D):
         total += ks2d_interaction_energy(model, x, y, rho0, grid)
     return total
 
 
-def deformation_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D):
+def deformation_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D, state=None):
     """Gradient of the per-cell-area energy sum F(rho0/det) det (no h_x h_y).
 
     This is the force density entering the 2D schemes.  Returns full-shape
-    (gx, gy) with zero boundary ring.
+    (gx, gy) with zero boundary ring.  ``state`` as in ``discrete_energy_2d``.
     """
     _check_2d_model(model)
     x = np.asarray(x)
     y = np.asarray(y)
-    det, s = _deformation_state(x, y, rho0, grid)
+    (x_x, x_y, y_x, y_y), _, s = (deformation_state_2d(x, y, rho0, grid) if state is None
+                                  else state)
     p = _pressure(model, s)
     hx, hy = grid.h_x, grid.h_y
-    x_x, x_y, y_x, y_y = deformation_stencil(x, y, grid)
     q_yy = embed_interior(p * y_y, grid)
     q_yx = embed_interior(p * y_x, grid)
     q_xy = embed_interior(p * x_y, grid)
@@ -734,7 +757,8 @@ def hess_2d_structure(my1: int, mx1: int, mask: Union[bytes, None] = None):
     return pattern.indptr, pattern.indices
 
 
-def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps.csr_matrix:
+def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D,
+                            state=None) -> sps.csr_matrix:
     """Sparse Hessian of sum F(rho0/det) det over stacked interior unknowns [x; y].
 
     Interaction models are excluded: their Hessian is dense, and the 2D
@@ -742,12 +766,12 @@ def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps
     mass contribute: the sparsity pattern is built once per interior shape
     and mass mask (``_hess_2d_pattern``), so an entry that only massless
     nodes touch is not stored, and each call computes the values on the
-    nodes with mass only.
+    nodes with mass only.  ``state`` as in ``discrete_energy_2d``.
     """
     _check_2d_model(model)
     if isinstance(model, KellerSegel2D):
         raise ValueError("implicit Hessian is only available for interaction-free models")
-    det, s = _deformation_state(x, y, rho0, grid)
+    stencil, det, s = deformation_state_2d(x, y, rho0, grid) if state is None else state
     pattern = _hess_2d_pattern(*det.shape, mass_mask(rho0))
     nodes = pattern.nodes
     det = det.ravel()[nodes]
@@ -756,7 +780,7 @@ def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D) -> sps
     # d/d(det) of G(rho0/det) = -G'(s) s / det
     pp = -_pressure_deriv(model, s) * s / det
     hx, hy = grid.h_x, grid.h_y
-    x_x, x_y, y_x, y_y = (d.ravel()[nodes] for d in deformation_stencil(x, y, grid))
+    x_x, x_y, y_x, y_y = (d.ravel()[nodes] for d in stencil)
     # d(det)/d(stencil unknown), in stencil order
     grad = np.stack([
         -y_y / (2.0 * hx), y_y / (2.0 * hx), y_x / (2.0 * hy), -y_x / (2.0 * hy),

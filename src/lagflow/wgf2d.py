@@ -26,12 +26,14 @@ warm start (the Newton-Krylov practice of Knoll & Keyes, J. Comput. Phys.
 193:357, 2004).  CG stops once ||b - K u|| < CG_RTOL ||b|| (1e-14) in its
 recursive residual.  A system that CG leaves unsolved after CG_MAX_ITER
 iterations, or with non-finite values, is factored instead, as is every
-shifted system the Newton core tries.  Nothing is kept from one step to the
-next, so a step's bits depend on its inputs alone.  Both matrices are
-symmetric, so one sparse LU in SuperLU's symmetric mode does the work of a
-Cholesky factorization.  Its pivots prefer the diagonal down to a tenth of
-the column's largest entry, which keeps indefinite Newton matrices accurate
-(diagonal pivots alone lost three digits on one of condition number 2.8e3).
+shifted system the Newton core tries.  No factorization is kept from one
+step to the next, and the state a history carries has the bits of a fresh
+evaluation (see below), so a step's bits depend on its inputs alone.  Both
+matrices are symmetric, so one sparse LU in SuperLU's symmetric mode does
+the work of a Cholesky factorization.  Its pivots prefer the diagonal down
+to a tenth of the column's largest entry, which keeps indefinite Newton
+matrices accurate (diagonal pivots alone lost three digits on one of
+condition number 2.8e3).
 
 Compactly supported data leave most interior nodes massless, and there both
 matrices are only the viscosity: sigma (-Lap_h), with sigma = s for the
@@ -67,6 +69,22 @@ experiments use); the latter is the default for experiment presets.
 A non-positive determinant of either the extrapolated or the computed
 configuration raises AdmissibilityError so the step controller can reject
 the step and halve.
+
+Every map a step evaluates gets one deformation state (``_Deformation``),
+built once: the four central differences, det (checked positive), s =
+rho0/det and, once computed, E_h, which the ``models`` energy, gradient and
+Hessian take as their ``state``.  The explicit step's extrapolated
+configuration has one for its determinant check and its gradient.  In the
+implicit step the objective, gradient and Hessian at one Newton iterate read
+the same state, found by a one-entry memo (``_Iterates``) that knows a
+``frozen`` iterate by identity and any other array by its bits; the
+warm start's state and J, or those of x^n, go to Newton as its first
+iterate's.  The accepted map's state rides on the history the step returns
+(``Trajectory2D.deformation``, through ``Trajectory2D._after_step``): its s
+is the density's interior, the bits of ``recover_density_2d``, its det gives
+the record's mass, and its E_h is the record's energy and the E_h(x^n) of
+the next step's J(x^n).  Every value keeps the operation order of a fresh
+evaluation, so the bits do not change.
 """
 
 from __future__ import annotations
@@ -82,9 +100,9 @@ from .errors import AdmissibilityError, NewtonError, SolverError
 from .grids import (DensityField2D, Grid2D, Trajectory2D, embed_interior,
                     jacobian_det_interior)
 from .models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
-                     discrete_energy_2d, discrete_energy_hess_2d, hess_2d_structure,
-                     ks2d_interaction_force, mass_mask)
-from .newton import newton_solve
+                     deformation_state_2d, discrete_energy_2d, discrete_energy_hess_2d,
+                     hess_2d_structure, ks2d_interaction_force, mass_mask)
+from .newton import frozen, newton_solve
 from .wgf1d import extrapolate_hat
 
 __all__ = ["Wgf2dProblem", "VISC_TAU_INCREMENT", "VISC_TAU_SQ_ABSOLUTE",
@@ -132,6 +150,116 @@ class Wgf2dProblem:
             return self.eps_visc * tau
         return self.eps_visc * tau * tau
 
+
+@dataclass(slots=True)
+class _Deformation:
+    """Deformation state of one node map (x, y) of ``p``: the central
+    differences, det (checked positive) and s = rho0 / det at the interior
+    nodes, and E_h there once computed.  x and y do not change while the
+    state is in use; ``z`` is the iterate [x; y] they are views of, if the
+    state was made for one that is ``frozen``."""
+
+    p: Wgf2dProblem
+    x: np.ndarray
+    y: np.ndarray
+    stencil: tuple
+    det: np.ndarray
+    s: np.ndarray
+    energy: float | None = None
+    z: np.ndarray | None = None
+
+    @property
+    def state(self) -> tuple:
+        """(stencil, det, s): the ``state`` the 2D ``models`` functions take."""
+        return self.stencil, self.det, self.s
+
+
+def _deformation(p: Wgf2dProblem, x, y,
+                 failure: str = "non-positive deformation determinant") -> _Deformation:
+    """The deformation state of the map (x, y) (``deformation_state_2d``); a
+    non-positive determinant raises AdmissibilityError(failure)."""
+    return _Deformation(p, x, y, *deformation_state_2d(x, y, p.rho0, p.grid, failure))
+
+
+def _same_bits(a, b) -> bool:
+    """Whether the float arrays a and b hold the same bits (unlike ==, which
+    equates 0.0 with -0.0 and no nan with itself)."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _own(p: Wgf2dProblem, deformation) -> _Deformation | None:
+    """``deformation`` if it is a ``wgf2d`` deformation state made for ``p``, else None."""
+    if isinstance(deformation, _Deformation) and deformation.p is p:
+        return deformation
+    return None
+
+
+def _current(p: Wgf2dProblem, traj: Trajectory2D) -> _Deformation:
+    """x^n's deformation state: the one ``traj`` carries from a step of ``p``,
+    or else computed."""
+    known = _own(p, traj.deformation)
+    return _deformation(p, traj.curr_x, traj.curr_y) if known is None else known
+
+
+def _energy(m: _Deformation) -> float:
+    """E_h at the map of ``m``, computed at most once."""
+    if m.energy is None:
+        p = m.p
+        m.energy = discrete_energy_2d(p.model, m.x, m.y, p.rho0, p.grid, m.state)
+    return m.energy
+
+
+def _after_step(p: Wgf2dProblem, traj: Trajectory2D, new: _Deformation, tau: float):
+    """The history and density after a step of length tau from ``traj`` to
+    the map of ``new``, which the history carries; the density's interior
+    is new.s, the bits of ``recover_density_2d``."""
+    values = np.array(p.rho0)
+    values[1:-1, 1:-1] = new.s
+    return (Trajectory2D._after_step(traj, new.x, new.y, tau, new),
+            DensityField2D._checked_by_caller(values, p.grid))
+
+
+class _Iterates:
+    """A one-entry memo of the deformation state of an implicit step's
+    iterates, and J there.
+
+    ``at(z)`` returns the state of the stacked iterate z = [x; y], whose x
+    and y are views of z made once per iterate, and computes it only for a
+    new iterate; ``value`` is J at that iterate once computed.  The memo
+    knows a ``frozen`` z, such as a Newton iterate, by identity, and any
+    other by its bits; it keeps a read-only copy of a z that is not frozen,
+    so an array changed in place is never answered from it.  ``start`` is a
+    state the caller already has, with J there (``value``) if known:
+    Newton's first iterate, a copy of its map, is found by its bits.
+    """
+
+    def __init__(self, p: Wgf2dProblem, start: _Deformation | None = None,
+                 value: float | None = None):
+        self.p = p
+        self.last = start
+        self.value = value
+
+    def at(self, z) -> _Deformation:
+        last = self.last
+        if last is not None and last.z is z:
+            return last
+        ident = z if frozen(z) else None
+        if ident is None:
+            z = z.copy()
+            z.flags.writeable = False
+        shape = self.p.grid.node_shape
+        half = z.size // 2
+        x, y = z[:half].reshape(shape), z[half:].reshape(shape)
+        if last is not None and _same_bits(x, last.x) and _same_bits(y, last.y):
+            if ident is not None:
+                last.z = ident  # the next lookup of this array is by identity
+            return last
+        new = _deformation(self.p, x, y)
+        new.z = ident
+        self.last, self.value = new, None
+        return new
+
+
 def _neg_lap_interior(u, grid: Grid2D):
     # 5-point -Laplacian of a full node field, evaluated at interior nodes
     hx2 = grid.h_x ** 2
@@ -140,9 +268,11 @@ def _neg_lap_interior(u, grid: Grid2D):
             - (u[2:, 1:-1] - 2.0 * u[1:-1, 1:-1] + u[:-2, 1:-1]) / hy2)
 
 
-def _scheme_gradient(p: Wgf2dProblem, x, y):
-    """delta E~ / delta x per node: deformation force plus any interaction force."""
-    gx, gy = deformation_energy_grad_2d(p.model, x, y, p.rho0, p.grid)
+def _scheme_gradient(p: Wgf2dProblem, x, y, deformation: _Deformation | None = None):
+    """delta E~ / delta x per node: deformation force plus any interaction
+    force; ``deformation`` is the state of (x, y) when the caller has it."""
+    state = None if deformation is None else deformation.state
+    gx, gy = deformation_energy_grad_2d(p.model, x, y, p.rho0, p.grid, state)
     if isinstance(p.model, KellerSegel2D):
         fx, fy = ks2d_interaction_force(p.model, x, y, p.rho0, p.grid)
         gx = gx + fx
@@ -174,6 +304,20 @@ def _neg_lap_cached(nx: int, ny: int, h_x: float, h_y: float) -> sps.csr_matrix:
     for arr in (lap.data, lap.indices, lap.indptr):
         arr.flags.writeable = False
     return lap
+
+
+@lru_cache(maxsize=8)
+def _newton_grid_cached(nx: int, ny: int, h_x: float, h_y: float):
+    """The grid's constants of the implicit Newton solve over the stacked map
+    [x; y], built once per grid: sum_j |(-Lap_h)_ij| on the interior nodes of
+    both components, and the flat indices of those nodes, the free unknowns.
+    The arrays are read-only."""
+    size = (ny + 2) * (nx + 2)
+    interior = np.arange(size).reshape(ny + 2, nx + 2)[1:-1, 1:-1].ravel()
+    lap_rows = np.tile(_abs_row_sums(_neg_lap_cached(nx, ny, h_x, h_y)), 2)
+    free = np.concatenate([interior, size + interior])
+    lap_rows.flags.writeable = free.flags.writeable = False
+    return lap_rows, free
 
 
 @dataclass(frozen=True)
@@ -477,25 +621,22 @@ def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, solver: _Cond
         raise SolverError("linear solve produced non-finite values")
     x_new = x_curr + embed_interior(sol[:, 0].reshape(rhs_x.shape), grid)
     y_new = y_curr + embed_interior(sol[:, 1].reshape(rhs_y.shape), grid)
-    det = jacobian_det_interior(x_new, y_new, grid)
-    if np.any(det <= 0.0):
-        raise AdmissibilityError("explicit step produced a non-positive determinant")
     return x_new, y_new
 
 
 def _explicit_maps(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float,
-                   solver: _CondensedSolver):
-    """The explicit step's new node maps, solved with ``solver``, the step's
-    explicit matrix; the energy gradient is taken at the extrapolated
-    configuration, and a non-positive determinant of that or of the new map
-    raises AdmissibilityError."""
+                   solver: _CondensedSolver) -> _Deformation:
+    """The deformation state of the explicit step's new node map, solved with
+    ``solver``, the step's explicit matrix.  The energy gradient is taken at
+    the extrapolated configuration, from the state that also checks its
+    determinant; a non-positive determinant of that or of the new map raises
+    AdmissibilityError."""
     r = tau_next / traj.tau_prev
     x_star = (1.0 + r) * traj.curr_x - r * traj.prev_x
     y_star = (1.0 + r) * traj.curr_y - r * traj.prev_y
-    det_star = jacobian_det_interior(x_star, y_star, p.grid)
-    if np.any(det_star <= 0.0):
-        raise AdmissibilityError("extrapolated configuration has a non-positive determinant")
-    gx, gy = _scheme_gradient(p, x_star, y_star)
+    star = _deformation(p, x_star, y_star,
+                        "extrapolated configuration has a non-positive determinant")
+    gx, gy = _scheme_gradient(p, x_star, y_star, star)
     s = p.visc_strength(tau_next)
     hist = r * r / (tau_next * (1.0 + r))
     rhs_x = (p.rho0 * hist * (traj.curr_x - traj.prev_x))[1:-1, 1:-1] - gx[1:-1, 1:-1]
@@ -503,20 +644,23 @@ def _explicit_maps(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float,
     if p.visc_scaling == VISC_TAU_SQ_ABSOLUTE:
         rhs_x = rhs_x - s * _neg_lap_interior(traj.curr_x, p.grid)
         rhs_y = rhs_y - s * _neg_lap_interior(traj.curr_y, p.grid)
-    return _explicit_solve(p, traj.curr_x, traj.curr_y, rhs_x, rhs_y, solver)
+    x_new, y_new = _explicit_solve(p, traj.curr_x, traj.curr_y, rhs_x, rhs_y, solver)
+    x_new.flags.writeable = y_new.flags.writeable = False  # they hold the state
+    return _deformation(p, x_new, y_new, "explicit step produced a non-positive determinant")
 
 
 def wgf2d_step_explicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
-    """Linear scheme with the energy gradient at the extrapolated configuration."""
+    """Linear scheme with the energy gradient at the extrapolated configuration.
+
+    The new history and the density come from the new map's checked
+    deformation state, which the history carries (``_after_step``).
+    """
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     r = tau_next / traj.tau_prev
     c = (1.0 + 2.0 * r) / (tau_next * (1.0 + r))
     solver = _explicit_solver(p, c * p.rho0, p.visc_strength(tau_next))
-    x_new, y_new = _explicit_maps(p, traj, tau_next, solver)
-    new_traj = Trajectory2D(traj.curr_x, traj.curr_y, x_new, y_new, tau_next,
-                            traj.time + tau_next, traj.step_index + 1, p.grid)
-    return new_traj, recover_density_2d(x_new, y_new, p.rho0, p.grid)
+    return _after_step(p, traj, _explicit_maps(p, traj, tau_next, solver), tau_next)
 
 
 def wgf2d_first_step_explicit(p: Wgf2dProblem, tau1: float):
@@ -527,30 +671,39 @@ def wgf2d_first_step_explicit(p: Wgf2dProblem, tau1: float):
 
 # --- implicit minimization --------------------------------------------------
 
-def _objective_2d(p: Wgf2dProblem, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s):
+def _objective_2d(p: Wgf2dProblem, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s,
+                  deformation: _Deformation | None = None):
+    """J at the map (x, y); x_ref is None for the absolute viscosity (see
+    ``_visc_ref``), and ``deformation``, the state of (x, y) when the caller
+    has it, supplies E_h there and keeps it."""
     area = p.grid.h_x * p.grid.h_y
-    val = discrete_energy_2d(p.model, x, y, p.rho0, p.grid)
+    if deformation is None:
+        val = discrete_energy_2d(p.model, x, y, p.rho0, p.grid)
+    else:
+        val = _energy(deformation)
     val += coeff * float(np.sum(p.rho0 * ((x - x_hat) ** 2 + (y - y_hat) ** 2))) * area
     if s > 0.0:
-        dx = x - x_ref
-        dy = y - y_ref
-        for d in (dx, dy):
+        for d in ((x, y) if x_ref is None else (x - x_ref, y - y_ref)):
             gx = np.diff(d, axis=1) / p.grid.h_x
             gy = np.diff(d, axis=0) / p.grid.h_y
             val += 0.5 * s * (float(np.sum(gx * gx)) + float(np.sum(gy * gy))) * area
     return val
 
 
-def _gradient_2d(p: Wgf2dProblem, x, y, x_hat, y_hat, x_ref, y_ref, coeff, s):
+def _gradient_2d(p: Wgf2dProblem, m: _Deformation, x_hat, y_hat, x_ref, y_ref, coeff, s):
+    """The interior gradient of J at the map of ``m`` (the other arguments as
+    in ``_objective_2d``)."""
     area = p.grid.h_x * p.grid.h_y
-    gx, gy = deformation_energy_grad_2d(p.model, x, y, p.rho0, p.grid)
+    x, y = m.x, m.y
+    gx, gy = deformation_energy_grad_2d(p.model, x, y, p.rho0, p.grid, m.state)
     gx = gx * area
     gy = gy * area
     gx += 2.0 * coeff * p.rho0 * (x - x_hat) * area
     gy += 2.0 * coeff * p.rho0 * (y - y_hat) * area
     if s > 0.0:
-        gx[1:-1, 1:-1] += s * _neg_lap_interior(x - x_ref, p.grid) * area
-        gy[1:-1, 1:-1] += s * _neg_lap_interior(y - y_ref, p.grid) * area
+        dx, dy = (x, y) if x_ref is None else (x - x_ref, y - y_ref)
+        gx[1:-1, 1:-1] += s * _neg_lap_interior(dx, p.grid) * area
+        gy[1:-1, 1:-1] += s * _neg_lap_interior(dy, p.grid) * area
     return gx[1:-1, 1:-1].ravel(), gy[1:-1, 1:-1].ravel()
 
 
@@ -564,42 +717,46 @@ def _abs_row_sums(mat: sps.csr_matrix) -> np.ndarray:
 
 
 def _visc_ref(p: Wgf2dProblem, x, y):
-    """Map the implicit viscosity is measured from: x^n, or 0 for the absolute form."""
+    """Map the implicit viscosity is measured from: x^n, or None for the
+    absolute form, which measures x itself (x - 0 is x, bit for bit)."""
     if p.visc_scaling == VISC_TAU_INCREMENT:
         return x, y
-    return np.zeros_like(x), np.zeros_like(y)
+    return None, None
 
 
 def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_hat,
-                    x_ref, y_ref, coeff, s, preconditioner=None):
+                    x_ref, y_ref, coeff, s, preconditioner=None,
+                    start: _Deformation | None = None) -> _Deformation:
     """Newton minimization (see ``newton``) of the step functional from a start
-    no higher than ``j_ref``, its value at x^n.  The iterate stacks the full
-    x and y node arrays; the interior nodes of both are the unknowns.
+    no higher than ``j_ref``, its value at x^n; returns the accepted
+    iterate's deformation state.  The iterate stacks the full x and y node
+    arrays; the interior nodes of both are the unknowns.  Its objective,
+    gradient and Hessian read one state per iterate (``_Iterates``).
     ``preconditioner`` is the step's explicit solver, whose matrix
     diag(2 coeff rho0) + s (-Lap_h) preconditions CG on the unshifted Newton
     systems until CG fails on one; without it every Newton system is
-    factored."""
+    factored.  ``start``, if the caller has it, is the state of the start,
+    where J is ``j_start``: Newton then evaluates neither again."""
     if j_start > j_ref + 1e-12 * abs(j_ref):
         raise NewtonError("warm start above the feasibility cap")
     grid = p.grid
     area = grid.h_x * grid.h_y
-    shape = grid.node_shape
-    size = shape[0] * shape[1]
     inertia = np.tile((2.0 * coeff * p.rho0[1:-1, 1:-1] * area).ravel(), 2)
-    interior = np.arange(size).reshape(shape)[1:-1, 1:-1].ravel()
-
-    def split(z):
-        return z[:size].reshape(shape), z[size:].reshape(shape)
+    lap_rows, free = _newton_grid_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
+    iterates = _Iterates(p, start, None if start is None else j_start)
 
     def objective(z):
-        return _objective_2d(p, *split(z), x_hat, y_hat, x_ref, y_ref, coeff, s)
+        m = iterates.at(z)
+        if iterates.value is None:
+            iterates.value = _objective_2d(p, m.x, m.y, x_hat, y_hat, x_ref, y_ref, coeff, s, m)
+        return iterates.value
 
     def gradient(z):
-        return np.concatenate(_gradient_2d(p, *split(z), x_hat, y_hat, x_ref, y_ref, coeff, s))
+        m = iterates.at(z)
+        return np.concatenate(_gradient_2d(p, m, x_hat, y_hat, x_ref, y_ref, coeff, s))
 
     # the row sums of |inertia + sigma (-Lap_h)|, per component
-    lap = _neg_lap_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
-    fixed_rows = inertia + s * area * np.tile(_abs_row_sums(lap), 2)
+    fixed_rows = inertia + s * area * lap_rows
 
     solver = None
 
@@ -608,20 +765,25 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
         if solver is not None and solver.cg_failed:
             # CG failed on one of the step's Newton systems: factor the rest
             preconditioner = None
-        hess = discrete_energy_hess_2d(p.model, *split(z), p.rho0, grid) * area
+        m = iterates.at(z)
+        hess = discrete_energy_hess_2d(p.model, m.x, m.y, p.rho0, grid, m.state) * area
         solver = _CondensedSolver(grid, p.rho0, inertia, s * area, hess, preconditioner)
         return solver, lambda: 1e-8, _abs_row_sums(hess) + fixed_rows
 
     z = np.concatenate([x_start.ravel(), y_start.ravel()])
-    z = newton_solve(z, gradient, linearize, objective=objective,
-                     free=np.concatenate([interior, size + interior]), tol=NEWTON_TOL,
+    z = newton_solve(z, gradient, linearize, objective=objective, free=free, tol=NEWTON_TOL,
                      stall_tol=1e3 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50,
                      row_sums=fixed_rows)
-    return split(z)
+    return iterates.at(z)  # the last state Newton evaluated, unless it stopped on a stall
 
 
 def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
-    """Minimize the step functional over maps with positive determinant."""
+    """Minimize the step functional over maps with positive determinant.
+
+    J(x^n) takes E_h(x^n) from the state ``traj`` carries, and the chosen
+    start hands its state and J to Newton.  The new history and the density
+    come from the accepted iterate's state, which the history carries.
+    """
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     r = tau_next / traj.tau_prev
@@ -630,24 +792,23 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
     coeff = (1.0 + 2.0 * r) / (2.0 * tau_next * (1.0 + r))
     s = p.visc_strength(tau_next)
     x_ref, y_ref = _visc_ref(p, traj.curr_x, traj.curr_y)
-    j_at_curr = _objective_2d(p, traj.curr_x, traj.curr_y, x_hat, y_hat, x_ref, y_ref, coeff, s)
+    curr = _current(p, traj)
+    j_at_curr = _objective_2d(p, curr.x, curr.y, x_hat, y_hat, x_ref, y_ref, coeff, s, curr)
     # warm start from the explicit output when it does not increase J; the
     # explicit matrix, factored once, also preconditions the Newton systems
-    x0, y0, j0 = traj.curr_x, traj.curr_y, j_at_curr
+    start, j0 = curr, j_at_curr
     explicit = None
     try:
         explicit = _explicit_solver(p, 2.0 * coeff * p.rho0, s)
-        xw, yw = _explicit_maps(p, traj, tau_next, explicit)
-        jw = _objective_2d(p, xw, yw, x_hat, y_hat, x_ref, y_ref, coeff, s)
+        warm = _explicit_maps(p, traj, tau_next, explicit)
+        jw = _objective_2d(p, warm.x, warm.y, x_hat, y_hat, x_ref, y_ref, coeff, s, warm)
         if jw <= j_at_curr:
-            x0, y0, j0 = xw, yw, jw
+            start, j0 = warm, jw
     except (SolverError, AdmissibilityError):
         pass
-    x_new, y_new = _implicit_solve(p, x0, y0, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref,
-                                   coeff, s, explicit)
-    new_traj = Trajectory2D(traj.curr_x, traj.curr_y, x_new, y_new, tau_next,
-                            traj.time + tau_next, traj.step_index + 1, p.grid)
-    return new_traj, recover_density_2d(x_new, y_new, p.rho0, p.grid)
+    new = _implicit_solve(p, start.x, start.y, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref,
+                          coeff, s, explicit, start)
+    return _after_step(p, traj, new, tau_next)
 
 
 def wgf2d_first_step_implicit(p: Wgf2dProblem, tau1: float):
@@ -666,8 +827,14 @@ def recover_density_2d(x, y, rho0, grid: Grid2D) -> DensityField2D:
     return DensityField2D(values, grid)
 
 
-def wgf2d_energy(p: Wgf2dProblem, x, y) -> float:
-    return discrete_energy_2d(p.model, x, y, p.rho0, p.grid)
+def wgf2d_energy(p: Wgf2dProblem, x, y, deformation=None) -> float:
+    """E_h of the map (x, y); the E_h ``deformation`` holds, computed there at
+    most once, if it is x's deformation state from a step of ``p``
+    (``Trajectory2D.deformation``)."""
+    known = _own(p, deformation)
+    if known is None:
+        return discrete_energy_2d(p.model, x, y, p.rho0, p.grid)
+    return _energy(known)
 
 
 def wgf2d_augmented_energy(p: Wgf2dProblem, traj: Trajectory2D,
@@ -677,4 +844,4 @@ def wgf2d_augmented_energy(p: Wgf2dProblem, traj: Trajectory2D,
     dy = traj.curr_y - traj.prev_y
     inertia = float(np.sum(p.rho0 * (dx * dx + dy * dy))) * p.grid.h_x * p.grid.h_y
     weight = r_max ** 3 / (traj.tau_prev * (1.0 + r_max) * (1.0 + 2.0 * r_max))
-    return wgf2d_energy(p, traj.curr_x, traj.curr_y) + weight * inertia
+    return wgf2d_energy(p, traj.curr_x, traj.curr_y, traj.deformation) + weight * inertia

@@ -724,9 +724,10 @@ def test_warm_start_is_the_explicit_step_bit_for_bit(monkeypatch, make):
     wgf2d_step_implicit(p, traj, 2.4e-3)
     explicit, dens = wgf2d_step_explicit(p, traj, 2.4e-3)
     assert len(seen) == 2
-    for x_new, y_new in seen:
-        assert np.array_equal(x_new, explicit.curr_x) and np.array_equal(y_new, explicit.curr_y)
-    assert np.array_equal(dens.values, recover_density_2d(*seen[0], p.rho0, p.grid).values)
+    for new in seen:
+        assert np.array_equal(new.x, explicit.curr_x) and np.array_equal(new.y, explicit.curr_y)
+    assert np.array_equal(dens.values, recover_density_2d(seen[0].x, seen[0].y, p.rho0,
+                                                          p.grid).values)
 
 
 @pytest.mark.parametrize("first_step", [wgf2d_first_step_explicit, wgf2d_first_step_implicit])
@@ -781,7 +782,8 @@ def implicit_first_step_oracle(p, tau1):
     s = p.visc_strength(tau1)
     x_ref, y_ref = wgf2d._visc_ref(p, x0, y0)
     j0 = wgf2d._objective_2d(p, x0, y0, x0, y0, x_ref, y_ref, 0.5 / tau1, s)
-    return wgf2d._implicit_solve(p, x0, y0, j0, j0, x0, y0, x_ref, y_ref, 0.5 / tau1, s)
+    new = wgf2d._implicit_solve(p, x0, y0, j0, j0, x0, y0, x_ref, y_ref, 0.5 / tau1, s)
+    return new.x, new.y
 
 
 
@@ -797,8 +799,8 @@ def test_feasibility_cap_admits_a_start_at_a_negative_reference():
     def solve(j_start, j_ref):
         return wgf2d._implicit_solve(p, x0, y0, j_start, j_ref, *rest)
 
-    x, y = solve(-1.0, -1.0)
-    assert np.all(jacobian_det_interior(x, y, p.grid) > 0.0)
+    new = solve(-1.0, -1.0)
+    assert np.all(jacobian_det_interior(new.x, new.y, p.grid) > 0.0)
     with pytest.raises(NewtonError, match="warm start above the feasibility cap"):
         solve(-1.0 + 2e-12, -1.0)
 
@@ -906,3 +908,204 @@ def test_abs_row_sums_match_the_dense_matrix(density):
                      data_rvs=lambda k: np.random.default_rng(4).uniform(-2.0, 2.0, k))
     want = np.abs(mat.toarray()).sum(axis=1)
     assert np.allclose(wgf2d._abs_row_sums(mat), want, rtol=1e-14, atol=0.0)
+
+
+# --- one deformation state per map --------------------------------------------
+
+def bits(a):
+    """The bits of a float array, so that 0.0 and -0.0 differ and nan equals itself."""
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def same_bits(a, b):
+    return np.array_equal(bits(a), bits(b))
+
+
+def drawn_map(g, seed, amplitude):
+    """The reference map with each interior node moved by up to ``amplitude``
+    cells in x and in y: admissible for an amplitude below a quarter."""
+    rng = np.random.default_rng(seed)
+    x, y = g.ref_x.copy(), g.ref_y.copy()
+    x[1:-1, 1:-1] += amplitude * g.h_x * rng.uniform(-1.0, 1.0, (g.m_y - 1, g.m_x - 1))
+    y[1:-1, 1:-1] += amplitude * g.h_y * rng.uniform(-1.0, 1.0, (g.m_y - 1, g.m_x - 1))
+    return x, y
+
+
+def support_problem(g, support, seed):
+    """Barenblatt data with compact support, or a random positive density on
+    every node."""
+    if support == "compact":
+        rho0 = barenblatt_2d(g.ref_x, g.ref_y, 0.0, 2.0)
+    else:
+        rho0 = np.random.default_rng(seed).uniform(0.2, 1.5, g.node_shape)
+    return Wgf2dProblem(g, PorousMedium(2.0), rho0, eps_visc=0.5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mx=st.integers(4, 14), my=st.integers(4, 14),
+       support=st.sampled_from(["compact", "full"]), seed=st.integers(0, 2 ** 16),
+       amplitude=st.floats(0.0, 0.24))
+def test_deformation_state_is_the_fresh_evaluation_bit_for_bit(mx, my, support, seed,
+                                                               amplitude):
+    g = Grid2D(-2.0, 2.0, -1.5, 1.5, mx, my)
+    p = support_problem(g, support, seed)
+    x, y = drawn_map(g, seed, amplitude)
+    m = wgf2d._deformation(p, x, y)
+    assert all(same_bits(a, b) for a, b in zip(m.stencil, models.deformation_stencil(x, y, g)))
+    assert same_bits(m.det, jacobian_det_interior(x, y, g))
+    det, s = models._deformation_state(x, y, p.rho0, g)
+    assert same_bits(m.det, det) and same_bits(m.s, s)
+    fresh = models.discrete_energy_2d(p.model, x, y, p.rho0, g)
+    assert m.energy is None
+    assert wgf2d.wgf2d_energy(p, x, y, m) == fresh and m.energy == fresh
+    for got, want in zip(models.deformation_energy_grad_2d(p.model, x, y, p.rho0, g, m.state),
+                         models.deformation_energy_grad_2d(p.model, x, y, p.rho0, g)):
+        assert same_bits(got, want)
+    hess = discrete_energy_hess_2d(p.model, x, y, p.rho0, g, m.state)
+    assert same_bits(hess.data, discrete_energy_hess_2d(p.model, x, y, p.rho0, g).data)
+    # the memo's state of the stacked iterate, made from views of it, has the same bits
+    z = np.concatenate([x.ravel(), y.ravel()])
+    z.flags.writeable = False
+    at = wgf2d._Iterates(p).at(z)
+    assert at.z is z and np.shares_memory(at.x, z) and np.shares_memory(at.y, z)
+    assert same_bits(at.det, m.det) and same_bits(at.s, m.s)
+
+
+def test_deformation_state_rejects_a_folded_map():
+    p = bump_problem()
+    x = p.grid.ref_x.copy()
+    x[3, 3] = x[3, 4] + 1.0
+    with pytest.raises(AdmissibilityError, match="folded here"):
+        wgf2d._deformation(p, x, p.grid.ref_y, "folded here")
+    with pytest.raises(AdmissibilityError):
+        wgf2d._Iterates(p).at(np.concatenate([x.ravel(), p.grid.ref_y.ravel()]))
+
+
+def two_steps(p, step):
+    traj, _ = step(p, equal_history(p, 2e-3), 2e-3)
+    return step(p, traj, 2.4e-3)
+
+
+def public_trajectory(traj):
+    return Trajectory2D(traj.prev_x, traj.prev_y, traj.curr_x, traj.curr_y, traj.tau_prev,
+                        traj.time, traj.step_index, traj.grid)
+
+
+@pytest.mark.parametrize("step", [wgf2d_step_explicit, wgf2d_step_implicit],
+                         ids=["explicit", "implicit"])
+@pytest.mark.parametrize("make", [compact_problem, bump_problem,
+                                  lambda: bump_problem(scaling=VISC_TAU_SQ_ABSOLUTE)],
+                         ids=["compact", "bump", "bump-absolute"])
+def test_step_outputs_come_from_the_carried_state(step, make):
+    p = make()
+    traj, dens = two_steps(p, step)
+    public = public_trajectory(traj)
+    for name in ("prev_x", "prev_y", "curr_x", "curr_y", "tau_prev", "time", "step_index",
+                 "grid"):
+        got, want = getattr(traj, name), getattr(public, name)
+        if isinstance(want, np.ndarray):
+            assert same_bits(got, want) and not got.flags.writeable
+        else:
+            assert got == want
+    assert public.deformation is None
+    m = traj.deformation
+    assert m.x is traj.curr_x and m.y is traj.curr_y
+    assert same_bits(m.det, jacobian_det_interior(traj.curr_x, traj.curr_y, p.grid))
+    assert same_bits(dens.values, recover_density_2d(traj.curr_x, traj.curr_y, p.rho0,
+                                                     p.grid).values)
+    assert not dens.values.flags.writeable
+    assert wgf2d.wgf2d_energy(p, traj.curr_x, traj.curr_y, traj.deformation) == \
+        models.discrete_energy_2d(p.model, traj.curr_x, traj.curr_y, p.rho0, p.grid)
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+def test_step_records_read_the_carried_state(scheme):
+    from lagflow.experiments import Wgf2dSim
+
+    p = compact_problem()
+    sim = Wgf2dSim(p, scheme)
+    for tau in (2e-3, 2.4e-3, 2.2e-3):
+        record = sim.bdf2_step(tau)
+        x, y = sim.traj.curr_x, sim.traj.curr_y
+        assert sim.traj.deformation is not None
+        assert record.mass == total_mass_2d(sim.density, x, y)
+        assert record.energy == models.discrete_energy_2d(p.model, x, y, p.rho0, p.grid)
+
+
+def test_after_step_checks_what_the_state_does_not_prove():
+    p = bump_problem()
+    traj = equal_history(p, 2e-3)
+    x, y = drawn_map(p.grid, 4, 0.2)
+    m = wgf2d._deformation(p, x, y)
+    assert Trajectory2D._after_step(traj, x, y, 2e-3, m).deformation is m
+    for comp, (i, j) in ((0, (0, 3)), (1, (4, -1))):
+        moved = [x.copy(), y.copy()]
+        moved[comp][i, j] += 1e-3
+        with pytest.raises(ValueError, match="boundary nodes"):
+            Trajectory2D._after_step(traj, *moved, 2e-3, wgf2d._deformation(p, *moved))
+    for bad in (0.0, -1.0):
+        m = wgf2d._deformation(p, x, y)
+        m.det = m.det.copy()
+        m.det[2, 3] = bad
+        with pytest.raises(AdmissibilityError):
+            Trajectory2D._after_step(traj, x, y, 2e-3, m)
+    with pytest.raises(ValueError, match="expected shape"):
+        Trajectory2D._after_step(traj, x[:, 1:], y, 2e-3, m)
+
+
+def test_memo_never_answers_for_an_array_changed_in_place():
+    # mx = 8 puts a boundary node at x = 0.0
+    p = bump_problem(mx=8)
+    g = p.grid
+    x, y = drawn_map(g, 7, 0.2)
+    z = np.concatenate([x.ravel(), y.ravel()])
+    memo = wgf2d._Iterates(p)
+    first = memo.at(z)
+    memo.value = 1.0
+    assert memo.at(z) is first and memo.value == 1.0  # the same bits: a hit
+    k = g.node_shape[1] + 2  # an interior node of x
+    z[k] += 0.1 * g.h_x
+    changed = memo.at(z)
+    assert changed is not first and memo.value is None
+    x_changed = z[:x.size].reshape(x.shape)
+    assert same_bits(changed.det, jacobian_det_interior(x_changed, y, g))
+    assert not same_bits(changed.det, first.det)
+    # a frozen iterate is known by identity, and an equal copy of it by its bits
+    frozen = z.copy()
+    frozen.flags.writeable = False
+    state = memo.at(frozen)
+    assert state is changed and state.z is frozen and memo.at(frozen) is state
+    # 0.0 and -0.0 compare equal but are different bits
+    signed = frozen.copy()
+    zero = np.flatnonzero(signed == 0.0)[0]
+    signed[zero] = -0.0
+    assert memo.at(signed) is not state
+
+
+def test_each_map_gets_one_determinant_and_one_energy(monkeypatch):
+    # over implicit steps, objective, gradient and Hessian read one state per
+    # map, the warm start hands its J to Newton, and x^n's E_h rides on the history
+    p = compact_problem()
+    seen = {"det": [], "energy": []}
+
+    def counted(key, fn, first):
+        # x and y are fn's arguments at positions first and first + 1
+        def wrapped(*args):
+            seen[key].append(bits(args[first]).tobytes() + bits(args[first + 1]).tobytes())
+            return fn(*args)
+        return wrapped
+
+    det = wgf2d.jacobian_det_interior
+    monkeypatch.setattr(wgf2d, "jacobian_det_interior", counted("det", det, 0))
+    monkeypatch.setattr(models, "jacobian_det_interior", counted("det", det, 0))
+    monkeypatch.setattr(wgf2d, "discrete_energy_2d",
+                        counted("energy", wgf2d.discrete_energy_2d, 1))
+    # after the first step x* differs from x^n
+    traj, _ = wgf2d_first_step_implicit(p, 2e-3)
+    del seen["det"][:], seen["energy"][:]
+    for tau in (2.4e-3, 2.2e-3, 2.6e-3):
+        traj, _ = wgf2d_step_implicit(p, traj, tau)
+        wgf2d.wgf2d_augmented_energy(p, traj)
+    assert seen["det"] and seen["energy"]
+    for key in seen:
+        assert len(set(seen[key])) == len(seen[key])
