@@ -46,18 +46,19 @@ The cell state of an iterate (its widths, with the admissibility check and
 the narrowest width, slopes and their reciprocals, midpoints, d_h x and, with
 the log regularization, log d_h x) is computed once and shared by its
 residual, its Jacobian and the fraction-to-the-boundary bound
-(``newton.cell_fraction_to_boundary``, the rule ``wgf1d`` uses too).  The
-accepted iterate's state rides on the trajectory the step returns, as its
-``cells``: the step record's energy reads its d_h x, and the next step of
-the same problem reads x^n's slopes, midpoints and log d_h x^n from it, so
-that step's first residual, at x^n, builds nothing.  The memo knows Newton's
-iterates, which are ``frozen``, by identity.  The terms that depend only on
-(x^{n-1}, x^n, tau, r) (the inertia and history weights) are built once per
-step, and those that depend only on the problem (the end weights of d_h,
-the force's quadrature weights and the constant factor of its Jacobian)
-once per problem.  Every term keeps the operation order of the textbook
-formula, so a run has the same bits as evaluating each term afresh.  The
-banded solve goes straight to LAPACK (``banded``).
+(``newton.cell_fraction_to_boundary``, the rule ``wgf1d`` uses too): the
+Newton core builds it once per trial (``_cells`` is its ``prepare``) and
+hands it to the callbacks at that iterate, and ``_start`` builds the
+start's.  The accepted iterate's state rides on the trajectory the step
+returns, as its ``cells``: the step record's energy reads its d_h x, and the
+next step of the same problem reads x^n's slopes, midpoints and log d_h x^n
+from it, so that step's first residual, at x^n, builds nothing.  The terms
+that depend only on (x^{n-1}, x^n, tau, r) (the inertia and history
+weights) are built once per step, and those that depend only on the problem
+(the end weights of d_h, the force's quadrature weights and the constant
+factor of its Jacobian) once per problem.  Every term keeps the operation
+order of the textbook formula, so a run has the same bits as evaluating
+each term afresh.  The banded solve goes straight to LAPACK (``banded``).
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from .errors import AdmissibilityError
 from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product, node_diff
 from .initial import InitialCondition1D
 from .models import GinzburgLandau, ac_discrete_energy, check_mobility_positive, double_well
-from .newton import cell_fraction_to_boundary, frozen, newton_solve
+from .newton import cell_fraction_to_boundary, newton_solve
 
 __all__ = ["AcProblem", "ac_residual", "ac_step", "ac_first_step", "ac_modified_energy",
            "ac_energy", "RATIO_BOUND_AC"]
@@ -159,13 +160,10 @@ def _inertia_coeff(tau, r):
 
 @dataclass(slots=True)
 class _Cells:
-    """Cell state of one iterate of a step of ``p`` (``key`` is its bytes,
-    ``x`` the iterate itself if it is ``frozen``), shared by everything
+    """Cell state of one iterate of a step of ``p``, shared by everything
     evaluated there."""
 
     p: AcProblem
-    key: bytes
-    x: np.ndarray | None
     widths: np.ndarray
     min_width: float
     slope: np.ndarray      # D_h x = widths / h
@@ -175,7 +173,7 @@ class _Cells:
     log_dhx: np.ndarray | None  # log d_h x, with the log regularization only
 
 
-def _cells(p: AcProblem, x, key: bytes) -> _Cells:
+def _cells(p: AcProblem, x) -> _Cells:
     """The cell state of the node array x, after the admissibility check."""
     widths = x[1:] - x[:-1]
     min_width = widths.min()
@@ -183,8 +181,8 @@ def _cells(p: AcProblem, x, key: bytes) -> _Cells:
         raise AdmissibilityError("candidate trajectory is not strictly increasing")
     slope = widths / p.grid.h
     dhx = node_diff(x, p.grid)
-    return _Cells(p, key, x if frozen(x) else None, widths, min_width, slope, 1.0 / slope,
-                  0.5 * (x[:-1] + x[1:]), dhx, np.log(dhx) if p.eta > 0.0 else None)
+    return _Cells(p, widths, min_width, slope, 1.0 / slope, 0.5 * (x[:-1] + x[1:]), dhx,
+                  np.log(dhx) if p.eta > 0.0 else None)
 
 
 def _own(p: AcProblem, cells) -> _Cells | None:
@@ -194,18 +192,14 @@ def _own(p: AcProblem, cells) -> _Cells | None:
 
 class _StepTerms:
     """The step equations' terms that depend only on (x^{n-1}, x^n, tau, r),
-    and a one-entry memo of the cell state.
+    and x^n's cell state ``curr``.
 
     Built once per step, so a residual or Jacobian evaluation does only the
-    work that depends on the iterate.  ``at(x)`` returns the cell state of x,
-    computed (with the admissibility check) only for a new iterate.  The
-    memo knows a ``frozen`` array, such as a Newton iterate, by identity, and
-    any other by its bytes, so an array changed in place is never answered
-    from it.  It starts out holding x^n's state, ``curr`` when the step that
-    accepted x^n carried it.  Each precomputed product is a leading factor
-    of the expression it came from (``c1 * w`` of ``c1 * w * (...)``), so
-    every term keeps its evaluation order and the bits of evaluating the
-    textbook formulas afresh.
+    work that depends on the iterate.  ``curr`` is the one the step that
+    accepted x^n carried, if given, else built here.  Each precomputed
+    product is a leading factor of the expression it came from (``c1 * w``
+    of ``c1 * w * (...)``), so every term keeps its evaluation order and the
+    bits of evaluating the textbook formulas afresh.
     """
 
     def __init__(self, p: AcProblem, x_prev, x_curr, tau, r, curr: _Cells | None = None):
@@ -217,8 +211,8 @@ class _StepTerms:
         self.tau = tau
         self.r = r
         if curr is None:
-            curr = _cells(p, x_curr, x_curr.tobytes())
-        self.last = curr
+            curr = _cells(p, x_curr)
+        self.curr = curr
         self.inv_slope_curr = curr.inv_slope
         self.xm_curr = curr.xm
         self.c1w = c1 * w
@@ -235,17 +229,6 @@ class _StepTerms:
             self.hist_w = (r * r) * w / (2.0 * tau * (r + 1.0))
             self.jac_hist = r / (8.0 * tau * (r + 1.0)) * w * self.hist * self.dxm
         self.log_dh_curr = curr.log_dhx
-
-    def at(self, x) -> _Cells:
-        last = self.last
-        if last.x is x:
-            return last
-        key = x.tobytes()
-        if last.key != key:
-            self.last = _cells(self.p, x, key)
-        elif frozen(x):
-            last.x = x  # the next lookup of this array is by identity
-        return self.last
 
 
 def _midpoint_equation(t: _StepTerms, c: _Cells):
@@ -291,22 +274,23 @@ def _energy_force(p: AcProblem, dhx):
 
 
 def ac_residual(p: AcProblem, x_prev, x_curr, x_next, tau: float, r: float,
-                terms: _StepTerms | None = None) -> np.ndarray:
+                terms: _StepTerms | None = None, cells: _Cells | None = None) -> np.ndarray:
     """Weak-form residual at interior nodes.
 
     The inertia/history terms are hat-function tests of the per-midpoint
     scheme; the phase-field force enters as the analytic gradient of the
     discrete energy.  ``terms``, the step's constants, is built from
-    (x_prev, x_curr, tau, r) when not given.
+    (x_prev, x_curr, tau, r) when not given, and ``cells``, x_next's cell
+    state, from x_next.
     """
     t = _StepTerms(p, x_prev, x_curr, tau, r) if terms is None else terms
-    c = t.at(np.asarray(x_next))
+    c = _cells(p, np.asarray(x_next)) if cells is None else cells
     eq = _midpoint_equation(t, c)
     force = _energy_force(p, c.dhx)
     return 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + force[1:-1]
 
 
-def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=None):
+def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=None, cells=None):
     """Jacobian of ``ac_residual`` in x_next, in ``solve_banded((2, 2), ...)`` layout.
 
     Midpoint equation c depends on x_next only through its end nodes c and
@@ -318,10 +302,11 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=None):
     (d_h x)_j = c_j (x_{j+1} - x_{j-1}), with c_j = 1/(2h) inside and the
     one-sided 1/h at the two ends.  With sigma_j = c_j dPhi_j/d(d_h x)_j, row k
     gets sigma_{k-1} + sigma_{k+1} on the diagonal and -sigma_{k-1},
-    -sigma_{k+1} in columns k-2, k+2.
+    -sigma_{k+1} in columns k-2, k+2.  ``terms`` and ``cells`` are as in
+    ``ac_residual``.
     """
     t = _StepTerms(p, x_prev, x_curr, tau, r) if terms is None else terms
-    c = t.at(np.asarray(x_next))
+    c = _cells(p, np.asarray(x_next)) if cells is None else cells
     h = p.grid.h
 
     # the midpoint term of eq_c is even in its end nodes, the slope term odd
@@ -363,9 +348,9 @@ def _row_sums(ab):
 
 
 def _start(t: _StepTerms, traj: Trajectory1D):
-    """Newton's start for the step with ratio r = t.r from ``traj``: x^n at
-    r = 0 or when the predictor folds a cell, else the predictor, whose cell
-    state is left in the memo, so Newton's first residual there builds nothing.
+    """Newton's start for the step with ratio r = t.r from ``traj`` and its
+    cell state: x^n at r = 0 or when the predictor folds a cell, else the
+    predictor.
 
     The predictor is x^n + r d, d = x^n - x^{n-1}, through the last two
     levels, plus, when ``traj`` holds x^{n-2} behind a finite tau_{n-1}
@@ -385,11 +370,10 @@ def _start(t: _StepTerms, traj: Trajectory1D):
             c = r * (r + 1.0) * q / (1.0 + q)
             x_pred = x_pred + c * (d - q * (x_prev - x_back))
         try:
-            t.at(x_pred)
-            return x_pred
+            return x_pred, _cells(t.p, x_pred)
         except AdmissibilityError:
             pass
-    return x_curr
+    return x_curr, t.curr
 
 
 def _solve_step(p: AcProblem, traj: Trajectory1D, tau, r):
@@ -398,21 +382,23 @@ def _solve_step(p: AcProblem, traj: Trajectory1D, tau, r):
     x_prev, x_curr = traj.prev, traj.curr
     t = _StepTerms(p, x_prev, x_curr, tau, r, _own(p, traj.cells))
 
-    def residual(x):
-        return ac_residual(p, x_prev, x_curr, x, tau, r, terms=t)
+    def prepare(x):
+        return _cells(p, x)
 
-    def linearize(x):
-        ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, terms=t)
+    def residual(x, c):
+        return ac_residual(p, x_prev, x_curr, x, tau, r, terms=t, cells=c)
+
+    def linearize(x, c):
+        ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, terms=t, cells=c)
         return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), None, _row_sums(ab)
 
-    def step_bound(x, step):
-        c = t.at(x)
+    def step_bound(x, c, step):
         return cell_fraction_to_boundary(c.widths, c.min_width, step)
 
-    x_new = newton_solve(_start(t, traj), residual, linearize, free=slice(1, -1),
-                         tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                         max_backtracks=40, step_bound=step_bound)
-    return x_new, t.at(x_new)
+    x_start, c_start = _start(t, traj)
+    return newton_solve(x_start, residual, linearize, prepare=prepare, state=c_start,
+                        free=slice(1, -1), tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL,
+                        max_iter=NEWTON_MAX_ITER, max_backtracks=40, step_bound=step_bound)
 
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):

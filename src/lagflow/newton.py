@@ -38,9 +38,13 @@ solve: a shifted Jacobian does not make ||F|| descend.  A line search that
 accepts a trial equal to the iterate ends the solve at once: every later
 iteration would repeat it exactly.
 
-The iterates the callbacks see are fresh read-only arrays that the core
-never writes to (``frozen``), so a solver may know an iterate's memoized
-state by the array's identity instead of comparing its bytes.
+The core makes every iterate, so it also owns each iterate's state: the
+solver's ``prepare(x)`` builds it once per line-search trial (for the 1D
+solvers the cell widths, for the 2D solver the deformation determinant, each
+with its admissibility check), and the core hands it to every callback at
+that iterate and returns it with the accepted one.  An inadmissible trial is
+refused by ``prepare`` and halves the step like one whose merit is refused.
+The iterates are read-only, so a state may hold views of them.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ import numpy as np
 
 from .errors import AdmissibilityError, NewtonError
 
-__all__ = ["newton_solve", "cell_fraction_to_boundary", "frozen", "ARMIJO"]
+__all__ = ["newton_solve", "cell_fraction_to_boundary", "ARMIJO"]
 
 log = logging.getLogger(__name__)
 
@@ -65,10 +69,9 @@ _NOISE = 32.0 * _EPS
 _SHIFT_TRIES = 8
 
 
-def frozen(x) -> bool:
-    """Whether the values of the array x cannot change under a memo that holds
-    it: x is read-only and owns its data, as every Newton iterate does."""
-    return not x.flags.writeable and x.base is None
+def _stateless(x):
+    """``prepare`` of a solver whose callbacks need no per-iterate state."""
+    return None
 
 
 def cell_fraction_to_boundary(widths, min_width, step) -> float:
@@ -125,18 +128,25 @@ def _within_floor(gabs, gnorm, xmag, tol, row_sums) -> bool:
     return bool((gabs <= np.maximum(tol, (_EPS * row_sums) * xmag)).all())
 
 
-def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), tol, stall_tol,
-                 max_iter, max_backtracks, step_bound=None, row_sums=None):
-    """Damped Newton iteration from the flat array ``x``; returns the accepted iterate.
+def newton_solve(x, residual, linearize, *, prepare=_stateless, state=None, objective=None,
+                 value=None, free=slice(None), tol, stall_tol, max_iter, max_backtracks,
+                 step_bound=None, row_sums=None):
+    """Damped Newton iteration from the flat array ``x``; returns the accepted
+    iterate and its state, ``(x, state)``.
 
-    ``residual(x)`` is the vector over ``x[free]`` that must meet the
-    stopping rule (module docstring) with the number ``tol``: the gradient of
-    ``objective`` if one is given, else the equations, with ||residual||_2
-    as the merit and no descent test.  ``linearize(x)`` returns ``(solve,
+    ``prepare(x)`` builds the state of an iterate, which every callback at x
+    receives; it raises AdmissibilityError (or ValueError) for an
+    inadmissible trial, which halves the step.  ``state`` is the start's if
+    the caller has it, else ``prepare`` builds it.  ``residual(x, state)`` is
+    the vector over ``x[free]`` that must meet the stopping rule (module
+    docstring) with the number ``tol``: the gradient of ``objective(x,
+    state)`` if one is given, else the equations, with ||residual||_2 as the
+    merit and no descent test.  ``value`` is the objective at the start if
+    the caller has it.  ``linearize(x, state)`` returns ``(solve,
     shift_floor, row_sums)``: ``solve(rhs, shift)`` solves the linear system
     plus ``shift`` times the identity, ``shift_floor()`` gives the first
     nonzero shift (never called without an objective), and ``row_sums`` is
-    sum_j |A_ij| over the free rows.  ``step_bound(x, step)`` caps the
+    sum_j |A_ij| over the free rows.  ``step_bound(x, state, step)`` caps the
     initial step length.  ``row_sums``, if given, bound the row sums of
     every linearization from below; the floor uses them until the first
     linearization.  A residual or linear system that is not finite raises
@@ -145,28 +155,34 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
     minimize = objective is not None
     x = np.array(x, dtype=float)
     x.flags.writeable = False
-    g = None if minimize else residual(x)
-    fx = objective(x) if minimize else _norm(g)
+    if state is None:
+        state = prepare(x)
+    if minimize:
+        g = None
+        fx = objective(x, state) if value is None else value
+    else:
+        g = residual(x, state)
+        fx = _norm(g)
     for _ in range(max_iter):
         if g is None:
-            g = residual(x)
+            g = residual(x, state)
         gabs = np.abs(g)
         gnorm = gabs.max()
         if not gnorm < math.inf:
             raise NewtonError(f"residual is not finite (max|g|={gnorm})")
         if gnorm <= tol:
-            return x
+            return x, state
         xmag = max(1.0, np.abs(x).max())  # once per iterate
         if row_sums is not None and _within_floor(gabs, gnorm, xmag, tol, row_sums):
-            return x
-        solve, shift_floor, row_sums = linearize(x)
+            return x, state
+        solve, shift_floor, row_sums = linearize(x, state)
         step = _descent_step(solve, g, shift_floor, minimize)
         if np.abs(step).max() <= 4.0 * _EPS * xmag:
             log.debug("step below machine scale at max|g|=%.2e; accepting iterate", gnorm)
-            return x
+            return x, state
         full = np.zeros(x.shape)
         full[free] = step
-        alpha = 1.0 if step_bound is None else step_bound(x, full)
+        alpha = 1.0 if step_bound is None else step_bound(x, state, full)
         if alpha <= 0.0:
             raise NewtonError("line search cannot keep the iterate admissible")
         slope = np.dot(g, step) if minimize else -fx
@@ -175,10 +191,11 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
             trial = x + alpha * full
             trial.flags.writeable = False
             try:
+                trial_state = prepare(trial)
                 if minimize:
-                    f_trial = objective(trial)
+                    f_trial = objective(trial, trial_state)
                 else:
-                    g_trial = residual(trial)
+                    g_trial = residual(trial, trial_state)
                     f_trial = _norm(g_trial)
             except (AdmissibilityError, ValueError):
                 alpha *= 0.5
@@ -188,13 +205,13 @@ def newton_solve(x, residual, linearize, *, objective=None, free=slice(None), to
                 # has an equal merit; the cheap test guards the array compare
                 if f_trial == fx and np.array_equal(trial, x):
                     raise NewtonError(f"line search made no progress at max|g|={gnorm:.3e}")
-                x, fx = trial, f_trial
+                x, fx, state = trial, f_trial, trial_state
                 g = None if minimize else g_trial
                 break
             alpha *= 0.5
         else:
             if gnorm <= stall_tol:
                 log.debug("stopping on a stalled but nearly converged step (max|g|=%.2e)", gnorm)
-                return x
+                return x, state
             raise NewtonError(f"line search stalled at max|g|={gnorm:.3e}")
     raise NewtonError(f"no convergence in {max_iter} iterations (max|g|={gnorm:.3e})")

@@ -23,26 +23,30 @@ Hessian) are built once per step.  The cell state of an iterate (widths and
 the narrowest of them, which is the admissibility check, densities,
 midpoint offsets from xhat and increments) is computed once and shared by
 its objective, gradient, Hessian, |H| row sums and fraction-to-the-boundary
-bound, and E_h and J there are computed at most once.  The accepted
-iterate's state rides on the trajectory the step returns, as its ``cells``;
-its widths give the recovered density rho0 / (w / h), the bits of
-``pushforward_density_1d``, with no second scan of the nodes, and the next
-step of the same problem reads x^n's widths and densities from it.  For
-porous-medium and Fokker-Planck runs it also holds the E_h(x^{n+1}) inside
-J: the energy the step record reports and the E_h(x^n) of the next step's
-J(x^n), bit for bit E_h evaluated afresh.  A Keller-Segel state holds no
-energy: J's has the lagged interaction partner, a different number from
-the reported self-consistent energy.  The cell state memo knows Newton's
-iterates, which are ``frozen``, by identity.  Newton starts from the linear
-predictor x^n + r (x^n - x^{n-1}) when it is admissible and J there is no
-larger than J(x^n), and from x^n otherwise.  Since backtracking only lowers
-J, J(x^{n+1}) <= J(start) <= J(x^n) for any step ratio, which is exactly
-the property the discrete energy estimate needs.  Keller-Segel steps always
-start from x^n: the lagged interaction makes J nonconvex, so the start
-chooses among local minima, and on ``ks-blowup-1d`` at mx = 400 the
-predictor reached a higher one and brought the collapse forward.  The
-porous-medium and Fokker-Planck objectives are convex (for a convex
-potential), so there the start changes the cost of a step, not its result.
+bound, and E_h and J there are computed at most once: the Newton core
+builds it once per trial (``_cells`` is its ``prepare``) and hands it to the
+callbacks at that iterate, and ``_start`` hands it the start's, with J
+there.  The accepted iterate's state rides on the trajectory the step
+returns, as its ``cells``; its widths give the recovered density
+rho0 / (w / h), the bits of ``pushforward_density_1d``, with no second scan
+of the nodes, and the next step of the same problem builds x^n's state from
+it: the carried widths, densities and E_h with that step's midpoint offsets
+and increments.  For porous-medium and Fokker-Planck runs it also holds the
+E_h(x^{n+1}) inside J: the energy the step record reports and the E_h(x^n)
+of the next step's J(x^n), bit for bit E_h evaluated afresh.  A Keller-Segel
+state holds no energy: J's has the lagged interaction partner, a different
+number from the reported self-consistent energy.
+
+Newton starts from the linear predictor x^n + r (x^n - x^{n-1}) when it is
+admissible and J there is no larger than J(x^n), and from x^n otherwise.
+Since backtracking only lowers J, J(x^{n+1}) <= J(start) <= J(x^n) for any
+step ratio, which is exactly the property the discrete energy estimate
+needs.  Keller-Segel steps always start from x^n: the lagged interaction
+makes J nonconvex, so the start chooses among local minima, and on
+``ks-blowup-1d`` at mx = 400 the predictor reached a higher one and brought
+the collapse forward.  The porous-medium and Fokker-Planck objectives are
+convex (for a convex potential), so there the start changes the cost of a
+step, not its result.
 
 Dirichlet runs pin both endpoints to the reference.  Free-boundary runs
 (moving support, e.g. waiting-time experiments) treat the endpoint positions
@@ -73,7 +77,7 @@ from .grids import (DensityField1D, Grid1D, Trajectory1D, inner_product,  # noqa
                     pushforward_density_1d)
 from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
                      discrete_energy_grad_1d, discrete_energy_hess_1d)
-from .newton import cell_fraction_to_boundary, frozen, newton_solve
+from .newton import cell_fraction_to_boundary, newton_solve
 
 __all__ = ["Wgf1dProblem", "extrapolate_hat", "wgf1d_step", "wgf1d_first_step",
            "wgf1d_augmented_energy", "wgf1d_energy", "RATIO_BOUND_1D"]
@@ -117,20 +121,16 @@ def extrapolate_hat(x_curr, x_prev, r: float) -> np.ndarray:
 
 @dataclass(slots=True)
 class _Cells:
-    """Cell state of one iterate of a step of ``p`` (``key`` is its bytes,
-    ``x`` the iterate itself if it is ``frozen``), and E_h and J there once
-    computed."""
+    """Cell state of one iterate of a step of ``p``, and the E_h term of J
+    there once computed."""
 
     p: Wgf1dProblem
-    key: bytes
-    x: np.ndarray | None
     widths: np.ndarray
     min_width: float
     s: np.ndarray        # rho0 h / widths
     offset: np.ndarray   # midpoints minus xhat's midpoints
     incr: np.ndarray     # widths of x - x_visc_ref
-    energy: float | None = None  # the E_h term of J
-    value: float | None = None
+    energy: float | None = None
 
 
 def _own(p: Wgf1dProblem, cells) -> _Cells | None:
@@ -139,21 +139,12 @@ def _own(p: Wgf1dProblem, cells) -> _Cells | None:
 
 
 class _StepTerms:
-    """The step objective's constants, and a one-entry memo of the cell state.
+    """The step objective's constants (xhat's midpoints and the inertia and
+    viscosity weights), built once per step.  Every term keeps the operation
+    order of the textbook formulas, so a run gives the same bits as
+    evaluating them afresh."""
 
-    The constants (xhat's midpoints and the inertia and viscosity weights)
-    are built once per step.  ``at(x)`` returns the cell state of x,
-    computed (with the admissibility check) only for a new iterate.  The
-    memo knows a ``frozen`` array, such as a Newton iterate, by identity, and
-    any other by its bytes, so an array changed in place is never answered
-    from it.  ``known``, the cell state of x^n its step carried, supplies the
-    widths, densities and E_h of x^n.  Every term keeps the operation order
-    of the textbook formulas, so a run gives the same bits as evaluating
-    them afresh.
-    """
-
-    def __init__(self, p: Wgf1dProblem, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau,
-                 known: _Cells | None = None):
+    def __init__(self, p: Wgf1dProblem, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
         h = p.grid.h
         self.p = p
         self.lag_x = lag_x
@@ -166,36 +157,26 @@ class _StepTerms:
         self.inertia_curv = 0.5 * coeff * h * p.rho0
         self.visc_half = 0.5 * p.visc_weight * tau / h
         self.visc_w = p.visc_weight * tau / h
-        self.known = known
-        self.last = None
 
-    def at(self, x) -> _Cells:
-        last = self.last
-        if last is not None and last.x is x:
-            return last
-        key = x.tobytes()
-        ident = x if frozen(x) else None
-        if last is not None and last.key == key:
-            if ident is not None:
-                last.x = ident  # the next lookup of this array is by identity
-            return last
-        known = self.known
-        if known is not None and (known.x is x or known.key == key):
-            widths, min_width, s, energy = known.widths, known.min_width, known.s, known.energy
-        else:
-            widths = x[1:] - x[:-1]
-            min_width = widths.min()
-            if min_width <= 0.0:
-                raise AdmissibilityError("trajectory nodes are not strictly increasing")
-            s = self.masses / widths
-            energy = None
-        offset = x[:-1] + x[1:]
-        offset *= 0.5
-        offset -= self.hat_mid
-        moved = x - self.x_visc_ref
-        self.last = _Cells(self.p, key, ident, widths, min_width, s, offset,
-                           moved[1:] - moved[:-1], energy)
-        return self.last
+
+def _cells(t: _StepTerms, x, known: _Cells | None = None) -> _Cells:
+    """The cell state of the node array x in the step of ``t``, after the
+    admissibility check; ``known``, x's state from the step that accepted
+    it, supplies the widths, densities and E_h."""
+    if known is None:
+        widths = x[1:] - x[:-1]
+        min_width = widths.min()
+        if min_width <= 0.0:
+            raise AdmissibilityError("trajectory nodes are not strictly increasing")
+        s = t.masses / widths
+        energy = None
+    else:
+        widths, min_width, s, energy = known.widths, known.min_width, known.s, known.energy
+    offset = x[:-1] + x[1:]
+    offset *= 0.5
+    offset -= t.hat_mid
+    moved = x - t.x_visc_ref
+    return _Cells(t.p, widths, min_width, s, offset, moved[1:] - moved[:-1], energy)
 
 
 def _bdf2_terms(p: Wgf1dProblem, traj: Trajectory1D, tau: float) -> _StepTerms:
@@ -203,23 +184,25 @@ def _bdf2_terms(p: Wgf1dProblem, traj: Trajectory1D, tau: float) -> _StepTerms:
     x_hat = extrapolate_hat(traj.curr, traj.prev, r)
     coeff = (1.0 + 2.0 * r) / (2.0 * tau * (1.0 + r))
     lag_x, lag_rho = p.lag_state(traj.curr)
-    return _StepTerms(p, x_hat, traj.curr, lag_x, lag_rho, coeff, tau, _own(p, traj.cells))
+    return _StepTerms(p, x_hat, traj.curr, lag_x, lag_rho, coeff, tau)
 
 
-def _objective(t: _StepTerms, x) -> float:
-    c = t.at(x)
+def _objective(t: _StepTerms, x, cells: _Cells | None = None):
+    """(J at x, x's cell state), the state keeping the E_h computed here.
+    The state is built when not given, so at a node array that is not
+    strictly increasing J is an AdmissibilityError."""
+    c = _cells(t, x) if cells is None else cells
     p = t.p
     inertia = t.coeff * float(p.grid.h * np.dot(p.rho0 * c.offset, c.offset))
     visc = t.visc_half * float(np.dot(c.incr, c.incr))
     if c.energy is None:
         c.energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
                                       cells=(c.widths, c.s))
-    c.value = inertia + visc + c.energy
-    return c.value
+    return inertia + visc + c.energy, c
 
 
-def _gradient(t: _StepTerms, x) -> np.ndarray:
-    c = t.at(x)
+def _gradient(t: _StepTerms, x, cells: _Cells | None = None) -> np.ndarray:
+    c = _cells(t, x) if cells is None else cells
     p = t.p
     cell = t.inertia_w * c.offset
     visc = t.visc_w * c.incr
@@ -233,8 +216,8 @@ def _gradient(t: _StepTerms, x) -> np.ndarray:
     return g
 
 
-def _hessian_tridiag(t: _StepTerms, x):
-    c = t.at(x)
+def _hessian_tridiag(t: _StepTerms, x, cells: _Cells | None = None):
+    c = _cells(t, x) if cells is None else cells
     p = t.p
     diag, off = discrete_energy_hess_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
                                         cells=(c.widths, c.s))
@@ -258,36 +241,36 @@ def _eigen_shift(d, o) -> float:
     return floor if lam >= 0.0 else -lam + max(floor, -0.1 * lam)
 
 
-def _start(t: _StepTerms, x_curr, x_pred):
-    """x_pred if it is admissible and J(x_pred) <= J(x_curr), else x_curr.
-
-    The chosen start's cell state and value are left in the memo, so the
-    Newton solve does not evaluate J there again.
-    """
-    j_curr = _objective(t, x_curr)
-    at_curr = t.last
+def _start(t: _StepTerms, x_curr, curr: _Cells, x_pred):
+    """(start, its cell state, J there): x_pred if it is admissible and
+    J(x_pred) <= J(x_curr), else x_curr, whose cell state is ``curr``."""
+    j_curr, _ = _objective(t, x_curr, curr)
     try:
-        if _objective(t, x_pred) <= j_curr:
-            return x_pred
+        j_pred, pred = _objective(t, x_pred)
     except AdmissibilityError:
-        pass
-    t.last = at_curr
-    return x_curr
+        return x_curr, curr, j_curr
+    if j_pred <= j_curr:
+        return x_pred, pred, j_pred
+    return x_curr, curr, j_curr
 
 
-def _minimize(t: _StepTerms, x_start):
-    """Newton minimization of the step objective from x_start (see ``newton``)."""
+def _minimize(t: _StepTerms, x_start, start: _Cells, j_start=None):
+    """Newton minimization of the step objective from x_start (see
+    ``newton``), whose cell state is ``start`` and J ``j_start`` if the
+    caller has it; returns the minimizer and its cell state."""
     free = slice(1, -1) if t.p.pinned else slice(None)
 
-    def objective(x):
-        value = t.at(x).value
-        return _objective(t, x) if value is None else value
+    def prepare(x):
+        return _cells(t, x)
 
-    def gradient(x):
-        return _gradient(t, x)[free]
+    def objective(x, c):
+        return _objective(t, x, c)[0]
 
-    def linearize(x):
-        diag, off = _hessian_tridiag(t, x)
+    def gradient(x, c):
+        return _gradient(t, x, c)[free]
+
+    def linearize(x, c):
+        diag, off = _hessian_tridiag(t, x, c)
         rows = np.abs(diag)
         coupling = np.abs(off)
         rows[:-1] += coupling
@@ -305,13 +288,12 @@ def _minimize(t: _StepTerms, x_start):
             return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
         return solve, lambda: _eigen_shift(d, o), rows[free]
 
-    def step_bound(x, step):
-        c = t.at(x)
+    def step_bound(x, c, step):
         return cell_fraction_to_boundary(c.widths, c.min_width, step)
 
-    return newton_solve(x_start, gradient, linearize, objective=objective, free=free,
-                        tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
-                        max_backtracks=50,
+    return newton_solve(x_start, gradient, linearize, prepare=prepare, state=start,
+                        objective=objective, value=j_start, free=free, tol=NEWTON_TOL,
+                        stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50,
                         step_bound=step_bound)
 
 
@@ -325,17 +307,15 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     t = _bdf2_terms(p, traj, tau_next)
-    keller_segel = isinstance(p.model, KellerSegel1D)
-    if keller_segel:
-        # nonconvex J: the start would choose the local minimum; and J holds
-        # the lagged energy, not the reported one
-        x_new = _minimize(t, traj.curr)
+    curr = _cells(t, traj.curr, _own(p, traj.cells))
+    if isinstance(p.model, KellerSegel1D):
+        # nonconvex J: the start would choose the local minimum
+        x_new, c = _minimize(t, traj.curr, curr)
+        c.energy = None  # J's E_h, with the lagged partner, is not the reported one
     else:
         r = tau_next / traj.tau_prev
-        x_new = _minimize(t, _start(t, traj.curr, traj.curr + r * (traj.curr - traj.prev)))
-    c = t.at(x_new)  # the last state Newton evaluated, unless it stopped on a stall
-    if keller_segel:
-        c.energy = None  # J's E_h, with the lagged partner, is not the reported one
+        x_pred = traj.curr + r * (traj.curr - traj.prev)
+        x_new, c = _minimize(t, *_start(t, traj.curr, curr, x_pred))
     new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c)
     density = DensityField1D._checked_by_caller(p.rho0 / (c.widths / p.grid.h), p.grid)
     return new_traj, density

@@ -75,16 +75,16 @@ built once: the four central differences, det (checked positive), s =
 rho0/det and, once computed, E_h, which the ``models`` energy, gradient and
 Hessian take as their ``state``.  The explicit step's extrapolated
 configuration has one for its determinant check and its gradient.  In the
-implicit step the objective, gradient and Hessian at one Newton iterate read
-the same state, found by a one-entry memo (``_Iterates``) that knows a
-``frozen`` iterate by identity and any other array by its bits; the
-warm start's state and J, or those of x^n, go to Newton as its first
-iterate's.  The accepted map's state rides on the history the step returns
-(``Trajectory2D.deformation``, through ``Trajectory2D._after_step``): its s
-is the density's interior, the bits of ``recover_density_2d``, its det gives
-the record's mass, and its E_h is the record's energy and the E_h(x^n) of
-the next step's J(x^n).  Every value keeps the operation order of a fresh
-evaluation, so the bits do not change.
+implicit step the Newton core builds the state of each trial once, from
+views of the stacked iterate (``_stacked`` is its ``prepare``), and hands it
+to the objective, gradient and Hessian there; the warm start's state and J,
+or those of x^n, go to Newton as its first iterate's.  The accepted map's
+state rides on the history the step returns (``Trajectory2D.deformation``,
+through ``Trajectory2D._after_step``): its s is the density's interior, the
+bits of ``recover_density_2d``, its det gives the record's mass, and its E_h
+is the record's energy and the E_h(x^n) of the next step's J(x^n).  Every
+value keeps the operation order of a fresh evaluation, so the bits do not
+change.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ from .grids import (DensityField2D, Grid2D, Trajectory2D, embed_interior,
 from .models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
                      deformation_state_2d, discrete_energy_2d, discrete_energy_hess_2d,
                      hess_2d_structure, ks2d_interaction_force, mass_mask)
-from .newton import frozen, newton_solve
+from .newton import newton_solve
 from .wgf1d import extrapolate_hat
 
 __all__ = ["Wgf2dProblem", "VISC_TAU_INCREMENT", "VISC_TAU_SQ_ABSOLUTE",
@@ -156,8 +156,7 @@ class _Deformation:
     """Deformation state of one node map (x, y) of ``p``: the central
     differences, det (checked positive) and s = rho0 / det at the interior
     nodes, and E_h there once computed.  x and y do not change while the
-    state is in use; ``z`` is the iterate [x; y] they are views of, if the
-    state was made for one that is ``frozen``."""
+    state is in use."""
 
     p: Wgf2dProblem
     x: np.ndarray
@@ -166,7 +165,6 @@ class _Deformation:
     det: np.ndarray
     s: np.ndarray
     energy: float | None = None
-    z: np.ndarray | None = None
 
     @property
     def state(self) -> tuple:
@@ -181,10 +179,12 @@ def _deformation(p: Wgf2dProblem, x, y,
     return _Deformation(p, x, y, *deformation_state_2d(x, y, p.rho0, p.grid, failure))
 
 
-def _same_bits(a, b) -> bool:
-    """Whether the float arrays a and b hold the same bits (unlike ==, which
-    equates 0.0 with -0.0 and no nan with itself)."""
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
+def _stacked(p: Wgf2dProblem, z) -> _Deformation:
+    """The deformation state of the stacked map z = [x; y], made from views
+    of z: the implicit step's ``prepare``."""
+    half = z.size // 2
+    return _deformation(p, z[:half].reshape(p.grid.node_shape),
+                        z[half:].reshape(p.grid.node_shape))
 
 
 def _own(p: Wgf2dProblem, deformation) -> _Deformation | None:
@@ -217,47 +217,6 @@ def _after_step(p: Wgf2dProblem, traj: Trajectory2D, new: _Deformation, tau: flo
     values[1:-1, 1:-1] = new.s
     return (Trajectory2D._after_step(traj, new.x, new.y, tau, new),
             DensityField2D._checked_by_caller(values, p.grid))
-
-
-class _Iterates:
-    """A one-entry memo of the deformation state of an implicit step's
-    iterates, and J there.
-
-    ``at(z)`` returns the state of the stacked iterate z = [x; y], whose x
-    and y are views of z made once per iterate, and computes it only for a
-    new iterate; ``value`` is J at that iterate once computed.  The memo
-    knows a ``frozen`` z, such as a Newton iterate, by identity, and any
-    other by its bits; it keeps a read-only copy of a z that is not frozen,
-    so an array changed in place is never answered from it.  ``start`` is a
-    state the caller already has, with J there (``value``) if known:
-    Newton's first iterate, a copy of its map, is found by its bits.
-    """
-
-    def __init__(self, p: Wgf2dProblem, start: _Deformation | None = None,
-                 value: float | None = None):
-        self.p = p
-        self.last = start
-        self.value = value
-
-    def at(self, z) -> _Deformation:
-        last = self.last
-        if last is not None and last.z is z:
-            return last
-        ident = z if frozen(z) else None
-        if ident is None:
-            z = z.copy()
-            z.flags.writeable = False
-        shape = self.p.grid.node_shape
-        half = z.size // 2
-        x, y = z[:half].reshape(shape), z[half:].reshape(shape)
-        if last is not None and _same_bits(x, last.x) and _same_bits(y, last.y):
-            if ident is not None:
-                last.z = ident  # the next lookup of this array is by identity
-            return last
-        new = _deformation(self.p, x, y)
-        new.z = ident
-        self.last, self.value = new, None
-        return new
 
 
 def _neg_lap_interior(u, grid: Grid2D):
@@ -724,35 +683,31 @@ def _visc_ref(p: Wgf2dProblem, x, y):
     return None, None
 
 
-def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_hat,
-                    x_ref, y_ref, coeff, s, preconditioner=None,
-                    start: _Deformation | None = None) -> _Deformation:
-    """Newton minimization (see ``newton``) of the step functional from a start
-    no higher than ``j_ref``, its value at x^n; returns the accepted
-    iterate's deformation state.  The iterate stacks the full x and y node
-    arrays; the interior nodes of both are the unknowns.  Its objective,
-    gradient and Hessian read one state per iterate (``_Iterates``).
+def _implicit_solve(p: Wgf2dProblem, start: _Deformation, j_start, j_ref, x_hat, y_hat,
+                    x_ref, y_ref, coeff, s, preconditioner=None) -> _Deformation:
+    """Newton minimization (see ``newton``) of the step functional from the
+    map of ``start``, its deformation state, where J is ``j_start``, no
+    higher than ``j_ref``, its value at x^n; returns the accepted iterate's
+    deformation state.  The iterate stacks the full x and y node arrays; the
+    interior nodes of both are the unknowns, and its state is ``_stacked``'s.
     ``preconditioner`` is the step's explicit solver, whose matrix
     diag(2 coeff rho0) + s (-Lap_h) preconditions CG on the unshifted Newton
     systems until CG fails on one; without it every Newton system is
-    factored.  ``start``, if the caller has it, is the state of the start,
-    where J is ``j_start``: Newton then evaluates neither again."""
+    factored."""
     if j_start > j_ref + 1e-12 * abs(j_ref):
         raise NewtonError("warm start above the feasibility cap")
     grid = p.grid
     area = grid.h_x * grid.h_y
     inertia = np.tile((2.0 * coeff * p.rho0[1:-1, 1:-1] * area).ravel(), 2)
     lap_rows, free = _newton_grid_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y)
-    iterates = _Iterates(p, start, None if start is None else j_start)
 
-    def objective(z):
-        m = iterates.at(z)
-        if iterates.value is None:
-            iterates.value = _objective_2d(p, m.x, m.y, x_hat, y_hat, x_ref, y_ref, coeff, s, m)
-        return iterates.value
+    def prepare(z):
+        return _stacked(p, z)
 
-    def gradient(z):
-        m = iterates.at(z)
+    def objective(z, m):
+        return _objective_2d(p, m.x, m.y, x_hat, y_hat, x_ref, y_ref, coeff, s, m)
+
+    def gradient(z, m):
         return np.concatenate(_gradient_2d(p, m, x_hat, y_hat, x_ref, y_ref, coeff, s))
 
     # the row sums of |inertia + sigma (-Lap_h)|, per component
@@ -760,21 +715,21 @@ def _implicit_solve(p: Wgf2dProblem, x_start, y_start, j_start, j_ref, x_hat, y_
 
     solver = None
 
-    def linearize(z):
+    def linearize(z, m):
         nonlocal preconditioner, solver
         if solver is not None and solver.cg_failed:
             # CG failed on one of the step's Newton systems: factor the rest
             preconditioner = None
-        m = iterates.at(z)
         hess = discrete_energy_hess_2d(p.model, m.x, m.y, p.rho0, grid, m.state) * area
         solver = _CondensedSolver(grid, p.rho0, inertia, s * area, hess, preconditioner)
         return solver, lambda: 1e-8, _abs_row_sums(hess) + fixed_rows
 
-    z = np.concatenate([x_start.ravel(), y_start.ravel()])
-    z = newton_solve(z, gradient, linearize, objective=objective, free=free, tol=NEWTON_TOL,
-                     stall_tol=1e3 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50,
-                     row_sums=fixed_rows)
-    return iterates.at(z)  # the last state Newton evaluated, unless it stopped on a stall
+    z = np.concatenate([start.x.ravel(), start.y.ravel()])
+    _, new = newton_solve(z, gradient, linearize, prepare=prepare, state=start,
+                          objective=objective, value=j_start, free=free, tol=NEWTON_TOL,
+                          stall_tol=1e3 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER,
+                          max_backtracks=50, row_sums=fixed_rows)
+    return new
 
 
 def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
@@ -806,8 +761,8 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
             start, j0 = warm, jw
     except (SolverError, AdmissibilityError):
         pass
-    new = _implicit_solve(p, start.x, start.y, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref,
-                          coeff, s, explicit, start)
+    new = _implicit_solve(p, start, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref, coeff, s,
+                          explicit)
     return _after_step(p, traj, new, tau_next)
 
 

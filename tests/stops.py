@@ -10,25 +10,27 @@ EPS = np.finfo(float).eps
 def record_stops(monkeypatch, module):
     """Record every Newton solve that ``module`` makes.
 
-    Each record holds the returned iterate, the residual there, ``tol``, the
-    row sums of the latest linearization (without one, the ``row_sums`` the
-    solve was given, or None) and whether that linearization was at the
-    returned iterate, which is how the machine-scale and stall exits end.
+    Each record holds the returned iterate, the residual there (from the
+    state returned with it), ``tol``, the row sums of the latest
+    linearization (without one, the ``row_sums`` the solve was given, or
+    None) and whether that linearization was at the returned iterate, which
+    is how the machine-scale and stall exits end.
     """
     stops = []
 
     def recorded(x, residual, linearize, *, tol, **kwargs):
         latest = []
 
-        def recorded_linearize(z):
-            out = linearize(z)
+        def recorded_linearize(z, state):
+            out = linearize(z, state)
             latest.append((z, out[2]))
             return out
 
-        x = newton_solve(x, residual, recorded_linearize, tol=tol, **kwargs)
+        x, state = newton_solve(x, residual, recorded_linearize, tol=tol, **kwargs)
         at, rows = latest[-1] if latest else (None, kwargs.get("row_sums"))
-        stops.append((x, residual(x), tol, rows, at is not None and np.array_equal(at, x)))
-        return x
+        stops.append((x, residual(x, state), tol, rows,
+                      at is not None and np.array_equal(at, x)))
+        return x, state
 
     monkeypatch.setattr(module, "newton_solve", recorded)
     return stops
@@ -57,8 +59,8 @@ def without_floor(monkeypatch, module):
     """Make ``module``'s Newton solves stop at ``tol`` alone, by zeroing the
     row sums that its linearizations return."""
     def constant_tol(x, residual, linearize, **kwargs):
-        def zeroed(z):
-            solve, shift_floor, rows = linearize(z)
+        def zeroed(z, state):
+            solve, shift_floor, rows = linearize(z, state)
             return solve, shift_floor, np.zeros_like(rows)
         return newton_solve(x, residual, zeroed, **kwargs)
 

@@ -440,7 +440,7 @@ def test_carried_cell_state_matches_a_fresh_one_bit_for_bit(r, eta, degenerate, 
     x_n = traj.curr
     carried = traj.cells
     assert carried is not None and carried.p is p
-    fresh = allen_cahn._cells(p, x_n.copy(), x_n.tobytes())
+    fresh = allen_cahn._cells(p, x_n.copy())
     for name in CELL_FIELDS:
         assert np.array_equal(getattr(carried, name), getattr(fresh, name)), name
     assert (carried.log_dhx is None) == (eta == 0.0)
@@ -449,14 +449,14 @@ def test_carried_cell_state_matches_a_fresh_one_bit_for_bit(r, eta, degenerate, 
     x_next = x_n + p.grid.h * shift
     x_next[0], x_next[-1] = -1.0, 1.0
     terms = _StepTerms(p, traj.prev, x_n, tau_next, r, carried)
-    assert terms.last is carried  # the first residual, at x^n, is a memo hit
+    assert terms.curr is carried  # the first residual, at x^n, builds no cell state
     # the same history without a carried state builds everything from scratch
     bare = Trajectory1D(traj.prev, x_n, traj.tau_prev, traj.time, traj.step_index, p.grid)
     assert bare.cells is None
     scratch = _StepTerms(p, bare.prev, bare.curr, tau_next, r)
     energy_scratch = ac_energy(p, x_n, bare.cells)
     step_scratch = ac_step(p, bare, tau_next)[0].curr
-    assert scratch.last is not carried
+    assert scratch.curr is not carried
     for x in (x_n, x_next):
         eq = per_call_midpoint_equation(p, traj.prev, x_n, x, tau_next, r)
         want_res = 0.5 * p.grid.h * (eq[:-1] + eq[1:]) + per_call_energy_force(p, x)[1:-1]
@@ -482,9 +482,9 @@ def test_each_iterate_cell_state_is_built_once_per_step(monkeypatch, eta):
     built = []
     cells = allen_cahn._cells
 
-    def recorded(p, x, key):
-        built.append(key)
-        return cells(p, x, key)
+    def recorded(p, x):
+        built.append(x.tobytes())
+        return cells(p, x)
 
     monkeypatch.setattr(allen_cahn, "_cells", recorded)
     given_dhx = []
@@ -524,7 +524,7 @@ def first_step_oracle(p, tau1):
     slope_curr = np.diff(x0) / h
     xm_curr = 0.5 * (x0[:-1] + x0[1:])
 
-    def residual(x):
+    def residual(x, _):
         if np.any(np.diff(x) <= 0.0):
             raise AdmissibilityError("candidate trajectory is not strictly increasing")
         slope_next = np.diff(x) / h
@@ -535,7 +535,7 @@ def first_step_oracle(p, tau1):
             eq = eq - p.eta * tau1 * np.diff(logdiff) / h
         return 0.5 * h * (eq[:-1] + eq[1:]) + _energy_force(p, node_diff(x, p.grid))[1:-1]
 
-    def linearize(x):
+    def linearize(x, _):
         slope_next = np.diff(x) / h
         xm_next = 0.5 * (x[:-1] + x[1:])
         even = 0.5 * c1 * w * (1.0 / slope_next + 1.0 / slope_curr)
@@ -563,7 +563,7 @@ def first_step_oracle(p, tau1):
 
     return newton_solve(x0, residual, linearize, free=slice(1, -1), tol=NEWTON_TOL,
                         stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=40,
-                        step_bound=fraction_to_boundary)
+                        step_bound=lambda x, _, step: fraction_to_boundary(x, step))[0]
 
 
 @pytest.mark.parametrize("mobility", [ConstantMobility(), DegenerateMobility()],
@@ -678,7 +678,7 @@ def test_newton_starts_from_x_n_when_the_three_level_predictor_folds_a_cell(monk
     older = Trajectory1D(p.grid.nodes, x_prev, 1e-3, 1e-3, 1, p.grid)
     x_curr = p.grid.nodes.copy()
     traj = Trajectory1D._after_step(older, x_curr, 1e-3,
-                                    allen_cahn._cells(p, x_curr, x_curr.tobytes()))
+                                    allen_cahn._cells(p, x_curr))
     assert traj.before[0] is older.prev and traj.before[1] == 1e-3
     x_pred = quadratic_predictor(traj, 1.5)
     assert x_pred[k + 1] - x_pred[k] < 0.0
@@ -715,9 +715,9 @@ def test_predictor_extrapolates_a_quadratic_node_path(q, r, tau_back, coeffs, pa
     x_back, x_prev, x_curr = (x(s) for s in s_levels)
     older = Trajectory1D(x_back, x_prev, tau_back, tau_back, 1, p.grid)
     traj = Trajectory1D._after_step(older, x_curr, tau_curr,
-                                    allen_cahn._cells(p, x_curr, x_curr.tobytes()))
+                                    allen_cahn._cells(p, x_curr))
     ratio = tau_next / traj.tau_prev
-    start = allen_cahn._start(_StepTerms(p, traj.prev, traj.curr, tau_next, ratio), traj)
+    start, _ = allen_cahn._start(_StepTerms(p, traj.prev, traj.curr, tau_next, ratio), traj)
     assert np.array_equal(start, quadratic_predictor(traj, ratio))
     weights = [np.prod([(tau_next - sj) / (si - sj) for sj in s_levels if sj != si])
                for si in s_levels]
@@ -748,7 +748,7 @@ def test_predictor_and_x_n_starts_meet_the_stopping_rule_and_agree(monkeypatch, 
         with pytest.MonkeyPatch.context() as patch:
             stops = record_stops(patch, allen_cahn)
             new = ac_step(p, traj, tau)[0]
-            patch.setattr(allen_cahn, "_start", lambda t, traj: traj.curr)
+            patch.setattr(allen_cahn, "_start", lambda t, traj: (traj.curr, t.curr))
             from_x_n = ac_step(p, traj, tau)[0].curr
         assert len(stops) == 2
         check_stops(stops, NEWTON_TOL)

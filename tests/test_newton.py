@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from lagflow.banded import solve_banded
 from lagflow.errors import AdmissibilityError, NewtonError, SolverError
-from lagflow.newton import ARMIJO, frozen, newton_solve
+from lagflow.newton import ARMIJO, newton_solve
 from oracles import fraction_to_boundary
 
 EPS = np.finfo(float).eps
@@ -19,6 +19,15 @@ def spd_quadratics(draw, c_min=-3.0, c_max=3.0):
     m = draw(arrays(np.float64, (n, n), elements=st.floats(-2.0, 2.0)))
     c = draw(arrays(np.float64, (n,), elements=st.floats(c_min, c_max)))
     return m @ m.T + 0.1 * np.eye(n), c
+
+
+def stateless_solve(x, residual, linearize, *, objective=None, step_bound=None, **kwargs):
+    """``newton_solve`` with callbacks of the iterate alone, none of which
+    needs a state; returns the accepted iterate."""
+    def at(f):
+        return None if f is None else (lambda x, state, *rest: f(x, *rest))
+    return newton_solve(x, at(residual), at(linearize), objective=at(objective),
+                        step_bound=at(step_bound), **kwargs)[0]
 
 
 def dense_linearize(hessian, row_sums=None):
@@ -78,9 +87,9 @@ def test_converges_inside_the_fraction_to_boundary_bound(problem, mu):
         seen.append(x)
         return objective(x)
 
-    x = newton_solve(x0, gradient, dense_linearize(hessian), objective=recorded,
-                     free=slice(1, -1), tol=1e-9, stall_tol=1e-7, max_iter=100,
-                     max_backtracks=50, step_bound=fraction_to_boundary)
+    x = stateless_solve(x0, gradient, dense_linearize(hessian), objective=recorded,
+                        free=slice(1, -1), tol=1e-9, stall_tol=1e-7, max_iter=100,
+                        max_backtracks=50, step_bound=fraction_to_boundary)
     assert x[0] == 0.0 and x[-1] == 1.0
     assert np.all(np.diff(x) > 0.0)
     assert np.max(np.abs(gradient(x))) <= 1e-7
@@ -117,9 +126,9 @@ def accepted_iterates(problem, u0, tol, row_sums=no_floor):
         return gradient(u)
 
     try:
-        x = newton_solve(u0, recorded_gradient, dense_linearize(hessian, row_sums),
-                         objective=objective, tol=tol, stall_tol=1e-7, max_iter=100,
-                         max_backtracks=50)
+        x = stateless_solve(u0, recorded_gradient, dense_linearize(hessian, row_sums),
+                            objective=objective, tol=tol, stall_tol=1e-7, max_iter=100,
+                            max_backtracks=50)
     except NewtonError:
         x = None
     return x, seen
@@ -140,8 +149,8 @@ def test_accepted_iterates_satisfy_armijo(problem, weight):
 
     u0 = np.full(len(c), 40.0)
     try:
-        newton_solve(u0, recorded_gradient, dense_linearize(hessian), objective=objective,
-                     tol=1e-9, stall_tol=1e-7, max_iter=100, max_backtracks=50)
+        stateless_solve(u0, recorded_gradient, dense_linearize(hessian), objective=objective,
+                        tol=1e-9, stall_tol=1e-7, max_iter=100, max_backtracks=50)
     finally:
         # the gradient is evaluated once at every accepted iterate
         assert len(accepted) >= 2
@@ -234,9 +243,9 @@ def _stalling_solve(a, g, gscale, stall_tol):
             raise AdmissibilityError("every trial leaves the admissible set")
         return 0.0
 
-    return newton_solve(x0, lambda x: gscale * g, dense_linearize(lambda x: a),
-                        objective=objective, tol=1e-12, stall_tol=stall_tol,
-                        max_iter=10, max_backtracks=20)
+    return stateless_solve(x0, lambda x: gscale * g, dense_linearize(lambda x: a),
+                           objective=objective, tol=1e-12, stall_tol=stall_tol,
+                           max_iter=10, max_backtracks=20)
 
 
 @settings(max_examples=20, deadline=None)
@@ -270,9 +279,9 @@ def test_line_search_ending_on_the_iterate_raises_at_once(problem):
         return dense_linearize(lambda x: a)(x)
 
     with pytest.raises(NewtonError, match="no progress"):
-        newton_solve(x0, lambda x: g, linearize,
-                     objective=lambda x: 0.0 if np.array_equal(x, x0) else 1.0,
-                     tol=1e-12, stall_tol=1e-12, max_iter=10, max_backtracks=80)
+        stateless_solve(x0, lambda x: g, linearize,
+                        objective=lambda x: 0.0 if np.array_equal(x, x0) else 1.0,
+                        tol=1e-12, stall_tol=1e-12, max_iter=10, max_backtracks=80)
     assert len(linearized) == 1
 
 
@@ -286,9 +295,9 @@ def test_no_descent_direction_raises(problem):
         return -1e30 * 0.5 * (u - c) @ a @ (u - c)
 
     with pytest.raises(NewtonError, match="descent direction"):
-        newton_solve(c + 1.0, lambda u: -1e30 * a @ (u - c),
-                     dense_linearize(lambda u: -1e30 * a), objective=objective,
-                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=50)
+        stateless_solve(c + 1.0, lambda u: -1e30 * a @ (u - c),
+                        dense_linearize(lambda u: -1e30 * a), objective=objective,
+                        tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=50)
 
 
 def test_singular_system_without_shifts_raises():
@@ -299,8 +308,8 @@ def test_singular_system_without_shifts_raises():
         return solve, None, np.ones(3)
 
     with pytest.raises(NewtonError, match=r"descent direction from the linear system \(1 tries\)"):
-        newton_solve(np.zeros(3), lambda x: np.ones(3), singular, tol=1e-9, stall_tol=1e-7,
-                     max_iter=10, max_backtracks=40)
+        stateless_solve(np.zeros(3), lambda x: np.ones(3), singular, tol=1e-9, stall_tol=1e-7,
+                        max_iter=10, max_backtracks=40)
 
 
 def banded_linearize(bad):
@@ -321,8 +330,8 @@ def test_non_finite_linear_system_raises_newton_error(bad, mode):
     # a SolverError lets the step controller halve the step and retry
     objective = (lambda x: float(x @ x)) if mode == "objective" else None
     with pytest.raises(NewtonError, match="linear solve failed: array must not contain"):
-        newton_solve(np.ones(5), lambda x: 2.0 * x, banded_linearize(bad), objective=objective,
-                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40)
+        stateless_solve(np.ones(5), lambda x: 2.0 * x, banded_linearize(bad), objective=objective,
+                        tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40)
     assert issubclass(NewtonError, SolverError)
 
 
@@ -342,8 +351,8 @@ def test_non_finite_residual_raises_newton_error(bad, mode):
 
     objective = (lambda x: float(x @ x)) if mode == "objective" else None
     with pytest.raises(NewtonError, match="residual is not finite"):
-        newton_solve(np.ones(5), residual, linearize, objective=objective, tol=1e-9,
-                     stall_tol=1e-7, max_iter=10, max_backtracks=40)
+        stateless_solve(np.ones(5), residual, linearize, objective=objective, tol=1e-9,
+                        stall_tol=1e-7, max_iter=10, max_backtracks=40)
     assert linearized == []
 
 
@@ -352,33 +361,70 @@ def test_non_finite_residual_raises_newton_error(bad, mode):
 def test_residual_mode_solves_a_linear_system(problem):
     # without an objective the merit is ||F||_2 and F(u) = A u - A c is solved
     a, c = problem
-    u = newton_solve(np.zeros(len(c)), lambda u: a @ (u - c), dense_linearize(lambda u: a),
-                     tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40)
+    u = stateless_solve(np.zeros(len(c)), lambda u: a @ (u - c), dense_linearize(lambda u: a),
+                        tol=1e-9, stall_tol=1e-7, max_iter=10, max_backtracks=40)
     assert np.max(np.abs(a @ (u - c))) <= 1e-9
 
 
+class Prepared:
+    """A state as ``prepare`` builds it: the iterate it was built for."""
+
+    def __init__(self, x):
+        self.x = x
+
+
 @pytest.mark.parametrize("minimize", [True, False])
-def test_callbacks_see_only_frozen_iterates(minimize):
-    # every iterate is a fresh read-only array, so a solver may memoize by identity
-    a, c = np.array([[2.0, 0.5], [0.5, 1.0]]), np.array([0.3, -0.7])
-    seen = []
+def test_prepare_builds_one_state_per_trial_and_the_core_hands_it_on(minimize):
+    # targets outside (0, 1) press the nodes against the barrier, and with no
+    # step bound full steps fold cells, so prepare refuses those trials; after
+    # the third linearization it refuses every trial, and the solve stalls;
+    # the start's state, and with an objective J there, come from the caller
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    objective, gradient, hessian = barrier_problem(a, np.array([1.4, 1.8]), 0.05)
+    x0 = np.array([0.0, 0.3, 0.6, 1.0])
+    start = Prepared(x0)
+    prepared, refused, linearized, merits = [], [], [], []
 
-    def residual(u):
-        seen.append(u)
-        return a @ (u - c)
+    def prepare(x):
+        prepared.append(x)
+        if np.any(np.diff(x) <= 0.0) or len(linearized) == 3:
+            refused.append(x)
+            raise AdmissibilityError("trial refused")
+        return Prepared(x)
 
-    def objective(u):
-        seen.append(u)
-        return 0.5 * (u - c) @ a @ (u - c)
+    def own_state(f, record=None):
+        def callback(x, state, *rest):
+            # the state built for this very iterate, or the caller's for the start
+            assert state.x is x or (state is start and np.array_equal(x, x0))
+            if record is not None:
+                record.append(x)
+            return f(x, *rest)
+        return callback
 
-    start = np.zeros(2)
-    u = newton_solve(start, residual, dense_linearize(lambda u: a),
-                     objective=objective if minimize else None,
-                     tol=1e-12, stall_tol=1e-10, max_iter=10, max_backtracks=40)
-    assert u is seen[-1] and len(seen) >= 2
-    assert all(frozen(x) and x is not start for x in seen)
-    assert start.flags.writeable
-    assert not frozen(start) and not frozen(start[:1]) and not frozen(u[:1])
+    x, state = newton_solve(x0, own_state(gradient, None if minimize else merits),
+                            own_state(dense_linearize(hessian), linearized), prepare=prepare,
+                            state=start, value=objective(x0) if minimize else None,
+                            objective=own_state(objective, merits) if minimize else None,
+                            step_bound=own_state(lambda x, step: 1.0), free=slice(1, -1),
+                            tol=1e-14, stall_tol=1e3, max_iter=20, max_backtracks=12)
+    # the stall exit returns the accepted iterate with the state built for it
+    assert len(linearized) == 3 and x is linearized[-1] and state.x is x
+    assert any(np.diff(u).min() <= 0.0 for u in refused[:-12])
+    # prepare ran once per trial and never at the start; every admissible
+    # trial, and only those, had its merit evaluated, and the start only
+    # without a given J, where the residual is the merit
+    assert len({id(u) for u in prepared}) == len(prepared)
+    assert not any(np.array_equal(u, x0) for u in prepared)
+    admissible = [u for u in prepared if not any(u is v for v in refused)]
+    at_start = 0 if minimize else 1
+    assert len(merits) == len(admissible) + at_start
+    assert all(u is v for u, v in zip(merits[at_start:], admissible))
+    # the stalled iteration tried max_backtracks trials, each at half the step
+    # of the one before
+    stalled = prepared[-12:]
+    assert all(any(u is v for v in refused) for u in stalled)
+    for u, v in zip(stalled, stalled[1:]):
+        assert np.allclose(v - x, 0.5 * (u - x), rtol=1e-9, atol=0.0)
 
 
 def test_fraction_to_boundary_keeps_a_tenth_of_the_narrowest_cell():

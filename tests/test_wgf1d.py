@@ -168,7 +168,7 @@ def test_augmented_energy_monotone_under_ratio_bound():
 
 def step_objective(p, traj, tau, x):
     """J(x) of the BDF2 step from ``traj`` with step ``tau``."""
-    return wgf1d._objective(wgf1d._bdf2_terms(p, traj, tau), np.asarray(x, dtype=float))
+    return wgf1d._objective(wgf1d._bdf2_terms(p, traj, tau), np.asarray(x, dtype=float))[0]
 
 
 def check_steps(p, traj, ratios, augmented=True):
@@ -345,10 +345,11 @@ def test_each_iterate_is_evaluated_once_per_step(monkeypatch, backward):
     values = []
     objective = wgf1d._objective
 
-    def recorded(t, x):
+    def recorded(t, x, cells=None):
         seen.append(x.tobytes())
-        values.append(objective(t, x))
-        return values[-1]
+        out = objective(t, x, cells)
+        values.append(out[0])
+        return out
 
     monkeypatch.setattr(wgf1d, "_objective", recorded)
     wgf1d_step(p, traj, 1.5e-3)
@@ -432,14 +433,14 @@ def test_step_terms_match_the_oracle(model, pinned):
         args = (x_hat, x_ref, lag_x, lag_rho, coeff, tau)
         terms = wgf1d._StepTerms(p, *args)
         for x in (admissible(), admissible()):
-            assert np.array_equal(wgf1d._objective(terms, x), oracle_objective(p, x, *args))
+            assert np.array_equal(wgf1d._objective(terms, x)[0], oracle_objective(p, x, *args))
             assert np.array_equal(wgf1d._gradient(terms, x), oracle_gradient(p, x, *args))
             diag, off = wgf1d._hessian_tridiag(terms, x)
             want_diag, want_off = oracle_hessian_tridiag(p, x, lag_x, lag_rho, coeff, tau)
             assert np.array_equal(diag, want_diag) and np.array_equal(off, want_off)
         # an iterate changed in place after an evaluation is evaluated afresh
         x[grid.m_x // 2] += 0.2 * grid.h
-        assert np.array_equal(wgf1d._objective(terms, x), oracle_objective(p, x, *args))
+        assert np.array_equal(wgf1d._objective(terms, x)[0], oracle_objective(p, x, *args))
         assert np.array_equal(wgf1d._gradient(terms, x), oracle_gradient(p, x, *args))
         diag, _ = wgf1d._hessian_tridiag(terms, x)
         assert np.array_equal(diag, oracle_hessian_tridiag(p, x, lag_x, lag_rho, coeff, tau)[0])
@@ -449,12 +450,15 @@ def test_step_terms_match_the_oracle(model, pinned):
         # x^n's widths, densities and E_h carried from the step that accepted it
         x_n = admissible()
         before = wgf1d._StepTerms(p, admissible(), admissible(), lag_x, lag_rho, coeff, tau)
-        wgf1d._objective(before, x_n)
-        carried = wgf1d._StepTerms(p, *args, known=before.last)
-        assert np.array_equal(wgf1d._objective(carried, x_n), oracle_objective(p, x_n, *args))
-        assert carried.last.energy is before.last.energy
-        assert np.array_equal(wgf1d._gradient(carried, x_n), oracle_gradient(p, x_n, *args))
-        diag, off = wgf1d._hessian_tridiag(carried, x_n)
+        _, known = wgf1d._objective(before, x_n)
+        terms = wgf1d._StepTerms(p, *args)
+        carried = wgf1d._cells(terms, x_n, known)
+        assert np.array_equal(wgf1d._objective(terms, x_n, carried)[0],
+                              oracle_objective(p, x_n, *args))
+        assert carried.energy is known.energy
+        assert np.array_equal(wgf1d._gradient(terms, x_n, carried),
+                              oracle_gradient(p, x_n, *args))
+        diag, off = wgf1d._hessian_tridiag(terms, x_n, carried)
         want_diag, want_off = oracle_hessian_tridiag(p, x_n, lag_x, lag_rho, coeff, tau)
         assert np.array_equal(diag, want_diag) and np.array_equal(off, want_off)
 
@@ -484,10 +488,9 @@ def test_cell_state_step_bound_is_fraction_to_boundary_bit_for_bit(drawn):
     n = len(x) - 1
     p = Wgf1dProblem(Grid1D(x[0], x[-1], n), PorousMedium(2.0), np.ones(n), pinned=False)
     terms = wgf1d._StepTerms(p, x, x, None, None, 1.0, 1.0)
-    ac = allen_cahn._StepTerms(ac_problem(x), x, x, 1.0, 0.0)
     with np.errstate(over="ignore"):  # both overflow alike on the 1e-300 steps
         want = fraction_to_boundary(x, step)
-        for cells in (terms.at(x), ac.at(x)):
+        for cells in (wgf1d._cells(terms, x), allen_cahn._cells(ac_problem(x), x)):
             alpha = cell_fraction_to_boundary(cells.widths, cells.min_width, step)
             assert alpha == want
     if kind == "growing":
@@ -674,7 +677,7 @@ def first_step_oracle(p, tau1):
     x0 = p.grid.nodes.copy()
     lag_x, lag_rho = p.lag_state(x0)
     terms = wgf1d._StepTerms(p, x0, x0, lag_x, lag_rho, 1.0 / (2.0 * tau1), tau1)
-    return wgf1d._minimize(terms, x0)
+    return wgf1d._minimize(terms, x0, wgf1d._cells(terms, x0))[0]
 
 
 def start_up_problems():
@@ -751,12 +754,16 @@ def test_step_refuses_a_moved_pinned_end_or_a_folded_cell(monkeypatch, solver, c
     newton_solve = module.newton_solve
 
     def changed(*args, **kwargs):
-        x = newton_solve(*args, **kwargs).copy()
+        x, cells = newton_solve(*args, **kwargs)
+        x = x.copy()
         if change == "moved end":
             x[-1] += 1e-12
         else:
             x[3], x[4] = x[4], x[3]
-        return x
+        # the changed array's widths, unchecked: the hand-off must refuse a fold itself
+        cells.widths = x[1:] - x[:-1]
+        cells.min_width = cells.widths.min()
+        return x, cells
 
     monkeypatch.setattr(module, "newton_solve", changed)
     if change == "moved end":
@@ -765,36 +772,6 @@ def test_step_refuses_a_moved_pinned_end_or_a_folded_cell(monkeypatch, solver, c
     else:
         with pytest.raises(AdmissibilityError):
             step(p, Trajectory1D.at_rest(p.grid), 1e-3)
-
-
-@pytest.mark.parametrize("solver", ["wgf1d", "allen_cahn"])
-def test_cell_state_memo_knows_frozen_arrays_by_identity(solver):
-    grid = Grid1D(-1.0, 1.0, 16)
-    if solver == "wgf1d":
-        terms = wgf1d._StepTerms(pme_problem(mx=16), grid.nodes, grid.nodes, None, None, 1.0, 1.0)
-    else:
-        terms = allen_cahn._StepTerms(ac_problem(grid.nodes), grid.nodes, grid.nodes, 1.0, 0.0)
-    x = grid.nodes.copy()
-    x[5] += 0.01 * grid.h
-    x.flags.writeable = False
-    c = terms.at(x)
-    assert c.x is x and terms.at(x) is c
-    # a writable array with the same bytes is answered by them, and not remembered
-    same = x.copy()
-    assert terms.at(same) is c and c.x is x
-    # a frozen one with the same bytes is remembered for the next lookup
-    again = x.copy()
-    again.flags.writeable = False
-    assert terms.at(again) is c and c.x is again
-    # a read-only view does not own its values: it is never known by identity
-    view = x[:]
-    view.flags.writeable = False
-    assert terms.at(view) is c and c.x is again
-    # the writable array changed in place gets a state of its own
-    same[5] += 0.01 * grid.h
-    fresh = terms.at(same)
-    assert fresh is not c and fresh.x is None
-    assert fresh.widths.tobytes() == np.diff(same).tobytes()
 
 
 # --- the trajectory alone carries the state one step hands to the next
