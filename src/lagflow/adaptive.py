@@ -9,6 +9,11 @@ with q the trajectory change rate (strategy 1, weight gamma) or the energy
 change rate (strategy 2, weight beta).  Note the outer min: when
 r_user * tau_n < tau_min the cap wins and the proposal drops below the
 floor; this is not corrected, but counted per run (``ratio_cap_events``).
+The product r_user * tau_n can round up, so the cap is stepped down by ulps
+until the realized ratio tau_{n+1} / tau_n is at most r_user in floating
+point, as the schemes' energy and maximum-principle estimates need; the
+theory cap of ``enforce_theory`` is held the same way, and the landing on
+t_final never lengthens a step past either.
 
 A solver that cannot complete a step (determinant loss, Newton failure)
 raises SolverError; the run loop halves the step and retries, aborting only
@@ -89,19 +94,36 @@ def _ratio_cap_undercuts(controller: StepController, history: StepHistory) -> bo
     return controller.r_user * history.tau < controller.tau_min
 
 
+def _ratio_cap(r: float, tau: float) -> float:
+    """r * tau, stepped down by ulps until its quotient by tau is at most r:
+    the product can round up, and the realized ratio tau_{n+1} / tau_n must
+    keep the bound in floating point."""
+    cap = r * tau
+    while cap / tau > r:
+        cap = np.nextafter(cap, 0.0)
+    return cap
+
+
+def _ratio_limit(controller: StepController) -> float:
+    """The largest ratio tau_{n+1} / tau_n a proposal may take."""
+    if controller.enforce_theory:
+        return min(controller.r_user, controller.r_max_theory)
+    return controller.r_user
+
+
 def propose_dt(controller: StepController, history: StepHistory) -> float:
     if controller.strategy == STRATEGY_TRAJECTORY:
         q2 = controller.gamma * history.trajectory_rate ** 2
     else:
         q2 = controller.beta * history.energy_rate ** 2
     base = controller.tau_max / np.sqrt(1.0 + q2)
-    cap = controller.r_user * history.tau
+    cap = _ratio_cap(controller.r_user, history.tau)
     proposal = min(max(controller.tau_min, base), cap)
     if _ratio_cap_undercuts(controller, history):
         log.debug("ratio cap pushed the proposal below tau_min (%.3e < %.3e)",
                   proposal, controller.tau_min)
     if controller.enforce_theory:
-        proposal = min(proposal, controller.r_max_theory * history.tau)
+        proposal = min(proposal, _ratio_cap(controller.r_max_theory, history.tau))
     return float(proposal)
 
 
@@ -168,8 +190,10 @@ def run_adaptive(sim, controller: StepController, t_final: float,
             result.ratio_cap_events += int(_ratio_cap_undercuts(controller, history))
         remaining = t_final - sim.time
         # land exactly on t_final without leaving a sliver the schemes cannot
-        # integrate: either finish now or split the tail into two even steps
-        if remaining <= tau * (1.0 + 1e-7):
+        # integrate: either finish now or split the tail into two even steps;
+        # finishing may lengthen the step slightly, but never past the ratio cap
+        if remaining <= tau or (remaining <= tau * (1.0 + 1e-7)
+                                and remaining / sim.tau_prev <= _ratio_limit(controller)):
             tau = remaining
         elif remaining <= 2.0 * tau:
             tau = 0.5 * remaining

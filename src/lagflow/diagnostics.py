@@ -105,53 +105,23 @@ def barenblatt_support_radius(t: float, m: float) -> float:
     return float(np.sqrt(0.1 * 4.0 * m / (kappa * (m - 1.0)) * (t + 1.0) ** kappa))
 
 
-def interface_radius(density: DensityField2D, positions_x, positions_y,
-                     level: float | None = None, n_directions: int = 64) -> float:
-    """Mean distance from the mass centroid to the level-crossing contour.
+def interface_radius(density: DensityField2D, positions_x, positions_y) -> float:
+    """Radius sqrt(A / pi) of the disc with the area of the support, where
+    A = h_x h_y sum det(F) over the interior nodes with positive density is
+    the area the deformed map gives those nodes.
 
-    Nodes are binned into angular sectors around the centroid; in each
-    sector the crossing is located by extrapolating the inside profile
-    slope through the outermost node above the level.  Interpolating
-    toward the next outside node instead would inherit the position of a
-    dragged vacuum node and overshoot by up to one cell.
+    In a Lagrangian run the nodes with mass are fixed (rho = rho0 / det), so
+    A is a smooth function of the positions and the radius moves with them
+    by rounding only; a contour located by binning nodes into angular
+    sectors jumps when rounding moves a node across a sector edge.
     """
-    rho = density.values.ravel()
-    px = np.asarray(positions_x).ravel()
-    py = np.asarray(positions_y).ravel()
-    total = rho.sum()
-    if total <= 0.0 or np.max(rho) <= 0.0:
+    grid = density.grid
+    inside = density.values[1:-1, 1:-1] > 0.0
+    if not np.any(inside):
         raise ValueError("interface radius of an empty field is undefined")
-    if level is None:
-        level = 1e-3 * float(np.max(rho))
-    cx = float(np.sum(rho * px) / total)
-    cy = float(np.sum(rho * py) / total)
-    r = np.hypot(px - cx, py - cy)
-    phi = np.arctan2(py - cy, px - cx)
-    edges = np.linspace(-np.pi, np.pi, n_directions + 1)
-    sector = np.clip(np.searchsorted(edges, phi, side="right") - 1, 0, n_directions - 1)
-    radii = []
-    for k in range(n_directions):
-        mask = sector == k
-        if not np.any(mask):
-            continue
-        rs = r[mask]
-        vals = rho[mask]
-        order = np.argsort(rs)
-        rs = rs[order]
-        vals = vals[order]
-        above = np.nonzero(vals >= level)[0]
-        if above.size == 0:
-            continue
-        i = above[-1]
-        crossing = rs[i]
-        if i >= 1 and vals[i - 1] > vals[i]:
-            crossing = rs[i] + (vals[i] - level) * (rs[i] - rs[i - 1]) / (vals[i - 1] - vals[i])
-            if i + 1 < rs.size:
-                crossing = min(crossing, rs[i + 1])
-        radii.append(crossing)
-    if not radii:
-        raise ValueError("no level crossing found in any direction")
-    return float(np.mean(radii))
+    det = jacobian_det_interior(positions_x, positions_y, grid)
+    area = float(np.sum(det[inside])) * grid.h_x * grid.h_y
+    return float(np.sqrt(area / np.pi))
 
 
 # --- error norms for convergence tables -------------------------------------

@@ -23,8 +23,15 @@ the same c = 2 coeff and s, H the scaled Hessian of the energy.  So an
 unshifted Newton system is solved by conjugate gradients preconditioned
 with E's factors on each component, which the step makes anyway for its
 warm start (the Newton-Krylov practice of Knoll & Keyes, J. Comput. Phys.
-193:357, 2004).  CG stops once ||b - K u|| < CG_RTOL ||b|| (1e-14) in its
-recursive residual.  A system that CG leaves unsolved after CG_MAX_ITER
+193:357, 2004).  CG solves each system only as far as Newton's stopping
+rule can see (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+Anal. 19:400, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17:16, 1996):
+it stops once its recursive residual has ||b - K u|| < max(CG_RTOL ||b||,
+CG_ATOL), with CG_RTOL = 1e-14 and CG_ATOL = NEWTON_TOL / 100.  The gradient
+at the next iterate is -(b - K u) + O(|u|^2), so the linear error adds at
+most a hundredth of the tolerance to any row Newton tests; on the
+porous-medium presets Newton takes as many iterations as with CG run to
+CG_RTOL alone.  A system that CG leaves unsolved after CG_MAX_ITER
 iterations, or with non-finite values, is factored instead, as is every
 shifted system the Newton core tries.  No factorization is kept from one
 step to the next, and the state a history carries has the bits of a fresh
@@ -118,9 +125,11 @@ RATIO_BOUND_2D = 1.25
 
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 60
-# CG on an unshifted Newton system stops at ||b - K u|| < CG_RTOL ||b||; one
-# that has not got there after CG_MAX_ITER iterations is factored instead
+# CG on an unshifted Newton system stops at ||b - K u|| < max(CG_RTOL ||b||,
+# CG_ATOL), a hundredth of what Newton's stopping rule can see; one that has
+# not got there after CG_MAX_ITER iterations is factored instead
 CG_RTOL = 1e-14
+CG_ATOL = 1e-2 * NEWTON_TOL
 CG_MAX_ITER = 50
 
 
@@ -493,7 +502,12 @@ class _CondensedSolver:
 
     def _cg(self, b):
         """Preconditioned CG on the permuted condensed system for one
-        right-hand side, or None when it stops short of CG_RTOL.
+        right-hand side, or None when it stops short of its target: a
+        recursive residual below max(CG_RTOL ||b||, CG_ATOL).  The result is
+        not an exact solve; the residual it leaves is below what Newton's
+        stopping rule can see.  Back substitution solves the massless rows
+        to rounding, so this is also the residual of the full interior
+        system.
 
         The preconditioner is the explicit matrix E on each component: the
         Newton matrix is hx hy (E on each component) + H, and CG does not see
@@ -513,7 +527,7 @@ class _CondensedSolver:
             return z
 
         m = spla.LinearOperator((self.size, self.size), matvec=apply, dtype=float)
-        u, info = spla.cg(self._matrix(), b, M=m, rtol=CG_RTOL, atol=0.0,
+        u, info = spla.cg(self._matrix(), b, M=m, rtol=CG_RTOL, atol=CG_ATOL,
                           maxiter=CG_MAX_ITER)
         # scipy's cg reports success after no iteration at all when maxiter is 0
         if info != 0 or CG_MAX_ITER < 1 or not np.all(np.isfinite(u)):

@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lagflow.adaptive import (StepController, StepHistory, StepRecord, propose_dt,
                               run_adaptive, stability_margin, THEORY_RATIO_BOUNDS)
 from lagflow.errors import SolverError
+from lagflow.wgf1d import RATIO_BOUND_1D
 
 
 def controller(**kw):
@@ -54,6 +55,21 @@ def test_theory_cap_applies_when_enabled():
     c = controller(enforce_theory=True, r_max_theory=1.25, r_user=3.0)
     out = propose_dt(c, StepHistory(tau=1e-3, trajectory_rate=0.0))
     assert out == pytest.approx(1.25e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tau=st.floats(1e-12, 1e2), r=st.sampled_from([1.25, 1.5, 3.5, RATIO_BOUND_1D]))
+@example(tau=0.0015, r=1.5)  # 1.5 * 0.0015 / 0.0015 = 1.5000000000000002
+def test_ratio_cap_holds_in_floating_point(tau, r):
+    # the product r tau can round up; the realized ratio proposal / tau must not
+    # exceed r, and the cap steps down no further than that needs
+    history = StepHistory(tau=tau)
+    for c in (controller(tau_min=1e-13, tau_max=1e3, r_user=r),
+              controller(tau_min=1e-13, tau_max=1e3, r_user=4.0, r_max_theory=r,
+                         enforce_theory=True)):
+        proposal = propose_dt(c, history)
+        assert proposal / tau <= r
+        assert proposal == r * tau or np.nextafter(proposal, np.inf) / tau > r
 
 
 @settings(max_examples=60, deadline=None)
@@ -122,6 +138,23 @@ def test_run_adaptive_success_keeps_ratios_capped():
     result = run_adaptive(sim, c, t_final=3e-2)
     assert result.total_rejections == 0
     assert max(step.ratio for step in result.steps) <= 1.3 + 1e-12
+
+
+@pytest.mark.parametrize("tau_max, taus", [
+    # the proposal is the ratio cap: finishing in one step would lengthen it
+    # past r_user tau_n, so the tail is split into two even steps
+    (1e-2, [0.5 * 1.5e-3 * (1.0 + 5e-8)] * 2),
+    # the proposal is tau_max, well inside the cap: one slightly longer step
+    (1e-3, [1e-3 * (1.0 + 5e-8)]),
+], ids=["capped", "uncapped"])
+def test_landing_never_lengthens_a_step_past_the_ratio_cap(tau_max, taus):
+    c = controller(tau_min=1e-5, tau_max=tau_max, r_user=1.5)
+    sim = SyntheticSim(tau_star=float("inf"), tau0=1e-3)
+    t_final = sum(taus)
+    result = run_adaptive(sim, c, t_final=t_final)
+    assert [step.tau for step in result.steps] == taus
+    assert max(step.ratio for step in result.steps) <= 1.5
+    assert sim.time == pytest.approx(t_final, rel=1e-15)
 
 
 def test_run_adaptive_aborts_below_floor():

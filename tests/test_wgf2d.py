@@ -9,6 +9,7 @@ import lagflow.wgf2d as wgf2d
 from lagflow.config import preset_defaults
 from lagflow.diagnostics import barenblatt_2d, total_mass_2d
 from lagflow.errors import AdmissibilityError, NewtonError, SolverError
+from lagflow.experiments import run_experiment
 from lagflow.grids import Grid2D, Trajectory2D, jacobian_det_interior
 from lagflow.initial import barenblatt_initial_2d, ks_gaussian_2d
 from lagflow.models import KellerSegel2D, PorousMedium, discrete_energy_hess_2d
@@ -592,8 +593,56 @@ def test_cg_newton_direction_matches_the_direct_solve(mx, support, scaling, tau,
     for args, rhs, got, solver in systems:
         # CG served it: the two-component matrix was never factored
         assert solver._lu is None
-        want = wgf2d._CondensedSolver(*args)(rhs)
+        # CG stops at max(CG_RTOL ||b||, CG_ATOL), so the direction Newton got
+        # leaves a residual below that target in the full interior system,
+        # massless rows included, up to the gap between CG's recursive and
+        # true residuals: a rounding unit of ||K|| ||u|| + ||b|| per iteration
+        grid, _, inertia, sigma, hess = args
+        mat = full_matrix(grid, inertia, sigma, hess)
+        norm_b = np.linalg.norm(rhs)
+        allowance = wgf2d.CG_MAX_ITER * np.finfo(float).eps * (
+            np.abs(mat).sum(axis=1).max() * np.linalg.norm(got) + norm_b)
+        target = max(wgf2d.CG_RTOL * norm_b, wgf2d.CG_ATOL)
+        assert np.linalg.norm(rhs - mat @ got) <= target + allowance
+        # scaled up until CG_RTOL ||b|| is the target, CG agrees with the
+        # direct solve to 1e-12
+        big = rhs * (1e7 / norm_b)
+        assert wgf2d.CG_RTOL * 1e7 >= 1e3 * wgf2d.CG_ATOL
+        got = wgf2d._CondensedSolver(*args, preconditioner=solver.preconditioner)(big)
+        want = wgf2d._CondensedSolver(*args)(big)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_cg_forcing_keeps_newton_iterations_and_energies(monkeypatch):
+    # CG stopped at CG_ATOL against CG run to CG_RTOL alone, on the implicit
+    # barenblatt-2d preset at neighbouring grids: the same Newton iterations
+    # (28-29 each) and the same final energy to far below Newton's tolerance
+    hess = wgf2d.discrete_energy_hess_2d
+    assemblies = []
+
+    def counted_hess(*args):
+        assemblies.append(1)
+        return hess(*args)
+
+    def run(mx):
+        config = preset_defaults("barenblatt-2d")
+        config.mx = config.my = mx
+        config.scheme = "implicit"
+        config.t_final = 0.2
+        config.plots = False
+        del assemblies[:]
+        record = run_experiment(config, write_files=False)
+        assert not record.result.aborted, record.result.abort_reason
+        return len(assemblies), record.result.steps[-1].energy
+
+    monkeypatch.setattr(wgf2d, "discrete_energy_hess_2d", counted_hess)
+    for mx in range(30, 35):
+        forced = run(mx)
+        with monkeypatch.context() as patch:
+            patch.setattr(wgf2d, "CG_ATOL", 0.0)
+            exact = run(mx)
+        assert forced[0] == exact[0], mx
+        assert abs(forced[1] - exact[1]) <= 1e-9 * abs(exact[1]), mx
 
 
 class CountingLinalg:
