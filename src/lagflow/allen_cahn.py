@@ -71,7 +71,8 @@ import numpy as np
 
 from .banded import solve_banded
 from .errors import AdmissibilityError
-from .grids import DensityField1D, Grid1D, Trajectory1D, inner_product, node_diff
+from .grids import (DensityField1D, Grid1D, Trajectory1D, carried_state, cell_widths,
+                    inner_product, node_diff)
 from .initial import InitialCondition1D
 from .models import GinzburgLandau, ac_discrete_energy, check_mobility_positive, double_well
 from .newton import cell_fraction_to_boundary, newton_solve
@@ -175,19 +176,11 @@ class _Cells:
 
 def _cells(p: AcProblem, x) -> _Cells:
     """The cell state of the node array x, after the admissibility check."""
-    widths = x[1:] - x[:-1]
-    min_width = widths.min()
-    if min_width <= 0.0:
-        raise AdmissibilityError("candidate trajectory is not strictly increasing")
+    widths, min_width = cell_widths(x)
     slope = widths / p.grid.h
     dhx = node_diff(x, p.grid)
     return _Cells(p, widths, min_width, slope, 1.0 / slope, 0.5 * (x[:-1] + x[1:]), dhx,
                   np.log(dhx) if p.eta > 0.0 else None)
-
-
-def _own(p: AcProblem, cells) -> _Cells | None:
-    """``cells`` if it is a phase-field cell state made for ``p``, else None."""
-    return cells if isinstance(cells, _Cells) and cells.p is p else None
 
 
 class _StepTerms:
@@ -380,7 +373,7 @@ def _solve_step(p: AcProblem, traj: Trajectory1D, tau, r):
     """Newton solve of the step equations from the BDF2 predictor (``_start``;
     see ``newton``); returns the solution and its cell state."""
     x_prev, x_curr = traj.prev, traj.curr
-    t = _StepTerms(p, x_prev, x_curr, tau, r, _own(p, traj.cells))
+    t = _StepTerms(p, x_prev, x_curr, tau, r, carried_state(traj.cells, p))
 
     def prepare(x):
         return _cells(p, x)
@@ -392,13 +385,11 @@ def _solve_step(p: AcProblem, traj: Trajectory1D, tau, r):
         ab = _banded_jacobian(p, x_prev, x_curr, x, tau, r, terms=t, cells=c)
         return (lambda rhs, shift: solve_banded((2, 2), ab, rhs)), None, _row_sums(ab)
 
-    def step_bound(x, c, step):
-        return cell_fraction_to_boundary(c.widths, c.min_width, step)
-
     x_start, c_start = _start(t, traj)
     return newton_solve(x_start, residual, linearize, prepare=prepare, state=c_start,
                         free=slice(1, -1), tol=NEWTON_TOL, stall_tol=1e2 * NEWTON_TOL,
-                        max_iter=NEWTON_MAX_ITER, max_backtracks=40, step_bound=step_bound)
+                        max_iter=NEWTON_MAX_ITER, max_backtracks=40,
+                        step_bound=cell_fraction_to_boundary)
 
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
@@ -418,7 +409,7 @@ def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
 def ac_energy(p: AcProblem, x, cells=None) -> float:
     """E_h of x, with the problem's F(rho0); the d_h x comes from ``cells``
     if it is x's cell state from a step of ``p`` (a trajectory's ``cells``)."""
-    known = _own(p, cells)
+    known = carried_state(cells, p)
     return ac_discrete_energy(np.asarray(x, dtype=float), p.rho0_nodes, p.rho0_prime_nodes,
                               p.grid, p.eps, dhx=None if known is None else known.dhx,
                               well=p.well_nodes)

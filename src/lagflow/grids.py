@@ -24,7 +24,9 @@ state.  The solvers build the next trajectory through ``_after_step``, which
 checks only what the accepted iterate's state does not prove and keeps that
 state on the trajectory: the 1D cell widths (``Trajectory1D.cells``) and the
 2D deformation state (``Trajectory2D.deformation``), the one place a step
-hands state to the next step and to its record.
+hands state to the next step and to its record.  A solver reads that state
+through ``carried_state``, which hands it over only to the problem it was
+made for.
 """
 
 from __future__ import annotations
@@ -50,6 +52,8 @@ __all__ = [
     "deformation_stencil",
     "jacobian_det_interior",
     "pushforward_density_1d",
+    "cell_widths",
+    "carried_state",
 ]
 
 
@@ -186,6 +190,23 @@ def inner_product(kind: str, u, v, grid: Grid1D) -> float:
     raise ValueError(f"unknown inner product kind {kind!r}")
 
 
+def cell_widths(x):
+    """(widths, min_width) of the 1D node array x: its cell widths
+    x[1:] - x[:-1] and the narrowest of them.  Nodes that are not strictly
+    increasing raise AdmissibilityError."""
+    widths = x[1:] - x[:-1]
+    min_width = widths.min()
+    if not min_width > 0.0:
+        raise AdmissibilityError("trajectory nodes are not strictly increasing")
+    return widths, min_width
+
+
+def carried_state(state, problem):
+    """``state`` if it is a solver's state made for ``problem`` (its ``p``),
+    such as the ``cells`` or ``deformation`` a trajectory carries, else None."""
+    return state if getattr(state, "p", None) is problem else None
+
+
 @dataclass(frozen=True)
 class Trajectory1D:
     """Two most recent node trajectories plus the step that separates them.
@@ -221,16 +242,14 @@ class Trajectory1D:
         object.__setattr__(self, "curr", curr)
         if self.tau_prev <= 0.0:
             raise ValueError(f"tau_prev must be positive, got {self.tau_prev}")
-        widths = curr[1:] - curr[:-1]
-        if (widths <= 0.0).any():
-            raise AdmissibilityError("trajectory nodes are not strictly increasing")
-        widths.flags.writeable = False
-        object.__setattr__(self, "widths", widths)
         if self.pinned:
             ref = self.grid.nodes
             if not (_pinned_close(float(curr[0]), float(ref[0]))
                     and _pinned_close(float(curr[-1]), float(ref[-1]))):
                 raise ValueError("pinned trajectory must keep boundary nodes on the reference")
+        widths, _ = cell_widths(curr)
+        widths.flags.writeable = False
+        object.__setattr__(self, "widths", widths)
 
     @classmethod
     def at_rest(cls, grid: Grid1D, pinned: bool = True) -> "Trajectory1D":

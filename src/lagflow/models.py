@@ -1,13 +1,15 @@
 """Energy densities, mobilities, and analytic gradients of the discrete energies.
 
 Every conservative solver works with the cell/node transported density
-s = rho0 / volume-change and needs three ingredients per model: the energy
-density F(s), the pressure-like combination G(s) = F(s) - s F'(s) (which is
-what differentiating F(rho0/v) v with respect to the volume factor v
-produces), and G'(s) for Newton Hessians.  The drift potential of the
-Fokker-Planck model and the logarithmic interaction of the Keller-Segel
-models live outside this volume-factor mechanism and are handled as
-separate position-dependent terms.
+s = rho0 / volume-change.  Each conservative model holds its internal
+energy as one term object (``internal``: ``PowerLaw`` or ``Entropy``) with
+three methods: the energy density F(s), the pressure-like combination
+G(s) = F(s) - s F'(s) (which is what differentiating F(rho0/v) v with
+respect to the volume factor v produces), and G'(s) for Newton Hessians.
+The 1D and 2D assemblers call these and never ask which model they serve.
+The drift potential of the Fokker-Planck model and the logarithmic
+interaction of the Keller-Segel models live outside this volume-factor
+mechanism and are handled as separate position-dependent terms.
 
 1D energies are sums over cells of width w_c = x_{j+1} - x_j,
 
@@ -68,13 +70,15 @@ import numpy as np
 import scipy.sparse as sps
 
 from .errors import AdmissibilityError
-from .grids import (Grid1D, Grid2D, deformation_stencil, embed_interior, inner_product,
-                    jacobian_det_interior, node_diff)
+from .grids import (Grid1D, Grid2D, cell_widths, deformation_stencil, embed_interior,
+                    inner_product, jacobian_det_interior, node_diff)
 
 __all__ = [
     "ConstantMobility",
     "DegenerateMobility",
     "Mobility",
+    "PowerLaw",
+    "Entropy",
     "PorousMedium",
     "FokkerPlanck",
     "KellerSegel1D",
@@ -136,14 +140,55 @@ def _quadratic_well_curv(x):
 
 
 @dataclass(frozen=True)
+class PowerLaw:
+    """Internal energy F(s) = w s^m / (m - 1), m > 1, with G(s) = -w s^m."""
+
+    m: float
+    weight: float = 1.0
+
+    def density(self, s):
+        return self.weight * s ** self.m / (self.m - 1.0)
+
+    def pressure(self, s):
+        return -self.weight * s ** self.m
+
+    def pressure_deriv(self, s):
+        return -self.weight * self.m * s ** (self.m - 1.0)
+
+
+@dataclass(frozen=True)
+class Entropy:
+    """Internal energy F(s) = w s log s, s > 0, with G(s) = -w s."""
+
+    weight: float = 1.0
+
+    def density(self, s):
+        s = np.asarray(s, dtype=float)
+        if np.any(s <= 0.0):
+            raise ValueError("entropy density needs s > 0")
+        return self.weight * s * np.log(s)
+
+    def pressure(self, s):
+        return -self.weight * s
+
+    def pressure_deriv(self, s):
+        return -self.weight * np.ones_like(np.asarray(s, dtype=float))
+
+
+InternalEnergy = Union[PowerLaw, Entropy]
+
+
+@dataclass(frozen=True)
 class PorousMedium:
     """F(s) = s^m / (m - 1), m > 1."""
 
     m: float
+    internal: InternalEnergy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.m > 1.0:
             raise ValueError(f"porous-medium exponent must exceed 1, got m={self.m}")
+        object.__setattr__(self, "internal", PowerLaw(self.m))
 
 
 @dataclass(frozen=True)
@@ -153,11 +198,20 @@ class FokkerPlanck:
     potential: Callable = _quadratic_well
     potential_grad: Callable = _quadratic_well_grad
     potential_curv: Callable = _quadratic_well_curv
+    internal: InternalEnergy = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "internal", Entropy())
 
 
 @dataclass(frozen=True)
 class KellerSegel1D:
     """Entropy s log s plus the attractive kernel W(x) = log|x| / (2 pi)."""
+
+    internal: InternalEnergy = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "internal", Entropy())
 
 
 @dataclass(frozen=True)
@@ -166,12 +220,15 @@ class KellerSegel2D:
 
     m: float = 1.0
     nu: float = 1.0
+    internal: InternalEnergy = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1.0:
             raise ValueError(f"diffusion exponent must be at least 1, got m={self.m}")
         if self.nu < 0.0:
             raise ValueError(f"diffusion weight must be nonnegative, got nu={self.nu}")
+        internal = Entropy(self.nu) if self.m == 1.0 else PowerLaw(self.m, self.nu)
+        object.__setattr__(self, "internal", internal)
 
 
 @dataclass(frozen=True)
@@ -193,49 +250,6 @@ def double_well(s):
     """Ginzburg-Landau double well (s^2 - 1)^2 / 4."""
     s = np.asarray(s)
     return 0.25 * (s * s - 1.0) ** 2
-
-
-def _internal_density(model, s):
-    """Volume-factor part of F(s): the entropy or power-law internal energy."""
-    s = np.asarray(s, dtype=float)
-    if isinstance(model, PorousMedium):
-        return s ** model.m / (model.m - 1.0)
-    if isinstance(model, (FokkerPlanck, KellerSegel1D)):
-        if np.any(s <= 0.0):
-            raise ValueError("entropy density needs s > 0")
-        return s * np.log(s)
-    if isinstance(model, KellerSegel2D):
-        if model.m == 1.0:
-            if np.any(s <= 0.0):
-                raise ValueError("entropy density needs s > 0")
-            return model.nu * s * np.log(s)
-        return model.nu * s ** model.m / (model.m - 1.0)
-    raise TypeError(f"model {model!r} has no internal energy part")
-
-
-def _pressure(model, s):
-    """G(s) = F(s) - s F'(s) for the internal part of F."""
-    if isinstance(model, PorousMedium):
-        return -(s ** model.m)
-    if isinstance(model, (FokkerPlanck, KellerSegel1D)):
-        return -s
-    if isinstance(model, KellerSegel2D):
-        if model.m == 1.0:
-            return -model.nu * s
-        return -model.nu * s ** model.m
-    raise TypeError(f"model {model!r} has no internal energy part")
-
-
-def _pressure_deriv(model, s):
-    if isinstance(model, PorousMedium):
-        return -model.m * s ** (model.m - 1.0)
-    if isinstance(model, (FokkerPlanck, KellerSegel1D)):
-        return -np.ones_like(np.asarray(s, dtype=float))
-    if isinstance(model, KellerSegel2D):
-        if model.m == 1.0:
-            return -model.nu * np.ones_like(np.asarray(s, dtype=float))
-        return -model.nu * model.m * s ** (model.m - 1.0)
-    raise TypeError(f"model {model!r} has no internal energy part")
 
 
 # --- Keller-Segel 1D interaction ------------------------------------------
@@ -348,12 +362,8 @@ def _ks1d_hess_cell(x, rho0, grid: Grid1D, partner_x, partner_rho):
 # --- 1D discrete energy, gradient, Hessian --------------------------------
 
 def _cell_state(x, rho0, grid: Grid1D):
-    x = np.asarray(x)
-    widths = np.diff(x)
-    if np.any(widths <= 0.0):
-        raise AdmissibilityError("trajectory nodes are not strictly increasing")
-    s = np.asarray(rho0) * grid.h / widths
-    return widths, s
+    widths, _ = cell_widths(np.asarray(x))
+    return widths, np.asarray(rho0) * grid.h / widths
 
 
 def discrete_energy_1d(model: EnergyModel, x, rho0, grid: Grid1D,
@@ -367,7 +377,7 @@ def discrete_energy_1d(model: EnergyModel, x, rho0, grid: Grid1D,
     the same iterate several times computes once.
     """
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
-    total = float((_internal_density(model, s) * widths).sum())
+    total = float((model.internal.density(s) * widths).sum())
     if isinstance(model, FokkerPlanck):
         mids = 0.5 * (np.asarray(x)[:-1] + np.asarray(x)[1:])
         total += float(np.sum(np.asarray(rho0) * grid.h * model.potential(mids)))
@@ -387,7 +397,7 @@ def discrete_energy_grad_1d(model: EnergyModel, x, rho0, grid: Grid1D,
     """
     x = np.asarray(x)
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
-    gcell = _pressure(model, s)
+    gcell = model.internal.pressure(s)
     g = np.zeros(x.shape)
     g[1:] += gcell
     g[:-1] -= gcell
@@ -414,7 +424,7 @@ def discrete_energy_hess_1d(model: EnergyModel, x, rho0, grid: Grid1D,
     x = np.asarray(x)
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     # d/dw of G(rho0 h / w) = -G'(s) s / w, the per-cell curvature
-    hcell = -_pressure_deriv(model, s)
+    hcell = -model.internal.pressure_deriv(s)
     hcell *= s
     hcell /= widths
     diag = np.zeros(x.shape)
@@ -445,18 +455,6 @@ def _check_2d_model(model):
         raise TypeError(f"{type(model).__name__} is not supported by the 2D energies")
 
 
-def _deformation_state(x, y, rho0, grid: Grid2D, stencil=None,
-                       failure: str = "non-positive deformation determinant"):
-    """det (checked positive) and s = rho0 / det at the interior nodes;
-    ``stencil`` as in ``jacobian_det_interior``, and a non-positive
-    determinant raises AdmissibilityError(failure)."""
-    det = jacobian_det_interior(x, y, grid, stencil)
-    if np.any(det <= 0.0):
-        raise AdmissibilityError(failure)
-    s = np.asarray(rho0)[1:-1, 1:-1] / det
-    return det, s
-
-
 def deformation_state_2d(x, y, rho0, grid: Grid2D,
                          failure: str = "non-positive deformation determinant"):
     """The deformation state (stencil, det, s) of the node map (x, y): the
@@ -465,7 +463,10 @@ def deformation_state_2d(x, y, rho0, grid: Grid2D,
     rho0 / det at the interior nodes.  The 2D energy, gradient and Hessian
     take it as their ``state``."""
     stencil = deformation_stencil(x, y, grid)
-    return (stencil, *_deformation_state(x, y, rho0, grid, stencil, failure))
+    det = jacobian_det_interior(x, y, grid, stencil)
+    if np.any(det <= 0.0):
+        raise AdmissibilityError(failure)
+    return stencil, det, np.asarray(rho0)[1:-1, 1:-1] / det
 
 
 def _interaction_nodes(x, y, rho0, grid: Grid2D):
@@ -650,7 +651,7 @@ def discrete_energy_2d(model: EnergyModel, x, y, rho0, grid: Grid2D, state=None)
     """
     _check_2d_model(model)
     _, det, s = deformation_state_2d(x, y, rho0, grid) if state is None else state
-    total = float(np.sum(_internal_density(model, s) * det)) * grid.h_x * grid.h_y
+    total = float(np.sum(model.internal.density(s) * det)) * grid.h_x * grid.h_y
     if isinstance(model, KellerSegel2D):
         total += ks2d_interaction_energy(model, x, y, rho0, grid)
     return total
@@ -667,7 +668,7 @@ def deformation_energy_grad_2d(model: EnergyModel, x, y, rho0, grid: Grid2D, sta
     y = np.asarray(y)
     (x_x, x_y, y_x, y_y), _, s = (deformation_state_2d(x, y, rho0, grid) if state is None
                                   else state)
-    p = _pressure(model, s)
+    p = model.internal.pressure(s)
     hx, hy = grid.h_x, grid.h_y
     q_yy = embed_interior(p * y_y, grid)
     q_yx = embed_interior(p * y_x, grid)
@@ -759,26 +760,26 @@ def hess_2d_structure(my1: int, mx1: int, mask: Union[bytes, None] = None):
 
 def discrete_energy_hess_2d(model: EnergyModel, x, y, rho0, grid: Grid2D,
                             state=None) -> sps.csr_matrix:
-    """Sparse Hessian of sum F(rho0/det) det over stacked interior unknowns [x; y].
+    """Sparse Hessian of the internal energy sum F(rho0/det) det over stacked
+    interior unknowns [x; y], for every 2D model.
 
-    Interaction models are excluded: their Hessian is dense, and the 2D
-    schemes only ever treat the interaction explicitly.  Only the nodes with
-    mass contribute: the sparsity pattern is built once per interior shape
-    and mass mask (``_hess_2d_pattern``), so an entry that only massless
-    nodes touch is not stored, and each call computes the values on the
-    nodes with mass only.  ``state`` as in ``discrete_energy_2d``.
+    A Keller-Segel interaction term is not part of it: that Hessian is
+    dense, and the 2D schemes take the interaction force explicitly (the
+    implicit step refuses Keller-Segel models).  Only the nodes with mass
+    contribute: the sparsity pattern is built once per interior shape and
+    mass mask (``_hess_2d_pattern``), so an entry that only massless nodes
+    touch is not stored, and each call computes the values on the nodes
+    with mass only.  ``state`` as in ``discrete_energy_2d``.
     """
     _check_2d_model(model)
-    if isinstance(model, KellerSegel2D):
-        raise ValueError("implicit Hessian is only available for interaction-free models")
     stencil, det, s = deformation_state_2d(x, y, rho0, grid) if state is None else state
     pattern = _hess_2d_pattern(*det.shape, mass_mask(rho0))
     nodes = pattern.nodes
     det = det.ravel()[nodes]
     s = s.ravel()[nodes]
-    p = _pressure(model, s)
+    p = model.internal.pressure(s)
     # d/d(det) of G(rho0/det) = -G'(s) s / det
-    pp = -_pressure_deriv(model, s) * s / det
+    pp = -model.internal.pressure_deriv(s) * s / det
     hx, hy = grid.h_x, grid.h_y
     x_x, x_y, y_x, y_y = (d.ravel()[nodes] for d in stencil)
     # d(det)/d(stencil unknown), in stencil order

@@ -74,14 +74,15 @@ def _stateless(x):
     return None
 
 
-def cell_fraction_to_boundary(widths, min_width, step) -> float:
+def cell_fraction_to_boundary(x, cells, step) -> float:
     """Largest alpha <= 1 (times 0.99) keeping every cell of the 1D node array
-    x + alpha step at least 10% of the currently narrowest one, from the
-    widths of x and their minimum: no difference of x, no gather.  ``step``
-    must be finite."""
+    x + alpha step at least 10% of the currently narrowest one, from x's
+    cell state ``cells`` (its ``widths`` and their minimum ``min_width``):
+    no difference of x, no gather.  ``step`` must be finite.  This is the
+    ``step_bound`` of ``newton_solve`` for the 1D solvers."""
     shrink = step[:-1] - step[1:]  # -diff(step), bit for bit
     np.putmask(shrink, shrink <= 0.0, 0.0)
-    room = widths - 0.1 * min_width
+    room = cells.widths - 0.1 * cells.min_width
     with np.errstate(divide="ignore"):
         np.divide(room, shrink, out=room)  # inf where the cell does not shrink
     return min(1.0, 0.99 * room.min())

@@ -73,8 +73,8 @@ from scipy.linalg import eigvalsh_tridiagonal
 from .banded import solve_banded
 from .errors import AdmissibilityError
 # pushforward_density_1d stays importable here: perfbench/tracer.py patches it by name
-from .grids import (DensityField1D, Grid1D, Trajectory1D, inner_product,  # noqa: F401
-                    pushforward_density_1d)
+from .grids import (DensityField1D, Grid1D, Trajectory1D, carried_state,  # noqa: F401
+                    cell_widths, inner_product, pushforward_density_1d)
 from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
                      discrete_energy_grad_1d, discrete_energy_hess_1d)
 from .newton import cell_fraction_to_boundary, newton_solve
@@ -100,6 +100,8 @@ class Wgf1dProblem:
         rho0 = np.ascontiguousarray(self.rho0, dtype=float)
         if rho0.shape != (self.grid.m_x,):
             raise ValueError(f"rho0 must be a midpoint field of length {self.grid.m_x}")
+        if not np.isfinite(rho0).all():
+            raise ValueError("rho0 must be finite")
         if np.any(rho0 <= 0.0):
             raise ValueError("conservative runs need strictly positive cell densities")
         rho0.flags.writeable = False
@@ -133,11 +135,6 @@ class _Cells:
     energy: float | None = None
 
 
-def _own(p: Wgf1dProblem, cells) -> _Cells | None:
-    """``cells`` if it is a ``wgf1d`` cell state made for ``p``, else None."""
-    return cells if isinstance(cells, _Cells) and cells.p is p else None
-
-
 class _StepTerms:
     """The step objective's constants (xhat's midpoints and the inertia and
     viscosity weights), built once per step.  Every term keeps the operation
@@ -164,10 +161,7 @@ def _cells(t: _StepTerms, x, known: _Cells | None = None) -> _Cells:
     admissibility check; ``known``, x's state from the step that accepted
     it, supplies the widths, densities and E_h."""
     if known is None:
-        widths = x[1:] - x[:-1]
-        min_width = widths.min()
-        if min_width <= 0.0:
-            raise AdmissibilityError("trajectory nodes are not strictly increasing")
+        widths, min_width = cell_widths(x)
         s = t.masses / widths
         energy = None
     else:
@@ -288,13 +282,10 @@ def _minimize(t: _StepTerms, x_start, start: _Cells, j_start=None):
             return solve_banded((1, 1), ab, rhs, overwrite_ab=True)
         return solve, lambda: _eigen_shift(d, o), rows[free]
 
-    def step_bound(x, c, step):
-        return cell_fraction_to_boundary(c.widths, c.min_width, step)
-
     return newton_solve(x_start, gradient, linearize, prepare=prepare, state=start,
                         objective=objective, value=j_start, free=free, tol=NEWTON_TOL,
                         stall_tol=1e2 * NEWTON_TOL, max_iter=NEWTON_MAX_ITER, max_backtracks=50,
-                        step_bound=step_bound)
+                        step_bound=cell_fraction_to_boundary)
 
 
 def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
@@ -307,7 +298,7 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
     t = _bdf2_terms(p, traj, tau_next)
-    curr = _cells(t, traj.curr, _own(p, traj.cells))
+    curr = _cells(t, traj.curr, carried_state(traj.cells, p))
     if isinstance(p.model, KellerSegel1D):
         # nonconvex J: the start would choose the local minimum
         x_new, c = _minimize(t, traj.curr, curr)
@@ -329,7 +320,7 @@ def wgf1d_first_step(p: Wgf1dProblem, tau1: float):
 def wgf1d_energy(p: Wgf1dProblem, x, cells=None) -> float:
     """Reported discrete energy of a state (self-consistent interaction); the
     E_h ``cells`` holds if it is x's cell state from a step of ``p``."""
-    known = _own(p, cells)
+    known = carried_state(cells, p)
     if known is not None and known.energy is not None:
         return known.energy
     return discrete_energy_1d(p.model, np.asarray(x, dtype=float), p.rho0, p.grid)

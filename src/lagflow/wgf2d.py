@@ -104,7 +104,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .errors import AdmissibilityError, NewtonError, SolverError
-from .grids import (DensityField2D, Grid2D, Trajectory2D, embed_interior,
+from .grids import (DensityField2D, Grid2D, Trajectory2D, carried_state, embed_interior,
                     jacobian_det_interior)
 from .models import (EnergyModel, KellerSegel2D, deformation_energy_grad_2d,
                      deformation_state_2d, discrete_energy_2d, discrete_energy_hess_2d,
@@ -145,6 +145,8 @@ class Wgf2dProblem:
         rho0 = np.ascontiguousarray(self.rho0, dtype=float)
         if rho0.shape != self.grid.node_shape:
             raise ValueError(f"rho0 must have node shape {self.grid.node_shape}")
+        if not np.isfinite(rho0).all():
+            raise ValueError("rho0 must be finite")
         if np.any(rho0 < 0.0):
             raise ValueError("rho0 must be nonnegative")
         if self.eps_visc < 0.0:
@@ -196,17 +198,10 @@ def _stacked(p: Wgf2dProblem, z) -> _Deformation:
                         z[half:].reshape(p.grid.node_shape))
 
 
-def _own(p: Wgf2dProblem, deformation) -> _Deformation | None:
-    """``deformation`` if it is a ``wgf2d`` deformation state made for ``p``, else None."""
-    if isinstance(deformation, _Deformation) and deformation.p is p:
-        return deformation
-    return None
-
-
 def _current(p: Wgf2dProblem, traj: Trajectory2D) -> _Deformation:
     """x^n's deformation state: the one ``traj`` carries from a step of ``p``,
     or else computed."""
-    known = _own(p, traj.deformation)
+    known = carried_state(traj.deformation, p)
     return _deformation(p, traj.curr_x, traj.curr_y) if known is None else known
 
 
@@ -755,6 +750,9 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
     """
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
+    if isinstance(p.model, KellerSegel2D):
+        # its gradient and Newton matrix hold no interaction term
+        raise ValueError("the implicit 2D step does not support Keller-Segel models")
     r = tau_next / traj.tau_prev
     x_hat = extrapolate_hat(traj.curr_x, traj.prev_x, r)
     y_hat = extrapolate_hat(traj.curr_y, traj.prev_y, r)
@@ -800,7 +798,7 @@ def wgf2d_energy(p: Wgf2dProblem, x, y, deformation=None) -> float:
     """E_h of the map (x, y); the E_h ``deformation`` holds, computed there at
     most once, if it is x's deformation state from a step of ``p``
     (``Trajectory2D.deformation``)."""
-    known = _own(p, deformation)
+    known = carried_state(deformation, p)
     if known is None:
         return discrete_energy_2d(p.model, x, y, p.rho0, p.grid)
     return _energy(known)

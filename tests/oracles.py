@@ -10,7 +10,7 @@ import numpy as np
 from lagflow import wgf1d
 from lagflow.grids import Grid1D, Grid2D, jacobian_det_interior, node_diff
 from lagflow.models import (EnergyModel, FokkerPlanck, GinzburgLandau, KellerSegel2D,
-                            PorousMedium, _internal_density, _ks1d_sums,
+                            PorousMedium, _ks1d_sums,
                             deformation_energy_grad_2d, double_well, ks2d_interaction_force)
 
 
@@ -94,7 +94,7 @@ def energy_density(model: EnergyModel, s, x=None):
         return double_well(s)
     if isinstance(model, PorousMedium) and np.any(s < 0.0):
         raise ValueError("porous-medium density must be nonnegative")
-    f = _internal_density(model, s)
+    f = model.internal.density(s)
     if isinstance(model, FokkerPlanck):
         return f + s * model.potential(0.0 if x is None else x)
     return f

@@ -14,8 +14,8 @@ from hypothesis.extra.numpy import arrays
 
 import lagflow.models as models
 from lagflow.grids import Grid1D, Grid2D
-from lagflow.models import (ConstantMobility, DegenerateMobility, FokkerPlanck,
-                            GinzburgLandau, KellerSegel1D, KellerSegel2D, PorousMedium,
+from lagflow.models import (ConstantMobility, DegenerateMobility, Entropy, FokkerPlanck,
+                            GinzburgLandau, KellerSegel1D, KellerSegel2D, PorousMedium, PowerLaw,
                             ac_discrete_energy, check_mobility_positive, discrete_energy_1d,
                             discrete_energy_2d, discrete_energy_grad_1d,
                             discrete_energy_hess_1d, discrete_energy_hess_2d)
@@ -48,6 +48,38 @@ def test_energy_density_values():
     assert energy_density(PorousMedium(3.0), 0.5) == pytest.approx(0.0625)
     with pytest.raises(ValueError):
         energy_density(FokkerPlanck(), 0.0, x=0.0)
+
+
+# central differences with step h = 1e-5 s: the truncation error (h/s)^2 s^2 |f'''| / 6
+# and the rounding error eps |f| / h both stay below 1e-9 of the terms compared
+# for m in (1, 4] and s in [1e-3, 1e3], so 1e-8 is the bound
+_FD_STEP = 1e-5
+_FD_RTOL = 1e-8
+
+
+def _central_diff(f, s):
+    h = _FD_STEP * s
+    return (f(s + h) - f(s - h)) / (2.0 * h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term=st.one_of(st.builds(PowerLaw, st.floats(1.0, 4.0, exclude_min=True),
+                                st.floats(0.1, 5.0)),
+                      st.builds(Entropy, st.floats(0.1, 5.0))),
+       s=st.floats(1e-3, 1e3))
+def test_internal_term_pressure_is_f_minus_s_f_prime(term, s):
+    f, df = term.density(s), _central_diff(term.density, s)
+    g = term.pressure(s)
+    assert abs(g - (f - s * df)) <= _FD_RTOL * (abs(f) + abs(s * df))
+    dg = _central_diff(term.pressure, s)
+    assert abs(term.pressure_deriv(s) - dg) <= _FD_RTOL * (abs(dg) + abs(g) / s)
+
+
+def test_models_hold_their_internal_term():
+    assert PorousMedium(3.0).internal == PowerLaw(3.0)
+    assert FokkerPlanck().internal == KellerSegel1D().internal == Entropy()
+    assert KellerSegel2D(1.0, 0.7).internal == Entropy(0.7)
+    assert KellerSegel2D(2.0, 0.7).internal == PowerLaw(2.0, 0.7)
 
 
 def test_discrete_energy_identity_map_pme():
@@ -441,9 +473,9 @@ def test_hessian_2d_matches_fd():
 def _hess_2d_coo(model, x, y, rho0, grid):
     """The 2D Hessian from a COO list rebuilt on every call, as it was
     assembled before the cached pattern, kept as the oracle."""
-    det, s = models._deformation_state(x, y, rho0, grid)
-    p = models._pressure(model, s)
-    pp = -models._pressure_deriv(model, s) * s / det
+    _, det, s = models.deformation_state_2d(x, y, rho0, grid)
+    p = model.internal.pressure(s)
+    pp = -model.internal.pressure_deriv(s) * s / det
     hx, hy = grid.h_x, grid.h_y
     my1, mx1 = det.shape
     n_int = my1 * mx1
@@ -517,7 +549,8 @@ def _touched_by_massive_nodes(grid, rho0):
 
 @settings(max_examples=40, deadline=None)
 @given(interior=st.tuples(st.integers(1, 9), st.integers(1, 9)),
-       model=st.sampled_from([PorousMedium(2.0), PorousMedium(3.0), PorousMedium(1.5)]),
+       model=st.sampled_from([PorousMedium(2.0), PorousMedium(3.0), PorousMedium(1.5),
+                              KellerSegel2D(1.0, 0.7), KellerSegel2D(2.0, 0.7)]),
        seed=st.integers(0, 2 ** 16))
 def test_hess_2d_cached_pattern_matches_coo_oracle(interior, model, seed):
     # shapes called alternately, two of them with one node count: one shape's
@@ -530,7 +563,8 @@ def test_hess_2d_cached_pattern_matches_coo_oracle(interior, model, seed):
 @settings(max_examples=40, deadline=None)
 @given(interior=st.tuples(st.integers(1, 9), st.integers(1, 9)),
        kinds=st.lists(st.sampled_from(MASK_KINDS), min_size=2, max_size=4),
-       model=st.sampled_from([PorousMedium(2.0), PorousMedium(3.0), PorousMedium(1.5)]),
+       model=st.sampled_from([PorousMedium(2.0), PorousMedium(3.0), PorousMedium(1.5),
+                              KellerSegel2D(1.0, 0.7), KellerSegel2D(2.0, 0.7)]),
        seed=st.integers(0, 2 ** 16))
 def test_hess_2d_on_massive_nodes_matches_coo_oracle(interior, kinds, model, seed):
     # compactly supported rho0: masks called alternately on one shape, so one

@@ -491,7 +491,7 @@ def test_cell_state_step_bound_is_fraction_to_boundary_bit_for_bit(drawn):
     with np.errstate(over="ignore"):  # both overflow alike on the 1e-300 steps
         want = fraction_to_boundary(x, step)
         for cells in (wgf1d._cells(terms, x), allen_cahn._cells(ac_problem(x), x)):
-            alpha = cell_fraction_to_boundary(cells.widths, cells.min_width, step)
+            alpha = cell_fraction_to_boundary(x, cells, step)
             assert alpha == want
     if kind == "growing":
         assert alpha == 1.0
@@ -512,9 +512,9 @@ def test_both_1d_solvers_bound_steps_by_the_cell_state(monkeypatch, solver):
     assert module.cell_fraction_to_boundary is cell_fraction_to_boundary
     calls = []
 
-    def recorded(widths, min_width, step):
-        calls.append((widths, min_width))
-        return cell_fraction_to_boundary(widths, min_width, step)
+    def recorded(x, cells, step):
+        calls.append((cells.widths, cells.min_width))
+        return cell_fraction_to_boundary(x, cells, step)
 
     monkeypatch.setattr(module, "cell_fraction_to_boundary", recorded)
     if solver == "wgf1d":
@@ -616,6 +616,16 @@ def test_positive_density_required():
     grid = Grid1D(-1.0, 1.0, 8)
     with pytest.raises(ValueError):
         Wgf1dProblem(grid, PorousMedium(2.0), np.zeros(8))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_density_refused(bad):
+    # nan <= 0 is False, so the positivity test alone lets NaN through
+    grid = Grid1D(-1.0, 1.0, 8)
+    rho0 = np.ones(8)
+    rho0[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Wgf1dProblem(grid, PorousMedium(2.0), rho0)
 
 
 @st.composite

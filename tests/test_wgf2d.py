@@ -211,6 +211,23 @@ def test_radial_symmetry_preserved():
     assert np.allclose(v, v.T, atol=1e-10)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_density_refused(bad):
+    # nan < 0 is False, so the nonnegativity test alone lets NaN through
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    rho0 = np.ones(g.node_shape)
+    rho0[2, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        Wgf2dProblem(g, PorousMedium(2.0), rho0)
+
+
+def test_implicit_step_refuses_keller_segel():
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    p = Wgf2dProblem(g, KellerSegel2D(), np.ones(g.node_shape))
+    with pytest.raises(ValueError, match="Keller-Segel"):
+        wgf2d_first_step_implicit(p, 1e-3)
+
+
 def test_visc_scaling_validation():
     g = Grid2D(-1.0, 1.0, -1.0, 1.0, 4, 4)
     with pytest.raises(ValueError):
@@ -797,7 +814,7 @@ def test_drawn_ratios_keep_the_implicit_energy_estimate(ratios):
     previous = wgf2d_augmented_energy(p, traj)
     for ratio in ratios:
         # below tau = 1e-3 the increment viscosity no longer keeps the massless cells
-        # next to the support from folding, and the Newton solve stalls (ROADMAP item 4)
+        # next to the support from folding, and the Newton solve stalls (ROADMAP item 1)
         tau = min(max(traj.tau_prev * ratio, 1e-3), 1e-2)
         traj, dens = wgf2d_step_implicit(p, traj, tau)
         assert np.all(jacobian_det_interior(traj.curr_x, traj.curr_y, p.grid) > 0.0)
@@ -1009,7 +1026,7 @@ def test_deformation_state_is_the_fresh_evaluation_bit_for_bit(mx, my, support, 
     m = wgf2d._deformation(p, x, y)
     assert all(same_bits(a, b) for a, b in zip(m.stencil, models.deformation_stencil(x, y, g)))
     assert same_bits(m.det, jacobian_det_interior(x, y, g))
-    det, s = models._deformation_state(x, y, p.rho0, g)
+    _, det, s = models.deformation_state_2d(x, y, p.rho0, g)
     assert same_bits(m.det, det) and same_bits(m.s, s)
     fresh = models.discrete_energy_2d(p.model, x, y, p.rho0, g)
     assert m.energy is None
