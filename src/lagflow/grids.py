@@ -317,7 +317,7 @@ class Trajectory2D:
         if self.tau_prev <= 0.0:
             raise ValueError(f"tau_prev must be positive, got {self.tau_prev}")
         det = jacobian_det_interior(self.curr_x, self.curr_y, self.grid)
-        if np.any(det <= 0.0):
+        if not (det > 0.0).all():
             raise AdmissibilityError("non-positive deformation determinant at an interior node")
         for comp, ref in ((self.curr_x, self.grid.ref_x), (self.curr_y, self.grid.ref_y)):
             b = np.concatenate([comp[0], comp[-1], comp[:, 0], comp[:, -1]])
@@ -345,7 +345,7 @@ class Trajectory2D:
         shape = traj.grid.node_shape
         if x.shape != shape or y.shape != shape:
             raise ValueError(f"x, y: expected shape {shape}, got {x.shape} and {y.shape}")
-        if np.any(deformation.det <= 0.0):
+        if not (deformation.det > 0.0).all():
             raise AdmissibilityError("non-positive deformation determinant at an interior node")
         for new, old in ((x, traj.curr_x), (y, traj.curr_y)):
             if not (np.array_equal(new[[0, -1]], old[[0, -1]])

@@ -32,7 +32,17 @@ gradient and Hessian that Newton evaluates at the iterate its line search
 just accepted.  A memo miss writes a, log|a| and the order's work array
 into three buffers kept for the last pair shape, so a run allocates them
 once per shape; the read-only a and log|a| it hands out are valid until the
-next miss.
+next miss.  The gradient is log|a| @ w and the Hessian (1/a) @ w, with the
+partner's telescoping node weights w.  The energy needs no elementwise pass
+beyond log|a|: positions are centred on the partner (c~ = c - x0,
+y~ = y - x0, x0 the centre of its span, so the cancellation does not depend
+on where the cloud sits), and sum_j w_j (a log|a| - a) is
+c~ (log|a| @ w) - log|a| @ (w y~) - (c~ sum(w) - w . y~), one product with
+the two columns [w, w y~].  ``KsPartner1D`` holds those columns, and
+``wgf1d`` builds one per step for the lagged partner.  A point on a partner
+node makes log|a| = -inf and that product non-finite; the energy then falls
+back to the elementwise sum with 0 log 0 = 0.  The product is not bit-equal
+to the elementwise sum; the tests hold it to 1e-13 of the largest entry.
 
 The 2D interaction is an exact direct sum over the N nodes that carry mass.
 Its pair matrix r2_ij = |p_i - p_j|^2 is symmetric, so the energy and the
@@ -83,6 +93,7 @@ __all__ = [
     "FokkerPlanck",
     "KellerSegel1D",
     "KellerSegel2D",
+    "KsPartner1D",
     "GinzburgLandau",
     "EnergyModel",
     "double_well",
@@ -263,6 +274,32 @@ def _ks_node_weights(rho_cells):
     return w
 
 
+class KsPartner1D:
+    """The interaction partner of the 1D Keller-Segel sums (nodes y and cell
+    densities) with the constants of its order-0 sum, built once per partner:
+    ``wgf1d`` builds one per step for the lagged state.
+
+    The node weights w telescope the cell sums (``_ks_node_weights``).  With
+    the centre x0 of the partner's span and y~ = y - x0, ``cols`` is the
+    (M + 1) x 2 matrix [w, w y~], ``w_sum`` = sum(w) and ``wy_sum`` = w . y~.
+    The nodes and densities are copies, so the constants never go stale.
+    """
+
+    __slots__ = ("x", "rho", "w", "x0", "cols", "w_sum", "wy_sum")
+
+    def __init__(self, x, rho):
+        self.x = np.array(x, dtype=float)
+        self.rho = np.array(rho, dtype=float)
+        self.w = _ks_node_weights(self.rho)
+        self.x0 = 0.5 * (self.x[0] + self.x[-1])
+        y = self.x - self.x0
+        self.cols = np.stack([self.w, self.w * y], axis=1)
+        self.w_sum = float(self.w.sum())
+        self.wy_sum = float(self.w @ y)
+        for arr in (self.x, self.rho, self.w, self.cols):
+            arr.flags.writeable = False
+
+
 # (midpoints, partner nodes, a, log|a|) of the last evaluation point; one
 # tuple, so a reader never sees a key with another key's matrices
 _pair_memo = None
@@ -272,7 +309,7 @@ _pair_bufs = None
 
 def _ks_pairs(points, nodes):
     """a = points_i - nodes_j, log|a| (-inf where a == 0) and a work array of
-    the same shape, memoized.
+    the same shape, memoized; the caller ignores divide-by-zero.
 
     Keys are compared by value and stored as copies, so an array changed in
     place after a call is never answered from the memo.  A miss writes into
@@ -288,75 +325,92 @@ def _ks_pairs(points, nodes):
     if _pair_bufs is None or _pair_bufs[0].shape != shape:
         _pair_bufs = (np.empty(shape), np.empty(shape), np.empty(shape))
     a, log_abs, work = _pair_bufs
-    np.subtract(points[:, None], nodes[None, :], out=a)
+    # a row-broadcast subtract into a filled buffer: the bits of
+    # points[:, None] - nodes[None, :], in less time
+    a[...] = points[:, None]
+    np.subtract(a, nodes, out=a)
     np.abs(a, out=log_abs)
-    with np.errstate(divide="ignore"):
-        np.log(log_abs, out=log_abs)
+    np.log(log_abs, out=log_abs)
     a, log_abs = a.view(), log_abs.view()
     a.flags.writeable = log_abs.flags.writeable = False  # shared by later callers
     _pair_memo = (points.copy(), nodes.copy(), a, log_abs)
     return a, log_abs, work
 
 
-def _ks1d_sums(points, partner_x, partner_rho, order):
+def _ks1d_sums(points, partner: KsPartner1D, order):
     """sum_j rho_j * d^order/dc^order int_{cell j} log|c - y| dy at each point c.
 
-    Order 0 sums the antiderivative a log|a| - a (0 at a = 0), order 1
-    log|a| and order 2 1/a, all from one memoized (a, log|a|).
+    Order 1 sums log|a| and order 2 1/a, from one memoized (a, log|a|).
+    Order 0 sums the antiderivative a log|a| - a (0 at a = 0).  With
+    a_ij = c~_i - y~_j (centred on the partner) and L = log|a| that sum is
+    c~_i (L w)_i - (L (w y~))_i - (c~_i sum(w) - w . y~), so one product of
+    L with the partner's two columns gives it.  A point on a partner node
+    (L = -inf) makes that result non-finite; then the elementwise sum with
+    its a == 0 fixup is used.
     """
     points = np.asarray(points, dtype=float)
-    w = _ks_node_weights(np.asarray(partner_rho, dtype=float))
-    a, log_abs, work = _ks_pairs(points, np.asarray(partner_x, dtype=float))
-    if order == 1:
-        return log_abs @ w
     with np.errstate(divide="ignore", invalid="ignore"):
+        a, log_abs, work = _ks_pairs(points, partner.x)
+        if order == 1:
+            return log_abs @ partner.w
         if order == 2:
-            return np.divide(1.0, a, out=work) @ w
-        anti = np.multiply(a, log_abs, out=work)
-    anti -= a
-    out = anti @ w
-    if np.isnan(out).any():
+            return np.divide(1.0, a, out=work) @ partner.w
+        sums = log_abs @ partner.cols
+        c = points - partner.x0
+        out = c * sums[:, 0] - sums[:, 1] - (c * partner.w_sum - partner.wy_sum)
+        if np.isfinite(out).all():
+            return out
         # 0 * log 0 at a point that sits on a partner node
+        anti = np.multiply(a, log_abs, out=work)
+        anti -= a
         anti[a == 0.0] = 0.0
-        out = anti @ w
-    return out
+        return anti @ partner.w
 
 
-def ks1d_interaction_energy(x, rho0, grid: Grid1D, partner_x=None, partner_rho=None,
-                            scheme_form=False) -> float:
+def ks1d_interaction_energy(x, rho0, grid: Grid1D, partner: KsPartner1D | None = None) -> float:
     """Logarithmic interaction energy of a 1D Keller-Segel state.
 
-    With ``scheme_form`` the partner state is treated as data (no factor 1/2),
-    which is the per-step objective; otherwise both slots use the same state
+    With a ``partner`` (the lagged state) it is the per-step objective's
+    term, with no factor 1/2; without one both slots use the state itself
     and the symmetric factor 1/2 applies (the reported physical energy).
     """
     masses = np.asarray(rho0) * grid.h
     mids = 0.5 * (np.asarray(x)[:-1] + np.asarray(x)[1:])
-    if partner_x is None:
-        partner_x = np.asarray(x)
-        partner_rho = masses / np.diff(partner_x)
-    total = float(masses @ _ks1d_sums(mids, partner_x, partner_rho, 0)) / (2.0 * np.pi)
+    scheme_form = partner is not None
+    if not scheme_form:
+        partner = KsPartner1D(x, masses / np.diff(x))
+    total = float(masses @ _ks1d_sums(mids, partner, 0)) / (2.0 * np.pi)
     return total if scheme_form else 0.5 * total
 
 
-def _ks1d_grad(x, rho0, grid: Grid1D, partner_x, partner_rho):
+def _ks1d_grad(x, rho0, grid: Grid1D, partner: KsPartner1D):
     """Node gradient of the scheme-form interaction (partner lagged)."""
     x = np.asarray(x)
     masses = np.asarray(rho0) * grid.h
     mids = 0.5 * (x[:-1] + x[1:])
-    phi1 = _ks1d_sums(mids, partner_x, partner_rho, 1) * masses / (2.0 * np.pi)
+    phi1 = _ks1d_sums(mids, partner, 1) * masses / (2.0 * np.pi)
     g = np.zeros_like(x)
     g[:-1] += 0.5 * phi1
     g[1:] += 0.5 * phi1
     return g
 
 
-def _ks1d_hess_cell(x, rho0, grid: Grid1D, partner_x, partner_rho):
+def _ks1d_hess_cell(x, rho0, grid: Grid1D, partner: KsPartner1D):
     """Per-cell curvature phi'' * mass / (2 pi) of the scheme-form interaction."""
     x = np.asarray(x)
     masses = np.asarray(rho0) * grid.h
     mids = 0.5 * (x[:-1] + x[1:])
-    return _ks1d_sums(mids, partner_x, partner_rho, 2) * masses / (2.0 * np.pi)
+    return _ks1d_sums(mids, partner, 2) * masses / (2.0 * np.pi)
+
+
+def _ks1d_partner(x, s, lagged_x, lagged_rho, partner):
+    """The partner of a gradient or Hessian: ``partner`` if given, else the
+    lagged state, else the state x itself with its cell densities s."""
+    if partner is not None:
+        return partner
+    if lagged_x is None:
+        return KsPartner1D(x, s)
+    return KsPartner1D(lagged_x, lagged_rho)
 
 
 # --- 1D discrete energy, gradient, Hessian --------------------------------
@@ -367,14 +421,17 @@ def _cell_state(x, rho0, grid: Grid1D):
 
 
 def discrete_energy_1d(model: EnergyModel, x, rho0, grid: Grid1D,
-                       lagged_x=None, lagged_rho=None, cells=None) -> float:
+                       lagged_x=None, lagged_rho=None, cells=None,
+                       partner: KsPartner1D | None = None) -> float:
     """E_h(x) = (F(rho0 / D_h x), D_h x)_h plus drift/interaction terms.
 
     For Keller-Segel, passing a lagged partner state selects the per-step
     scheme energy; without it the reported self-consistent energy is
-    returned.  ``cells = (widths, s)`` is the already checked cell state of
-    ``x`` (widths and s = rho0 h / width), which a caller that evaluates
-    the same iterate several times computes once.
+    returned.  ``partner`` is ``KsPartner1D(lagged_x, lagged_rho)`` from a
+    caller that evaluates many iterates against one lagged state, and then
+    stands for both.  ``cells = (widths, s)`` is the already checked cell
+    state of ``x`` (widths and s = rho0 h / width), which a caller that
+    evaluates the same iterate several times computes once.
     """
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     total = float((model.internal.density(s) * widths).sum())
@@ -382,15 +439,17 @@ def discrete_energy_1d(model: EnergyModel, x, rho0, grid: Grid1D,
         mids = 0.5 * (np.asarray(x)[:-1] + np.asarray(x)[1:])
         total += float(np.sum(np.asarray(rho0) * grid.h * model.potential(mids)))
     elif isinstance(model, KellerSegel1D):
-        total += ks1d_interaction_energy(x, rho0, grid, lagged_x, lagged_rho,
-                                         scheme_form=lagged_x is not None)
+        if partner is None and lagged_x is not None:
+            partner = KsPartner1D(lagged_x, lagged_rho)
+        total += ks1d_interaction_energy(x, rho0, grid, partner)
     return total
 
 
 def discrete_energy_grad_1d(model: EnergyModel, x, rho0, grid: Grid1D,
                             pinned: bool = True, lagged_x=None, lagged_rho=None,
-                            cells=None) -> np.ndarray:
-    """Analytic node gradient of ``discrete_energy_1d`` (``cells`` as there).
+                            cells=None, partner: KsPartner1D | None = None) -> np.ndarray:
+    """Analytic node gradient of ``discrete_energy_1d`` (``cells`` and
+    ``partner`` as there).
 
     Returns a full node-length array; with ``pinned`` the two boundary
     entries are zeroed (those degrees of freedom do not exist).
@@ -407,10 +466,7 @@ def discrete_energy_grad_1d(model: EnergyModel, x, rho0, grid: Grid1D,
         g[:-1] += f
         g[1:] += f
     elif isinstance(model, KellerSegel1D):
-        if lagged_x is None:
-            lagged_x = x
-            lagged_rho = s
-        g += _ks1d_grad(x, rho0, grid, lagged_x, lagged_rho)
+        g += _ks1d_grad(x, rho0, grid, _ks1d_partner(x, s, lagged_x, lagged_rho, partner))
     if pinned:
         g[0] = 0.0
         g[-1] = 0.0
@@ -418,9 +474,10 @@ def discrete_energy_grad_1d(model: EnergyModel, x, rho0, grid: Grid1D,
 
 
 def discrete_energy_hess_1d(model: EnergyModel, x, rho0, grid: Grid1D,
-                            lagged_x=None, lagged_rho=None, cells=None):
+                            lagged_x=None, lagged_rho=None, cells=None,
+                            partner: KsPartner1D | None = None):
     """Tridiagonal Hessian of the 1D energy as (diag, off) over all nodes
-    (``cells`` as in ``discrete_energy_1d``)."""
+    (``cells`` and ``partner`` as in ``discrete_energy_1d``)."""
     x = np.asarray(x)
     widths, s = _cell_state(x, rho0, grid) if cells is None else cells
     # d/dw of G(rho0 h / w) = -G'(s) s / w, the per-cell curvature
@@ -438,10 +495,8 @@ def discrete_energy_hess_1d(model: EnergyModel, x, rho0, grid: Grid1D,
         diag[:-1] += c
         off = off + c
     elif isinstance(model, KellerSegel1D):
-        if lagged_x is None:
-            lagged_x = x
-            lagged_rho = s
-        c = 0.25 * _ks1d_hess_cell(x, rho0, grid, lagged_x, lagged_rho)
+        c = 0.25 * _ks1d_hess_cell(x, rho0, grid,
+                                   _ks1d_partner(x, s, lagged_x, lagged_rho, partner))
         diag[1:] += c
         diag[:-1] += c
         off = off + c
@@ -464,7 +519,7 @@ def deformation_state_2d(x, y, rho0, grid: Grid2D,
     take it as their ``state``."""
     stencil = deformation_stencil(x, y, grid)
     det = jacobian_det_interior(x, y, grid, stencil)
-    if np.any(det <= 0.0):
+    if not (det > 0.0).all():
         raise AdmissibilityError(failure)
     return stencil, det, np.asarray(rho0)[1:-1, 1:-1] / det
 

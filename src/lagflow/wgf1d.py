@@ -75,7 +75,7 @@ from .errors import AdmissibilityError
 # pushforward_density_1d stays importable here: perfbench/tracer.py patches it by name
 from .grids import (DensityField1D, Grid1D, Trajectory1D, carried_state,  # noqa: F401
                     cell_widths, inner_product, pushforward_density_1d)
-from .models import (EnergyModel, KellerSegel1D, discrete_energy_1d,
+from .models import (EnergyModel, KellerSegel1D, KsPartner1D, discrete_energy_1d,
                      discrete_energy_grad_1d, discrete_energy_hess_1d)
 from .newton import cell_fraction_to_boundary, newton_solve
 
@@ -136,16 +136,15 @@ class _Cells:
 
 
 class _StepTerms:
-    """The step objective's constants (xhat's midpoints and the inertia and
-    viscosity weights), built once per step.  Every term keeps the operation
-    order of the textbook formulas, so a run gives the same bits as
-    evaluating them afresh."""
+    """The step objective's constants (xhat's midpoints, the inertia and
+    viscosity weights and the lagged interaction partner), built once per
+    step.  Every term keeps the operation order of the textbook formulas, so
+    a run gives the same bits as evaluating them afresh."""
 
     def __init__(self, p: Wgf1dProblem, x_hat, x_visc_ref, lag_x, lag_rho, coeff, tau):
         h = p.grid.h
         self.p = p
-        self.lag_x = lag_x
-        self.lag_rho = lag_rho
+        self.partner = None if lag_x is None else KsPartner1D(lag_x, lag_rho)
         self.coeff = coeff
         self.x_visc_ref = x_visc_ref
         self.masses = p.rho0 * h
@@ -190,8 +189,8 @@ def _objective(t: _StepTerms, x, cells: _Cells | None = None):
     inertia = t.coeff * float(p.grid.h * np.dot(p.rho0 * c.offset, c.offset))
     visc = t.visc_half * float(np.dot(c.incr, c.incr))
     if c.energy is None:
-        c.energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
-                                      cells=(c.widths, c.s))
+        c.energy = discrete_energy_1d(p.model, x, p.rho0, p.grid, cells=(c.widths, c.s),
+                                      partner=t.partner)
     return inertia + visc + c.energy, c
 
 
@@ -205,16 +204,16 @@ def _gradient(t: _StepTerms, x, cells: _Cells | None = None) -> np.ndarray:
     g[1:] += cell
     g[:-1] -= visc
     g[1:] += visc
-    g += discrete_energy_grad_1d(p.model, x, p.rho0, p.grid, pinned=False, lagged_x=t.lag_x,
-                                 lagged_rho=t.lag_rho, cells=(c.widths, c.s))
+    g += discrete_energy_grad_1d(p.model, x, p.rho0, p.grid, pinned=False,
+                                 cells=(c.widths, c.s), partner=t.partner)
     return g
 
 
 def _hessian_tridiag(t: _StepTerms, x, cells: _Cells | None = None):
     c = _cells(t, x) if cells is None else cells
     p = t.p
-    diag, off = discrete_energy_hess_1d(p.model, x, p.rho0, p.grid, t.lag_x, t.lag_rho,
-                                        cells=(c.widths, c.s))
+    diag, off = discrete_energy_hess_1d(p.model, x, p.rho0, p.grid, cells=(c.widths, c.s),
+                                        partner=t.partner)
     # both arrays are fresh, so they are updated in place
     diag[:-1] += t.inertia_curv
     diag[1:] += t.inertia_curv

@@ -787,7 +787,7 @@ def wgf2d_first_step_implicit(p: Wgf2dProblem, tau1: float):
 def recover_density_2d(x, y, rho0, grid: Grid2D) -> DensityField2D:
     """rho = rho0 / det at interior nodes; the pinned boundary keeps rho0."""
     det = jacobian_det_interior(x, y, grid)
-    if np.any(det <= 0.0):
+    if not (det > 0.0).all():
         raise AdmissibilityError("non-positive determinant in density recovery")
     values = np.array(rho0, dtype=float)
     values[1:-1, 1:-1] = rho0[1:-1, 1:-1] / det

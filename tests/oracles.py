@@ -10,7 +10,7 @@ import numpy as np
 from lagflow import wgf1d
 from lagflow.grids import Grid1D, Grid2D, jacobian_det_interior, node_diff
 from lagflow.models import (EnergyModel, FokkerPlanck, GinzburgLandau, KellerSegel2D,
-                            PorousMedium, _ks1d_sums,
+                            KsPartner1D, PorousMedium, _ks1d_sums,
                             deformation_energy_grad_2d, double_well, ks2d_interaction_force)
 
 
@@ -108,7 +108,7 @@ def ks1d_pair_energy(x, rho0, grid: Grid1D, i: int, j: int) -> float:
     mids = 0.5 * (x[:-1] + x[1:])
 
     def one_sided(a, b):
-        s = _ks1d_sums(mids[a : a + 1], x[b : b + 2], rho[b : b + 1], 0)
+        s = _ks1d_sums(mids[a : a + 1], KsPartner1D(x[b : b + 2], rho[b : b + 1]), 0)
         return masses[a] * float(s[0])
 
     return 0.25 / np.pi * (one_sided(i, j) + one_sided(j, i))

@@ -227,9 +227,9 @@ def _ks_kernel(points, nodes, order):
     return out
 
 
-def _oracle_sums(points, partner_x, partner_rho, order):
-    w = models._ks_node_weights(np.asarray(partner_rho, dtype=float))
-    return _ks_kernel(points, partner_x, order) @ w
+def _oracle_sums(points, partner, order):
+    w = models._ks_node_weights(partner.rho)
+    return _ks_kernel(points, partner.x, order) @ w
 
 
 def _ks_quantities(x, rho0, g, lag_x, lag_rho):
@@ -239,7 +239,8 @@ def _ks_quantities(x, rho0, g, lag_x, lag_rho):
     partner_x = x if lag_x is None else lag_x
     partner_rho = rho0 * g.h / np.diff(x) if lag_x is None else lag_rho
     with np.errstate(divide="ignore", invalid="ignore"):
-        return ([models._ks1d_sums(mids, partner_x, partner_rho, k) for k in (0, 1, 2)]
+        partner = models.KsPartner1D(partner_x, partner_rho)
+        return ([models._ks1d_sums(mids, partner, k) for k in (0, 1, 2)]
                 + [discrete_energy_1d(model, x, rho0, g, lag_x, lag_rho),
                    discrete_energy_grad_1d(model, x, rho0, g, lagged_x=lag_x,
                                            lagged_rho=lag_rho),
@@ -302,11 +303,12 @@ def test_ks1d_memo_never_answers_for_a_changed_array():
     # the sums themselves, with both key arrays changed in place
     points = 0.5 * (x1[:-1] + x1[1:])
     for order in (0, 1, 2):
-        models._ks1d_sums(points, lag_x, lag_rho, order)
+        models._ks1d_sums(points, models.KsPartner1D(lag_x, lag_rho), order)
         points += 0.01 * g.h
         lag_x[1:-1] += 0.01 * g.h
-        np.testing.assert_allclose(models._ks1d_sums(points, lag_x, lag_rho, order),
-                                   _oracle_sums(points, lag_x, lag_rho, order),
+        partner = models.KsPartner1D(lag_x, lag_rho)
+        np.testing.assert_allclose(models._ks1d_sums(points, partner, order),
+                                   _oracle_sums(points, partner, order),
                                    rtol=1e-12, atol=0.0)
 
 
@@ -317,24 +319,50 @@ def _assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+# order 0 sums the antiderivative through one product with the partner's two
+# columns, not elementwise as the oracle does: it must match the oracle to
+# ORDER0_RTOL of the oracle's largest entry (worst measured 1.4e-14 over 12,000
+# draws of test_ks1d_order0_matches_dense_kernel's distribution)
+ORDER0_RTOL = 1e-13
+
+
+def _assert_order0_close(got, want):
+    assert got.shape == want.shape
+    assert np.isfinite(got).all()
+    assert np.max(np.abs(got - want)) <= ORDER0_RTOL * np.max(np.abs(want))
+
+
 def test_ks1d_pair_buffers_are_reused_per_shape_and_read_only():
     # every call misses the memo: mx = 33 twice at other values, the 1 x 2 shape
-    # of ks1d_pair_energy, mx = 33 again, then mx = 256
+    # of ks1d_pair_energy, mx = 33 again, then mx = 256, each with a point on a
+    # partner node; then mx = 33, 1 and 256 with no point on one
     cases = []
-    for mx, seed in ((33, 41), (33, 42), (1, 43), (33, 44), (256, 45)):
+    for mx, seed, coincide in ((33, 41, True), (33, 42, True), (1, 43, True), (33, 44, True),
+                               (256, 45, True), (33, 46, False), (1, 47, False),
+                               (256, 48, False)):
         rng = np.random.default_rng(seed)
         partner_x = np.sort(rng.uniform(-1.0, 1.0, mx + 1))
         points = rng.uniform(-1.0, 1.0, mx)
-        points[mx // 2] = partner_x[mx // 2]  # a point on a partner node
-        cases.append((points, partner_x, rng.uniform(0.4, 1.4, mx)))
+        if coincide:
+            points[mx // 2] = partner_x[mx // 2]  # a point on a partner node
+        else:
+            assert not np.isin(points, partner_x).any()
+        cases.append((points, models.KsPartner1D(partner_x, rng.uniform(0.4, 1.4, mx)),
+                      coincide))
     results, pairs = [], []
-    for points, partner_x, partner_rho in cases:
-        sums = [models._ks1d_sums(points, partner_x, partner_rho, k) for k in (0, 1, 2)]
+    for points, partner, coincide in cases:
+        sums = [models._ks1d_sums(points, partner, k) for k in (0, 1, 2)]
         for k, got in enumerate(sums):
-            _assert_same_bits(got, _oracle_sums(points, partner_x, partner_rho, k))
-        assert np.isinf(sums[1]).any() and np.isinf(sums[2]).any()
+            want = _oracle_sums(points, partner, k)
+            if k == 0 and not coincide:
+                _assert_order0_close(got, want)
+            else:
+                # orders 1 and 2 everywhere, and order 0 through its elementwise
+                # fallback on a partner node
+                _assert_same_bits(got, want)
+        assert np.isinf(sums[1]).any() == coincide and np.isinf(sums[2]).any() == coincide
         results.append((sums, [s.copy() for s in sums]))
-        a, log_abs, _ = models._ks_pairs(points, partner_x)
+        a, log_abs, _ = models._ks_pairs(points, partner.x)
         for arr in (a, log_abs):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -348,6 +376,30 @@ def test_ks1d_pair_buffers_are_reused_per_shape_and_read_only():
     for first, second in zip(pairs[0], pairs[1]):
         assert np.shares_memory(first, second)
     assert not np.shares_memory(pairs[3][0], pairs[4][0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(mx=st.sampled_from([7, 33, 256]), lagged=st.booleans(),
+       shift=st.floats(-2e3, 2e3),
+       jitter=arrays(np.float64, (3, 257), elements=st.floats(-0.3, 0.3)))
+def test_ks1d_order0_matches_dense_kernel(mx, lagged, shift, jitter):
+    # sorted points off the partner nodes, a lagged or self-consistent partner,
+    # and the whole configuration translated by up to 10^3 domain lengths
+    g = Grid1D(-1.0, 1.0, mx)
+    x = g.nodes + g.h * jitter[0, : mx + 1]
+    x[0], x[-1] = g.x_min, g.x_max
+    rho0 = 1.0 + jitter[1, :mx]
+    partner_x = x
+    if lagged:
+        partner_x = g.nodes + g.h * jitter[2, : mx + 1]
+        partner_x[0], partner_x[-1] = g.x_min, g.x_max
+    x, partner_x = x + shift, partner_x + shift
+    points = 0.5 * (x[:-1] + x[1:])
+    assume(np.all(np.diff(points) > 0.0) and np.all(np.diff(partner_x) > 0.0))
+    assume(not np.isin(points, partner_x).any())
+    partner = models.KsPartner1D(partner_x, rho0 * g.h / np.diff(partner_x))
+    _assert_order0_close(models._ks1d_sums(points, partner, 0),
+                         _oracle_sums(points, partner, 0))
 
 
 def test_mobility_positivity_check():

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -1051,6 +1053,30 @@ def test_deformation_state_rejects_a_folded_map():
         wgf2d._deformation(p, x, p.grid.ref_y, "folded here")
     with pytest.raises(AdmissibilityError):
         wgf2d._stacked(p, np.concatenate([x.ravel(), p.grid.ref_y.ravel()]))
+
+
+
+@pytest.mark.parametrize("site", ["Trajectory2D", "_after_step", "deformation_state_2d",
+                                  "recover_density_2d"])
+def test_every_determinant_check_refuses_a_nan_interior_node(site):
+    # NaN <= 0 is False, so a check written as any(det <= 0) would let it through
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 4, 4)
+    x, y = g.ref_x.copy(), g.ref_y
+    x[2, 2] = np.nan
+    det = jacobian_det_interior(x, y, g)
+    assert np.isnan(det).any() and not np.any(det <= 0.0)
+    rho0 = np.ones(g.node_shape)
+    with pytest.raises(AdmissibilityError):
+        if site == "Trajectory2D":
+            Trajectory2D(g.ref_x, g.ref_y, x, y, 1e-2, 0.0, 0, g)
+        elif site == "_after_step":
+            # a stand-in for a solver's deformation state: the check reads its det
+            Trajectory2D._after_step(Trajectory2D.at_rest(g), x, y, 1e-2,
+                                     SimpleNamespace(det=det))
+        elif site == "deformation_state_2d":
+            models.deformation_state_2d(x, y, rho0, g)
+        else:
+            wgf2d.recover_density_2d(x, y, rho0, g)
 
 
 def two_steps(p, step):
