@@ -163,10 +163,10 @@ def run_adaptive(sim, controller: StepController, t_final: float,
                  start: tuple = ()) -> AdaptiveRunResult:
     """Drive a simulation adapter until t_final (or abort).
 
-    ``sim`` provides: ``time``, ``tau_prev``, ``trajectory_rate``,
-    ``energy_rate``, and ``bdf2_step(tau) -> StepRecord`` that commits the
-    step and records it, or raises SolverError leaving the state untouched.
-    The first ``len(start)`` steps try the sizes in ``start`` instead of a
+    ``sim`` provides: ``time``, ``tau_prev``, ``trajectory_rate`` (read under
+    strategy 1), ``energy_rate`` (read under strategy 2), and
+    ``bdf2_step(tau) -> StepRecord`` that commits the step and records it,
+    or raises SolverError leaving the state untouched.  The first ``len(start)`` steps try the sizes in ``start`` instead of a
     proposal: a sim at rest has no step to propose from (its ``tau_prev`` is
     inf, which ``StepHistory`` refuses); like every other step they are
     halved and retried on failure.
@@ -185,7 +185,11 @@ def run_adaptive(sim, controller: StepController, t_final: float,
         if n < len(start):
             tau = start[n]
         else:
-            history = StepHistory(sim.tau_prev, sim.trajectory_rate, sim.energy_rate)
+            # only the rate the strategy reads is computed
+            if controller.strategy == STRATEGY_TRAJECTORY:
+                history = StepHistory(sim.tau_prev, trajectory_rate=sim.trajectory_rate)
+            else:
+                history = StepHistory(sim.tau_prev, energy_rate=sim.energy_rate)
             tau = propose_dt(controller, history)
             result.ratio_cap_events += int(_ratio_cap_undercuts(controller, history))
         remaining = t_final - sim.time

@@ -43,22 +43,26 @@ tolerance and changes how many iterations reach it (on ``ac-interface``,
 722 against 1,217 from the linear predictor and 1,629 from x^n).
 
 The cell state of an iterate (its widths, with the admissibility check and
-the narrowest width, slopes and their reciprocals, midpoints, d_h x and, with
-the log regularization, log d_h x) is computed once and shared by its
-residual, its Jacobian and the fraction-to-the-boundary bound
-(``newton.cell_fraction_to_boundary``, the rule ``wgf1d`` uses too): the
-Newton core builds it once per trial (``_cells`` is its ``prepare``) and
-hands it to the callbacks at that iterate, and ``_start`` builds the
-start's.  The accepted iterate's state rides on the trajectory the step
-returns, as its ``cells``: the step record's energy reads its d_h x, and the
-next step of the same problem reads x^n's slopes, midpoints and log d_h x^n
-from it, so that step's first residual, at x^n, builds nothing.  The terms
-that depend only on (x^{n-1}, x^n, tau, r) (the inertia and history
-weights) are built once per step, and those that depend only on the problem
-(the end weights of d_h, the force's quadrature weights and the constant
-factor of its Jacobian) once per problem.  Every term keeps the operation
-order of the textbook formula, so a run has the same bits as evaluating
-each term afresh.  The banded solve goes straight to LAPACK (``banded``).
+the narrowest width, slopes and their reciprocals, midpoints, d_h x, with
+the log regularization log d_h x, and, once a history term needs it,
+(D_h x)^{-1/2}) is computed once and shared by its residual, its Jacobian
+and the fraction-to-the-boundary bound (``newton.cell_fraction_to_boundary``,
+the rule ``wgf1d`` uses too): the Newton core builds it once per trial
+(``_cells`` is its ``prepare``) and hands it to the callbacks at that
+iterate, and ``_start`` builds the start's.  The accepted iterate's state
+rides on the trajectory the step returns, as its ``cells``: the step
+record's energy reads its d_h x, and the next step of the same problem reads
+x^n's slopes, midpoints, (D_h x^n)^{-1/2} and log d_h x^n from it, so that
+step's first residual, at x^n, builds nothing.  That step hands the state on
+as its trajectory's ``prev_cells``, from which the step after reads
+x^{n-1}'s (D_h x)^{-1/2} and midpoints, so the history weights take no power
+and no difference of their own, and the first step's record reads the
+energy at rest from it.  The terms that depend only on (x^{n-1}, x^n, tau,
+r) (the inertia and history weights) are built once per step, and those
+that depend only on the problem (the end weights of d_h, the force's
+quadrature weights and the constant factor of its Jacobian) once per
+problem.  Every term keeps the operation order of the textbook formula, so a
+run has the same bits as evaluating each term afresh.  The banded solve goes straight to LAPACK (``banded``).
 """
 
 from __future__ import annotations
@@ -172,6 +176,14 @@ class _Cells:
     xm: np.ndarray         # midpoints
     dhx: np.ndarray        # d_h x at every node
     log_dhx: np.ndarray | None  # log d_h x, with the log regularization only
+    rsqrt: np.ndarray | None = None  # slope ** -0.5 once a history term needed it
+
+
+def _rsqrt(c: _Cells) -> np.ndarray:
+    """(D_h x)^(-1/2) of the cell state c, computed once."""
+    if c.rsqrt is None:
+        c.rsqrt = c.slope ** -0.5
+    return c.rsqrt
 
 
 def _cells(p: AcProblem, x) -> _Cells:
@@ -188,23 +200,24 @@ class _StepTerms:
     and x^n's cell state ``curr``.
 
     Built once per step, so a residual or Jacobian evaluation does only the
-    work that depends on the iterate.  ``curr`` is the one the step that
-    accepted x^n carried, if given, else built here.  Each precomputed
-    product is a leading factor of the expression it came from (``c1 * w``
-    of ``c1 * w * (...)``), so every term keeps its evaluation order and the
-    bits of evaluating the textbook formulas afresh.
+    work that depends on the iterate.  ``curr`` and ``prev`` are the cell
+    states of x^n and x^{n-1} that the history carries, if given, else built
+    here (x^{n-1}'s only when r > 0, where the history term reads its slopes
+    and midpoints).  Each precomputed product is a leading factor of the
+    expression it came from (``c1 * w`` of ``c1 * w * (...)``), so every term
+    keeps its evaluation order and the bits of evaluating the textbook
+    formulas afresh.
     """
 
-    def __init__(self, p: AcProblem, x_prev, x_curr, tau, r, curr: _Cells | None = None):
-        h = p.grid.h
+    def __init__(self, p: AcProblem, x_prev, x_curr, tau, r, curr: _Cells | None = None,
+                 prev: _Cells | None = None):
         w = p.friction_mid
-        x_curr = np.asarray(x_curr)
         c1 = _inertia_coeff(tau, r)
         self.p = p
         self.tau = tau
         self.r = r
         if curr is None:
-            curr = _cells(p, x_curr)
+            curr = _cells(p, np.asarray(x_curr))
         self.curr = curr
         self.inv_slope_curr = curr.inv_slope
         self.xm_curr = curr.xm
@@ -212,11 +225,11 @@ class _StepTerms:
         self.half_c1w = 0.5 * c1 * w
         self.neg_c1w = -c1 * w
         if r > 0.0:
-            x_prev = np.asarray(x_prev)
-            slope_prev = np.diff(x_prev) / h
-            rsqrt_curr = curr.slope ** -0.5
-            self.hist = slope_prev ** -0.5 + rsqrt_curr
-            self.dxm = self.xm_curr - 0.5 * (x_prev[:-1] + x_prev[1:])
+            if prev is None:
+                prev = _cells(p, np.asarray(x_prev))
+            rsqrt_curr = _rsqrt(curr)
+            self.hist = _rsqrt(prev) + rsqrt_curr
+            self.dxm = self.xm_curr - prev.xm
             # ``lead`` of the history term is lead_curr - (0.5/r) slope_next**-0.5
             self.lead_curr = (1.0 + 0.5 / r) * rsqrt_curr
             self.hist_w = (r * r) * w / (2.0 * tau * (r + 1.0))
@@ -236,7 +249,7 @@ def _midpoint_equation(t: _StepTerms, c: _Cells):
 
     r = t.r
     if r > 0.0:
-        lead = t.lead_curr - (0.5 / r) * c.slope ** -0.5
+        lead = t.lead_curr - (0.5 / r) * _rsqrt(c)
         eq = eq - t.hist_w * lead * t.hist * t.dxm
     return eq
 
@@ -256,7 +269,7 @@ def _energy_force(p: AcProblem, dhx):
     q = -(0.5 * p.eps ** 2) * (p.rho0_prime_nodes / dhx) ** 2 + p.well_nodes
     t = p.quad_weights * q
     inner = t[1:-1] / (2.0 * h)
-    g = np.zeros_like(dhx)
+    g = np.zeros(dhx.shape, dhx.dtype)
     g[2:] += inner
     g[:-2] -= inner
     g[1] += t[0] / h
@@ -320,11 +333,11 @@ def _banded_jacobian(p, x_prev, x_curr, x_next, tau, r, terms=None, cells=None):
 
     n = p.grid.m_x - 1
     ab = np.zeros((5, n))
-    ab[0, 2:] = -sigma[2:-2]
+    np.negative(sigma[2:-2], out=ab[0, 2:])
     ab[1, 1:] = right[1:-1]
     ab[2] = right[:-1] + left[1:] + sigma[:-2] + sigma[2:]
     ab[3, :-1] = left[1:-1]
-    ab[4, :-2] = -sigma[2:-2]
+    ab[4, :-2] = ab[0, 2:]
     return ab
 
 
@@ -369,11 +382,12 @@ def _start(t: _StepTerms, traj: Trajectory1D):
     return x_curr, t.curr
 
 
-def _solve_step(p: AcProblem, traj: Trajectory1D, tau, r):
-    """Newton solve of the step equations from the BDF2 predictor (``_start``;
-    see ``newton``); returns the solution and its cell state."""
+def _solve_step(t: _StepTerms, traj: Trajectory1D):
+    """Newton solve of the step of ``t`` from ``traj`` from the BDF2
+    predictor (``_start``; see ``newton``); returns the solution and its
+    cell state."""
+    p, tau, r = t.p, t.tau, t.r
     x_prev, x_curr = traj.prev, traj.curr
-    t = _StepTerms(p, x_prev, x_curr, tau, r, carried_state(traj.cells, p))
 
     def prepare(x):
         return _cells(p, x)
@@ -394,11 +408,14 @@ def _solve_step(p: AcProblem, traj: Trajectory1D, tau, r):
 
 def ac_step(p: AcProblem, traj: Trajectory1D, tau_next: float):
     """Advance one BDF2 step; returns the new trajectory, built from and
-    carrying the solution's checked cell state, and the transported density."""
+    carrying the solution's checked cell state and x^n's, and the
+    transported density."""
     if tau_next <= 0.0:
         raise ValueError("tau_next must be positive")
-    x_new, c = _solve_step(p, traj, tau_next, tau_next / traj.tau_prev)
-    return Trajectory1D._after_step(traj, x_new, tau_next, c), p.density
+    t = _StepTerms(p, traj.prev, traj.curr, tau_next, tau_next / traj.tau_prev,
+                   carried_state(traj.cells, p), carried_state(traj.prev_cells, p))
+    x_new, c = _solve_step(t, traj)
+    return Trajectory1D._after_step(traj, x_new, tau_next, c, t.curr), p.density
 
 
 def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
@@ -408,8 +425,15 @@ def ac_first_step(p: AcProblem, tau1: float) -> Trajectory1D:
 
 def ac_energy(p: AcProblem, x, cells=None) -> float:
     """E_h of x, with the problem's F(rho0); the d_h x comes from ``cells``
-    if it is x's cell state from a step of ``p`` (a trajectory's ``cells``)."""
+    if it is x's cell state from a step of ``p`` (a trajectory's ``cells``).
+
+    Such a d_h x needs no second scan for a non-positive entry: every entry
+    is at least min_width / (2h) in floating point (rounding is monotone),
+    so that one positive number proves them all positive.
+    """
     known = carried_state(cells, p)
+    if known is not None and not known.min_width / (2.0 * p.grid.h) > 0.0:
+        known = None
     return ac_discrete_energy(np.asarray(x, dtype=float), p.rho0_nodes, p.rho0_prime_nodes,
                               p.grid, p.eps, dhx=None if known is None else known.dhx,
                               well=p.well_nodes)

@@ -6,9 +6,12 @@ float64 systems the 1D solvers make: the same band layout
 one band either side, ``dgbsv`` otherwise, Anderson et al., *LAPACK Users'
 Guide*, SIAM 1999), the same results bit for bit and the same errors.  It
 skips scipy's generic validation, its routine lookup on every call and, for
-``dgbsv``, the copy of the work array into Fortran order.  A 1D Newton
-iteration makes one such solve on a few hundred unknowns, where that
-wrapper cost more than the tridiagonal LAPACK solve itself.
+``dgbsv``, the copy of the work array into Fortran order.  The arrays the
+solvers pass, float64 ``ab`` and ``b``, go to LAPACK with no conversion and
+one scan of each for non-finite entries; anything else is converted first
+(a complex array raises TypeError).  A 1D Newton iteration makes one such
+solve on a few hundred unknowns, where that wrapper cost more than the
+tridiagonal LAPACK solve itself.
 """
 
 from __future__ import annotations
@@ -21,10 +24,13 @@ __all__ = ["solve_banded"]
 
 
 def _finite(name, a) -> np.ndarray:
-    a = np.asarray(a)
-    if np.iscomplexobj(a):
-        raise TypeError(f"{name} must be real")
-    a = np.asarray(a, dtype=np.float64)
+    """``a`` as a float64 array, itself if it is one; complex raises
+    TypeError, a non-finite entry ValueError."""
+    if type(a) is not np.ndarray or a.dtype != np.float64:
+        a = np.asarray(a)
+        if np.iscomplexobj(a):
+            raise TypeError(f"{name} must be real")
+        a = np.asarray(a, dtype=np.float64)
     if not np.isfinite(a).all():
         raise ValueError("array must not contain infs or NaNs")
     return a

@@ -74,10 +74,12 @@ class _SimBase:
     A sim starts from the history at rest, with the initial density, and
     every step, the first included, is the scheme's BDF2 step from the
     current history.  Subclasses supply ``_step`` (new trajectory and
-    density), ``_energy`` (a trajectory's current level), ``trajectory_rate``
-    and ``_record(tau, ratio)`` (the StepRecord of the state just
-    committed), and set ``ratio_bound``, their scheme's theory bound on
-    tau_{n+1}/tau_n.  The driver adds the rejection count.
+    density), ``_energy(traj, before)`` (the energy of a trajectory's current
+    level, or with ``before`` of its previous one, from the state the
+    trajectory carries for that level), ``trajectory_rate`` and
+    ``_record(tau, ratio)`` (the StepRecord of the state just committed), and
+    set ``ratio_bound``, their scheme's theory bound on tau_{n+1}/tau_n.  The
+    driver adds the rejection count.
     """
 
     def __init__(self, problem, traj, density):
@@ -113,9 +115,10 @@ class _SimBase:
         if self.traj.step_index:
             ratio = tau / self.tau_prev
             self._energy_prev = self.energy
-        else:  # the first step: ratio 1, and the energy before it is that at rest
+        else:  # the first step: ratio 1, and the energy before it is that at
+            # rest, the new history's previous level, whose state the step built
             ratio = 1.0
-            self._energy_prev = self._energy(self.traj)
+            self._energy_prev = self._energy(traj, before=True)
         self.traj = traj
         self.density = density
         self.energy = self._energy(traj)
@@ -123,7 +126,9 @@ class _SimBase:
 
 
 class _Sim1D(_SimBase):
-    """1D adapters: a node trajectory with cell densities."""
+    """1D adapters: a node trajectory with cell densities.  Subclasses supply
+    ``_level_energy(x, cells)``, the energy of the level x from its cell
+    state (None if the trajectory carries none)."""
 
     def __init__(self, problem, density, pinned: bool = True):
         super().__init__(problem, Trajectory1D.at_rest(problem.grid, pinned), density)
@@ -133,13 +138,21 @@ class _Sim1D(_SimBase):
         u = (self.traj.curr - self.traj.prev) / self.traj.tau_prev
         return math.sqrt(inner_product("node", u, u, self.problem.grid))
 
+    def _energy(self, traj, before=False):
+        if before:
+            return self._level_energy(traj.prev, traj.prev_cells)
+        return self._level_energy(traj.curr, traj.cells)
+
+    def _density_bounds(self) -> tuple[float, float]:
+        return float(self.density.min()), float(self.density.max())
+
     def _record(self, tau, ratio) -> StepRecord:
         x = self.traj.curr
+        lo, hi = self._density_bounds()
         # the trajectory's widths are the step's checked cell widths, x[1:] - x[:-1]
         return StepRecord(t=self.time, tau=tau, ratio=ratio, energy=self.energy,
                           mass=float((self.density * self.traj.widths).sum()),
-                          min_density=float(self.density.min()),
-                          max_density=float(self.density.max()),
+                          min_density=lo, max_density=hi,
                           boundary_lo=float(x[0]), boundary_hi=float(x[-1]))
 
 class AcSim(_Sim1D):
@@ -148,9 +161,13 @@ class AcSim(_Sim1D):
     def __init__(self, problem: AcProblem):
         # the phase-field density values never change; they ride with the nodes
         super().__init__(problem, problem.rho0_mid)
+        self._bounds = (float(problem.rho0_mid.min()), float(problem.rho0_mid.max()))
 
-    def _energy(self, traj):
-        return ac_energy(self.problem, traj.curr, traj.cells)
+    def _density_bounds(self) -> tuple[float, float]:
+        return self._bounds
+
+    def _level_energy(self, x, cells):
+        return ac_energy(self.problem, x, cells)
 
     def _step(self, tau):
         traj, density = ac_step(self.problem, self.traj, tau)
@@ -163,8 +180,8 @@ class Wgf1dSim(_Sim1D):
     def __init__(self, problem: Wgf1dProblem):
         super().__init__(problem, problem.rho0, problem.pinned)
 
-    def _energy(self, traj):
-        return wgf1d_energy(self.problem, traj.curr, traj.cells)
+    def _level_energy(self, x, cells):
+        return wgf1d_energy(self.problem, x, cells)
 
     def _step(self, tau):
         traj, density = wgf1d_step(self.problem, self.traj, tau)
@@ -201,7 +218,9 @@ class Wgf2dSim(_SimBase):
                           min_density=float(np.min(self.density.values)),
                           max_density=float(np.max(self.density.values)))
 
-    def _energy(self, traj):
+    def _energy(self, traj, before=False):
+        if before:
+            return wgf2d_energy(self.problem, traj.prev_x, traj.prev_y, traj.prev_deformation)
         return wgf2d_energy(self.problem, traj.curr_x, traj.curr_y, traj.deformation)
 
     def _step(self, tau):

@@ -24,9 +24,12 @@ state.  The solvers build the next trajectory through ``_after_step``, which
 checks only what the accepted iterate's state does not prove and keeps that
 state on the trajectory: the 1D cell widths (``Trajectory1D.cells``) and the
 2D deformation state (``Trajectory2D.deformation``), the one place a step
-hands state to the next step and to its record.  A solver reads that state
-through ``carried_state``, which hands it over only to the problem it was
-made for.
+hands state to the next step and to its record.  The state of the level
+before, the one the step read at its start, rides along too
+(``prev_cells``, ``prev_deformation``): the next phase-field step reads
+x^{n-1}'s slopes from it, and the first step's record reads the energy of
+the map at rest from it.  A solver reads that state through
+``carried_state``, which hands it over only to the problem it was made for.
 """
 
 from __future__ import annotations
@@ -221,7 +224,8 @@ class Trajectory1D:
     (x^{n-2}, tau_{n-1}), which ``_after_step`` takes from the old history
     and the phase-field predictor reads; None for one from the constructor
     or ``at_rest``, and an infinite tau_{n-1} (the history after the step
-    from rest) counts as none.
+    from rest) counts as none.  ``prev_cells`` is the cell state of ``prev``
+    that the same step read at its start (its x^n), None where ``cells`` is.
     """
 
     prev: np.ndarray
@@ -233,6 +237,7 @@ class Trajectory1D:
     pinned: bool = True
     widths: np.ndarray = field(init=False, repr=False, compare=False)
     cells: object = field(default=None, init=False, repr=False, compare=False)
+    prev_cells: object = field(default=None, init=False, repr=False, compare=False)
     before: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -258,11 +263,14 @@ class Trajectory1D:
         return cls(grid.nodes, grid.nodes, math.inf, 0.0, 0, grid, pinned)
 
     @classmethod
-    def _after_step(cls, traj: "Trajectory1D", x, tau: float, cells) -> "Trajectory1D":
+    def _after_step(cls, traj: "Trajectory1D", x, tau: float, cells,
+                    prev_cells=None) -> "Trajectory1D":
         """The history after a step of length tau > 0 from ``traj`` to the node
         array x, carrying ``cells``, a solver's cell state of x: its
         ``widths`` are x[1:] - x[:-1], bit for bit, and ``min_width`` the
-        narrowest of them.  ``traj``'s (prev, tau_prev) becomes ``before``.
+        narrowest of them.  ``prev_cells``, the step's cell state of
+        ``traj.curr`` (``traj.cells`` if not given), becomes ``prev_cells``,
+        and ``traj``'s (prev, tau_prev) becomes ``before``.
 
         Only what that state does not prove is checked: the shape, a positive
         narrowest width and, on pinned runs, end nodes equal to those of
@@ -282,6 +290,7 @@ class Trajectory1D:
         return _unchecked(cls, prev=curr, curr=x, tau_prev=tau, time=traj.time + tau,
                           step_index=traj.step_index + 1, grid=traj.grid,
                           pinned=traj.pinned, widths=cells.widths, cells=cells,
+                          prev_cells=traj.cells if prev_cells is None else prev_cells,
                           before=(traj.prev, traj.tau_prev))
 
 
@@ -294,7 +303,9 @@ class Trajectory2D:
     central differences, its determinant (positive) and the transported
     density, from which the step's density, the record's mass and energy and
     the next step's objective at x^n are read.  It is None for a history
-    from the constructor or ``at_rest``.
+    from the constructor or ``at_rest``.  ``prev_deformation`` is the
+    deformation state of (prev_x, prev_y) that the same step read at its
+    start, None if it read none.
     """
 
     prev_x: np.ndarray
@@ -306,6 +317,7 @@ class Trajectory2D:
     step_index: int
     grid: Grid2D
     deformation: object = field(default=None, init=False, repr=False, compare=False)
+    prev_deformation: object = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.grid.node_shape
@@ -332,10 +344,13 @@ class Trajectory2D:
 
     @classmethod
     def _after_step(cls, traj: "Trajectory2D", x, y, tau: float,
-                    deformation) -> "Trajectory2D":
+                    deformation, prev_deformation=None) -> "Trajectory2D":
         """The history after a step of length tau > 0 from ``traj`` to the
         node map (x, y), carrying ``deformation``, a solver's deformation
         state of it: its ``det`` is jacobian_det_interior(x, y), bit for bit.
+        ``prev_deformation``, the step's state of ``traj``'s (curr_x,
+        curr_y) (``traj.deformation`` if not given), becomes
+        ``prev_deformation``.
 
         Only what that state does not prove is checked: the shapes, a
         positive determinant and boundary nodes equal to those of
@@ -354,7 +369,9 @@ class Trajectory2D:
         return _unchecked(cls, prev_x=traj.curr_x, prev_y=traj.curr_y, curr_x=_readonly(x),
                           curr_y=_readonly(y), tau_prev=tau, time=traj.time + tau,
                           step_index=traj.step_index + 1, grid=traj.grid,
-                          deformation=deformation)
+                          deformation=deformation,
+                          prev_deformation=(traj.deformation if prev_deformation is None
+                                            else prev_deformation))
 
 
 @dataclass(frozen=True)

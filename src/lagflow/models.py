@@ -860,12 +860,14 @@ def ac_discrete_energy(x, rho0_nodes, rho0_prime_nodes, grid: Grid1D, eps: float
         (eps^2/2) [ |rho0'(X) (d_h x)^{-1}|^2, d_h x ]_h + [ F(rho0(X)), d_h x ]_h,
 
     with d_h x evaluated one-sided at the two boundary nodes (``dhx``, when
-    the caller has it) and F(rho0(X)) (``well``, when the caller has it).
+    the caller has it and knows it positive) and F(rho0(X)) (``well``, when
+    the caller has it).  A d_h x computed here that is not positive raises
+    AdmissibilityError.
     """
     if dhx is None:
         dhx = node_diff(x, grid)
-    if np.any(dhx <= 0.0):
-        raise AdmissibilityError("d_h x must stay positive")
+        if np.any(dhx <= 0.0):
+            raise AdmissibilityError("d_h x must stay positive")
     if well is None:
         well = double_well(np.asarray(rho0_nodes))
     g = np.asarray(rho0_prime_nodes) / dhx

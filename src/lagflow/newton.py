@@ -164,6 +164,8 @@ def newton_solve(x, residual, linearize, *, prepare=_stateless, state=None, obje
     else:
         g = residual(x, state)
         fx = _norm(g)
+    # the step on every unknown, rewritten each iteration; the fixed ones stay 0
+    full = np.zeros(x.shape)
     for _ in range(max_iter):
         if g is None:
             g = residual(x, state)
@@ -181,7 +183,6 @@ def newton_solve(x, residual, linearize, *, prepare=_stateless, state=None, obje
         if np.abs(step).max() <= 4.0 * _EPS * xmag:
             log.debug("step below machine scale at max|g|=%.2e; accepting iterate", gnorm)
             return x, state
-        full = np.zeros(x.shape)
         full[free] = step
         alpha = 1.0 if step_bound is None else step_bound(x, state, full)
         if alpha <= 0.0:
@@ -189,7 +190,8 @@ def newton_solve(x, residual, linearize, *, prepare=_stateless, state=None, obje
         slope = np.dot(g, step) if minimize else -fx
         noise = _NOISE * (abs(fx) + 1.0)
         for _ in range(max_backtracks):
-            trial = x + alpha * full
+            # a unit step is added as it is: 1.0 * full is full, bit for bit
+            trial = x + full if alpha == 1.0 else x + alpha * full
             trial.flags.writeable = False
             try:
                 trial_state = prepare(trial)
@@ -201,7 +203,7 @@ def newton_solve(x, residual, linearize, *, prepare=_stateless, state=None, obje
             except (AdmissibilityError, ValueError):
                 alpha *= 0.5
                 continue
-            if np.isfinite(f_trial) and f_trial <= fx + ARMIJO * alpha * slope + noise:
+            if math.isfinite(f_trial) and f_trial <= fx + ARMIJO * alpha * slope + noise:
                 # the merit is a function of the iterate, so a trial equal to x
                 # has an equal merit; the cheap test guards the array compare
                 if f_trial == fx and np.array_equal(trial, x):

@@ -35,7 +35,10 @@ and increments.  For porous-medium and Fokker-Planck runs it also holds the
 E_h(x^{n+1}) inside J: the energy the step record reports and the E_h(x^n)
 of the next step's J(x^n), bit for bit E_h evaluated afresh.  A Keller-Segel
 state holds no energy: J's has the lagged interaction partner, a different
-number from the reported self-consistent energy.
+number from the reported self-consistent energy.  The step's state of x^n
+rides on as the trajectory's ``prev_cells``, from which the first step's
+record reads the energy at rest.  The cell masses rho0 h are the problem's,
+built once.
 
 Newton starts from the linear predictor x^n + r (x^n - x^{n-1}) when it is
 admissible and J there is no larger than J(x^n), and from x^n otherwise.
@@ -65,7 +68,7 @@ growing shifts remain the fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
@@ -90,11 +93,15 @@ RATIO_BOUND_1D = 0.5 * (3.0 + np.sqrt(17.0))
 
 @dataclass(frozen=True)
 class Wgf1dProblem:
+    """Grid, model, initial cell densities and scheme settings of one
+    conservative 1D run; ``masses`` are the cell masses rho0 h."""
+
     grid: Grid1D
     model: EnergyModel
     rho0: np.ndarray
     visc_weight: float = 1.0
     pinned: bool = True
+    masses: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         rho0 = np.ascontiguousarray(self.rho0, dtype=float)
@@ -106,11 +113,14 @@ class Wgf1dProblem:
             raise ValueError("conservative runs need strictly positive cell densities")
         rho0.flags.writeable = False
         object.__setattr__(self, "rho0", rho0)
+        masses = rho0 * self.grid.h
+        masses.flags.writeable = False
+        object.__setattr__(self, "masses", masses)
 
     def lag_state(self, x):
         """Partner data (positions, cell densities) for the lagged interaction."""
         if isinstance(self.model, KellerSegel1D):
-            return np.asarray(x), self.rho0 * self.grid.h / np.diff(x)
+            return np.asarray(x), self.masses / np.diff(x)
         return None, None
 
 
@@ -147,7 +157,7 @@ class _StepTerms:
         self.partner = None if lag_x is None else KsPartner1D(lag_x, lag_rho)
         self.coeff = coeff
         self.x_visc_ref = x_visc_ref
-        self.masses = p.rho0 * h
+        self.masses = p.masses
         self.hat_mid = 0.5 * (x_hat[:-1] + x_hat[1:])
         self.inertia_w = coeff * h * p.rho0
         self.inertia_curv = 0.5 * coeff * h * p.rho0
@@ -199,11 +209,17 @@ def _gradient(t: _StepTerms, x, cells: _Cells | None = None) -> np.ndarray:
     p = t.p
     cell = t.inertia_w * c.offset
     visc = t.visc_w * c.incr
-    g = np.zeros(x.shape)
-    g[:-1] += cell
-    g[1:] += cell
-    g[:-1] -= visc
-    g[1:] += visc
+    # node j gets ((cell_j + cell_{j-1}) - visc_j) + visc_{j-1}, an end node
+    # the terms of its one cell, then dE_h/dx_j: the order of adding them one
+    # at a time into zeros (0 + v is v, up to the sign of a zero), in three
+    # passes over the interior
+    g = np.empty(x.shape)
+    inner = g[1:-1]
+    np.add(cell[1:], cell[:-1], out=inner)
+    inner -= visc[1:]
+    inner += visc[:-1]
+    g[0] = cell[0] - visc[0]
+    g[-1] = cell[-1] + visc[-1]
     g += discrete_energy_grad_1d(p.model, x, p.rho0, p.grid, pinned=False,
                                  cells=(c.widths, c.s), partner=t.partner)
     return g
@@ -301,12 +317,13 @@ def wgf1d_step(p: Wgf1dProblem, traj: Trajectory1D, tau_next: float):
     if isinstance(p.model, KellerSegel1D):
         # nonconvex J: the start would choose the local minimum
         x_new, c = _minimize(t, traj.curr, curr)
-        c.energy = None  # J's E_h, with the lagged partner, is not the reported one
+        # J's E_h, with the lagged partner, is not the reported one
+        c.energy = curr.energy = None
     else:
         r = tau_next / traj.tau_prev
         x_pred = traj.curr + r * (traj.curr - traj.prev)
         x_new, c = _minimize(t, *_start(t, traj.curr, curr, x_pred))
-    new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c)
+    new_traj = Trajectory1D._after_step(traj, x_new, tau_next, c, curr)
     density = DensityField1D._checked_by_caller(p.rho0 / (c.widths / p.grid.h), p.grid)
     return new_traj, density
 

@@ -89,9 +89,10 @@ or those of x^n, go to Newton as its first iterate's.  The accepted map's
 state rides on the history the step returns (``Trajectory2D.deformation``,
 through ``Trajectory2D._after_step``): its s is the density's interior, the
 bits of ``recover_density_2d``, its det gives the record's mass, and its E_h
-is the record's energy and the E_h(x^n) of the next step's J(x^n).  Every
-value keeps the operation order of a fresh evaluation, so the bits do not
-change.
+is the record's energy and the E_h(x^n) of the next step's J(x^n).  The
+implicit step's state of x^n rides along as ``prev_deformation``, so the
+first step's record reads the energy at rest from it.  Every value keeps
+the operation order of a fresh evaluation, so the bits do not change.
 """
 
 from __future__ import annotations
@@ -213,13 +214,15 @@ def _energy(m: _Deformation) -> float:
     return m.energy
 
 
-def _after_step(p: Wgf2dProblem, traj: Trajectory2D, new: _Deformation, tau: float):
+def _after_step(p: Wgf2dProblem, traj: Trajectory2D, new: _Deformation, tau: float,
+                curr: _Deformation | None = None):
     """The history and density after a step of length tau from ``traj`` to
-    the map of ``new``, which the history carries; the density's interior
-    is new.s, the bits of ``recover_density_2d``."""
+    the map of ``new``, which the history carries, with ``curr``, the step's
+    state of x^n, if it read one; the density's interior is new.s, the bits
+    of ``recover_density_2d``."""
     values = np.array(p.rho0)
     values[1:-1, 1:-1] = new.s
-    return (Trajectory2D._after_step(traj, new.x, new.y, tau, new),
+    return (Trajectory2D._after_step(traj, new.x, new.y, tau, new, curr),
             DensityField2D._checked_by_caller(values, p.grid))
 
 
@@ -775,7 +778,7 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
         pass
     new = _implicit_solve(p, start, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref, coeff, s,
                           explicit)
-    return _after_step(p, traj, new, tau_next)
+    return _after_step(p, traj, new, tau_next, curr)
 
 
 def wgf2d_first_step_implicit(p: Wgf2dProblem, tau1: float):

@@ -473,6 +473,69 @@ def test_carried_cell_state_matches_a_fresh_one_bit_for_bit(r, eta, degenerate, 
     assert np.array_equal(ac_step(p, traj, tau_next)[0].curr, step_scratch)
 
 
+def rebuilt(traj):
+    """``traj`` through the public constructor, which carries no cell state,
+    with its level before ``prev`` put back: the predictor reads it, and it
+    is not a constructor argument."""
+    bare = Trajectory1D(traj.prev, traj.curr, traj.tau_prev, traj.time, traj.step_index,
+                        traj.grid)
+    object.__setattr__(bare, "before", traj.before)
+    return bare
+
+
+@pytest.mark.parametrize("mx", [63, 64, 65])
+@settings(max_examples=8, deadline=None)
+@given(ratios=st.lists(st.floats(1e-2, RATIO_BOUND_AC), min_size=1, max_size=6),
+       eta=st.sampled_from([0.0, 1e-3]),
+       degenerate=st.booleans())
+def test_steps_from_carried_states_match_rebuilt_histories_bit_for_bit(mx, ratios, eta,
+                                                                        degenerate):
+    # a history carries the cell states of x^n and x^{n-1}; each step from it
+    # gives the arrays, the cell state and the energies of the same step from
+    # the history rebuilt without them; tau is clamped as in the Lyapunov test
+    mobility = DegenerateMobility() if degenerate else ConstantMobility()
+    p = make_problem(mx=mx, eps=0.05, eta=eta, mobility=mobility, initial=_SHALLOW_PARABOLA)
+    traj = ac_first_step(p, 1e-3)
+    for ratio in ratios:
+        assert traj.cells is not None and traj.prev_cells is not None
+        tau = min(max(traj.tau_prev * ratio, 1e-4), 2e-2)
+        carried, density = ac_step(p, traj, tau)
+        fresh, density_fresh = ac_step(p, rebuilt(traj), tau)
+        assert carried.prev_cells is traj.cells and fresh.prev_cells is not traj.cells
+        assert np.array_equal(carried.curr, fresh.curr)
+        assert np.array_equal(density.values, density_fresh.values)
+        for name in CELL_FIELDS + ("rsqrt",):
+            assert np.array_equal(getattr(carried.cells, name), getattr(fresh.cells, name)), name
+        for level, cells in (("prev", "prev_cells"), ("curr", "cells")):
+            x = getattr(carried, level)
+            want = ac_discrete_energy(x, p.rho0_nodes, p.rho0_prime_nodes, p.grid, p.eps)
+            assert ac_energy(p, x, getattr(carried, cells)) == want
+            assert ac_energy(p, x, getattr(fresh, cells)) == want
+        traj = carried
+
+
+def test_first_record_reads_the_energy_at_rest_from_the_step(monkeypatch):
+    # the step from rest builds x^0's cell state and the history carries it:
+    # the record's energy at rest reads its d_h x, with the bits of a fresh
+    # evaluation, and no energy of the record builds a d_h x of its own
+    p = make_problem(mx=32)
+    sim = AcSim(p)
+    given_dhx = []
+    discrete_energy = allen_cahn.ac_discrete_energy
+
+    def recorded_energy(*args, dhx=None, **kwargs):
+        given_dhx.append(dhx)
+        return discrete_energy(*args, dhx=dhx, **kwargs)
+
+    monkeypatch.setattr(allen_cahn, "ac_discrete_energy", recorded_energy)
+    record = sim.bdf2_step(1e-3)
+    at_rest = discrete_energy(p.grid.nodes, p.rho0_nodes, p.rho0_prime_nodes, p.grid, p.eps)
+    assert len(given_dhx) == 2
+    assert given_dhx[0] is sim.traj.prev_cells.dhx and given_dhx[1] is sim.traj.cells.dhx
+    assert sim.energy == record.energy
+    assert sim.energy_rate == abs(record.energy - at_rest) / 1e-3
+
+
 @pytest.mark.parametrize("eta", [0.0, 1e-3])
 def test_each_iterate_cell_state_is_built_once_per_step(monkeypatch, eta):
     # residual, Jacobian and step bound at an iterate share one cell state;

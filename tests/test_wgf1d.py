@@ -587,6 +587,63 @@ def test_keller_segel_records_the_self_consistent_energy():
         assert record.energy != discrete_energy_1d(p.model, x, p.rho0, p.grid, lag_x, lag_rho)
 
 
+def keller_segel_problem(mx=48):
+    # mass 8 sqrt(2 pi) > 4 pi puts the bump in the concentrating regime
+    grid = Grid1D(-5.0, 5.0, mx)
+    return Wgf1dProblem(grid, KellerSegel1D(), 8.0 * np.exp(-0.5 * grid.midpoints ** 2) + 1e-8)
+
+
+@pytest.mark.parametrize("kind", ["porous-medium", "keller-segel"])
+def test_first_record_reads_the_energy_at_rest_from_the_step(monkeypatch, kind):
+    # the step from rest builds x^0's cell state, with E_h(x^0) inside J for
+    # the porous medium, and the history carries it: the record computes no
+    # E_h there; a Keller-Segel J holds the lagged partner's E_h, so there the
+    # record computes the self-consistent energy at rest afresh
+    p = pme_problem(mx=32) if kind == "porous-medium" else keller_segel_problem()
+    sim = Wgf1dSim(p)
+    energies = counted(monkeypatch, "discrete_energy_1d")
+    objectives = counted(monkeypatch, "_objective")
+    record = sim.bdf2_step(1e-3)
+    at_rest = discrete_energy_1d(p.model, p.grid.nodes, p.rho0, p.grid)
+    assert sim.traj.prev_cells is not None
+    extra = 0 if kind == "porous-medium" else 2  # the records of x^0 and x^1
+    assert len(energies) == len(objectives) + extra
+    assert sim.energy_rate == abs(record.energy - at_rest) / 1e-3
+
+
+def rebuilt(traj):
+    """``traj`` through the public constructor, which carries no cell state."""
+    return Trajectory1D(traj.prev, traj.curr, traj.tau_prev, traj.time, traj.step_index,
+                        traj.grid, traj.pinned)
+
+
+@pytest.mark.parametrize("mx", [63, 64, 65])
+@pytest.mark.parametrize("kind", ["porous-medium", "keller-segel"])
+@settings(max_examples=6, deadline=None)
+@given(ratios=st.lists(st.floats(1e-2, RATIO_BOUND_1D), min_size=1, max_size=6))
+def test_steps_from_carried_states_match_rebuilt_histories_bit_for_bit(mx, kind, ratios):
+    # a history carries the cell states of x^n and x^{n-1}; each step from it
+    # gives the arrays and the recorded energy of the same step from the
+    # history rebuilt without them; tau stays in [1e-5, 4e-3], where the
+    # clamp never raises a ratio above the drawn one or 1
+    p = pme_problem(mx=mx) if kind == "porous-medium" else keller_segel_problem(mx)
+    traj, _ = wgf1d_first_step(p, 1e-3)
+    for ratio in ratios:
+        assert traj.cells is not None and traj.prev_cells is not None
+        tau = min(max(traj.tau_prev * ratio, 1e-5), 4e-3)
+        carried, density = wgf1d_step(p, traj, tau)
+        fresh, density_fresh = wgf1d_step(p, rebuilt(traj), tau)
+        assert np.array_equal(carried.curr, fresh.curr)
+        assert np.array_equal(carried.widths, fresh.widths)
+        assert np.array_equal(density.values, density_fresh.values)
+        for level, cells in (("prev", "prev_cells"), ("curr", "cells")):
+            x = getattr(carried, level)
+            want = discrete_energy_1d(p.model, x, p.rho0, p.grid)
+            assert wgf1d_energy(p, x, getattr(carried, cells)) == want
+            assert wgf1d_energy(p, x, getattr(fresh, cells)) == want
+        traj = carried
+
+
 def test_keller_segel_step_runs_and_conserves():
     # mass 8 sqrt(2 pi) > 4 pi puts the bump in the concentrating regime
     grid = Grid1D(-5.0, 5.0, 48)

@@ -1130,6 +1130,29 @@ def test_step_records_read_the_carried_state(scheme):
         assert record.energy == models.discrete_energy_2d(p.model, x, y, p.rho0, p.grid)
 
 
+def test_first_record_reads_the_energy_at_rest_from_the_step(monkeypatch):
+    # the implicit step from rest builds the map at rest's deformation state,
+    # with E_h there inside J(x^n), and the history carries it: the record
+    # evaluates no map a second time
+    from lagflow.experiments import Wgf2dSim
+
+    p = compact_problem()
+    sim = Wgf2dSim(p, "implicit")
+    seen = []
+    energy = wgf2d.discrete_energy_2d
+
+    def recorded(model, x, y, *args):
+        seen.append(bits(x).tobytes() + bits(y).tobytes())
+        return energy(model, x, y, *args)
+
+    monkeypatch.setattr(wgf2d, "discrete_energy_2d", recorded)
+    record = sim.bdf2_step(2e-3)
+    assert sim.traj.prev_deformation is not None
+    assert len(seen) == len(set(seen))
+    at_rest = energy(p.model, p.grid.ref_x, p.grid.ref_y, p.rho0, p.grid)
+    assert sim.energy_rate == abs(record.energy - at_rest) / 2e-3
+
+
 def test_after_step_checks_what_the_state_does_not_prove():
     p = bump_problem()
     traj = equal_history(p, 2e-3)
