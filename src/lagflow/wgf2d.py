@@ -16,30 +16,45 @@ any trial with a non-positive determinant, warm started from the explicit
 output whenever that does not increase J.  It stops at the core's
 rounding-level rule, with row sums |H| + inertia + sigma |-Lap_h|.
 
-The explicit matrix E = diag(c rho0) + s (-Lap_h) is factored once per
-step, and the factors serve both the x and the y right-hand side.  The
-Newton matrix of the implicit step is hx hy (E on each component) + H, with
-the same c = 2 coeff and s, H the scaled Hessian of the energy.  So an
-unshifted Newton system is solved by conjugate gradients preconditioned
-with E's factors on each component, which the step makes anyway for its
-warm start (the Newton-Krylov practice of Knoll & Keyes, J. Comput. Phys.
-193:357, 2004).  CG solves each system only as far as Newton's stopping
-rule can see (inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer.
-Anal. 19:400, 1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17:16, 1996):
-it stops once its recursive residual has ||b - K u|| < max(CG_RTOL ||b||,
-CG_ATOL), with CG_RTOL = 1e-14 and CG_ATOL = NEWTON_TOL / 100.  The gradient
-at the next iterate is -(b - K u) + O(|u|^2), so the linear error adds at
-most a hundredth of the tolerance to any row Newton tests; on the
-porous-medium presets Newton takes as many iterations as with CG run to
-CG_RTOL alone.  A system that CG leaves unsolved after CG_MAX_ITER
-iterations, or with non-finite values, is factored instead, as is every
-shifted system the Newton core tries.  No factorization is kept from one
-step to the next, and the state a history carries has the bits of a fresh
-evaluation (see below), so a step's bits depend on its inputs alone.  Both
-matrices are symmetric, so one sparse LU in SuperLU's symmetric mode does
-the work of a Cholesky factorization.  Its pivots prefer the diagonal down
-to a tenth of the column's largest entry, which keeps indefinite Newton
-matrices accurate (diagonal pivots alone lost three digits on one of
+The explicit step factors its matrix E = diag(c rho0) + s (-Lap_h) once,
+and the factors serve both the x and the y right-hand side.  The Newton
+matrix of the implicit step is hx hy (E on each component) + H, with the
+same c = 2 coeff and s, H the scaled Hessian of the energy.  The implicit
+step takes the LU of E-bar, E at (coeff, s) rounded to 21 significant bits
+(``_quantized``), from a one-entry memo keyed by the problem (by identity)
+and the rounded pair, and makes it only on a miss: with the adaptive
+controller near tau_max, consecutive steps differ in tau by about 1e-8, so
+one LU serves many steps.  Its warm start solves the exact E by one step of
+iterative refinement on that LU (Higham, Accuracy and Stability of
+Numerical Algorithms, ch. 12), and an unshifted Newton system is solved by
+conjugate gradients preconditioned with it on each component (the
+Newton-Krylov practice of Knoll & Keyes, J. Comput. Phys. 193:357, 2004).
+CG solves each system only as far as Newton's stopping rule can see
+(inexact Newton: Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19:400,
+1982; Eisenstat & Walker, SIAM J. Sci. Comput. 17:16, 1996): it stops once
+its recursive residual has ||b - K u|| < max(CG_RTOL ||b||, CG_ATOL), with
+CG_RTOL = 1e-14 and CG_ATOL = NEWTON_TOL / 100.  The gradient at the next
+iterate is -(b - K u) + O(|u|^2), so the linear error adds at most a
+hundredth of the tolerance to any row Newton tests; on the porous-medium
+presets Newton takes as many iterations as with CG run to CG_RTOL alone.
+A system that CG leaves unsolved after CG_MAX_ITER iterations, or with
+non-finite values, is factored instead, as is every shifted system the
+Newton core tries.
+
+Both D = diag(2 coeff rho0) and K = L_aa - G (see below) are positive
+semidefinite, and the rounding moves coeff and s by at most 2^-21
+relative, so -2^-21 E <= E - E-bar <= 2^-21 E in the Loewner order, and
+one refinement step leaves a relative error of about 2^-42 in E's energy
+norm whatever E's condition number.  The memo's LU is a function of the
+rounded pair alone, so a step served from the memo has the bits of one
+that makes the LU, and the state a history carries has the bits of a fresh
+evaluation (see below): a step's bits depend on its inputs alone.  The
+explicit scheme does not use the memo.
+
+Both matrices are symmetric, so one sparse LU in SuperLU's symmetric mode
+does the work of a Cholesky factorization.  Its pivots prefer the diagonal
+down to a tenth of the column's largest entry, which keeps indefinite
+Newton matrices accurate (diagonal pivots alone lost three digits on one of
 condition number 2.8e3).
 
 Compactly supported data leave most interior nodes massless, and there both
@@ -447,12 +462,15 @@ class _CondensedSolver:
 
     The values are written into the plan's data vector in the order of the
     sums (H + (inertia + sigma (-Lap_h))) - sigma G.  An unshifted solve
-    with a one-component ``preconditioner`` (the explicit solver of the same
-    step) runs preconditioned CG on the condensed system; every other solve,
-    and one whose CG fails, factors the matrix (plus the shift) in the
-    plan's order.  The explicit matrix is SPD; a Newton Hessian that is not
-    fails with a RuntimeError or non-finite solutions, which the Newton core
-    answers with a shift.
+    with a one-component ``preconditioner`` (the explicit solver of the
+    step's memo) runs preconditioned CG on the condensed system.  An
+    explicit solver whose ``near`` is set (to the memo's solver, whose
+    matrix is within a factor 1 +- 2^-21 of this one) solves its unshifted
+    system by one step of iterative refinement on near's LU (``_refined``).
+    Every other solve, and one whose CG fails, factors the matrix (plus the
+    shift) in the plan's order.  The explicit matrix is SPD; a Newton
+    Hessian that is not fails with a RuntimeError or non-finite solutions,
+    which the Newton core answers with a shift.
     """
 
     def __init__(self, grid: Grid2D, rho0, inertia, sigma: float, hess=None,
@@ -477,6 +495,7 @@ class _CondensedSolver:
         self.size = ncomp * a.size
         self.data = data
         self.preconditioner = preconditioner
+        self.near = None
         self.cg_failed = False
         self._lu = None
 
@@ -491,12 +510,24 @@ class _CondensedSolver:
 
     def factor(self, shift=0.0):
         """The solve function of the LU of the permuted condensed matrix; the
-        unshifted one is made once."""
+        unshifted one is made once, or is ``_refined`` if ``near`` is set (not
+        kept: a bound method held by its own instance would be a reference
+        cycle, which leaves near's LU to the cyclic collector)."""
         if shift != 0.0:
             return spla.splu(self._matrix(shift), permc_spec="NATURAL", **_LU_OPTIONS).solve
+        if self.near is not None:
+            return self._refined
         if self._lu is None:
             self._lu = spla.splu(self._matrix(), permc_spec="NATURAL", **_LU_OPTIONS).solve
         return self._lu
+
+    def _refined(self, u):
+        """x = LU(u), then x += LU(u - A x), with near's LU of A-bar and this
+        solver's exact matrix A on the same plan: about 2^-42 of relative
+        error is left in A's energy norm (see the module docstring)."""
+        solve = self.near.factor()
+        x = solve(u)
+        return x + solve(u - self._matrix() @ x)
 
     def _cg(self, b):
         """Preconditioned CG on the permuted condensed system for one
@@ -571,13 +602,47 @@ class _CondensedSolver:
         return out.reshape(rhs.shape)
 
 
-def _explicit_solver(p: Wgf2dProblem, cmass, s) -> _CondensedSolver:
-    """The explicit matrix diag(cmass) + s (-Lap_h) on the interior."""
+def _explicit_solver(p: Wgf2dProblem, cmass, s, near=None) -> _CondensedSolver:
+    """The explicit matrix diag(cmass) + s (-Lap_h) on the interior; with
+    ``near``, an explicit solver of ``p`` at coefficients within 2^-21, it
+    solves by one refinement step on near's LU and makes no LU of its own."""
     grid = p.grid
     coeff = cmass[1:-1, 1:-1].ravel()
     if np.any(coeff + s * (2.0 / grid.h_x ** 2 + 2.0 / grid.h_y ** 2) <= 0.0):
         raise SolverError("linear system is singular (zero mass and zero viscosity)")
-    return _CondensedSolver(grid, p.rho0, coeff, s)
+    solver = _CondensedSolver(grid, p.rho0, coeff, s)
+    solver.near = near
+    return solver
+
+
+def _quantized(v: float) -> float:
+    """v rounded to 21 significant bits, to nearest with ties to even:
+    relative error at most 2^-21, monotone, 0 stays 0, and rounding twice
+    is rounding once."""
+    m, e = np.frexp(v)
+    return float(np.ldexp(np.round(m * 2.0 ** 21), e - 21))
+
+
+# (problem, quantized (coeff, s), explicit solver at those coefficients) of
+# the last implicit step; one tuple, so a reader never sees a key with
+# another key's solver
+_explicit_memo = None
+
+
+def _memo_explicit_solver(p: Wgf2dProblem, coeff: float, s: float) -> _CondensedSolver:
+    """The explicit solver of the implicit step's matrix diag(2 coeff rho0) +
+    s (-Lap_h) at (coeff, s) rounded by ``_quantized``, kept for the next
+    step with the same problem and rounded coefficients; its LU is made
+    lazily, once.  The problem is compared by identity: the memo holds it, so
+    its id is not reused while the entry lives."""
+    global _explicit_memo
+    key = (_quantized(coeff), _quantized(s))
+    memo = _explicit_memo
+    if memo is not None and memo[0] is p and memo[1] == key:
+        return memo[2]
+    solver = _explicit_solver(p, 2.0 * key[0] * p.rho0, key[1])
+    _explicit_memo = (p, key, solver)
+    return solver
 
 
 def _explicit_solve(p: Wgf2dProblem, x_curr, y_curr, rhs_x, rhs_y, solver: _CondensedSolver):
@@ -702,9 +767,10 @@ def _implicit_solve(p: Wgf2dProblem, start: _Deformation, j_start, j_ref, x_hat,
     higher than ``j_ref``, its value at x^n; returns the accepted iterate's
     deformation state.  The iterate stacks the full x and y node arrays; the
     interior nodes of both are the unknowns, and its state is ``_stacked``'s.
-    ``preconditioner`` is the step's explicit solver, whose matrix
-    diag(2 coeff rho0) + s (-Lap_h) preconditions CG on the unshifted Newton
-    systems until CG fails on one; without it every Newton system is
+    ``preconditioner`` is the explicit solver of the step's memo, whose
+    matrix is diag(2 coeff rho0) + s (-Lap_h) at (coeff, s) rounded to 21
+    significant bits; its LU preconditions CG on the unshifted Newton
+    systems until CG fails on one.  Without it every Newton system is
     factored."""
     if j_start > j_ref + 1e-12 * abs(j_ref):
         raise NewtonError("warm start above the feasibility cap")
@@ -764,12 +830,14 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
     x_ref, y_ref = _visc_ref(p, traj.curr_x, traj.curr_y)
     curr = _current(p, traj)
     j_at_curr = _objective_2d(p, curr.x, curr.y, x_hat, y_hat, x_ref, y_ref, coeff, s, curr)
-    # warm start from the explicit output when it does not increase J; the
-    # explicit matrix, factored once, also preconditions the Newton systems
+    # warm start from the explicit output when it does not increase J: the
+    # exact explicit system, solved by one refinement step on the memo's LU,
+    # which also preconditions the Newton systems
     start, j0 = curr, j_at_curr
-    explicit = None
+    cached = None
     try:
-        explicit = _explicit_solver(p, 2.0 * coeff * p.rho0, s)
+        cached = _memo_explicit_solver(p, coeff, s)
+        explicit = _explicit_solver(p, 2.0 * coeff * p.rho0, s, cached)
         warm = _explicit_maps(p, traj, tau_next, explicit)
         jw = _objective_2d(p, warm.x, warm.y, x_hat, y_hat, x_ref, y_ref, coeff, s, warm)
         if jw <= j_at_curr:
@@ -777,7 +845,7 @@ def wgf2d_step_implicit(p: Wgf2dProblem, traj: Trajectory2D, tau_next: float):
     except (SolverError, AdmissibilityError):
         pass
     new = _implicit_solve(p, start, j0, j_at_curr, x_hat, y_hat, x_ref, y_ref, coeff, s,
-                          explicit)
+                          cached)
     return _after_step(p, traj, new, tau_next, curr)
 
 
