@@ -55,21 +55,21 @@ dx*dx + dy*dy).  It is imported on the first 2D kernel call, not with the
 module: ``scipy.spatial`` adds about 0.3 s and 6.5 MB to the start-up of
 every run, and only these kernels use it.
 
-The strips run on two threads when two CPUs are usable: one worker thread,
-started by the first 2D kernel call in a process, reduces the odd strips to
-their partial sums and the caller the even ones, each in its own r2 buffer.
-The caller adds every partial in strip order, the order of a one-thread
-walk, and a strip's partial does not depend on the thread that made it, so
-the energy and force have the same bits either way.  cdist, log and the
-BLAS products release the interpreter lock, which is what lets the strips
-overlap.  A BLAS that runs threads of its own already spreads each product
-over the cores, so there the second thread gains little; the benchmark
-pins BLAS to one thread.
+The strips are folded as two half-walks, the even strips into one
+accumulator and the odd strips into another, each in ascending order, and
+the kernel adds the two at the end.  When two CPUs are usable one worker
+thread, started by the first 2D kernel call in a process, folds the odd
+half while the caller folds the even half, each in its own r2 buffer; on
+one CPU the caller folds both.  A half's sum does not depend on the thread
+that folds it, so the energy and force have the same bits either way.
+cdist, log and the BLAS products release the interpreter lock, which is
+what lets the halves overlap.  A BLAS that runs threads of its own already
+spreads each product over the cores, so there the second thread gains
+little; the benchmark pins BLAS to one thread.
 """
 
 from __future__ import annotations
 
-import operator
 import os
 import threading
 from dataclasses import dataclass, field
@@ -532,14 +532,12 @@ def _interaction_nodes(x, y, rho0, grid: Grid2D):
 
 
 _STRIP = 32  # rows per block strip of the 2D pair matrix: 1.1 MB of float64 at 64^2
-_AHEAD = 2  # strips the worker may reduce before the caller has added their partials
 
 # (pid, executor) of the strip worker thread: a forked child makes its own
 _strip_worker = None
 _strip_worker_lock = threading.Lock()
 # each thread's r2 strip buffer, grown to the largest strip it has filled
 _strip_buffers = threading.local()
-_WORKER_STOPPED = object()
 
 
 def _usable_cpus() -> int:
@@ -563,81 +561,64 @@ def _strip_pool():
         return _strip_worker[1]
 
 
-def _fold_upper_strips(px, py, diagonal: float, reduce, add, acc):
-    """Fold the upper block strips of the symmetric matrix r2_ij = |p_i - p_j|^2:
-    acc = add(acc, reduce(lo, hi, r2)) for lo = 0, _STRIP, 2 _STRIP, ... in order.
+def _fold_upper_strips(px, py, diagonal: float, fold_strip, new_acc):
+    """Fold the upper block strips of the symmetric matrix r2_ij = |p_i - p_j|^2
+    as two half-walks and return their accumulators (even, odd).
 
+    Each half starts from acc = new_acc() and takes acc = fold_strip(acc, lo,
+    hi, r2) over its strips in ascending order: the even half over lo = 0,
+    2 _STRIP, 4 _STRIP, ..., the odd half over lo = _STRIP, 3 _STRIP, ....
     r2[k, j] is r2 of rows lo + k and columns lo + j, for the rows lo:hi and
     the columns lo:, so every pair appears once in exactly one strip except
     those inside the diagonal block rows lo:hi x columns lo:hi, which appear
     in both orders.  The diagonal r2_ii is set to ``diagonal``.  ``r2`` is
-    its thread's buffer, which the next strip refills; ``reduce`` may
+    its thread's buffer, which the next strip refills; ``fold_strip`` may
     overwrite it and must copy what it keeps.
 
-    With two usable CPUs one worker thread reduces the odd strips, at most
-    ``_AHEAD`` ahead of the caller, and the caller the even ones; with one
-    the caller reduces them all.  ``add`` always runs in the caller in strip
-    order, so the result has the bits of a serial fold either way.  An
-    exception in the worker is raised in the caller, and the worker has
-    stopped by the time this returns or raises.
+    With two usable CPUs one worker thread folds the odd half while the
+    caller folds the even half; with one the caller folds both.  Each half
+    is the same sequence of operations either way, so (even, odd) has the
+    same bits.  An exception in either half is raised in the caller: one in
+    the caller's half stops the worker before its next strip, and the worker
+    has stopped by the time this returns or raises.
     """
     # imported here, as is the executor in _strip_pool: scipy.spatial adds
-    # about 0.3 s and 6.5 MB to the import of every run, queue and the
-    # executor a few ms, and only the 2D Keller-Segel kernels use them
-    import queue
+    # about 0.3 s and 6.5 MB to the import of every run, the executor a few
+    # ms, and only the 2D Keller-Segel kernels use them
     from scipy.spatial.distance import cdist
 
     n = px.size
     pts = np.column_stack([px, py])
-    los = range(0, n, _STRIP)
-
-    def strip(lo):
-        hi = min(lo + _STRIP, n)
-        size = (hi - lo) * (n - lo)
-        buf = getattr(_strip_buffers, "r2", None)
-        if buf is None or buf.size < size:
-            buf = _strip_buffers.r2 = np.empty(min(_STRIP, n) * n)
-        r2 = buf[:size].reshape(hi - lo, n - lo)
-        # one C pass per pair, (0 + dx^2) + dy^2: the bits of dx*dx + dy*dy
-        cdist(pts[lo:hi], pts[lo:], "sqeuclidean", out=r2)
-        np.fill_diagonal(r2, diagonal)
-        return reduce(lo, hi, r2)
-
-    pool = _strip_pool() if len(los) > 1 else None
-    theirs = los[1::2] if pool is not None else range(0)
-    parts = queue.SimpleQueue()
-    # not bounded: the wake-up in ``finally`` may lift it past _AHEAD once
-    # the worker is stopping anyway
-    ahead = threading.Semaphore(_AHEAD)
     stop = threading.Event()
 
-    def reduce_theirs():
-        try:
-            for lo in theirs:
-                ahead.acquire()
-                if stop.is_set():
-                    return
-                parts.put(strip(lo))
-        finally:
-            parts.put(_WORKER_STOPPED)
+    def half(first):
+        acc = new_acc()
+        for lo in range(first, n, 2 * _STRIP):
+            if stop.is_set():
+                break
+            hi = min(lo + _STRIP, n)
+            size = (hi - lo) * (n - lo)
+            buf = getattr(_strip_buffers, "r2", None)
+            if buf is None or buf.size < size:
+                buf = _strip_buffers.r2 = np.empty(min(_STRIP, n) * n)
+            r2 = buf[:size].reshape(hi - lo, n - lo)
+            # one C pass per pair, (0 + dx^2) + dy^2: the bits of dx*dx + dy*dy
+            cdist(pts[lo:hi], pts[lo:], "sqeuclidean", out=r2)
+            np.fill_diagonal(r2, diagonal)
+            acc = fold_strip(acc, lo, hi, r2)
+        return acc
 
-    job = pool.submit(reduce_theirs) if theirs else None
+    pool = _strip_pool() if n > _STRIP else None
+    if pool is None:
+        return half(0), half(_STRIP)
+    job = pool.submit(half, _STRIP)
     try:
-        for lo in los:
-            if lo in theirs:
-                part = parts.get()
-                if part is _WORKER_STOPPED:
-                    job.result()  # raises the worker's exception
-                ahead.release()
-            else:
-                part = strip(lo)
-            acc = add(acc, part)
-    finally:
-        if job is not None:
-            stop.set()
-            ahead.release()  # wakes a worker waiting to run ahead
-            job.exception()  # waits until the worker has stopped
-    return acc
+        even = half(0)
+    except BaseException:
+        stop.set()
+        job.exception()  # waits until the worker has stopped
+        raise
+    return even, job.result()  # raises the worker's exception
 
 
 def ks2d_interaction_energy(model: KellerSegel2D, x, y, rho0, grid: Grid2D) -> float:
@@ -650,13 +631,14 @@ def ks2d_interaction_energy(model: KellerSegel2D, x, y, rho0, grid: Grid2D) -> f
     """
     _, px, py, m = _interaction_nodes(x, y, rho0, grid)
 
-    def strip_energy(lo, hi, r2):
+    def strip_energy(total, lo, hi, r2):
         log_r2 = np.log(r2, out=r2)
         rows = hi - lo
         row_sums = log_r2[:, :rows] @ m[lo:hi] + 2.0 * (log_r2[:, rows:] @ m[hi:])
-        return float(m[lo:hi] @ row_sums)
+        return total + float(m[lo:hi] @ row_sums)
 
-    total = _fold_upper_strips(px, py, 1.0, strip_energy, operator.add, 0.0)
+    even, odd = _fold_upper_strips(px, py, 1.0, strip_energy, float)
+    total = even + odd
     total *= 0.125 / np.pi
     a_eq = np.sqrt(grid.h_x * grid.h_y / np.pi)
     total += 0.25 / np.pi * float(np.sum(m * m)) * (np.log(a_eq) - 0.5)
@@ -674,24 +656,24 @@ def ks2d_interaction_force(model: KellerSegel2D, x, y, rho0, grid: Grid2D):
     keeps the cancellation in a_i independent of where the cloud sits.
     """
     keep, px, py, m = _interaction_nodes(x, y, rho0, grid)
+    shape = np.asarray(x).shape
+    fx = np.zeros(shape[0] * shape[1])
+    fy = np.zeros_like(fx)
+    if m.size == 0:  # no mass, no centre of mass and no force
+        return fx.reshape(shape), fy.reshape(shape)
     cx = px - float(m @ px) / float(np.sum(m))
     cy = py - float(m @ py) / float(np.sum(m))
     moments = np.stack([m, m * cx, m * cy], axis=1)
 
-    def strip_force(lo, hi, r2):
+    def strip_force(sums, lo, hi, r2):
         w = np.divide(1.0, r2, out=r2)
-        return lo, hi, w @ moments[lo:], w[:, hi - lo:].T @ moments[lo:hi]
-
-    def add_strip(sums, part):
-        lo, hi, own, below = part
-        sums[lo:hi] += own
-        sums[hi:] += below
+        sums[lo:hi] += w @ moments[lo:]
+        sums[hi:] += w[:, hi - lo:].T @ moments[lo:hi]
         return sums
 
-    sums = _fold_upper_strips(px, py, np.inf, strip_force, add_strip, np.zeros_like(moments))
-    shape = np.asarray(x).shape
-    fx = np.zeros(shape[0] * shape[1])
-    fy = np.zeros_like(fx)
+    even, odd = _fold_upper_strips(px, py, np.inf, strip_force,
+                                   lambda: np.zeros_like(moments))
+    sums = even + odd
     fx[keep] = (cx * sums[:, 0] - sums[:, 1]) * m / (2.0 * np.pi)
     fy[keep] = (cy * sums[:, 0] - sums[:, 2]) * m / (2.0 * np.pi)
     scale = grid.h_x * grid.h_y

@@ -312,11 +312,6 @@ class _Condensation:
     g: sps.csc_matrix           # L_af L_ff^{-1} L_fa on the active nodes
 
 
-def _condensation(grid: Grid2D, rho0) -> _Condensation:
-    return _condensation_cached(grid.m_x - 1, grid.m_y - 1, grid.h_x, grid.h_y,
-                                mass_mask(rho0))
-
-
 @lru_cache(maxsize=8)
 def _condensation_cached(nx: int, ny: int, h_x: float, h_y: float,
                          mask) -> _Condensation:

@@ -1,4 +1,3 @@
-import operator
 import subprocess
 import sys
 import textwrap
@@ -782,17 +781,20 @@ def test_ks2d_upper_strips_match_elementwise_squares(n, diagonal, exponent, data
     source = data.draw(arrays(np.intp, n, elements=st.integers(0, n - 1)))
     copy = data.draw(arrays(np.bool_, n))
     px[copy], py[copy] = px[source[copy]], py[source[copy]]
-    # each strip's r2 as its reducer saw it, in the order the fold added them
-    strips = models._fold_upper_strips(px, py, diagonal, lambda lo, hi, r2: (lo, hi, r2.copy()),
-                                       lambda acc, part: acc + [part], [])
-    for lo, hi, r2 in strips:
+    # each strip's r2 as its half saw it, in the order that half folded them
+    even, odd = models._fold_upper_strips(
+        px, py, diagonal, lambda acc, lo, hi, r2: acc + [(lo, hi, r2.copy())], list)
+    for lo, hi, r2 in even + odd:
         dx = px[lo:hi, None] - px[None, lo:]
         dy = py[lo:hi, None] - py[None, lo:]
         want = dx * dx + dy * dy
         np.fill_diagonal(want, diagonal)
         _assert_same_bits(r2, want)
-    assert [(lo, hi) for lo, hi, _ in strips] == [
-        (lo, min(lo + models._STRIP, n)) for lo in range(0, n, models._STRIP)]
+    strips = [(lo, min(lo + models._STRIP, n)) for lo in range(0, n, models._STRIP)]
+    # every strip once, the even ones in one half and the odd ones in the other,
+    # each half ascending
+    assert [(lo, hi) for lo, hi, _ in even] == strips[0::2]
+    assert [(lo, hi) for lo, hi, _ in odd] == strips[1::2]
 
 
 def _ks2d_cloud(seed):
@@ -803,6 +805,15 @@ def _ks2d_cloud(seed):
     rho0[rng.random(g.node_shape) < 0.1] = 0.0
     assert np.count_nonzero(rho0) > 2 * models._STRIP
     return g, x, y, rho0
+
+
+def test_ks2d_kernels_without_mass_are_zero():
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)
+    x, y, _ = random_admissible_2d(g, 5)
+    rho0 = np.zeros(g.node_shape)
+    assert models.ks2d_interaction_energy(KellerSegel2D(), x, y, rho0, g) == 0.0
+    for f in models.ks2d_interaction_force(KellerSegel2D(), x, y, rho0, g):
+        assert f.shape == g.node_shape and not np.any(f)
 
 
 def test_ks2d_forces_obey_newtons_third_law():
@@ -912,56 +923,37 @@ def test_ks2d_worker_and_inline_walks_give_the_same_bits(count):
 def test_ks2d_worker_reduces_the_odd_strips_and_the_caller_the_even_ones():
     px, py = _strip_cloud(5 * models._STRIP - 3, 1)
 
-    def reduce(lo, hi, r2):
-        return lo // models._STRIP, threading.get_ident()
+    def fold_strip(acc, lo, hi, r2):
+        return acc + [(lo // models._STRIP, threading.get_ident())]
 
     def fold():
-        seen = models._fold_upper_strips(px, py, 1.0, reduce, lambda acc, part: acc + [part], [])
-        return threading.get_ident(), seen
+        halves = models._fold_upper_strips(px, py, 1.0, fold_strip, list)
+        return threading.get_ident(), halves
 
     for cpus, want_worker in ((2, [1, 3]), (1, [])):
         with _cpus(cpus):
-            caller, seen = _within(60, fold)
-        assert [k for k, _ in seen] == list(range(5))
-        assert [k for k, ident in seen if ident != caller] == want_worker
-        assert len({ident for _, ident in seen}) == (2 if want_worker else 1)
-
-
-def test_ks2d_worker_runs_at_most_two_strips_ahead():
-    px, py = _strip_cloud(9 * models._STRIP, 2)
-    worker_started = []
-    seen_by_caller = []
-
-    def reduce(lo, hi, r2):
-        if lo == 0:
-            time.sleep(0.3)  # time for the worker to run as far ahead as it may
-            seen_by_caller.append(len(worker_started))
-        elif (lo // models._STRIP) % 2:
-            worker_started.append(lo)
-        return 0.0
-
-    with _cpus(2):
-        _within(60, lambda: models._fold_upper_strips(px, py, 1.0, reduce, operator.add, 0.0))
-    assert models._AHEAD == 2
-    assert seen_by_caller and seen_by_caller[0] <= models._AHEAD
-    assert worker_started == list(range(models._STRIP, 9 * models._STRIP, 2 * models._STRIP))
+            caller, (even, odd) = _within(60, fold)
+        assert [k for k, _ in even] == [0, 2, 4]
+        assert [k for k, _ in odd] == [1, 3]
+        assert [k for k, ident in even + odd if ident != caller] == want_worker
+        assert len({ident for _, ident in even + odd}) == (2 if want_worker else 1)
 
 
 @pytest.mark.parametrize("failing", [0, 1, 4, 7, 8])
 def test_ks2d_strip_errors_reach_the_caller_and_the_next_call_works(failing):
-    # the odd strips run on the worker and the even ones in the caller; when
-    # the caller fails at strip 0 the worker waits two strips ahead
+    # the odd strips run on the worker and the even ones in the caller; a
+    # failure in either half reaches the caller once the worker has stopped
     px, py = _strip_cloud(9 * models._STRIP - 3, 3)
     fail_at = {failing * models._STRIP}
 
-    def reduce(lo, hi, r2):
+    def fold_strip(total, lo, hi, r2):
         if lo in fail_at:
-            time.sleep(0.2)  # the other thread runs as far as it may meanwhile
+            time.sleep(0.2)  # the other half runs as far as it may meanwhile
             raise FloatingPointError(f"strip {failing}")
-        return float(r2.sum())
+        return total + float(r2.sum())
 
     def fold():
-        return models._fold_upper_strips(px, py, 1.0, reduce, operator.add, 0.0)
+        return sum(models._fold_upper_strips(px, py, 1.0, fold_strip, float))
 
     with _cpus(2):
         with pytest.raises(FloatingPointError, match=f"strip {failing}"):
@@ -970,6 +962,33 @@ def test_ks2d_strip_errors_reach_the_caller_and_the_next_call_works(failing):
         total = _within(60, fold)
     with _cpus(1):
         assert _within(60, fold) == total
+
+
+def test_ks2d_caller_failure_stops_the_worker_before_its_last_strip():
+    # 9 strips: the worker's half is 1, 3, 5, 7; the caller fails at strip 0
+    # while the worker folds strip 1, so the worker sees the stop before strip 3
+    px, py = _strip_cloud(9 * models._STRIP - 3, 4)
+    worker_started = threading.Event()
+    caller_failed = threading.Event()
+    folded_by_worker = []
+
+    def fold_strip(total, lo, hi, r2):
+        if lo == 0:
+            assert worker_started.wait(60)
+            caller_failed.set()
+            raise FloatingPointError("strip 0")
+        folded_by_worker.append(lo // models._STRIP)
+        if lo == models._STRIP:
+            worker_started.set()
+            assert caller_failed.wait(60)
+            time.sleep(0.2)  # time for the caller to set the stop
+        return total
+
+    with _cpus(2):
+        with pytest.raises(FloatingPointError, match="strip 0"):
+            _within(60, lambda: models._fold_upper_strips(px, py, 1.0, fold_strip, float))
+    # the fold has returned only after the worker stopped
+    assert folded_by_worker == [1]
 
 
 def test_ks2d_worker_thread_starts_on_the_first_2d_kernel_call():

@@ -128,6 +128,14 @@ def test_explicit_solve_without_mass_or_viscosity_is_singular():
         wgf2d_first_step_explicit(p, 1e-3)
 
 
+def test_explicit_keller_segel_step_without_mass_stays_at_rest():
+    # no node carries mass: the interaction force is zero and viscosity alone moves nothing
+    g = Grid2D(-1.0, 1.0, -1.0, 1.0, 8, 8)
+    p = Wgf2dProblem(g, KellerSegel2D(), np.zeros(g.node_shape), eps_visc=0.1)
+    traj, _ = wgf2d_step_explicit(p, Trajectory2D.at_rest(g), 1e-3)
+    assert np.array_equal(traj.curr_x, g.ref_x) and np.array_equal(traj.curr_y, g.ref_y)
+
+
 def test_implicit_explicit_agree_to_second_order():
     p = bump_problem()
     diffs = []
@@ -373,14 +381,14 @@ def test_condensation_is_cached_per_grid_and_mask():
     rng = np.random.default_rng(4)
     rhs = rng.standard_normal((grids[0].m_x - 1) * (grids[0].m_y - 1))
     for p in problems * 2:
-        cond = wgf2d._condensation(p.grid, p.rho0)
+        cond = wgf2d._plan(p.grid, p.rho0, 1).cond
         assert np.array_equal(cond.active, np.flatnonzero(active_nodes(p.rho0)))
         check_against_dense(p, explicit_terms(p, 1e-2), rhs, 0.0)
-        assert wgf2d._condensation(p.grid, p.rho0) is cond
+        assert wgf2d._plan(p.grid, p.rho0, 1).cond is cond
         for arr in (cond.active, cond.inactive, cond.lap_af.data, cond.lap_fa.indices,
                     cond.g.data, cond.g.indptr):
             assert not arr.flags.writeable
-    assert len({id(wgf2d._condensation(p.grid, p.rho0)) for p in problems}) == 4
+    assert len({id(wgf2d._plan(p.grid, p.rho0, 1).cond) for p in problems}) == 4
 
 
 # --- one plan per grid, mass mask and component count -------------------------
@@ -398,7 +406,7 @@ def test_plan_is_cached_per_grid_mask_and_component_count():
         for ncomp in (1, 2):
             plan = wgf2d._plan(p.grid, p.rho0, ncomp)
             assert plans.setdefault((id(p), ncomp), plan) is plan
-            assert plan.cond is wgf2d._condensation(p.grid, p.rho0)
+            assert plan.cond is wgf2d._plan(p.grid, p.rho0, 1).cond
             assert plan.order.size == ncomp * plan.cond.active.size
             assert plan.indptr[-1] == plan.indices.size
             for name in PLAN_ARRAYS:
@@ -448,7 +456,7 @@ def test_plan_pattern_is_the_structural_union(kind):
     p = Wgf2dProblem(g, PorousMedium(2.0), masked_rho0(g, kind, 7), eps_visc=0.5)
     a = np.flatnonzero(active_nodes(p.rho0))
     n = (g.m_x - 1) * (g.m_y - 1)
-    cond = wgf2d._condensation(g, p.rho0)
+    cond = wgf2d._plan(g, p.rho0, 1).cond
     for ncomp in (1, 2):
         plan = wgf2d._plan(g, p.rho0, ncomp)
         assert np.array_equal(np.sort(plan.order), np.arange(ncomp * a.size))
@@ -895,7 +903,7 @@ def test_implicit_run_factors_the_explicit_matrix_once_per_rounded_key(monkeypat
     config = barenblatt_implicit_config()
     record = run_experiment(config, write_files=False)
     p = record.sim.problem
-    wgf2d._condensation(p.grid, p.rho0)  # the massless block's LU, made once per grid
+    wgf2d._plan(p.grid, p.rho0, 1)  # the massless block's LU, made once per grid
     linalg = RecordingLU()
     monkeypatch.setattr(wgf2d, "spla", linalg)
     record = run_experiment(config, write_files=False)
@@ -936,7 +944,7 @@ def test_explicit_step_factors_its_exact_matrix_and_never_reads_the_memo(monkeyp
             raise AssertionError("the explicit scheme read the implicit step's memo")
 
     p = make()
-    wgf2d._condensation(p.grid, p.rho0)
+    wgf2d._plan(p.grid, p.rho0, 1)  # the massless block's LU, made once per grid
     memo = Untouchable()
     monkeypatch.setattr(wgf2d, "_explicit_memo", memo)
     linalg = RecordingLU()
@@ -980,7 +988,7 @@ def test_massless_nodes_without_viscosity_are_singular(first_step):
 def test_drawn_ratios_keep_the_implicit_energy_estimate(ratios):
     # compact support: most interior nodes are massless and condensed out
     p = compact_problem()
-    assert 0 < wgf2d._condensation(p.grid, p.rho0).inactive.size
+    assert 0 < wgf2d._plan(p.grid, p.rho0, 1).cond.inactive.size
     traj, dens = wgf2d_first_step_implicit(p, 2e-3)
     mass0 = total_mass_2d(dens, traj.curr_x, traj.curr_y)
     previous = wgf2d_augmented_energy(p, traj)
