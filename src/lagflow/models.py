@@ -49,11 +49,11 @@ Its pair matrix r2_ij = |p_i - p_j|^2 is symmetric, so the energy and the
 force walk only its upper block strips (``_STRIP`` rows each, sized for the
 L2 cache): the energy counts the columns right of each strip's diagonal
 block twice, and the antisymmetric force adds each strip's transpose to the
-rows below it.  Each strip's r2 is one ``scipy.spatial.distance.cdist``
-pass ("sqeuclidean", which sums (0 + dx^2) + dy^2, the bits of
-dx*dx + dy*dy).  It is imported on the first 2D kernel call, not with the
-module: ``scipy.spatial`` adds about 0.3 s and 6.5 MB to the start-up of
-every run, and only these kernels use it.
+rows below it.  Each strip's r2 is one BLAS product with K = 4:
+|p~_i|^2 + |p~_j|^2 - 2 p~_i . p~_j on coordinates centred on their mean,
+built once per call as an N x 4 and a 4 x N matrix.  It is within
+16 u (|p~_i|^2 + |p~_j|^2 + r2_ij) of |p_i - p_j|^2 (u = 2^-53; the bound
+is derived in ``_fold_upper_strips``), not the bits of dx*dx + dy*dy.
 
 The strips are folded as two half-walks, the even strips into one
 accumulator and the odd strips into another, each in ascending order, and
@@ -62,7 +62,7 @@ thread, started by the first 2D kernel call in a process, folds the odd
 half while the caller folds the even half, each in its own r2 buffer; on
 one CPU the caller folds both.  A half's sum does not depend on the thread
 that folds it, so the energy and force have the same bits either way.
-cdist, log and the BLAS products release the interpreter lock, which is
+The BLAS products, log and reciprocal release the interpreter lock, which is
 what lets the halves overlap.  A BLAS that runs threads of its own already
 spreads each product over the cores, so there the second thread gains
 little; the benchmark pins BLAS to one thread.
@@ -325,10 +325,12 @@ def _ks_pairs(points, nodes):
     if _pair_bufs is None or _pair_bufs[0].shape != shape:
         _pair_bufs = (np.empty(shape), np.empty(shape), np.empty(shape))
     a, log_abs, work = _pair_bufs
-    # a row-broadcast subtract into a filled buffer: the bits of
-    # points[:, None] - nodes[None, :], in less time
-    a[...] = points[:, None]
-    np.subtract(a, nodes, out=a)
+    # one rank-2 product [points, 1] @ [1; -nodes]: each entry is
+    # points_i * 1 + 1 * (-nodes_j), rounded once, the bits of
+    # points[:, None] - nodes[None, :] in less time than a fill and a
+    # subtract (a -0.0 point on a +0.0 node may give +0.0, not -0.0)
+    np.matmul(np.column_stack([points, np.ones(shape[0])]),
+              np.stack([np.ones(shape[1]), -nodes]), out=a)
     np.abs(a, out=log_abs)
     np.log(log_abs, out=log_abs)
     a, log_abs = a.view(), log_abs.view()
@@ -575,6 +577,32 @@ def _fold_upper_strips(px, py, diagonal: float, fold_strip, new_acc):
     its thread's buffer, which the next strip refills; ``fold_strip`` may
     overwrite it and must copy what it keeps.
 
+    Each strip's r2 is one BLAS product with K = 4 of centred coordinates:
+    with p~ = p - mean(p), r2_ij = |p~_i|^2 + |p~_j|^2 - 2 p~_i . p~_j is
+    row i of L = [|p~|^2, x~, y~, 1] times column j of R = [1; -2 x~; -2 y~;
+    |p~|^2].  It is not the bits of dx*dx + dy*dy.  With u = 2^-53,
+    S = |p~_i|^2 + |p~_j|^2 and d^2 = |p_i - p_j|^2, the error
+    |r2_ij - d^2| <= c u (S + d^2) has three sources (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., sec. 3.1):
+
+    - the centring subtraction rounds each coordinate by at most u |p~|;
+      the mean itself cancels from p_i - p_j, so the centred points are the
+      exact ones moved by e <= u (|p~_i| + |p~_j|) in distance, which moves
+      d^2 by at most 2 d e <= u (d^2 + 2 S);
+    - |p~|^2 is rounded twice, within 2u |p~|^2, so L's and R's entries
+      add 2u S;
+    - the four-term dot product, in any order and with or without FMA, is
+      within gamma_4 = 4u / (1 - 4u) of the sum of its terms' magnitudes,
+      S + 2 |x~_i x~_j| + 2 |y~_i y~_j| <= S + 2 |p~_i| |p~_j| <= 2 S (the
+      factor -2 and the ones are exact), which adds 8u S.
+
+    That is 12u S + u d^2 to first order in u, so c = 12 plus O(u) terms;
+    c = 16 bounds it with room for them.  Centring keeps S the size of the
+    cloud's spread, not of its distance from the origin.  Nodes closer than
+    about sqrt(c u S), coincident ones included, may get r2 <= 0 and a
+    non-finite log or reciprocal; the distinct nodes of an admissible map
+    are much farther apart.
+
     With two usable CPUs one worker thread folds the odd half while the
     caller folds the even half; with one the caller folds both.  Each half
     is the same sequence of operations either way, so (even, odd) has the
@@ -582,13 +610,16 @@ def _fold_upper_strips(px, py, diagonal: float, fold_strip, new_acc):
     the caller's half stops the worker before its next strip, and the worker
     has stopped by the time this returns or raises.
     """
-    # imported here, as is the executor in _strip_pool: scipy.spatial adds
-    # about 0.3 s and 6.5 MB to the import of every run, the executor a few
-    # ms, and only the 2D Keller-Segel kernels use them
-    from scipy.spatial.distance import cdist
-
     n = px.size
-    pts = np.column_stack([px, py])
+    if n:
+        # r2_ij = |p~_i|^2 + |p~_j|^2 - 2 p~_i . p~_j on p~ = p - mean(p), one
+        # K = 4 product of the rows of left with the columns of right
+        cx = px - px.mean()
+        cy = py - py.mean()
+        sq = cx * cx + cy * cy
+        ones = np.ones(n)
+        left = np.column_stack([sq, cx, cy, ones])
+        right = np.stack([ones, -2.0 * cx, -2.0 * cy, sq])
     stop = threading.Event()
 
     def half(first):
@@ -602,8 +633,7 @@ def _fold_upper_strips(px, py, diagonal: float, fold_strip, new_acc):
             if buf is None or buf.size < size:
                 buf = _strip_buffers.r2 = np.empty(min(_STRIP, n) * n)
             r2 = buf[:size].reshape(hi - lo, n - lo)
-            # one C pass per pair, (0 + dx^2) + dy^2: the bits of dx*dx + dy*dy
-            cdist(pts[lo:hi], pts[lo:], "sqeuclidean", out=r2)
+            np.matmul(left[lo:hi], right[:, lo:], out=r2)
             np.fill_diagonal(r2, diagonal)
             acc = fold_strip(acc, lo, hi, r2)
         return acc
